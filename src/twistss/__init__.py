@@ -37,7 +37,6 @@ from .twist import (
     twisted_cohomology,
 )
 from .spectral import (
-    Filtration,
     PageClass,
     PageError,
     SpectralPage,
@@ -100,7 +99,6 @@ __all__ = [
     "make_twist",
     "parse_twist",
     "twisted_cohomology",
-    "Filtration",
     "PageClass",
     "PageError",
     "SpectralPage",

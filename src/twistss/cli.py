@@ -14,8 +14,8 @@ Subcommands:
 * ``twistss selftest [--seed N]`` runs the bundled acceptance battery.
 
 The model argument is a path to a JSON model file; names of bundled models
-(``torus3``, ``heisenberg``, ...) are also accepted.  ``TWISTSS_THREADS``
-caps the parallelism of page computation.
+(``torus3``, ``heisenberg``, ...) are also accepted.  ``--t``, ``--s`` and
+``--max-page`` must be at least 1.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .cdga import CdgaModel, ModelError, load_model
+from .cdga import CdgaModel, Form, ModelError, load_model
 from .massey import (
     MasseyError,
     banded_defining_system,
     diagonal_defining_system,
-    related_cocycle,
     specific_element,
     triple_product,
     validate_defining_system,
@@ -43,6 +42,16 @@ from .twist import TwistError, parse_twist
 
 class InputError(Exception):
     pass
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _load(model_arg: str) -> CdgaModel:
@@ -70,8 +79,6 @@ def _print_class(model, degree: int, coords) -> str:
     if degree > model.top_degree or not coords or all(c == 0 for c in coords):
         return "0"
     h = model.de_rham(degree)
-    from .cdga import Form
-
     return f"[{Form(model, {degree: h.lift(coords)})}]"
 
 
@@ -147,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full pipeline with verification report")
     pa.add_argument("model", help="model file path or bundled model name")
     pa.add_argument("--twist", default="", help="twist expression, e.g. 'e1^e2^e3' (default: untwisted)")
-    pa.add_argument("--max-page", type=int, default=None, help="stop the page table at this r")
+    pa.add_argument("--max-page", type=_positive_int, default=None, help="stop the page table at this r")
     pa.add_argument("--format", choices=("text", "json"), default="text")
     pa.add_argument("--out", default=None, help="write the report to a file")
     pa.set_defaults(fn=_cmd_analyze)
@@ -160,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--thm41", action="store_true", help="banded defining system for the iterated degree-3 product")
     mode.add_argument("--thm42", action="store_true", help="diagonal defining system for a single twist component")
     pm.add_argument("--class", dest="cls", default=None, help="the page class x_p, as a form expression")
-    pm.add_argument("--t", type=int, default=None, help="page parameter: the differential is d_{2t+3}")
-    pm.add_argument("--s", type=int, default=None, help="the single twist component has degree 2s+1")
+    pm.add_argument("--t", type=_positive_int, default=None, help="page parameter: the differential is d_{2t+3}")
+    pm.add_argument("--s", type=_positive_int, default=None, help="the single twist component has degree 2s+1")
     pm.set_defaults(fn=_cmd_massey)
 
     ps = sub.add_parser("selftest", help="run the bundled acceptance battery")

@@ -33,7 +33,7 @@ from .linalg import (
     span_in_quotient,
 )
 from .spectral import SpectralSequence
-from .twist import BlockSpace, DOperator, TwistForm
+from .twist import BlockSpace, DOperator, TwistForm, apply_D
 
 
 class RelativeComplex:
@@ -78,17 +78,10 @@ class RelativeComplex:
         return self._cohom[parity]
 
     def pack(self, f: Form, parity: int) -> Vec:
-        return self.space(parity).pack(self._restrict(f, parity))
+        return self.space(parity).pack(f)
 
     def unpack(self, v: Vec, parity: int) -> Form:
         return self.space(parity).unpack(v)
-
-    def _restrict(self, f: Form, parity: int) -> Form:
-        keep = set(self.space(parity).degrees)
-        return Form(self.model, {p: v for p, v in f.parts.items() if p in keep})
-
-    def class_of(self, f: Form, parity: int) -> Vec:
-        return self.cohomology(parity).project(self.pack(f, parity))
 
     def __repr__(self):
         return f"RelativeComplex(K_{self.a}/K_{self.b})"
@@ -133,8 +126,7 @@ def connecting_map(
     hd = dst.cohomology((parity + 1) % 2)
     cols = []
     for rep in hs.coset_reps:
-        w = src.unpack(rep, parity)
-        dw = w.d() + H.form().wedge(w)
+        dw = apply_D(H, src.unpack(rep, parity))
         cols.append(hd.project(dst.pack(dw, (parity + 1) % 2)))
     return Mat.from_cols(cols, rows=hd.dim)
 
@@ -266,8 +258,7 @@ def zb_cell(
         h_next = k_next.cohomology((parity + 1) % 2)
         cols = []
         for i in range(dim_p):
-            e = model.basis_form(model.label_of(p, i))
-            de = e.d() + H.form().wedge(e)
+            de = apply_D(H, model.basis_form(model.label_of(p, i)))
             cols.append(h_next.project(k_next.pack(de, (parity + 1) % 2)))
         delta = Mat.from_cols(cols, rows=h_next.dim)
         if p + r <= n:

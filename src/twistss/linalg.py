@@ -8,8 +8,7 @@ free variables.
 
 Matrices act on column vectors: a `Mat` with shape (rows, cols) is a linear
 map Q^cols -> Q^rows.  Vectors are plain tuples of Fractions.  All values
-are immutable once built, so everything here is safe to share across
-threads.
+are immutable once built.
 """
 
 from __future__ import annotations
@@ -128,12 +127,6 @@ class Mat:
             raise ValueError("row count mismatch")
         return Mat([self.data[i] + other.data[i] for i in range(self.rows)], cols=self.cols + other.cols)
 
-    def stack(self, other: "Mat") -> "Mat":
-        """Stack on top of each other."""
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return Mat(self.data + other.data, cols=self.cols)
-
     def scaled(self, c) -> "Mat":
         return Mat([vec_scale(c, r) for r in self.data], cols=self.cols)
 
@@ -246,11 +239,6 @@ class SubspaceBasis:
         if vec_is_zero(self.reduce(v)):
             return c
         return None
-
-    def sum_with(self, other: "SubspaceBasis") -> "SubspaceBasis":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return SubspaceBasis.span(self.ambient_dim, self.rows + other.rows)
 
     def basis_matrix(self) -> Mat:
         """Basis vectors as columns (ambient_dim x dim)."""

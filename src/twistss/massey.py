@@ -39,7 +39,7 @@ from .linalg import (
     span_in_quotient,
 )
 from .spectral import PageClass, PageError, SpectralSequence
-from .twist import BlockSpace, TwistForm
+from .twist import BlockSpace, apply_D
 
 
 class MasseyError(Exception):
@@ -172,10 +172,6 @@ class DefiningSystem:
 
     def slot_degree(self, i: int, j: int) -> int:
         return sum(self.input_degrees[i - 1 : j]) - (j - i)
-
-    @property
-    def inputs(self) -> list[Form]:
-        return [self.entry(i, i) for i in range(1, self.size + 1)]
 
     def layout(self) -> str:
         """The triangular matrix layout as aligned text."""
@@ -327,13 +323,7 @@ def sparse_tail(ss: SpectralSequence, x_p: Form, t: int, s: int) -> dict[int, Fo
         return {}
     dom = BlockSpace(ss.model, var_degs)
     cod = BlockSpace(ss.model, cond_degs)
-    rhs_form = ss.apply_D(x_p)
-    rhs = tuple(
-        -c
-        for c in cod.pack(
-            Form(ss.model, {d: rhs_form.component(d) for d in cond_degs})
-        )
-    )
+    rhs = tuple(-c for c in cod.pack(apply_D(ss.H, x_p)))
     sol = solve_particular(ss.op.matrix(dom, cod), rhs)
     if sol is None:
         raise PageError(f"class does not survive to page {2 * t + 3}")
@@ -413,10 +403,6 @@ class MasseyVerification:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def nontrivial(self) -> bool:
-        return bool(self.checks)
 
 
 def _page_class_of_form(ss: SpectralSequence, r: int, p: int, f: Form) -> Vec:

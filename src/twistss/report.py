@@ -9,25 +9,29 @@ the page totals to the twisted cohomology, agreement of the two page
 constructions, and coherence of the indeterminacy subgroups.
 
 Reports render as human-readable text or as deterministic JSON (sorted keys,
-fixed separators), so re-emitting a parsed report is byte-identical.
+fixed separators), so re-emitting a parsed report is byte-identical.  The
+`check_*` functions behind the verdicts are shared with `selftest`.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .cdga import CdgaModel, Form
 from .indet import differential_indeterminacy, indeterminacy_subgroup, page_agreement
-from .massey import verify_main_theorems
+from .massey import ClassCheck, verify_main_theorems
 from .spectral import SpectralSequence
 from .twist import TwistForm, twisted_cohomology
 
 SCHEMA_VERSION = 1
 
 PASS, FAIL, NA = "pass", "fail", "n/a"
+
+# What a verdict check returns: how many items it checked, and a description
+# of its first failure or None when every item holds.
+Check = tuple[int, Optional[str]]
 
 
 @dataclass
@@ -101,13 +105,6 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("TWISTSS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run_analysis(
     model: CdgaModel,
     H: TwistForm,
@@ -116,7 +113,7 @@ def run_analysis(
 ) -> AnalysisReport:
     ss = SpectralSequence(model, H)
     top_r = min(max_page, ss.max_page) if max_page else ss.max_page
-    ss.precompute(top_r, threads=thread_count())
+    ss.precompute(top_r)
     tc = twisted_cohomology(model, H)
 
     pages = []
@@ -154,123 +151,163 @@ def run_analysis(
     return report
 
 
-def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, tc, top_r: int):
-    model, H = ss.model, ss.H
-    v = report.verdicts
+def _status(check: Check, unchecked: str = PASS) -> str:
+    checked, failure = check
+    if failure:
+        return FAIL
+    return PASS if checked else unchecked
 
-    # first/second page identifications
-    e1_ok = all(ss.cell(1, p).dim == model.dim(p) for p in range(ss.n + 1))
-    e2_ok = all(
-        ss.cell(2, p).dim == model.betti(p)
-        and ss.cell(2, p).coset_reps == model.de_rham(p).coset_reps
-        for p in range(ss.n + 1)
-    )
+
+def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, tc, top_r: int):
+    v = report.verdicts
     v["page_identifications"] = Verdict(
-        PASS if e1_ok and e2_ok else FAIL,
+        _status(check_page_identifications(ss)),
         "E_1 = graded piece, E_2 = de Rham cohomology",
     )
-
-    ev = ss.check_even_vanishing()
-    v["even_vanishing"] = Verdict(PASS if ev.passed else FAIL)
-
-    # d_3 = cup with the degree-3 twist component
-    h3 = H.component_form(3)
-    d3_ok = True
-    for p in range(ss.n + 1):
-        cell = ss.cell(3, p)
-        tgt = ss.cell(3, p + 3)
-        for rep in cell.coset_reps:
-            x = Form(model, {p: rep})
-            lhs = ss.differential(3, x).coords
-            cup = h3.wedge(x)
-            rhs = tgt.project(cup.component(p + 3)) if tgt.dim else ()
-            if lhs != rhs:
-                d3_ok = False
-    v["d3_cup_rule"] = Verdict(PASS if d3_ok else FAIL)
+    v["even_vanishing"] = Verdict(PASS if ss.check_even_vanishing().passed else FAIL)
+    v["d3_cup_rule"] = Verdict(_status(check_d3_cup(ss)))
 
     # higher differentials through defining systems
-    massey_status, case_status, compat_status = PASS, NA, NA
-    massey_checked = case_checked = compat_checked = 0
-    single = H.single_degree()
-    for t in range(1, (top_r - 3) // 2 + 1):
-        ver = verify_main_theorems(ss, t)
-        if not ver.nontrivial:
-            continue
-        massey_checked += len(ver.checks)
-        if any(not c.banded_ok or c.independence_ok is False for c in ver.checks):
-            massey_status = FAIL
-        if single is not None:
-            case_checked += len(ver.checks)
-            if case_status == NA:
-                case_status = PASS
-            if any(c.case_ok is False for c in ver.checks):
-                case_status = FAIL
-            route_checks = [c for c in ver.checks if c.routes_agree is not None]
-            if route_checks:
-                compat_checked += len(route_checks)
-                if compat_status == NA:
-                    compat_status = PASS
-                if any(c.routes_agree is False for c in route_checks):
-                    compat_status = FAIL
+    massey, case, compat = check_massey(ss, top_r, (banded_rule, case_rule, route_rule))
     v["massey_differentials"] = Verdict(
-        massey_status if massey_checked else NA,
-        f"{massey_checked} classes checked" if massey_checked else "no classes on pages 5 and up",
+        _status(massey, NA),
+        f"{massey[0]} classes checked" if massey[0] else "no classes on pages 5 and up",
     )
-    if case_checked:
-        case_detail = f"{case_checked} classes checked"
-    elif single is None:
+    if case[0]:
+        case_detail = f"{case[0]} classes checked"
+    elif ss.H.single_degree() is None:
         case_detail = "twist is not a single component"
     else:
         case_detail = "no classes on pages 5 and up"
-    v["single_twist_case_table"] = Verdict(case_status, case_detail)
+    v["single_twist_case_table"] = Verdict(_status(case, NA), case_detail)
     v["route_compatibility"] = Verdict(
-        compat_status,
-        f"{compat_checked} classes checked" if compat_checked else "no classes hit the iterated case",
+        _status(compat, NA),
+        f"{compat[0]} classes checked" if compat[0] else "no classes hit the iterated case",
     )
 
-    # convergence of page totals
-    einf = ss.e_infinity()
-    even_total = sum(c.dim for p, c in einf.cells.items() if p % 2 == 0)
-    odd_total = sum(c.dim for p, c in einf.cells.items() if p % 2 == 1)
     v["convergence"] = Verdict(
-        PASS if (even_total, odd_total) == tc.dims else FAIL,
-        f"stable totals {(even_total, odd_total)} vs twisted {tc.dims}",
+        _status(check_convergence(ss, tc)),
+        f"stable totals {stable_totals(ss)} vs twisted {tc.dims}",
     )
-
     pa = page_agreement(ss, max_r=top_r)
     v["page_construction_agreement"] = Verdict(PASS if pa.passed else FAIL)
-
-    v["indeterminacy_coherence"] = Verdict(
-        PASS if _indeterminacy_coherent(ss) else FAIL
-    )
+    v["indeterminacy_coherence"] = Verdict(_status(check_indeterminacy(ss)))
 
 
-def _indeterminacy_coherent(ss: SpectralSequence) -> bool:
-    """Sampled representative pairs differ inside the indeterminacy subgroups."""
+# ---------------------------------------------------------------------------
+# the verdict checks, shared with the acceptance battery
+
+
+def check_page_identifications(ss: SpectralSequence) -> Check:
+    """E_1 is the graded piece and E_2 is de Rham cohomology, basis for basis."""
+    m = ss.model
+    for p in range(ss.n + 1):
+        if ss.cell(1, p).dim != m.dim(p):
+            return p, f"E_1 dim mismatch on {m.name} at p={p}"
+        c2 = ss.cell(2, p)
+        if c2.dim != m.betti(p) or c2.coset_reps != m.de_rham(p).coset_reps:
+            return p, f"E_2 mismatch on {m.name} at p={p}"
+    return ss.n + 1, None
+
+
+def check_d3_cup(ss: SpectralSequence) -> Check:
+    """The zig-zag d_3 of every E_3 class is cup product with H_3."""
+    h3 = ss.H.component_form(3)
+    checked = 0
+    for p in range(ss.n + 1):
+        tgt = ss.cell(3, p + 3)
+        for rep in ss.cell(3, p).coset_reps:
+            x = Form(ss.model, {p: rep})
+            rhs = tgt.project(h3.wedge(x).component(p + 3)) if tgt.dim else ()
+            if ss.differential(3, x).coords != rhs:
+                return checked, f"d_3 != cup on {ss.model.name} at p={p}"
+            checked += 1
+    return checked, None
+
+
+def stable_totals(ss: SpectralSequence) -> tuple[int, int]:
+    """The even and odd total dimensions of the stable page."""
+    cells = ss.e_infinity().cells
+    even = sum(c.dim for p, c in cells.items() if p % 2 == 0)
+    odd = sum(c.dim for p, c in cells.items() if p % 2 == 1)
+    return even, odd
+
+
+def check_convergence(ss: SpectralSequence, tc) -> Check:
+    """The stable page totals equal the twisted cohomology `tc` of (model, H)."""
+    totals = stable_totals(ss)
+    if totals != tc.dims:
+        return 0, f"convergence fails on {ss.model.name}: {totals} vs {tc.dims}"
+    return 1, None
+
+
+# A Massey rule maps a class check to None when the rule does not apply, to
+# "" when it holds, and otherwise to the name of the broken rule.
+
+
+def banded_rule(c: ClassCheck) -> Optional[str]:
+    """d_{2t+3} = (-1)^t [c(A)], whichever banded defining system is used."""
+    if not c.banded_ok:
+        return "banded rule"
+    return "defining-system independence" if c.independence_ok is False else ""
+
+
+def case_rule(c: ClassCheck) -> Optional[str]:
+    """The single-twist case table; applies only to single-component twists."""
+    return None if c.case_ok is None else "" if c.case_ok else "case table"
+
+
+def route_rule(c: ClassCheck) -> Optional[str]:
+    """Banded and diagonal systems agree wherever both exist."""
+    return None if c.routes_agree is None else "" if c.routes_agree else "route compatibility"
+
+
+def check_massey(ss: SpectralSequence, top_r: int, rules: tuple) -> list[Check]:
+    """One check per rule over the classes of pages 5..top_r (t = 1..(top_r-3)//2)."""
+    checked = [0] * len(rules)
+    failures: list[Optional[str]] = [None] * len(rules)
+    for t in range(1, (top_r - 3) // 2 + 1):
+        for c in verify_main_theorems(ss, t).checks:
+            for i, rule in enumerate(rules):
+                broken = rule(c)
+                if broken is None:
+                    continue
+                checked[i] += 1
+                if broken and failures[i] is None:
+                    failures[i] = f"{broken} fails on {ss.model.name} t={t} p={c.p}"
+    return list(zip(checked, failures))
+
+
+def check_indeterminacy(ss: SpectralSequence) -> Check:
+    """Sampled representative pairs differ inside the indeterminacy subgroups.
+
+    A pair is a cell's first representative and its shift by a non-exact
+    boundary; from page 5 on, their d_r values must differ inside the
+    differential indeterminacy too.
+    """
     model, H = ss.model, ss.H
+    samples = 0
     for r in range(3, ss.max_page + 1):
         for p in range(ss.n + 1):
             cell = ss.cell(r, p)
             if cell.dim == 0:
                 continue
-            sub = indeterminacy_subgroup(model, H, p, 0, r)
             h = model.de_rham(p)
             shifts = [b for b in ss.boundaries(r, p).rows if not h.sub.contains(b)]
             if not shifts:
                 continue
+            sub = indeterminacy_subgroup(model, H, p, 0, r)
             rep = cell.coset_reps[0]
             x1 = Form(model, {p: rep})
             x2 = Form(model, {p: tuple(a + b for a, b in zip(rep, shifts[0]))})
-            diff = x2 - x1
-            if not sub.contains_class(diff):
-                return False
-            if r % 2 == 1 and r >= 5:
-                t = (r - 3) // 2
-                y1 = ss.zigzag_dx(ss.lift_zigzag(x1, r)).component(p + r) if p + r <= ss.n else None
-                y2 = ss.zigzag_dx(ss.lift_zigzag(x2, r)).component(p + r) if p + r <= ss.n else None
-                if y1 is not None and y2 is not None:
-                    dsub = differential_indeterminacy(model, H, p, 0, t)
-                    delta = Form(model, {p + r: tuple(a - b for a, b in zip(y1, y2))})
-                    if not dsub.contains_class(delta):
-                        return False
-    return True
+            if not sub.contains_class(x2 - x1):
+                return samples, f"representative difference escapes on {model.name} (r={r}, p={p})"
+            samples += 1
+            if r % 2 == 1 and r >= 5 and p + r <= ss.n:
+                y1 = ss.zigzag_dx(ss.lift_zigzag(x1, r)).component(p + r)
+                y2 = ss.zigzag_dx(ss.lift_zigzag(x2, r)).component(p + r)
+                dsub = differential_indeterminacy(model, H, p, 0, (r - 3) // 2)
+                delta = Form(model, {p + r: tuple(a - b for a, b in zip(y1, y2))})
+                if not dsub.contains_class(delta):
+                    return samples, f"d_{r} values escape on {model.name} (p={p})"
+    return samples, None

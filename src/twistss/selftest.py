@@ -4,8 +4,9 @@ Each criterion is a function returning (passed, detail).  They are exact
 checks (rational arithmetic, tolerance zero) against independent oracles:
 the parity-complex kernel/image computation cross-checks page totals, the
 cohomological Z_r/B_r construction cross-checks the zig-zag cells, and the
-hand-checkable small models pin concrete values.  `run_selftest` prints one
-pass/fail line per criterion and is what `twistss selftest` invokes.
+hand-checkable small models pin concrete values; criteria that `analyze`
+shares fold the `report` checks.  `run_selftest` prints one pass/fail line
+per criterion and is what `twistss selftest` invokes.
 """
 
 from __future__ import annotations
@@ -13,14 +14,21 @@ from __future__ import annotations
 from typing import Callable
 
 from .cdga import Form
-from .indet import (
-    differential_indeterminacy,
-    indeterminacy_subgroup,
-    page_agreement,
-)
-from .massey import bar, triple_product, verify_main_theorems
+from .indet import page_agreement
+from .massey import bar, triple_product
 from .models import bundled_model, standard_pairs
 from .modelgen import random_model, random_twist
+from .report import (
+    Check,
+    banded_rule,
+    case_rule,
+    check_convergence,
+    check_d3_cup,
+    check_indeterminacy,
+    check_massey,
+    check_page_identifications,
+    route_rule,
+)
 from .spectral import SpectralSequence
 from .twist import parse_twist, twisted_cohomology
 
@@ -66,6 +74,17 @@ def _all_sequences(ws: Workspace, random_count=RANDOM_MODELS):
     return ws.pairs() + ws.random_pairs(random_count)
 
 
+def _fold(seqs, check) -> Check:
+    """Sum a shared check over sequences, stopping at the first failure."""
+    total = 0
+    for ss in seqs:
+        checked, failure = check(ss)
+        total += checked
+        if failure:
+            return total, failure
+    return total, None
+
+
 def _d_squared_zero(ss: SpectralSequence) -> bool:
     for r in range(1, ss.max_page + 1):
         for p in range(ss.n + 1):
@@ -82,14 +101,11 @@ def crit_structural(ws: Workspace):
     for ss in _all_sequences(ws):
         if ss.model.total_dim > RANDOM_DIM_CAP:
             return False, f"{ss.model.name} exceeds the ambient cap"
-        for parity in (0, 1):
-            for p in range(ss.n + 1):
-                if p % 2 != parity or ss.model.dim(p) == 0:
-                    continue
-                for i in range(ss.model.dim(p)):
-                    e = ss.model.basis_form(ss.model.label_of(p, i))
-                    if not ss.apply_D(ss.apply_D(e)).is_zero:
-                        return False, f"D^2 != 0 on {ss.model.name}"
+        for p in range(ss.n + 1):
+            for i in range(ss.model.dim(p)):
+                e = ss.model.basis_form(ss.model.label_of(p, i))
+                if not ss.op.apply(ss.op.apply(e)).is_zero:
+                    return False, f"D^2 != 0 on {ss.model.name}"
         if not _d_squared_zero(ss):
             return False, f"d_r o d_r != 0 on {ss.model.name}"
     return True, f"{len(ws.pairs())} bundled pairs + {RANDOM_MODELS} random models"
@@ -97,19 +113,17 @@ def crit_structural(ws: Workspace):
 
 def crit_page_identifications(ws: Workspace):
     """E_1 is the graded piece, E_2 is de Rham cohomology, odd q vanishes."""
-    for ss in _all_sequences(ws, random_count=10):
-        m = ss.model
+    seqs = _all_sequences(ws, random_count=10)
+    _, failure = _fold(seqs, check_page_identifications)
+    if failure:
+        return False, failure
+    for ss in seqs:
         for p in range(ss.n + 1):
-            if ss.cell(1, p).dim != m.dim(p):
-                return False, f"E_1 dim mismatch on {m.name} at p={p}"
-            c2 = ss.cell(2, p)
-            if c2.dim != m.betti(p) or c2.coset_reps != m.de_rham(p).coset_reps:
-                return False, f"E_2 mismatch on {m.name} at p={p}"
             for r in (2, 3):
                 if ss.cell(r, p, q=1).dim != 0:
-                    return False, f"odd-q cell nonzero on {m.name}"
+                    return False, f"odd-q cell nonzero on {ss.model.name}"
                 if ss.cell(r, p, q=0) != ss.cell(r, p, q=2):
-                    return False, f"q-periodicity broken on {m.name}"
+                    return False, f"q-periodicity broken on {ss.model.name}"
     return True, "E_1/E_2 identifications and q-parity structure"
 
 
@@ -124,13 +138,11 @@ def crit_even_vanishing(ws: Workspace):
 
 def crit_convergence(ws: Workspace):
     """Stable page totals equal the twisted cohomology, in exact arithmetic."""
-    for ss in _all_sequences(ws):
-        tc = twisted_cohomology(ss.model, ss.H)
-        einf = ss.e_infinity()
-        even = sum(c.dim for p, c in einf.cells.items() if p % 2 == 0)
-        odd = sum(c.dim for p, c in einf.cells.items() if p % 2 == 1)
-        if (even, odd) != tc.dims:
-            return False, f"convergence fails on {ss.model.name}: {(even, odd)} vs {tc.dims}"
+    _, failure = _fold(
+        _all_sequences(ws), lambda ss: check_convergence(ss, twisted_cohomology(ss.model, ss.H))
+    )
+    if failure:
+        return False, failure
     t3 = ws.ss("torus3", "e1^e2^e3")
     tc3 = twisted_cohomology(t3.model, t3.H)
     if tc3.dims != (3, 3):
@@ -140,51 +152,35 @@ def crit_convergence(ws: Workspace):
 
 def crit_d3_cup(ws: Workspace):
     """Zig-zag d_3 equals cup product with the degree-3 twist component."""
-    for ss in _all_sequences(ws, random_count=10):
-        h3 = ss.H.component_form(3)
-        for p in range(ss.n + 1):
-            tgt = ss.cell(3, p + 3)
-            for rep in ss.cell(3, p).coset_reps:
-                x = Form(ss.model, {p: rep})
-                lhs = ss.differential(3, x).coords
-                rhs = tgt.project(h3.wedge(x).component(p + 3)) if tgt.dim else ()
-                if lhs != rhs:
-                    return False, f"d_3 != cup on {ss.model.name} at p={p}"
+    _, failure = _fold(_all_sequences(ws, random_count=10), check_d3_cup)
+    if failure:
+        return False, failure
     return True, "d_3 = cup with the degree-3 component on every class"
 
 
 def crit_massey_banded(ws: Workspace):
     """d_{2t+3} = (-1)^t [c(A)] for the banded systems, with independence."""
-    total = 0
-    for ss in _all_sequences(ws, random_count=10):
-        for t in range(1, (ss.max_page - 3) // 2 + 1):
-            ver = verify_main_theorems(ss, t)
-            total += len(ver.checks)
-            for c in ver.checks:
-                if not c.banded_ok:
-                    return False, f"banded rule fails on {ss.model.name} t={t} p={c.p}"
-                if c.independence_ok is False:
-                    return False, f"defining-system independence fails on {ss.model.name} t={t} p={c.p}"
-    return True, f"{total} page classes checked"
+    total, failure = _fold(
+        _all_sequences(ws, random_count=10),
+        lambda ss: check_massey(ss, ss.max_page, (banded_rule,))[0],
+    )
+    return (False, failure) if failure else (True, f"{total} page classes checked")
 
 
 def crit_case_table(ws: Workspace):
     """Single-twist case table for s = 1, 2, 3."""
     cases = [("cascade3", "a", 1), ("heisenberg", "a^b^c", 1), ("cascade5", "a", 2),
              ("torus5", "e1^e2^e3^e4^e5", 2), ("su3xsu3", "x5", 2), ("cascade7", "a", 3)]
-    nontrivial = 0
+    total = 0
     for name, tw, s in cases:
         ss = ws.ss(name, tw)
         if ss.H.single_degree() != 2 * s + 1:
             return False, f"{name} twist is not a single degree-{2*s+1} component"
-        for t in range(1, (ss.max_page - 3) // 2 + 1):
-            ver = verify_main_theorems(ss, t)
-            for c in ver.checks:
-                if c.case_ok is False:
-                    return False, f"case table fails on {name} t={t} p={c.p}"
-                if c.case_ok:
-                    nontrivial += 1
-    return True, f"s in {{1,2,3}}, {nontrivial} class checks"
+        checked, failure = check_massey(ss, ss.max_page, (case_rule,))[0]
+        if failure:
+            return False, failure
+        total += checked
+    return True, f"s in {{1,2,3}}, {total} class checks"
 
 
 def crit_route_compatibility(ws: Workspace):
@@ -192,15 +188,21 @@ def crit_route_compatibility(ws: Workspace):
     ss = ws.ss("cascade5", "a")
     if sum(ss.cell(9, p).dim for p in range(ss.n + 1)) == 0:
         return False, "cascade5 has trivial E_9; nothing to compare"
-    ver = verify_main_theorems(ss, 3)
-    routes = [c for c in ver.checks if c.routes_agree is not None]
+    (routes, disagree), (_, zero_witness) = check_massey(ss, 9, (route_rule, _d9_witness_rule))
     if not routes:
         return False, "no classes hit the l >= 2 case"
-    if any(not c.routes_agree for c in routes):
+    if disagree:
         return False, "routes disagree"
-    if any(c.zigzag.is_zero for c in routes if c.p == 5):
+    if zero_witness:
         return False, "expected a nonzero d_9 witness"
-    return True, f"{len(routes)} classes, nonzero d_9 witnessed"
+    return True, f"{routes} classes, nonzero d_9 witnessed"
+
+
+def _d9_witness_rule(c):
+    """A class at p = 5 where both routes exist must have a nonzero d_9."""
+    if c.routes_agree is None or c.p != 5:
+        return None
+    return "zero d_9 witness" if c.zigzag.is_zero else ""
 
 
 def crit_formality(ws: Workspace):
@@ -249,33 +251,9 @@ def crit_triple_product(ws: Workspace):
 
 def crit_indeterminacy_coherence(ws: Workspace):
     """Representative pairs differ inside the indeterminacy subgroups."""
-    samples = 0
-    for ss in _all_sequences(ws, random_count=10):
-        m, H = ss.model, ss.H
-        for r in range(3, ss.max_page + 1):
-            for p in range(ss.n + 1):
-                cell = ss.cell(r, p)
-                if cell.dim == 0:
-                    continue
-                h = m.de_rham(p)
-                shifts = [bb for bb in ss.boundaries(r, p).rows if not h.sub.contains(bb)]
-                if not shifts:
-                    continue
-                sub = indeterminacy_subgroup(m, H, p, 0, r)
-                rep = cell.coset_reps[0]
-                x1 = Form(m, {p: rep})
-                x2 = Form(m, {p: tuple(u + v for u, v in zip(rep, shifts[0]))})
-                if not sub.contains_class(x2 - x1):
-                    return False, f"representative difference escapes on {m.name} (r={r}, p={p})"
-                samples += 1
-                if r % 2 == 1 and r >= 5 and p + r <= ss.n:
-                    t = (r - 3) // 2
-                    y1 = ss.zigzag_dx(ss.lift_zigzag(x1, r)).component(p + r)
-                    y2 = ss.zigzag_dx(ss.lift_zigzag(x2, r)).component(p + r)
-                    dsub = differential_indeterminacy(m, H, p, 0, t)
-                    delta = Form(m, {p + r: tuple(u - v for u, v in zip(y1, y2))})
-                    if not dsub.contains_class(delta):
-                        return False, f"d_{r} values escape on {m.name} (p={p})"
+    samples, failure = _fold(_all_sequences(ws, random_count=10), check_indeterminacy)
+    if failure:
+        return False, failure
     if samples == 0:
         return False, "no representative pairs sampled"
     return True, f"{samples} representative pairs checked"

@@ -16,7 +16,7 @@ is deterministic.  The differential d_r reads off the degree-(p+r) component
 of D x of a zig-zag lift of reach r.
 
 Everything is a pure function of (model, twist); results are cached in the
-`SpectralSequence` object, which is safe for concurrent reads.
+`SpectralSequence` object.
 """
 
 from __future__ import annotations
@@ -41,44 +41,6 @@ class PageError(Exception):
     """Bad page index or a class that does not live on the requested page."""
 
 
-class Filtration:
-    """The decreasing degree filtration K_p = (forms of degree >= p).
-
-    K_0 is the whole complex and K_{n+1} = 0.  Each level is split by the
-    parity of the total degree; the twisted differential preserves every
-    level and in fact shifts it, D(K_p) inside K_{p+1}, since all of its
-    graded blocks raise degree by at least one.
-    """
-
-    def __init__(self, model: CdgaModel):
-        self.model = model
-        self.length = model.top_degree + 1
-
-    def level_degrees(self, p: int, parity: Optional[int] = None) -> tuple[int, ...]:
-        return tuple(
-            q
-            for q in range(max(0, p), self.model.top_degree + 1)
-            if parity is None or q % 2 == parity
-        )
-
-    def level_dim(self, p: int, parity: Optional[int] = None) -> int:
-        return sum(self.model.dim(q) for q in self.level_degrees(p, parity))
-
-    def contains(self, p: int, f: Form) -> bool:
-        return all(q >= p for q in f.degrees)
-
-    def check_shift(self, op: DOperator) -> bool:
-        """D(K_p) inside K_{p+1} for every level, checked block by block."""
-        n = self.model.top_degree
-        for src in range(n + 1):
-            for dst in range(n + 1):
-                if dst <= src and op.block(src, dst) is not None:
-                    blk = op.block(src, dst)
-                    if blk.rows and blk.cols and not blk.is_zero():
-                        return False
-        return True
-
-
 @dataclass(frozen=True)
 class ZigZag:
     """An inhomogeneous form x = x_p + x_{p+2} + ... with D x in K_{p+reach}."""
@@ -86,17 +48,6 @@ class ZigZag:
     p: int
     form: Form
     reach: int
-    twist: TwistForm
-
-    def dx(self) -> Form:
-        return self.form.d() + self.twist.form().wedge(self.form)
-
-    def leading_dx(self) -> Form:
-        """The lowest-degree component of D x, the one d_r evaluates."""
-        deg = self.p + self.reach
-        if deg > self.form.model.top_degree:
-            return self.form.model.zero_form()
-        return self.dx().homogeneous_part(deg)
 
 
 @dataclass(frozen=True)
@@ -130,9 +81,6 @@ class SpectralPage:
     def dims(self) -> dict[int, int]:
         return {p: c.dim for p, c in self.cells.items()}
 
-    def total_dim(self, parity: Optional[int] = None) -> int:
-        return sum(c.dim for p, c in self.cells.items() if parity is None or p % 2 == parity)
-
     def __repr__(self):
         nz = {p: c.dim for p, c in self.cells.items() if c.dim}
         return f"SpectralPage(r={self.r}, dims={nz}, stable={self.stable})"
@@ -143,9 +91,6 @@ class EvenVanishingReport:
     passed: bool
     checked: list[tuple[int, bool, bool]] = field(default_factory=list)
     # entries: (even r, d_r == 0, E_{r+1} == E_r)
-
-    def __bool__(self):
-        return self.passed
 
 
 class SpectralSequence:
@@ -165,11 +110,8 @@ class SpectralSequence:
 
     # -- D on zig-zags -------------------------------------------------------
 
-    def apply_D(self, x: Form) -> Form:
-        return x.d() + self.H.form().wedge(x)
-
     def zigzag_dx(self, z: ZigZag) -> Form:
-        return self.apply_D(z.form)
+        return self.op.apply(z.form)
 
     # -- chain-level cell pieces ----------------------------------------------
 
@@ -231,32 +173,12 @@ class SpectralSequence:
             self._bounds[key] = self._compute_boundaries(r, p)
         return self._bounds[key]
 
-    def precompute(self, max_r: Optional[int] = None, threads: int = 1):
-        """Fill the cycle/boundary caches for pages 1..max_r.
-
-        Cell pieces are pure functions of (r, p), so with threads > 1 they
-        are computed concurrently and published into the cache afterwards.
-        """
+    def precompute(self, max_r: Optional[int] = None):
+        """Fill the cell caches for pages 1..max_r."""
         top = min(max_r, self.max_page) if max_r else self.max_page
-        keys = [
-            (r, p)
-            for r in range(1, top + 1)
-            for p in range(self.n + 1)
-            if (r, p) not in self._cells
-        ]
-        if threads > 1 and len(keys) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            def work(key):
-                r, p = key
-                return key, self._compute_cycles(r, p), self._compute_boundaries(r, p)
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for key, z, b in pool.map(work, keys):
-                    self._cycles.setdefault(key, z)
-                    self._bounds.setdefault(key, b)
-        for r, p in keys:
-            self.cell(r, p)
+        for r in range(1, top + 1):
+            for p in range(self.n + 1):
+                self.cell(r, p)
 
     def cell(self, r: int, p: int, q: int = 0) -> QuotientSpace:
         """The cell E_r^{p,q}; cells with odd q are zero."""
@@ -285,8 +207,7 @@ class SpectralSequence:
         if not conds:
             return fixed
         cod = BlockSpace(self.model, conds)
-        dfixed = self.apply_D(fixed)
-        rhs = tuple(-c for c in cod.pack(_truncate(dfixed, conds)))
+        rhs = tuple(-c for c in cod.pack(self.op.apply(fixed)))
         free = [q for q in free_degrees if q <= self.n]
         if not free:
             return fixed if all(c == 0 for c in rhs) else None
@@ -304,14 +225,14 @@ class SpectralSequence:
         class of x_p survives to page `reach`.
         """
         if x_p.is_zero:
-            return ZigZag(0, x_p, reach, self.H)
+            return ZigZag(0, x_p, reach)
         if not x_p.is_homogeneous:
             raise PageError("zig-zag base must be homogeneous")
         p = x_p.degree
         full = self.resolve_tail(x_p, reach, self._tail_degrees(p))
         if full is None:
             return None
-        return ZigZag(p, full, reach, self.H)
+        return ZigZag(p, full, reach)
 
     # -- differentials ---------------------------------------------------------
 
@@ -353,16 +274,6 @@ class SpectralSequence:
         tgt = self.cell(r, p + r, q=(1 - r) % 2)
         return PageClass(r, p + r, self._differential_of_cycle(r, x_p, tgt))
 
-    def class_of(self, r: int, x_p: Form) -> PageClass:
-        """The page-r class of a surviving homogeneous form."""
-        self._check_r(r)
-        p = x_p.degree
-        if p is None:
-            raise PageError("the zero form does not name a page class")
-        if not self.cycles(r, p).contains(x_p.component(p)):
-            raise PageError(f"form of degree {p} is not a class on page {r}")
-        return PageClass(r, p, self.cell(r, p).project(x_p.component(p)))
-
     def representative(self, cls: PageClass) -> Form:
         return Form(self.model, {cls.p: self.cell(cls.r, cls.p).lift(cls.coords)})
 
@@ -398,8 +309,3 @@ class SpectralSequence:
             if not (d_zero and cells_equal):
                 report.passed = False
         return report
-
-
-def _truncate(f: Form, degrees: list[int]) -> Form:
-    keep = set(degrees)
-    return Form(f.model, {p: v for p, v in f.parts.items() if p in keep})

@@ -41,13 +41,14 @@ class TwistForm:
     at H_3 and the first-page structure relies on that.
     """
 
-    __slots__ = ("model", "components")
+    __slots__ = ("model", "components", "_form")
 
     def __init__(self, model: CdgaModel, components: dict[int, Vec]):
         self.model = model
         self.components = {
             p: v for p, v in sorted(components.items()) if not vec_is_zero(v)
         }
+        self._form: Optional[Form] = None
 
     @property
     def is_zero(self) -> bool:
@@ -63,7 +64,10 @@ class TwistForm:
         return self.model.zero_form()
 
     def form(self) -> Form:
-        return Form(self.model, dict(self.components))
+        """H as one inhomogeneous form, built once (forms are immutable)."""
+        if self._form is None:
+            self._form = Form(self.model, self.components)
+        return self._form
 
     def single_degree(self) -> Optional[int]:
         """The degree 2s+1 when H has exactly one component, else None."""
@@ -116,7 +120,7 @@ def parse_twist(model: CdgaModel, expr: str) -> TwistForm:
 
 
 def apply_D(H: TwistForm, x: Form) -> Form:
-    """The twisted differential D x = d x + H wedge x."""
+    """The twisted differential D x = d x + H wedge x; every use of D on a form calls this."""
     return x.d() + H.form().wedge(x)
 
 
@@ -141,9 +145,7 @@ class BlockSpace:
         self.total_dim = t
 
     def pack(self, f: Form) -> Vec:
-        for p in f.degrees:
-            if p not in self.offsets:
-                raise ValueError(f"form has a degree-{p} component outside the block")
+        """The block's coordinates of f; components in other degrees are dropped."""
         return vec_concat([f.component(p) for p in self.degrees])
 
     def unpack(self, v: Vec) -> Form:
@@ -199,25 +201,15 @@ class DOperator:
         return None
 
     def matrix(self, domain: BlockSpace, codomain: BlockSpace) -> Mat:
-        rows = codomain.total_dim
-        cols = domain.total_dim
-        grid = [[None] * len(domain.degrees) for _ in codomain.degrees]
-        for sj, src in enumerate(domain.degrees):
-            for di, dst in enumerate(codomain.degrees):
-                grid[di][sj] = self.block(src, dst)
         data = []
-        for di, dst in enumerate(codomain.degrees):
-            ddim = self.model.dim(dst)
-            for r in range(ddim):
+        for dst in codomain.degrees:
+            blocks = [(src, self.block(src, dst)) for src in domain.degrees]
+            for r in range(self.model.dim(dst)):
                 row = []
-                for sj, src in enumerate(domain.degrees):
-                    b = grid[di][sj]
-                    if b is None:
-                        row.extend(zero_vec(self.model.dim(src)))
-                    else:
-                        row.extend(b.data[r])
+                for src, b in blocks:
+                    row.extend(zero_vec(self.model.dim(src)) if b is None else b.data[r])
                 data.append(row)
-        return Mat(data, cols=cols)
+        return Mat(data, cols=domain.total_dim)
 
     def apply(self, x: Form) -> Form:
         return apply_D(self.H, x)

@@ -113,3 +113,34 @@ def test_massey_dead_class_exits_2(capsys):
 def test_massey_missing_args_exit_2(capsys):
     code, _, err = run(capsys, "massey", "torus3", "--thm41")
     assert code == 2
+
+
+def _rejected(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_massey_s_must_be_positive(capsys, value):
+    code, err = _rejected(
+        capsys, "massey", "cascade5", "--twist", "a", "--thm42", "--class", "x", "--t", "3", "--s", value
+    )
+    assert code == 2
+    assert "--s: must be at least 1" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_analyze_max_page_must_be_positive(capsys, value):
+    code, err = _rejected(capsys, "analyze", "torus3", "--twist", "e1^e2^e3", "--max-page", value)
+    assert code == 2
+    assert "--max-page: must be at least 1" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "three"])
+def test_massey_t_must_be_positive_int(capsys, value):
+    code, err = _rejected(
+        capsys, "massey", "torus3", "--twist", "e1^e2^e3", "--thm41", "--class", "e1", "--t", value
+    )
+    assert code == 2
+    assert "argument --t" in err
