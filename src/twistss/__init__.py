@@ -27,7 +27,7 @@ from .cdga import (
     loads_model,
 )
 from .twist import (
-    ParityComplex,
+    RelativeComplex,
     TwistError,
     TwistForm,
     TwistedCohomology,
@@ -62,7 +62,6 @@ from .massey import (
 )
 from .indet import (
     IndeterminacySubgroup,
-    RelativeComplex,
     connecting_delta_bar,
     connecting_map,
     differential_indeterminacy,
@@ -91,7 +90,7 @@ __all__ = [
     "ModelSchemaError",
     "load_model",
     "loads_model",
-    "ParityComplex",
+    "RelativeComplex",
     "TwistError",
     "TwistForm",
     "TwistedCohomology",
@@ -120,7 +119,6 @@ __all__ = [
     "validate_defining_system",
     "verify_main_theorems",
     "IndeterminacySubgroup",
-    "RelativeComplex",
     "connecting_delta_bar",
     "connecting_map",
     "differential_indeterminacy",

@@ -13,7 +13,9 @@ cohomological description
     B_r = j^*( kernel of H(K_p) -> H(K_{p-r+1}) )
 
 inside E_1^{p,q} = Omega^p, which gives an independent route to the page
-dimensions computed by the zig-zag engine.
+dimensions computed by the zig-zag engine.  The complexes K_a/K_b are
+`twistss.twist.RelativeComplex`, on the operator the twist shares with the
+spectral sequence.
 """
 
 from __future__ import annotations
@@ -26,72 +28,20 @@ from .linalg import (
     Mat,
     QuotientSpace,
     SubspaceBasis,
-    Vec,
     image,
     kernel,
     preimage,
     span_in_quotient,
 )
 from .spectral import SpectralSequence
-from .twist import BlockSpace, DOperator, TwistForm, apply_D
-
-
-class RelativeComplex:
-    """The quotient complex K_a/K_b (degrees a..b-1) with the induced D.
-
-    D is induced by dropping output components of degree >= b; it is
-    well-defined since D raises degree.  For b = a+1 the induced D is zero.
-    Cohomology is parity-graded (the parity of the total degree).
-    """
-
-    def __init__(self, model: CdgaModel, H: TwistForm, a: int, b: int, op: Optional[DOperator] = None):
-        if not (0 <= a < b <= model.top_degree + 1):
-            raise ValueError(f"need 0 <= a < b <= {model.top_degree + 1}, got a={a}, b={b}")
-        self.model = model
-        self.H = H
-        self.a = a
-        self.b = b
-        self.op = op if op is not None else DOperator(model, H)
-        degs = range(a, b)
-        self.spaces = (
-            BlockSpace(model, [p for p in degs if p % 2 == 0]),
-            BlockSpace(model, [p for p in degs if p % 2 == 1]),
-        )
-        self.d = (
-            self.op.matrix(self.spaces[0], self.spaces[1]),
-            self.op.matrix(self.spaces[1], self.spaces[0]),
-        )
-        self._cohom: dict[int, QuotientSpace] = {}
-
-    def space(self, parity: int) -> BlockSpace:
-        return self.spaces[parity % 2]
-
-    def d_from(self, parity: int) -> Mat:
-        return self.d[parity % 2]
-
-    def cohomology(self, parity: int) -> QuotientSpace:
-        parity %= 2
-        if parity not in self._cohom:
-            self._cohom[parity] = QuotientSpace(
-                kernel(self.d_from(parity)), image(self.d_from(1 - parity))
-            )
-        return self._cohom[parity]
-
-    def pack(self, f: Form, parity: int) -> Vec:
-        return self.space(parity).pack(f)
-
-    def unpack(self, v: Vec, parity: int) -> Form:
-        return self.space(parity).unpack(v)
-
-    def __repr__(self):
-        return f"RelativeComplex(K_{self.a}/K_{self.b})"
+from .twist import RelativeComplex, TwistForm
 
 
 def relative_cohomology(
     model: CdgaModel, H: TwistForm, a: int, b: int, parity: int
 ) -> QuotientSpace:
     """Cohomology of (K_a/K_b, D) in the given parity."""
-    return RelativeComplex(model, H, a, b).cohomology(parity)
+    return RelativeComplex(H.operator(model), a, b).cohomology(parity)
 
 
 def induced_map(src: RelativeComplex, dst: RelativeComplex, parity: int) -> Mat:
@@ -111,8 +61,7 @@ def induced_map(src: RelativeComplex, dst: RelativeComplex, parity: int) -> Mat:
 
 
 def connecting_map(
-    model: CdgaModel, H: TwistForm, a: int, m: int, b: int, parity: int,
-    src: Optional[RelativeComplex] = None, dst: Optional[RelativeComplex] = None,
+    model: CdgaModel, H: TwistForm, a: int, m: int, b: int, parity: int
 ) -> Mat:
     """Connecting homomorphism H^par(K_a/K_m) -> H^(par+1)(K_m/K_b).
 
@@ -120,13 +69,14 @@ def connecting_map(
     lift a relative cocycle verbatim, apply D, truncate to degrees [m, b).
     """
     assert 0 <= a < m < b <= model.top_degree + 2
-    src = src if src is not None else RelativeComplex(model, H, a, m)
-    dst = dst if dst is not None else RelativeComplex(model, H, m, min(b, model.top_degree + 1))
+    op = H.operator(model)
+    src = RelativeComplex(op, a, m)
+    dst = RelativeComplex(op, m, min(b, model.top_degree + 1))
     hs = src.cohomology(parity)
     hd = dst.cohomology((parity + 1) % 2)
     cols = []
     for rep in hs.coset_reps:
-        dw = apply_D(H, src.unpack(rep, parity))
+        dw = op.apply(src.unpack(rep, parity))
         cols.append(hd.project(dst.pack(dw, (parity + 1) % 2)))
     return Mat.from_cols(cols, rows=hd.dim)
 
@@ -146,7 +96,7 @@ def connecting_delta_bar(
         raise ValueError(f"column {p} outside 0..{model.top_degree}")
     a = max(0, p - r + 1)
     if a == p:  # the source complex K_p/K_p is zero
-        dst = RelativeComplex(model, H, p, p + 1)
+        dst = RelativeComplex(H.operator(model), p, p + 1)
         return Mat.zeros(dst.cohomology((parity + 1) % 2).dim, 0)
     return connecting_map(model, H, a, p, p + 1, parity)
 
@@ -186,6 +136,7 @@ def indeterminacy_subgroup(
     """
     if r < 3:
         raise ValueError("indeterminacy_subgroup needs r >= 3")
+    H.operator(model)  # ValueError for a twist of another model, whatever the cell
     parity = (p + q - 1) % 2
     if p > model.top_degree:
         trivial = QuotientSpace(SubspaceBasis.zero(0), SubspaceBasis.zero(0))
@@ -219,50 +170,42 @@ def differential_indeterminacy(
 # the cohomological page construction, for cross-checking the zig-zag route
 
 
-class _Tower:
-    """Cached relative complexes K_a/K_b for one (model, twist)."""
-
-    def __init__(self, model: CdgaModel, H: TwistForm):
-        self.model = model
-        self.H = H
-        self.op = DOperator(model, H)
-        self._rc: dict[tuple[int, int], RelativeComplex] = {}
-
-    def rc(self, a: int, b: int) -> RelativeComplex:
-        b = min(b, self.model.top_degree + 1)
-        key = (a, b)
-        if key not in self._rc:
-            self._rc[key] = RelativeComplex(self.model, self.H, a, b, op=self.op)
-        return self._rc[key]
-
-
 def zb_cell(
-    model: CdgaModel, H: TwistForm, r: int, p: int, tower: Optional[_Tower] = None
+    model: CdgaModel, H: TwistForm, r: int, p: int,
+    tower: Optional[dict[int, RelativeComplex]] = None,
 ) -> tuple[SubspaceBasis, SubspaceBasis]:
     """(Z_r, B_r) at column p (even q) through the cohomological description.
 
     Z_r is the delta-preimage of the classes coming from H(K_{p+r}); B_r is
     the j^*-image of the kernel of H(K_p) -> H(K_{p-r+1}).  Both live inside
-    E_1^{p, even} = Omega^p.
+    E_1^{p, even} = Omega^p.  `tower` caches the complexes K_a/K_{n+1} by a,
+    for reuse across calls on the same (model, H).
     """
     if r < 2:
         raise ValueError("the cohomological description starts at r = 2")
-    tower = tower if tower is not None else _Tower(model, H)
+    op = H.operator(model)
+    tower = {} if tower is None else tower
     n = model.top_degree
+
+    def k(a: int) -> RelativeComplex:  # K_a/K_{n+1}
+        if a not in tower:
+            tower[a] = RelativeComplex(op, a, n + 1)
+        return tower[a]
+
     dim_p = model.dim(p)
     parity = p % 2  # total parity of E_1^{p, even q}
 
     # delta: Omega^p -> H^(p+1 parity)(K_{p+1}) by x |-> class of D x
     if p + 1 <= n:
-        k_next = tower.rc(p + 1, n + 1)
+        k_next = k(p + 1)
         h_next = k_next.cohomology((parity + 1) % 2)
         cols = []
         for i in range(dim_p):
-            de = apply_D(H, model.basis_form(model.label_of(p, i)))
+            de = op.apply(model.basis_form(model.label_of(p, i)))
             cols.append(h_next.project(k_next.pack(de, (parity + 1) % 2)))
         delta = Mat.from_cols(cols, rows=h_next.dim)
         if p + r <= n:
-            k_far = tower.rc(p + r, n + 1)
+            k_far = k(p + r)
             incl = induced_map(k_far, k_next, (parity + 1) % 2)
             z = preimage(delta, image(incl))
         else:
@@ -272,12 +215,12 @@ def zb_cell(
 
     # B_r = j^*(ker[H(K_p) -> H(K_{p-r+1})])
     a = max(0, p - r + 1)
-    k_p = tower.rc(p, n + 1)
+    k_p = k(p)
     h_p = k_p.cohomology(parity)
     if a == p:
         ker_basis = SubspaceBasis.zero(h_p.dim)
     else:
-        k_a = tower.rc(a, n + 1)
+        k_a = k(a)
         ker_basis = kernel(induced_map(k_p, k_a, parity))
     b_vecs = []
     for coords in ker_basis.rows:
@@ -299,7 +242,7 @@ def page_agreement(ss: SpectralSequence, max_r: Optional[int] = None) -> PageAgr
     Compares canonical subspace bases, not just dimensions, for every page
     and column.
     """
-    tower = _Tower(ss.model, ss.H)
+    tower: dict[int, RelativeComplex] = {}  # K_a/K_{n+1}, reused across r
     out = PageAgreement(passed=True)
     top_r = max_r if max_r is not None else ss.max_page
     for r in range(2, top_r + 1):

@@ -377,7 +377,6 @@ def diagonal_defining_system(
 @dataclass
 class ClassCheck:
     p: int
-    index: int
     zigzag: PageClass
     banded_ok: bool
     case_ok: Optional[bool]
@@ -471,7 +470,7 @@ def verify_main_theorems(
     s = (single - 1) // 2 if single is not None else None
     for p in range(ss.n + 1):
         cell = ss.cell(r, p)
-        for index, rep in enumerate(cell.coset_reps):
+        for rep in cell.coset_reps:
             x = Form(ss.model, {p: rep})
             lhs = ss.differential(r, x)
 
@@ -507,6 +506,6 @@ def verify_main_theorems(
                     ) == _page_class_of_form(ss, r, p + r, rhs_a)
 
             out.checks.append(
-                ClassCheck(p, index, lhs, banded_ok, case_ok, routes_agree, independence_ok)
+                ClassCheck(p, lhs, banded_ok, case_ok, routes_agree, independence_ok)
             )
     return out

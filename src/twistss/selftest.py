@@ -24,6 +24,7 @@ from .report import (
     case_rule,
     check_convergence,
     check_d3_cup,
+    check_even_vanishing,
     check_indeterminacy,
     check_massey,
     check_page_identifications,
@@ -129,10 +130,9 @@ def crit_page_identifications(ws: Workspace):
 
 def crit_even_vanishing(ws: Workspace):
     """d_{2k} = 0 and E_{2k+1} = E_{2k} on every model."""
-    for ss in _all_sequences(ws):
-        rep = ss.check_even_vanishing()
-        if not rep.passed:
-            return False, f"even page structure fails on {ss.model.name}"
+    _, failure = _fold(_all_sequences(ws), check_even_vanishing)
+    if failure:
+        return False, failure
     return True, "all even differentials vanish, consecutive pages equal"
 
 

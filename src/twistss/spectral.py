@@ -21,7 +21,7 @@ Everything is a pure function of (model, twist); results are cached in the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .cdga import CdgaModel, Form
@@ -34,7 +34,7 @@ from .linalg import (
     kernel,
     solve_particular,
 )
-from .twist import BlockSpace, DOperator, TwistForm
+from .twist import BlockSpace, TwistForm
 
 
 class PageError(Exception):
@@ -86,20 +86,13 @@ class SpectralPage:
         return f"SpectralPage(r={self.r}, dims={nz}, stable={self.stable})"
 
 
-@dataclass
-class EvenVanishingReport:
-    passed: bool
-    checked: list[tuple[int, bool, bool]] = field(default_factory=list)
-    # entries: (even r, d_r == 0, E_{r+1} == E_r)
-
-
 class SpectralSequence:
     """All pages, cycles/boundaries, lifts and differentials for (model, H)."""
 
     def __init__(self, model: CdgaModel, H: TwistForm):
         self.model = model
         self.H = H
-        self.op = DOperator(model, H)
+        self.op = H.operator(model)
         self.n = model.top_degree
         self.max_page = self.n + 2
         self._cycles: dict[tuple[int, int], SubspaceBasis] = {}
@@ -173,12 +166,15 @@ class SpectralSequence:
             self._bounds[key] = self._compute_boundaries(r, p)
         return self._bounds[key]
 
-    def precompute(self, max_r: Optional[int] = None):
-        """Fill the cell caches for pages 1..max_r."""
-        top = min(max_r, self.max_page) if max_r else self.max_page
+    def precompute(self, max_r: Optional[int] = None) -> int:
+        """Fill the cell caches for pages 1..max_r (all pages for None); return the last page."""
+        if max_r is not None and max_r < 1:
+            raise ValueError(f"max_page must be >= 1, got {max_r}")
+        top = self.max_page if max_r is None else min(max_r, self.max_page)
         for r in range(1, top + 1):
             for p in range(self.n + 1):
                 self.cell(r, p)
+        return top
 
     def cell(self, r: int, p: int, q: int = 0) -> QuotientSpace:
         """The cell E_r^{p,q}; cells with odd q are zero."""
@@ -291,21 +287,3 @@ class SpectralSequence:
     def e_infinity(self) -> SpectralPage:
         """The stable page: the filtration is exhausted at r = n + 2."""
         return self.page(self.max_page)
-
-    def check_even_vanishing(self) -> EvenVanishingReport:
-        """Verify d_{2k} = 0 and E_{2k+1} = E_{2k} for every even page."""
-        report = EvenVanishingReport(passed=True)
-        for r in range(2, self.max_page + 1, 2):
-            d_zero = all(
-                self.differential_matrix(r, p).is_zero() for p in range(self.n + 1)
-            )
-            if r + 1 <= self.max_page:
-                cells_equal = all(
-                    self.cell(r + 1, p) == self.cell(r, p) for p in range(self.n + 1)
-                )
-            else:
-                cells_equal = True
-            report.checked.append((r, d_zero, cells_equal))
-            if not (d_zero and cells_equal):
-                report.passed = False
-        return report

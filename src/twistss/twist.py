@@ -1,4 +1,4 @@
-"""The twisted differential d + H and the parity-graded twisted cohomology.
+"""The twisted differential d + H, the complexes K_a/K_b and twisted cohomology.
 
 The twist H is a sum of closed odd-degree forms H_3 + H_5 + ..., acting by
 left exterior multiplication.  The operator D = d + H is not homogeneous for
@@ -6,10 +6,11 @@ the integer grading but is homogeneous for the mod-2 grading, where it
 squares to zero; its kernel-mod-image on each parity is the twisted
 cohomology.
 
-This module also provides the graded block machinery shared by the spectral
-sequence and the relative complexes: `BlockSpace` packs a range of degrees
-into one coordinate space, and `DOperator` assembles the matrix of D between
-any two degree ranges, with truncation.
+Everything is built from the filtration K_p = forms of degree >= p:
+`BlockSpace` packs a range of degrees into one coordinate space, `DOperator`
+assembles D between degree ranges (each twist builds it once, in
+`TwistForm.operator`), and `RelativeComplex` is the quotient K_a/K_b with the
+induced D.  Twisted cohomology is that of the whole complex K_0/K_{n+1}.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class TwistForm:
     at H_3 and the first-page structure relies on that.
     """
 
-    __slots__ = ("model", "components", "_form")
+    __slots__ = ("model", "components", "_form", "_op")
 
     def __init__(self, model: CdgaModel, components: dict[int, Vec]):
         self.model = model
@@ -49,6 +50,7 @@ class TwistForm:
             p: v for p, v in sorted(components.items()) if not vec_is_zero(v)
         }
         self._form: Optional[Form] = None
+        self._op: Optional[DOperator] = None
 
     @property
     def is_zero(self) -> bool:
@@ -68,6 +70,15 @@ class TwistForm:
         if self._form is None:
             self._form = Form(self.model, self.components)
         return self._form
+
+    def operator(self, model: CdgaModel) -> DOperator:
+        """D = d + H, built once (the twist is immutable); every (model, H)
+        entry point takes it from here, so a twist of another model raises."""
+        if model is not self.model:
+            raise ValueError("twist belongs to a different model")
+        if self._op is None:
+            self._op = DOperator(self)
+        return self._op
 
     def single_degree(self) -> Optional[int]:
         """The degree 2s+1 when H has exactly one component, else None."""
@@ -168,12 +179,11 @@ class DOperator:
     degree-(dst-src) twist component otherwise.  ``matrix`` stacks the blocks
     between two degree lists, which silently truncates whatever falls
     outside the codomain; that is exactly the induced operator on a quotient
-    complex of the degree filtration.
+    complex of the degree filtration.  Build it through `TwistForm.operator`.
     """
 
-    def __init__(self, model: CdgaModel, H: TwistForm):
-        if H.model is not model:
-            raise ValueError("twist belongs to a different model")
+    def __init__(self, H: TwistForm):
+        model = H.model
         self.model = model
         self.H = H
         self._wedge_mats: dict[int, dict[int, Mat]] = {}
@@ -216,45 +226,70 @@ class DOperator:
 
 
 # ---------------------------------------------------------------------------
-# the mod-2 graded complex and its cohomology
+# the quotient complexes K_a/K_b and twisted cohomology
 
 
-class ParityComplex:
-    """The whole model split by parity, with the two blocks of D.
+class RelativeComplex:
+    """The quotient complex K_a/K_b (degrees a..b-1) with the induced D.
 
-    D o D = 0 is asserted on construction for both parities.
+    D is induced by dropping output components of degree >= b; it is
+    well-defined since D raises degree.  K_0/K_{n+1} is the whole twisted
+    complex; for b = a+1 the induced D is zero.  Cohomology is parity-graded
+    (the parity of the total degree).
     """
 
-    def __init__(self, model: CdgaModel, H: TwistForm):
-        self.model = model
-        self.H = H
-        self.op = DOperator(model, H)
-        n = model.top_degree
-        self.even = BlockSpace(model, [p for p in range(n + 1) if p % 2 == 0])
-        self.odd = BlockSpace(model, [p for p in range(n + 1) if p % 2 == 1])
-        self.d_even_to_odd = self.op.matrix(self.even, self.odd)
-        self.d_odd_to_even = self.op.matrix(self.odd, self.even)
-        if not (self.d_odd_to_even @ self.d_even_to_odd).is_zero():
-            raise TwistError("D o D != 0 on the even part")
-        if not (self.d_even_to_odd @ self.d_odd_to_even).is_zero():
-            raise TwistError("D o D != 0 on the odd part")
+    def __init__(self, op: DOperator, a: int, b: int):
+        n = op.model.top_degree
+        if not (0 <= a < b <= n + 1):
+            raise ValueError(f"need 0 <= a < b <= {n + 1}, got a={a}, b={b}")
+        self.op = op
+        self.a = a
+        self.b = b
+        degs = range(a, b)
+        self.spaces = (
+            BlockSpace(op.model, [p for p in degs if p % 2 == 0]),
+            BlockSpace(op.model, [p for p in degs if p % 2 == 1]),
+        )
+        self.d = (
+            op.matrix(self.spaces[0], self.spaces[1]),
+            op.matrix(self.spaces[1], self.spaces[0]),
+        )
+        self._cohom: dict[int, QuotientSpace] = {}
 
     def space(self, parity: int) -> BlockSpace:
-        return self.even if parity % 2 == 0 else self.odd
-
-    def d_from(self, parity: int) -> Mat:
-        return self.d_even_to_odd if parity % 2 == 0 else self.d_odd_to_even
+        return self.spaces[parity % 2]
 
     def cohomology(self, parity: int) -> QuotientSpace:
-        return QuotientSpace(
-            kernel(self.d_from(parity)), image(self.d_from(1 - parity % 2))
-        )
+        parity %= 2
+        if parity not in self._cohom:
+            self._cohom[parity] = QuotientSpace(
+                kernel(self.d[parity]), image(self.d[1 - parity])
+            )
+        return self._cohom[parity]
+
+    def pack(self, f: Form, parity: int) -> Vec:
+        return self.space(parity).pack(f)
+
+    def unpack(self, v: Vec, parity: int) -> Form:
+        return self.space(parity).unpack(v)
+
+    def __repr__(self):
+        return f"RelativeComplex(K_{self.a}/K_{self.b})"
 
 
 class TwistedCohomology:
-    """Kernel-mod-image of D on both parities, with canonical representatives."""
+    """Kernel-mod-image of D on both parities, with canonical representatives.
 
-    def __init__(self, complex_: ParityComplex):
+    `complex` is the whole complex K_0/K_{n+1}; D o D = 0 is asserted on
+    construction for both parities.
+    """
+
+    def __init__(self, complex_: RelativeComplex):
+        d_even, d_odd = complex_.d
+        if not (d_odd @ d_even).is_zero():
+            raise TwistError("D o D != 0 on the even part")
+        if not (d_even @ d_odd).is_zero():
+            raise TwistError("D o D != 0 on the odd part")
         self.complex = complex_
         self.h_even = complex_.cohomology(0)
         self.h_odd = complex_.cohomology(1)
@@ -274,4 +309,4 @@ class TwistedCohomology:
 
 def twisted_cohomology(model: CdgaModel, H: TwistForm) -> TwistedCohomology:
     """Compute the twisted cohomology of (model, H) on both parities."""
-    return TwistedCohomology(ParityComplex(model, H))
+    return TwistedCohomology(RelativeComplex(H.operator(model), 0, model.top_degree + 1))

@@ -1,0 +1,37 @@
+"""The benchmark's tracer must still find every layer it wraps.
+
+`perfbench/tracer.py` wraps twistss functions and methods by name; a rename
+in `src/` would break the traced benchmark run without failing anything
+else.  This loads the tracer by path and checks that it counts calls.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import twistss.cli  # noqa: F401  (the tracer wraps every twistss module)
+import twistss.selftest  # noqa: F401
+from twistss import parse_twist
+from twistss.models import bundled_model
+from twistss.report import run_analysis
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_counts_indeterminacy_and_operator_layers():
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        m = bundled_model("torus3")
+        assert run_analysis(m, parse_twist(m, "e1^e2^e3")).all_pass
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["indet.subgroup"] > 0
+    assert tracer.calls["indet.relcomplex"] > 0
+    assert tracer.calls["twist.doperator"] > 0

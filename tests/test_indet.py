@@ -14,7 +14,7 @@ from twistss import (
 from twistss.cdga import Form
 from twistss.linalg import SubspaceBasis, image, kernel
 from twistss.models import bundled_model, standard_pairs
-from twistss.twist import BlockSpace, DOperator
+from twistss.twist import BlockSpace
 
 
 def make_pair(name, expr):
@@ -74,7 +74,7 @@ def test_delta_bar_torus_r4_brute_force():
     # components in degrees [p-r+1, p) of the right parity and (D w)_{<p} = 0
     m, H = make_pair("torus3", "e1^e2^e3")
     p, r = 3, 4
-    op = DOperator(m, H)
+    op = H.operator(m)
     dom = BlockSpace(m, [0, 2])
     conds = BlockSpace(m, [1])
     lifts = kernel(op.matrix(dom, conds))

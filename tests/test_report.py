@@ -1,9 +1,12 @@
 import json
 
+import pytest
+
 from twistss import parse_twist
 from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model
 from twistss.report import run_analysis
+from twistss.twist import DOperator
 
 
 def test_report_reproducible_bit_for_bit():
@@ -48,3 +51,24 @@ def test_random_models_deterministic():
 def test_random_models_vary_with_seed():
     seen = {random_model(s).dims for s in range(12)}
     assert len(seen) > 1
+
+
+@pytest.mark.parametrize("max_page", [0, -1])
+def test_max_page_below_one_rejected(max_page):
+    m = bundled_model("torus3")
+    with pytest.raises(ValueError, match="max_page must be >= 1"):
+        run_analysis(m, parse_twist(m, "e1^e2^e3"), max_page=max_page)
+
+
+def test_one_operator_per_analysis(monkeypatch):
+    builds = []
+    init = DOperator.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DOperator, "__init__", counting_init)
+    m = bundled_model("cascade5")
+    assert run_analysis(m, parse_twist(m, "a")).all_pass
+    assert len(builds) == 1

@@ -1,15 +1,15 @@
 import pytest
 
 from twistss import (
+    SpectralSequence,
     TwistError,
     apply_D,
+    indeterminacy_subgroup,
     make_twist,
     parse_twist,
     twisted_cohomology,
 )
-from twistss.cdga import Form
 from twistss.models import bundled_model, standard_pairs
-from twistss.twist import ParityComplex
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +67,23 @@ def test_apply_D_su3():
 
 def test_parity_complex_d_squared(torus3):
     H = parse_twist(torus3, "e1^e2^e3")
-    pc = ParityComplex(torus3, H)
-    assert (pc.d_odd_to_even @ pc.d_even_to_odd).is_zero()
+    whole = twisted_cohomology(torus3, H).complex
+    assert (whole.a, whole.b) == (0, torus3.top_degree + 1)
+    d_even, d_odd = whole.d
+    assert (d_odd @ d_even).is_zero()
+    assert (d_even @ d_odd).is_zero()
+
+
+def test_twist_of_another_model_rejected(torus3):
+    other = bundled_model("torus3")
+    H = parse_twist(other, "e1^e2^e3")
+    with pytest.raises(ValueError, match="different model"):
+        SpectralSequence(torus3, H)
+    with pytest.raises(ValueError, match="different model"):
+        twisted_cohomology(torus3, H)
+    for p, q in ((3, 0), (3, 1), (9, 0)):  # a computed cell, odd q, beyond the top degree
+        with pytest.raises(ValueError, match="different model"):
+            indeterminacy_subgroup(torus3, H, p, q, 4)
 
 
 def test_untwisted_recovers_de_rham():
