@@ -7,6 +7,12 @@ differential.  Loading a model validates the axioms eagerly (d o d = 0,
 graded commutativity, Leibniz, associativity, existence of a unit) so that
 everything downstream can rely on them.
 
+The structure constants are held once, sparsely: the product of two basis
+elements is a tuple of (index, coefficient) pairs, sorted by index, with no
+zero coefficient (in generator form it is at most one signed monomial).
+This table is the one representation of the product; `wedge`, the axiom
+checks and the wedge-by-H blocks of the twisted differential all read it.
+
 Two input layouts are accepted:
 
 * generator form -- an exterior algebra on named odd-degree generators with
@@ -25,6 +31,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
     Mat,
+    ONE,
     QuotientSpace,
     Vec,
     ZERO,
@@ -49,6 +56,31 @@ class ModelSchemaError(ModelError):
 
 class AlgebraError(ModelError):
     """A CDGA axiom fails; the message names the axiom and the witnesses."""
+
+
+# Size limits, checked before anything is allocated from a document's
+# numbers: a model has at most MAX_DIM basis elements (so the generator form,
+# which has 2^k of them, at most 8 generators) and top degree at most
+# MAX_TOP_DEGREE (the product table has (n+1)(n+2)/2 degree pairs).
+MAX_DIM = 256
+MAX_TOP_DEGREE = 256
+
+# The product of two basis elements: (index, coefficient) pairs in the
+# degree of the product, sorted by index, with no zero coefficient.
+Product = tuple  # tuple[tuple[int, Fraction], ...]
+
+
+def _sparse(v: Vec) -> Product:
+    return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def _combine(terms) -> dict:
+    """The sum of c * product over (c, product) pairs, without zero entries."""
+    out: dict = {}
+    for c, prod in terms:
+        for k, s in prod:
+            out[k] = out.get(k, ZERO) + c * s
+    return {k: x for k, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +280,13 @@ class CdgaModel:
         name: str,
         top_degree: int,
         labels: Sequence[Sequence[str]],
-        mult: Mapping[tuple[int, int], Sequence[Sequence[Vec]]],
+        mult: Mapping[tuple[int, int], Sequence[Sequence[Product]]],
         diff: Sequence[Mat],
     ):
         self.name = name
         self.top_degree = top_degree
         self.labels = tuple(tuple(ls) for ls in labels)
-        self._mult = {k: tuple(tuple(vec(v) for v in row) for row in t) for k, t in mult.items()}
+        self._mult = {k: tuple(tuple(row) for row in t) for k, t in mult.items()}
         self.diff = tuple(diff)
         self._label_index: dict[str, tuple[int, int]] = {}
         for p, ls in enumerate(self.labels):
@@ -302,7 +334,7 @@ class CdgaModel:
     def basis_form(self, label: str) -> Form:
         p, i = self.index_of(label)
         v = [ZERO] * self.dim(p)
-        v[i] = Fraction(1)
+        v[i] = ONE
         return Form(self, {p: tuple(v)})
 
     def unit_form(self) -> Form:
@@ -310,8 +342,8 @@ class CdgaModel:
 
     # -- algebra operations ---------------------------------------------------
 
-    def wedge_basis(self, p: int, i: int, q: int, j: int) -> Vec:
-        """Structure constants of e_i^p wedge e_j^q in degree p+q."""
+    def wedge_basis(self, p: int, i: int, q: int, j: int) -> Product:
+        """e_i^p wedge e_j^q as sparse (index, coefficient) pairs in degree p+q."""
         if p + q > self.top_degree:
             return ()
         return self._mult[(p, q)][i][j]
@@ -319,20 +351,20 @@ class CdgaModel:
     def wedge(self, u: Form, v: Form) -> Form:
         out: dict[int, list] = {}
         for p, up in u.parts.items():
+            nz_u = [(i, a) for i, a in enumerate(up) if a]
             for q, vq in v.parts.items():
                 if p + q > self.top_degree:
                     continue
                 acc = out.setdefault(p + q, [ZERO] * self.dim(p + q))
                 tab = self._mult[(p, q)]
-                for i, a in enumerate(up):
-                    if a == 0:
-                        continue
-                    for j, b in enumerate(vq):
-                        if b == 0:
-                            continue
-                        c = a * b
-                        for k, s in enumerate(tab[i][j]):
-                            if s != 0:
+                nz_v = [(j, b) for j, b in enumerate(vq) if b]
+                for i, a in nz_u:
+                    row = tab[i]
+                    for j, b in nz_v:
+                        prod = row[j]
+                        if prod:
+                            c = a * b
+                            for k, s in prod:
                                 acc[k] += c * s
         return Form(self, {p: tuple(v) for p, v in out.items()})
 
@@ -402,9 +434,13 @@ class CdgaModel:
         for q in range(self.top_degree + 1):
             tab = self._mult[(0, q)]
             for j in range(self.dim(q)):
+                block = [[ZERO] * n0 for _ in range(self.dim(q))]
+                for i in range(n0):
+                    for k, c in tab[i][j]:
+                        block[k][i] = c
                 for k in range(self.dim(q)):
-                    rows.append([tab[i][j][k] for i in range(n0)])
-                    rhs.append(Fraction(1) if j == k else ZERO)
+                    rows.append(block[k])
+                    rhs.append(ONE if j == k else ZERO)
         sol = solve_particular(Mat(rows, cols=n0), tuple(rhs))
         if sol is None:
             raise AlgebraError("degree 0 contains no unit element with 1^x = x")
@@ -425,11 +461,16 @@ class CdgaModel:
                     raise ModelSchemaError(f"missing multiplication table for degrees ({p},{q})")
                 if len(t) != self.dim(p) or any(len(row) != self.dim(q) for row in t):
                     raise ModelSchemaError(f"multiplication table for degrees ({p},{q}) has the wrong shape")
+                size = self.dim(p + q)
                 for row in t:
-                    for v in row:
-                        if len(v) != self.dim(p + q):
+                    for prod in row:
+                        ks = [k for k, _ in prod]
+                        if ks != sorted(set(ks)) or not all(0 <= k < size for k in ks) or not all(
+                            c for _, c in prod
+                        ):
                             raise ModelSchemaError(
-                                f"product vector in degrees ({p},{q}) has the wrong length"
+                                f"product in degrees ({p},{q}) is not a sorted list of nonzero "
+                                f"(index, coefficient) pairs below {size}"
                             )
         for p in range(n + 1):
             dmat = self.diff[p]
@@ -454,47 +495,64 @@ class CdgaModel:
             (p, i) for p in range(n + 1) for i in range(self.dim(p))
         ]
 
+        # The remaining axioms are checked on the structure constants: products
+        # of basis elements are sparse (index, coefficient) pairs, the
+        # differential of a basis element is a sparse column of its matrix.
+        mult = self._mult
+        dcols = [
+            [_sparse(col) for col in self.diff[p].transpose().data] for p in range(n + 1)
+        ]
+
         # graded commutativity
         for p, i in basis_elems:
             for q, j in basis_elems:
                 if p + q > n or (q, j) < (p, i):
                     continue
-                ab = self.wedge_basis(p, i, q, j)
-                ba = self.wedge_basis(q, j, p, i)
-                sign = -1 if (p % 2 and q % 2) else 1
-                if ab != tuple(sign * x for x in ba):
+                ab = mult[(p, q)][i][j]
+                ba = mult[(q, p)][j][i]
+                if p % 2 and q % 2:
+                    ba = tuple((k, -c) for k, c in ba)
+                if ab != ba:
                     raise AlgebraError(
                         "graded commutativity fails on "
                         f"{self.label_of(p, i)!r} ^ {self.label_of(q, j)!r}"
                     )
 
-        # graded Leibniz on basis pairs
+        # graded Leibniz on basis pairs: d(ab) = da b + (-1)^p a db; both
+        # sides vanish once p + q + 1 exceeds the top degree
         for p, i in basis_elems:
-            a = self.basis_form(p_label := self.label_of(p, i))
-            da = self.d(a)
+            da = dcols[p][i]
+            sign = -1 if p % 2 else 1
             for q, j in basis_elems:
-                b = self.basis_form(q_label := self.label_of(q, j))
-                lhs = self.d(self.wedge(a, b))
-                sign = Fraction(-1 if p % 2 else 1)
-                rhs = self.wedge(da, b) + sign * self.wedge(a, self.d(b))
+                if p + q + 1 > n:
+                    break
+                db = dcols[q][j]
+                lhs = _combine((c, dcols[p + q][k]) for k, c in mult[(p, q)][i][j])
+                tab_da, row_a = mult[(p + 1, q)], mult[(p, q + 1)][i]
+                rhs = _combine(
+                    [(c, tab_da[k][j]) for k, c in da] + [(sign * c, row_a[k]) for k, c in db]
+                )
                 if lhs != rhs:
                     raise AlgebraError(
-                        f"Leibniz rule fails on {p_label!r} ^ {q_label!r}"
+                        f"Leibniz rule fails on {self.label_of(p, i)!r} ^ {self.label_of(q, j)!r}"
                     )
 
-        # associativity on basis triples
+        # associativity on basis triples: (ab)c = a(bc)
         for p, i in basis_elems:
-            a = self.basis_form(self.label_of(p, i))
             for q, j in basis_elems:
                 if p + q > n:
-                    continue
-                ab = self.wedge(a, self.basis_form(self.label_of(q, j)))
-                b = self.basis_form(self.label_of(q, j))
+                    break
+                ab = mult[(p, q)][i][j]
                 for r, k in basis_elems:
                     if p + q + r > n:
+                        break
+                    bc = mult[(q, r)][j][k]
+                    if not ab and not bc:
                         continue
-                    c = self.basis_form(self.label_of(r, k))
-                    if self.wedge(ab, c) != self.wedge(a, self.wedge(b, c)):
+                    tab_ab, row_a = mult[(p + q, r)], mult[(p, q + r)][i]
+                    if _combine((c, tab_ab[m][k]) for m, c in ab) != _combine(
+                        (c, row_a[m]) for m, c in bc
+                    ):
                         raise AlgebraError(
                             "associativity fails on "
                             f"{self.label_of(p, i)!r}, {self.label_of(q, j)!r}, {self.label_of(r, k)!r}"
@@ -542,6 +600,11 @@ def build_generator_model(
     ``diffs`` maps a generator name to a polynomial, given as a list of
     (coefficient, monomial-of-generator-names) terms.
     """
+    if 1 << len(gens) > MAX_DIM:
+        raise ModelSchemaError(
+            f"{len(gens)} generators span 2^{len(gens)} basis elements; "
+            f"the limit is MAX_DIM = {MAX_DIM} ({MAX_DIM.bit_length() - 1} generators)"
+        )
     names = [g for g, _ in gens]
     degs = [d for _, d in gens]
     gen_index = {g: i for i, g in enumerate(names)}
@@ -554,6 +617,7 @@ def build_generator_model(
             )
     full_degree = sum(degs)
     n = full_degree if top_degree is None else top_degree
+    _check_top_degree(n)
     if n < full_degree:
         raise ModelSchemaError(
             f"top_degree {n} would truncate the exterior algebra (needs {full_degree})"
@@ -590,6 +654,8 @@ def build_generator_model(
             out[i] += c
         return tuple(out)
 
+    # every product of two monomials is zero or one signed monomial
+    signs = {1: ONE, -1: -ONE}
     mult = {}
     for p in range(n + 1):
         for q in range(n + 1 - p):
@@ -598,9 +664,7 @@ def build_generator_model(
                 row = []
                 for m2 in monos_by_degree[q]:
                     sign, prod = _sort_with_sign(m1 + m2)
-                    row.append(
-                        mono_vec([(Fraction(sign), prod)] if sign else [], p + q)
-                    )
+                    row.append(((mono_pos[prod][1], signs[sign]),) if sign else ())
                 table.append(row)
             mult[(p, q)] = table
 
@@ -659,31 +723,53 @@ def build_generator_model(
 # document loading
 
 
+def _check_top_degree(n: int):
+    if n > MAX_TOP_DEGREE:
+        raise ModelSchemaError(f"top_degree {n} exceeds the limit MAX_TOP_DEGREE = {MAX_TOP_DEGREE}")
+
+
+def _int_field(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelSchemaError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _typed_field(value, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ModelSchemaError(f"{what} must be a JSON {'object' if kind is dict else kind.__name__}")
+    return value
+
+
 def _model_from_generator_doc(doc: dict) -> CdgaModel:
     gens = []
-    for g in doc["generators"]:
+    for g in _typed_field(doc["generators"], list, "'generators'"):
         if not isinstance(g, dict) or "name" not in g or "degree" not in g:
             raise ModelSchemaError("each generator needs 'name' and 'degree'")
-        gens.append((str(g["name"]), int(g["degree"])))
+        gens.append((str(g["name"]), _int_field(g["degree"], f"degree of generator {g['name']!r}")))
     diffs = {}
-    for gname, poly_s in doc.get("differentials", {}).items():
+    for gname, poly_s in _typed_field(doc.get("differentials", {}), dict, "'differentials'").items():
         terms = []
-        for coeff, tok in parse_linear_combination(poly_s):
+        for coeff, tok in parse_linear_combination(_typed_field(poly_s, str, f"differential of {gname!r}")):
             terms.append((coeff, tuple(f.strip() for f in tok.split("^"))))
         diffs[str(gname)] = terms
     return build_generator_model(
-        str(doc["name"]), gens, diffs, top_degree=int(doc["top_degree"])
+        str(doc["name"]), gens, diffs, top_degree=_int_field(doc["top_degree"], "top_degree")
     )
 
 
 def _model_from_basis_doc(doc: dict) -> CdgaModel:
-    n = int(doc["top_degree"])
+    n = _int_field(doc["top_degree"], "top_degree")
+    _check_top_degree(n)
     labels: list[list[str]] = [[] for _ in range(n + 1)]
-    for deg_s, ls in doc["basis"].items():
-        deg = int(deg_s)
+    for deg_s, ls in _typed_field(doc["basis"], dict, "'basis'").items():
+        deg = _int_field(deg_s, "basis degree")
         if not (0 <= deg <= n):
             raise ModelSchemaError(f"basis degree {deg} outside 0..{n}")
-        labels[deg] = [str(x) for x in ls]
+        labels[deg] = [str(x) for x in _typed_field(ls, list, f"basis of degree {deg}")]
+    total_dim = sum(map(len, labels))
+    if total_dim > MAX_DIM:
+        raise ModelSchemaError(f"{total_dim} basis elements exceed the limit MAX_DIM = {MAX_DIM}")
     index = {}
     for p, ls in enumerate(labels):
         for i, lab in enumerate(ls):
@@ -707,13 +793,18 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
             out[i] += coeff
         return tuple(out)
 
-    mult: dict[tuple[int, int], list[list[Vec]]] = {}
+    def entries(field: str, keys: tuple[str, ...]) -> list[dict]:
+        out = _typed_field(doc.get(field, []), list, repr(field))
+        for entry in out:
+            if not isinstance(entry, dict) or any(k not in entry for k in keys):
+                raise ModelSchemaError(f"each {field!r} entry needs {' and '.join(map(repr, keys))}")
+        return out
+
+    mult: dict[tuple[int, int], list[list[Product]]] = {}
     for p in range(n + 1):
         for q in range(n + 1 - p):
-            mult[(p, q)] = [
-                [zero_vec(len(labels[p + q])) for _ in labels[q]] for _ in labels[p]
-            ]
-    for entry in doc.get("mult", []):
+            mult[(p, q)] = [[() for _ in labels[q]] for _ in labels[p]]
+    for entry in entries("mult", ("left", "right")):
         left, right = str(entry["left"]), str(entry["right"])
         if left not in index or right not in index:
             raise ModelSchemaError(f"mult entry references unknown labels: {entry}")
@@ -723,11 +814,11 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
             raise ModelSchemaError(
                 f"product {left!r}^{right!r} exceeds top degree {n}"
             )
-        mult[(p, q)][i][j] = combo_vec(str(entry.get("result", "0")), p + q)
+        mult[(p, q)][i][j] = _sparse(combo_vec(str(entry.get("result", "0")), p + q))
 
     diff_mats = []
     dcols: dict[str, Vec] = {}
-    for entry in doc.get("diff", []):
+    for entry in entries("diff", ("from",)):
         src = str(entry["from"])
         if src not in index:
             raise ModelSchemaError(f"diff entry references unknown label {src!r}")
@@ -749,6 +840,11 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
 
 
 def model_from_dict(doc: dict) -> CdgaModel:
+    """Build and validate a model from a parsed document.
+
+    Every malformed or oversized document raises `ModelSchemaError`, and a
+    document whose tables break an axiom raises `AlgebraError`.
+    """
     if not isinstance(doc, dict):
         raise ModelSchemaError("model document must be a JSON object")
     for field in ("name", "top_degree"):

@@ -157,6 +157,18 @@ def indeterminacy_subgroup(
     return IndeterminacySubgroup(p, r, group, in_h, h)
 
 
+def cell_indeterminacy(ss: SpectralSequence, p: int, r: int) -> IndeterminacySubgroup:
+    """`indeterminacy_subgroup` of the cell E_r^{p,0} of ss, computed once per sequence.
+
+    Every even q gives the same subgroup, so this also serves d_r values
+    (see `differential_indeterminacy`).
+    """
+    key = (p, r)
+    if key not in ss.indet_subgroups:
+        ss.indet_subgroups[key] = indeterminacy_subgroup(ss.model, ss.H, p, 0, r)
+    return ss.indet_subgroups[key]
+
+
 def differential_indeterminacy(
     model: CdgaModel, H: TwistForm, p: int, q: int, t: int
 ) -> IndeterminacySubgroup:

@@ -9,6 +9,12 @@ free variables.
 Matrices act on column vectors: a `Mat` with shape (rows, cols) is a linear
 map Q^cols -> Q^rows.  Vectors are plain tuples of Fractions.  All values
 are immutable once built.
+
+Values are coerced to `Fraction` once, where they enter: `vec` passes
+Fractions through unchanged, and matrices built here from rows that are
+already exact are not coerced again.  Most entries of the matrices the
+engine builds are zero, so the kernels (`Mat.apply`, `@`, `rref` and the
+subspace reductions) skip zero entries.
 """
 
 from __future__ import annotations
@@ -20,11 +26,18 @@ Vec = tuple  # tuple[Fraction, ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_EXACT = {Fraction}
 
 
 def vec(entries: Iterable) -> Vec:
-    """Coerce an iterable of numbers into an exact coordinate vector."""
-    return tuple(Fraction(x) for x in entries)
+    """Coerce an iterable of numbers into an exact coordinate vector.
+
+    Fractions are immutable, so one that is already exact is kept as is.
+    """
+    v = tuple(entries)
+    if set(map(type, v)) <= _EXACT:
+        return v
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
 def zero_vec(n: int) -> Vec:
@@ -40,18 +53,13 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    assert len(u) == len(v)
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, u: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in u)
 
 
 def vec_is_zero(u: Vec) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def vec_concat(parts: Sequence[Vec]) -> Vec:
@@ -82,12 +90,19 @@ class Mat:
         self.data = data
 
     @staticmethod
+    def _exact(data: tuple, cols: int) -> "Mat":
+        """A matrix on a tuple of rows that are already exact tuples of length cols."""
+        m = Mat.__new__(Mat)
+        m.rows, m.cols, m.data = len(data), cols, data
+        return m
+
+    @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat([zero_vec(cols) for _ in range(rows)], cols=cols)
+        return Mat._exact((zero_vec(cols),) * rows, cols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([unit_vec(n, i) for i in range(n)], cols=n)
+        return Mat._exact(tuple(unit_vec(n, i) for i in range(n)), n)
 
     @staticmethod
     def from_cols(columns: Sequence[Vec], rows: Optional[int] = None) -> "Mat":
@@ -107,36 +122,55 @@ class Mat:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} on vector of length {len(v)}")
-        return tuple(sum((a * b for a, b in zip(r, v)), ZERO) for r in self.data)
+        nz = [(j, b) for j, b in enumerate(v) if b]
+        out = []
+        for r in self.data:
+            s = ZERO
+            for j, b in nz:
+                a = r[j]
+                if a:
+                    s += a * b
+            out.append(s)
+        return tuple(out)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        ot = other.transpose()
-        return Mat(
-            [[sum((a * b for a, b in zip(r, c)), ZERO) for c in ot.data] for r in self.data],
-            cols=other.cols,
-        )
+        n = other.cols
+        other_nz = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
+        out = []
+        for r in self.data:
+            acc = [ZERO] * n
+            for k, a in enumerate(r):
+                if a:
+                    for j, x in other_nz[k]:
+                        acc[j] += a * x
+            out.append(tuple(acc))
+        return Mat._exact(tuple(out), n)
 
     def transpose(self) -> "Mat":
-        return Mat([self.col(j) for j in range(self.cols)], cols=self.rows)
+        if not self.data:
+            return Mat._exact(((),) * self.cols, 0)
+        return Mat._exact(tuple(zip(*self.data)), self.rows)
 
     def augment(self, other: "Mat") -> "Mat":
         """Stack side by side: [self | other]."""
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return Mat([self.data[i] + other.data[i] for i in range(self.rows)], cols=self.cols + other.cols)
+        return Mat._exact(
+            tuple(a + b for a, b in zip(self.data, other.data)), self.cols + other.cols
+        )
 
     def scaled(self, c) -> "Mat":
-        return Mat([vec_scale(c, r) for r in self.data], cols=self.cols)
+        return Mat._exact(tuple(vec_scale(c, r) for r in self.data), self.cols)
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return Mat([vec_add(a, b) for a, b in zip(self.data, other.data)], cols=self.cols)
+        return Mat._exact(tuple(vec_add(a, b) for a, b in zip(self.data, other.data)), self.cols)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.data)
+        return not any(any(r) for r in self.data)
 
     def rank(self) -> int:
         return len(rref(self)[1])
@@ -152,7 +186,11 @@ class Mat:
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row-echelon form and the pivot columns, fully canonical."""
+    """Reduced row-echelon form and the pivot columns, fully canonical.
+
+    Only the nonzero entries of the pivot row are scaled and subtracted;
+    its entries left of the pivot column are zero already.
+    """
     a = [list(r) for r in m.data]
     nrows, ncols = m.rows, m.cols
     pivots = []
@@ -160,20 +198,25 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if a[i][c]), None)
         if pr is None:
             continue
         a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
+        prow = a[r]
+        nz = [j for j in range(c, ncols) if prow[j]]
+        pv = prow[c]
         if pv != 1:
-            a[r] = [x / pv for x in a[r]]
+            for j in nz:
+                prow[j] /= pv
         for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            row = a[i]
+            f = row[c]
+            if f and i != r:
+                for j in nz:
+                    row[j] -= f * prow[j]
         pivots.append(c)
         r += 1
-    return Mat(a, cols=ncols), tuple(pivots)
+    return Mat._exact(tuple(map(tuple, a)), ncols), tuple(pivots)
 
 
 class SubspaceBasis:
@@ -198,7 +241,7 @@ class SubspaceBasis:
                 raise ValueError("vector length disagrees with ambient dimension")
         if not vs:
             return SubspaceBasis(ambient_dim, (), ())
-        r, piv = rref(Mat(vs, cols=ambient_dim))
+        r, piv = rref(Mat._exact(tuple(vs), ambient_dim))
         return SubspaceBasis(ambient_dim, r.data[: len(piv)], piv)
 
     @staticmethod
@@ -221,11 +264,14 @@ class SubspaceBasis:
         """Residual of v after eliminating every pivot; zero iff v is a member."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector length disagrees with ambient dimension")
-        v = vec(v)
+        v = list(vec(v))
         for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                v = vec_sub(v, vec_scale(v[p], row))
-        return v
+            c = v[p]
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        v[j] -= c * x
+        return tuple(v)
 
     def contains(self, v: Vec) -> bool:
         return vec_is_zero(self.reduce(v))
@@ -287,7 +333,7 @@ def solve_particular(m: Mat, b: Vec) -> Optional[Vec]:
     b = vec(b)
     if len(b) != m.rows:
         raise ValueError("right-hand side length disagrees with row count")
-    aug = m.augment(Mat.from_cols([b], rows=m.rows))
+    aug = Mat._exact(tuple(row + (x,) for row, x in zip(m.data, b)), m.cols + 1)
     r, pivots = rref(aug)
     if pivots and pivots[-1] == m.cols:
         return None
@@ -321,7 +367,7 @@ class QuotientSpace:
     v lies in B.
     """
 
-    __slots__ = ("ambient", "sub", "coset_reps")
+    __slots__ = ("ambient", "sub", "coset_reps", "_rep_pivots")
 
     def __init__(self, ambient: SubspaceBasis, sub: SubspaceBasis):
         if ambient.ambient_dim != sub.ambient_dim:
@@ -331,9 +377,9 @@ class QuotientSpace:
         self.ambient = ambient
         self.sub = sub
         subpiv = set(sub.pivots)
-        self.coset_reps = tuple(
-            row for row, p in zip(ambient.rows, ambient.pivots) if p not in subpiv
-        )
+        reps = [(row, p) for row, p in zip(ambient.rows, ambient.pivots) if p not in subpiv]
+        self.coset_reps = tuple(row for row, _ in reps)
+        self._rep_pivots = tuple(p for _, p in reps)
 
     @property
     def dim(self) -> int:
@@ -347,25 +393,29 @@ class QuotientSpace:
         return self.sub.contains(v)
 
     def project(self, v: Vec) -> Vec:
-        """Class coordinates of a member of the numerator space."""
-        cols = list(self.coset_reps) + list(self.sub.rows)
-        if not cols:
-            if not vec_is_zero(vec(v)):
-                raise ValueError("vector not in the subspace being quotiented")
-            return ()
-        sol = solve_particular(Mat.from_cols(cols, rows=self.ambient_dim), v)
-        if sol is None:
+        """Class coordinates of a member of the numerator space.
+
+        These are the x of the unique solution of v = reps x + sub y.  The
+        echelon bases already factor that system: reducing v by the
+        denominator leaves zeros at its pivots, so the residual is a
+        combination of the representatives alone and its entries at their
+        pivots are x.  The residual lies in the numerator exactly when v does.
+        """
+        w = self.sub.reduce(v)
+        if not self.ambient.contains(w):
             raise ValueError("vector not in the subspace being quotiented")
-        return sol[: len(self.coset_reps)]
+        return tuple(w[p] for p in self._rep_pivots)
 
     def lift(self, coords: Vec) -> Vec:
         if len(coords) != self.dim:
             raise ValueError("class coordinate length mismatch")
-        out = zero_vec(self.ambient_dim)
+        out = list(zero_vec(self.ambient_dim))
         for c, rep in zip(coords, self.coset_reps):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, rep))
-        return out
+            if c:
+                for j, x in enumerate(rep):
+                    if x:
+                        out[j] += c * x
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cdga import CdgaModel, Form
-from .indet import differential_indeterminacy, indeterminacy_subgroup, page_agreement
+from .indet import cell_indeterminacy, page_agreement
 from .massey import ClassCheck, verify_main_theorems
 from .spectral import SpectralSequence
 from .twist import TwistForm, twisted_cohomology
@@ -129,7 +129,7 @@ def run_analysis(
     indet_entries = []
     for r in range(3, top_r + 1):
         for p in range(model.top_degree + 1):
-            sub = indeterminacy_subgroup(model, H, p, 0, r)
+            sub = cell_indeterminacy(ss, p, r)
             if sub.dim:
                 indet_entries.append({"r": r, "p": p, "dim": sub.dim})
 
@@ -296,7 +296,7 @@ def check_indeterminacy(ss: SpectralSequence) -> Check:
     boundary; from page 5 on, their d_r values must differ inside the
     differential indeterminacy too.
     """
-    model, H = ss.model, ss.H
+    model = ss.model
     samples = 0
     for r in range(3, ss.max_page + 1):
         for p in range(ss.n + 1):
@@ -307,7 +307,7 @@ def check_indeterminacy(ss: SpectralSequence) -> Check:
             shifts = [b for b in ss.boundaries(r, p).rows if not h.sub.contains(b)]
             if not shifts:
                 continue
-            sub = indeterminacy_subgroup(model, H, p, 0, r)
+            sub = cell_indeterminacy(ss, p, r)
             rep = cell.coset_reps[0]
             x1 = Form(model, {p: rep})
             x2 = Form(model, {p: tuple(a + b for a, b in zip(rep, shifts[0]))})
@@ -317,7 +317,8 @@ def check_indeterminacy(ss: SpectralSequence) -> Check:
             if r % 2 == 1 and r >= 5 and p + r <= ss.n:
                 y1 = ss.zigzag_dx(ss.lift_zigzag(x1, r)).component(p + r)
                 y2 = ss.zigzag_dx(ss.lift_zigzag(x2, r)).component(p + r)
-                dsub = differential_indeterminacy(model, H, p, 0, (r - 3) // 2)
+                # differential_indeterminacy(model, H, p, 0, t) for r = 2t + 3
+                dsub = cell_indeterminacy(ss, p + r, r)
                 delta = Form(model, {p + r: tuple(a - b for a, b in zip(y1, y2))})
                 if not dsub.contains_class(delta):
                     return samples, f"d_{r} values escape on {model.name} (p={p})"

@@ -87,7 +87,12 @@ class SpectralPage:
 
 
 class SpectralSequence:
-    """All pages, cycles/boundaries, lifts and differentials for (model, H)."""
+    """All pages, cycles/boundaries, lifts and differentials for (model, H).
+
+    ``indet_subgroups`` holds the indeterminacy subgroups of its cells by
+    (p, r), filled by `twistss.indet.cell_indeterminacy`, so an analysis
+    computes each one once.
+    """
 
     def __init__(self, model: CdgaModel, H: TwistForm):
         self.model = model
@@ -100,6 +105,7 @@ class SpectralSequence:
         self._cells: dict[tuple[int, int], QuotientSpace] = {}
         self._dmats: dict[tuple[int, int], Mat] = {}
         self._pages: dict[int, SpectralPage] = {}
+        self.indet_subgroups: dict[tuple[int, int], object] = {}
 
     # -- D on zig-zags -------------------------------------------------------
 

@@ -22,6 +22,7 @@ from .linalg import (
     Mat,
     QuotientSpace,
     Vec,
+    ZERO,
     image,
     kernel,
     vec_concat,
@@ -188,16 +189,19 @@ class DOperator:
         self.H = H
         self._wedge_mats: dict[int, dict[int, Mat]] = {}
         for h_deg, h_vec in H.components.items():
-            h_form = Form(model, {h_deg: h_vec})
+            h_terms = [(m, c) for m, c in enumerate(h_vec) if c]
             per_src = {}
             for src in range(model.top_degree + 1):
                 dst = src + h_deg
                 if dst > model.top_degree or model.dim(src) == 0:
                     continue
-                cols = [
-                    h_form.wedge(model.basis_form(model.label_of(src, i))).component(dst)
-                    for i in range(model.dim(src))
-                ]
+                cols = []
+                for i in range(model.dim(src)):
+                    col = [ZERO] * model.dim(dst)
+                    for m, c in h_terms:
+                        for k, s in model.wedge_basis(h_deg, m, src, i):
+                            col[k] += c * s
+                    cols.append(tuple(col))
                 per_src[src] = Mat.from_cols(cols, rows=model.dim(dst))
             self._wedge_mats[h_deg] = per_src
 

@@ -1,12 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistss.cdga import (
+    MAX_DIM,
+    MAX_TOP_DEGREE,
     AlgebraError,
+    CdgaModel,
+    ModelError,
     ModelSchemaError,
     loads_model,
     model_from_dict,
+    parse_linear_combination,
 )
 from twistss.models import bundled_model, model_names
 
@@ -46,8 +53,9 @@ def test_d_squared_violation_rejected():
         ],
         "diff": [{"from": "1", "result": "t"}, {"from": "t", "result": "w"}],
     }
-    with pytest.raises(AlgebraError, match="d o d"):
+    with pytest.raises(AlgebraError) as err:
         model_from_dict(doc)
+    assert str(err.value) == "d o d != 0 on basis element '1' of degree 0"
 
 
 def test_commutativity_violation_rejected():
@@ -68,8 +76,9 @@ def test_commutativity_violation_rejected():
         ],
         "diff": [],
     }
-    with pytest.raises(AlgebraError, match="commutativity"):
+    with pytest.raises(AlgebraError) as err:
         model_from_dict(doc)
+    assert str(err.value) == "graded commutativity fails on 's' ^ 't'"
 
 
 def test_leibniz_violation_rejected():
@@ -93,8 +102,9 @@ def test_leibniz_violation_rejected():
         ],
         "diff": [{"from": "u", "result": "z"}],
     }
-    with pytest.raises(AlgebraError, match="Leibniz"):
+    with pytest.raises(AlgebraError) as err:
         model_from_dict(doc)
+    assert str(err.value) == "Leibniz rule fails on 's' ^ 't'"
 
 
 def test_associativity_violation_rejected():
@@ -123,8 +133,9 @@ def test_associativity_violation_rejected():
         ],
         "diff": [],
     }
-    with pytest.raises(AlgebraError, match="associativity"):
+    with pytest.raises(AlgebraError) as err:
         model_from_dict(doc)
+    assert str(err.value) == "associativity fails on 's', 't', 'r'"
 
 
 def test_missing_unit_rejected():
@@ -262,3 +273,177 @@ def test_model_file_is_json(tmp_path):
 
     m = load_model(path)
     assert m.dims == (1, 0, 0, 1)
+
+
+# -- malformed and oversized documents ------------------------------------------
+
+
+def _gen_doc(**fields):
+    doc = {"name": "g", "top_degree": 2, "generators": [{"name": "x", "degree": 1}]}
+    doc.update(fields)
+    return doc
+
+
+def _basis_doc(**fields):
+    doc = {
+        "name": "b",
+        "top_degree": 1,
+        "basis": {"0": ["1"], "1": ["t"]},
+        "mult": [
+            {"left": "1", "right": "1", "result": "1"},
+            {"left": "1", "right": "t", "result": "t"},
+            {"left": "t", "right": "1", "result": "t"},
+        ],
+    }
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _gen_doc(generators=5),
+        _gen_doc(differentials=[1]),
+        _gen_doc(differentials={"x": 1}),
+        _gen_doc(generators=[{"name": "x", "degree": "q"}]),
+        _gen_doc(top_degree="a"),
+        _gen_doc(top_degree=float("inf")),
+        _basis_doc(basis=[1]),
+        _basis_doc(basis={"0": 1}),
+        _basis_doc(basis={"zero": ["1"]}),
+        _basis_doc(top_degree="a"),
+        _basis_doc(mult=[{"left": "1"}]),
+        _basis_doc(mult=[1]),
+        _basis_doc(mult={"left": "1"}),
+        _basis_doc(diff=[{"result": "t"}]),
+    ],
+)
+def test_malformed_document_raises_schema_error(doc):
+    with pytest.raises(ModelSchemaError):
+        model_from_dict(doc)
+
+
+def test_generator_count_limit_checked_before_expansion():
+    # 40 generators would expand to 2^40 monomials
+    gens = [{"name": f"g{i}", "degree": 1} for i in range(40)]
+    with pytest.raises(ModelSchemaError, match="MAX_DIM = 256"):
+        model_from_dict(_gen_doc(generators=gens, top_degree=40))
+    assert MAX_DIM == 256
+    # 8 generators (torus8) pass the limit and reach the next check
+    gens8 = [{"name": f"g{i}", "degree": 1} for i in range(8)]
+    with pytest.raises(ModelSchemaError, match="truncate"):
+        model_from_dict(_gen_doc(generators=gens8, top_degree=7))
+    with pytest.raises(ModelSchemaError, match="MAX_DIM"):
+        model_from_dict(_gen_doc(generators=gens8 + [{"name": "g8", "degree": 1}], top_degree=9))
+
+
+def test_top_degree_limit_checked_before_allocation():
+    with pytest.raises(ModelSchemaError, match="MAX_TOP_DEGREE"):
+        model_from_dict(_basis_doc(top_degree=10**12))
+    with pytest.raises(ModelSchemaError, match="MAX_TOP_DEGREE"):
+        model_from_dict(_gen_doc(top_degree=10**12))
+    top = MAX_TOP_DEGREE
+    sphere = _basis_doc(
+        top_degree=top,
+        basis={"0": ["1"], str(top): ["u"]},
+        mult=[
+            {"left": "1", "right": "1", "result": "1"},
+            {"left": "1", "right": "u", "result": "u"},
+            {"left": "u", "right": "1", "result": "u"},
+        ],
+    )
+    assert model_from_dict(sphere).dims[top] == 1
+
+
+def test_basis_dimension_limit_checked_before_allocation():
+    labels = [f"t{i}" for i in range(MAX_DIM)]
+    with pytest.raises(ModelSchemaError, match="MAX_DIM"):
+        model_from_dict(_basis_doc(basis={"0": ["1"], "1": labels}))
+
+
+# -- fuzzing: a value or a ModelError, nothing else ------------------------------
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+)
+_json = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+_labels = st.sampled_from(["1", "x", "y", "z", "u"])
+_exprs = st.one_of(
+    st.text(alphabet="xyzu1^*+-/ 0123", max_size=12),
+    st.lists(_labels, min_size=1, max_size=3).map("^".join),
+)
+_degrees = st.one_of(st.integers(-1, 5), _json)
+
+
+def _maybe(strategy):
+    return st.one_of(strategy, _json)
+
+
+_generator_docs = st.fixed_dictionaries(
+    {
+        "name": _json,
+        "top_degree": _degrees,
+        "generators": _maybe(
+            st.lists(
+                _maybe(st.fixed_dictionaries({"name": _labels, "degree": _degrees})), max_size=4
+            )
+        ),
+    },
+    optional={"differentials": _maybe(st.dictionaries(_labels, _maybe(_exprs), max_size=3))},
+)
+_basis_docs = st.fixed_dictionaries(
+    {
+        "name": _json,
+        "top_degree": _degrees,
+        "basis": _maybe(
+            st.dictionaries(
+                st.sampled_from(["0", "1", "2", "3", "x"]), _maybe(st.lists(_labels, max_size=3)), max_size=4
+            )
+        ),
+    },
+    optional={
+        "mult": _maybe(
+            st.lists(
+                st.fixed_dictionaries(
+                    {}, optional={"left": _labels, "right": _labels, "result": _maybe(_exprs)}
+                ),
+                max_size=6,
+            )
+        ),
+        "diff": _maybe(
+            st.lists(
+                st.fixed_dictionaries({}, optional={"from": _labels, "result": _maybe(_exprs)}),
+                max_size=3,
+            )
+        ),
+    },
+)
+
+
+@given(st.one_of(_generator_docs, _basis_docs, _json))
+@settings(max_examples=300, deadline=None)
+def test_model_from_dict_fuzz(doc):
+    try:
+        model = model_from_dict(doc)
+    except ModelError:
+        return
+    assert isinstance(model, CdgaModel)
+
+
+@given(st.one_of(st.text(max_size=20), _exprs))
+@settings(max_examples=300, deadline=None)
+def test_parse_linear_combination_fuzz(text):
+    try:
+        terms = parse_linear_combination(text)
+    except ModelError:
+        return
+    assert all(isinstance(tok, str) and tok for _, tok in terms)

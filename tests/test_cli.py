@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,3 +148,14 @@ def test_massey_t_must_be_positive_int(capsys, value):
     )
     assert code == 2
     assert "argument --t" in err
+
+
+def test_python_dash_m_from_a_checkout():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistss", "analyze", "torus3", "--twist", "e1^e2^e3"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "overall: PASS" in proc.stdout

@@ -36,6 +36,145 @@ def small_matrices(max_dim=5):
     )
 
 
+def mostly_zero_rationals():
+    """About seven in ten entries zero, like the engine's wedge and D blocks."""
+    return st.tuples(st.integers(0, 9), small_rationals()).map(
+        lambda t: F(0) if t[0] < 7 else t[1]
+    )
+
+
+def sparse_matrices(rows=st.integers(0, 7), cols=st.integers(0, 7)):
+    return st.tuples(rows, cols).flatmap(
+        lambda shape: st.lists(
+            st.lists(mostly_zero_rationals(), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        ).map(lambda data: Mat(data, cols=shape[1]))
+    )
+
+
+# -- the dense kernels, kept as the oracle for the zero-skipping ones --------
+
+
+def dense_rref(m):
+    a = [list(r) for r in m.data]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        pv = a[r][c]
+        if pv != 1:
+            a[r] = [x / pv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return Mat(a, cols=ncols), tuple(pivots)
+
+
+def dense_apply(m, v):
+    return tuple(sum((a * b for a, b in zip(r, v)), F(0)) for r in m.data)
+
+
+def dense_matmul(a, b):
+    cols = [b.col(j) for j in range(b.cols)]
+    return Mat([[sum((x * y for x, y in zip(r, c)), F(0)) for c in cols] for r in a.data], cols=b.cols)
+
+
+def dense_solve_particular(m, b):
+    r, pivots = dense_rref(Mat([row + (x,) for row, x in zip(m.data, b)], cols=m.cols + 1))
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [F(0)] * m.cols
+    for i, p in enumerate(pivots):
+        x[p] = r.data[i][m.cols]
+    return tuple(x)
+
+
+def dense_project(q, v):
+    cols = list(q.coset_reps) + list(q.sub.rows)
+    if not cols:
+        if any(v):
+            raise ValueError("vector not in the subspace being quotiented")
+        return ()
+    sol = dense_solve_particular(Mat.from_cols(cols, rows=q.ambient_dim), v)
+    if sol is None:
+        raise ValueError("vector not in the subspace being quotiented")
+    return sol[: len(q.coset_reps)]
+
+
+def all_fractions(rows):
+    return all(type(x) is F for row in rows for x in row)
+
+
+def test_vec_keeps_fractions_and_coerces_the_rest():
+    x, y = F(1, 3), F(-2)
+    v = vec([x, y, 4, "1/2"])
+    assert v[0] is x and v[1] is y
+    assert v[2:] == (F(4), F(1, 2)) and all_fractions([v])
+
+
+@given(sparse_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_dense_oracle(m):
+    r, piv = rref(m)
+    r0, piv0 = dense_rref(m)
+    assert r == r0 and piv == piv0
+    assert all_fractions(r.data)
+
+
+@given(sparse_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_apply_matches_dense_oracle(m, data):
+    v = data.draw(st.lists(mostly_zero_rationals(), min_size=m.cols, max_size=m.cols))
+    w = m.apply(v)
+    assert w == dense_apply(m, v) and all_fractions([w])
+
+
+@given(st.integers(0, 6).flatmap(lambda k: st.tuples(
+    sparse_matrices(cols=st.just(k)), sparse_matrices(rows=st.just(k)))))
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_dense_oracle(pair):
+    a, b = pair
+    ab = a @ b
+    assert ab == dense_matmul(a, b) and (ab.rows, ab.cols) == (a.rows, b.cols)
+    assert all_fractions(ab.data)
+
+
+@given(sparse_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_particular_matches_dense_oracle(m, data):
+    b = vec(data.draw(st.lists(mostly_zero_rationals(), min_size=m.rows, max_size=m.rows)))
+    assert solve_particular(m, b) == dense_solve_particular(m, b)
+
+
+@given(sparse_matrices(cols=st.integers(1, 7)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_project_matches_dense_oracle(m, data):
+    rows = [m.row(i) for i in range(m.rows)]
+    z = SubspaceBasis.span(m.cols, rows)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    q = QuotientSpace(z, SubspaceBasis.span(m.cols, [r for r, k in zip(rows, keep) if k]))
+    coeffs = data.draw(st.lists(mostly_zero_rationals(), min_size=z.dim, max_size=z.dim))
+    member = q.lift(()) if not z.dim else Mat.from_cols(list(z.rows)).apply(coeffs)
+    assert q.project(member) == dense_project(q, member)
+    other = vec(data.draw(st.lists(mostly_zero_rationals(), min_size=m.cols, max_size=m.cols)))
+    if z.contains(other):
+        assert q.project(other) == dense_project(q, other)
+    else:
+        for project in (q.project, lambda v: dense_project(q, v)):
+            with pytest.raises(ValueError):
+                project(other)
+
+
 # -- rref -------------------------------------------------------------------
 
 

@@ -72,3 +72,19 @@ def test_one_operator_per_analysis(monkeypatch):
     m = bundled_model("cascade5")
     assert run_analysis(m, parse_twist(m, "a")).all_pass
     assert len(builds) == 1
+
+
+def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
+    from twistss import indet
+
+    calls = []
+    subgroup = indet.indeterminacy_subgroup
+
+    def counting_subgroup(model, H, p, q, r):
+        calls.append((p, q % 2, r))
+        return subgroup(model, H, p, q, r)
+
+    monkeypatch.setattr(indet, "indeterminacy_subgroup", counting_subgroup)
+    m = bundled_model("cascade5")
+    assert run_analysis(m, parse_twist(m, "a")).all_pass
+    assert calls and len(calls) == len(set(calls))
