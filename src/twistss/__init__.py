@@ -54,7 +54,6 @@ from .massey import (
     diagonal_defining_system,
     perturbed_banded_system,
     related_cocycle,
-    sparse_tail,
     specific_element,
     triple_product,
     validate_defining_system,
@@ -63,12 +62,10 @@ from .massey import (
 from .indet import (
     IndeterminacySubgroup,
     connecting_delta_bar,
-    connecting_map,
     differential_indeterminacy,
     indeterminacy_subgroup,
     induced_map,
     page_agreement,
-    relative_cohomology,
     zb_cell,
 )
 
@@ -113,18 +110,15 @@ __all__ = [
     "diagonal_defining_system",
     "perturbed_banded_system",
     "related_cocycle",
-    "sparse_tail",
     "specific_element",
     "triple_product",
     "validate_defining_system",
     "verify_main_theorems",
     "IndeterminacySubgroup",
     "connecting_delta_bar",
-    "connecting_map",
     "differential_indeterminacy",
     "indeterminacy_subgroup",
     "induced_map",
     "page_agreement",
-    "relative_cohomology",
     "zb_cell",
 ]

@@ -88,6 +88,9 @@ def _combine(terms) -> dict:
 
 
 def _parse_rational(tok: str) -> Fraction:
+    # Fraction would expand exponent notation: "1e999999999" is a billion digits.
+    if any(c in "eE_" for c in tok):
+        raise ModelSchemaError(f"bad rational coefficient {tok!r}: write an integer, p/q or a decimal")
     try:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as e:

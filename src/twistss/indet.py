@@ -5,8 +5,10 @@ ordinary cohomology H^p: the image of the connecting homomorphism of
 
     0 -> K_p/K_{p+1} -> K_{p-r+1}/K_{p+1} -> K_{p-r+1}/K_p -> 0
 
-modulo exact forms.  This module computes that subgroup constructively on
-canonical representatives, and also rebuilds every page cell through the
+modulo exact forms.  D induces zero on K_p/K_{p+1}, so the connecting map
+delta_bar lands in H(K_p/K_{p+1}) = Omega^p itself: only the source complex
+K_{p-r+1}/K_p is built.  This module computes that subgroup constructively
+on canonical representatives, and also rebuilds every page cell through the
 cohomological description
 
     Z_r = delta^{-1}( image of H(K_{p+r}) -> H(K_{p+1}) )
@@ -20,7 +22,7 @@ spectral sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .cdga import CdgaModel, Form
@@ -35,13 +37,6 @@ from .linalg import (
 )
 from .spectral import SpectralSequence
 from .twist import RelativeComplex, TwistForm
-
-
-def relative_cohomology(
-    model: CdgaModel, H: TwistForm, a: int, b: int, parity: int
-) -> QuotientSpace:
-    """Cohomology of (K_a/K_b, D) in the given parity."""
-    return RelativeComplex(H.operator(model), a, b).cohomology(parity)
 
 
 def induced_map(src: RelativeComplex, dst: RelativeComplex, parity: int) -> Mat:
@@ -60,27 +55,6 @@ def induced_map(src: RelativeComplex, dst: RelativeComplex, parity: int) -> Mat:
     return Mat.from_cols(cols, rows=hd.dim)
 
 
-def connecting_map(
-    model: CdgaModel, H: TwistForm, a: int, m: int, b: int, parity: int
-) -> Mat:
-    """Connecting homomorphism H^par(K_a/K_m) -> H^(par+1)(K_m/K_b).
-
-    For the short exact sequence 0 -> K_m/K_b -> K_a/K_b -> K_a/K_m -> 0:
-    lift a relative cocycle verbatim, apply D, truncate to degrees [m, b).
-    """
-    assert 0 <= a < m < b <= model.top_degree + 2
-    op = H.operator(model)
-    src = RelativeComplex(op, a, m)
-    dst = RelativeComplex(op, m, min(b, model.top_degree + 1))
-    hs = src.cohomology(parity)
-    hd = dst.cohomology((parity + 1) % 2)
-    cols = []
-    for rep in hs.coset_reps:
-        dw = op.apply(src.unpack(rep, parity))
-        cols.append(hd.project(dst.pack(dw, (parity + 1) % 2)))
-    return Mat.from_cols(cols, rows=hd.dim)
-
-
 def connecting_delta_bar(
     model: CdgaModel, H: TwistForm, p: int, r: int, parity: int
 ) -> Mat:
@@ -88,17 +62,26 @@ def connecting_delta_bar(
 
     The target of the short exact sequence used for indeterminacy; its
     image, modulo exact forms, is the indeterminacy subgroup at (p, r).
-    For r = 2 it coincides with the first-page differential d.
+    For r = 2 it coincides with the first-page differential d.  D is zero
+    on K_p/K_{p+1}, so its cohomology is Omega^p in parity p with identity
+    coordinates, and zero in the other parity: a relative cocycle's class
+    is read off as the degree-p component of D applied to it.
     """
     if r < 2:
         raise ValueError("connecting_delta_bar needs r >= 2")
     if not (0 <= p <= model.top_degree):
         raise ValueError(f"column {p} outside 0..{model.top_degree}")
+    op = H.operator(model)
+    rows = model.dim(p) if (parity + 1) % 2 == p % 2 else 0
     a = max(0, p - r + 1)
     if a == p:  # the source complex K_p/K_p is zero
-        dst = RelativeComplex(H.operator(model), p, p + 1)
-        return Mat.zeros(dst.cohomology((parity + 1) % 2).dim, 0)
-    return connecting_map(model, H, a, p, p + 1, parity)
+        return Mat.zeros(rows, 0)
+    src = RelativeComplex(op, a, p)
+    cols = [
+        op.apply(src.unpack(rep, parity)).component(p) if rows else ()
+        for rep in src.cohomology(parity).coset_reps
+    ]
+    return Mat.from_cols(cols, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -242,25 +225,23 @@ def zb_cell(
     return z, b
 
 
-@dataclass
-class PageAgreement:
-    passed: bool
-    mismatches: list[tuple[int, int]] = field(default_factory=list)  # (r, p)
-
-
-def page_agreement(ss: SpectralSequence, max_r: Optional[int] = None) -> PageAgreement:
-    """Assert the cohomological Z_r/B_r route reproduces the zig-zag cells.
+def page_agreement(
+    ss: SpectralSequence, max_r: Optional[int] = None
+) -> tuple[int, Optional[str]]:
+    """Check that the cohomological Z_r/B_r route reproduces the zig-zag cells.
 
     Compares canonical subspace bases, not just dimensions, for every page
-    and column.
+    and column.  Returns (cells compared, None) or, on a mismatch, the
+    first three mismatched (r, p) in its description.
     """
     tower: dict[int, RelativeComplex] = {}  # K_a/K_{n+1}, reused across r
-    out = PageAgreement(passed=True)
     top_r = max_r if max_r is not None else ss.max_page
-    for r in range(2, top_r + 1):
-        for p in range(ss.n + 1):
-            z, b = zb_cell(ss.model, ss.H, r, p, tower)
-            if z != ss.cycles(r, p) or b != ss.boundaries(r, p):
-                out.passed = False
-                out.mismatches.append((r, p))
-    return out
+    cells = [(r, p) for r in range(2, top_r + 1) for p in range(ss.n + 1)]
+    mismatches = []
+    for r, p in cells:
+        z, b = zb_cell(ss.model, ss.H, r, p, tower)
+        if z != ss.cycles(r, p) or b != ss.boundaries(r, p):
+            mismatches.append((r, p))
+    if mismatches:
+        return len(cells), f"disagreement on {ss.model.name} at {mismatches[:3]}"
+    return len(cells), None

@@ -39,7 +39,6 @@ from .linalg import (
     span_in_quotient,
 )
 from .spectral import PageClass, PageError, SpectralSequence
-from .twist import BlockSpace, apply_D
 
 
 class MasseyError(Exception):
@@ -258,23 +257,33 @@ def specific_element(system: DefiningSystem) -> tuple[int, Vec]:
 # the two constructive families
 
 
+def _split_tail(solved: Form, p: int, step: int, n: int) -> dict[int, Form]:
+    """The components of a solved zig-zag at degrees p + step*i, by i >= 1."""
+    return {i: solved.homogeneous_part(p + step * i) for i in range(1, (n - p) // step + 1)}
+
+
+def _fill_last_column(
+    entries: dict[tuple[int, int], Form], size: int, x_p: Form, tail: dict[int, Form]
+) -> None:
+    """Put x_p at (size, size) and (-1)^(size-i) tail[size-i] at (i, size) above it."""
+    zero = x_p.model.zero_form()
+    entries[(size, size)] = x_p
+    for i in range(2, size):
+        entries[(i, size)] = Fraction(-1) ** (size - i) * tail.get(size - i, zero)
+
+
 def _tail_components(ss: SpectralSequence, x_p: Form, t: int) -> dict[int, Form]:
     """Zig-zag tail of x_p for page 2t+3, split per degree."""
     zz = ss.lift_zigzag(x_p, 2 * t + 3)
     if zz is None:
         raise PageError(f"class does not survive to page {2 * t + 3}")
-    p = x_p.degree
-    return {
-        i: zz.form.homogeneous_part(p + 2 * i)
-        for i in range(1, (ss.n - p) // 2 + 1)
-    }
+    return _split_tail(zz.form, x_p.degree, 2, ss.n)
 
 
 def _assemble_banded(
     ss: SpectralSequence, x_p: Form, t: int, tail: dict[int, Form]
 ) -> DefiningSystem:
     """Lay out the (t+2)-fold banded system from a per-index tail."""
-    model = ss.model
     size = t + 2
     entries: dict[tuple[int, int], Form] = {}
     for i in range(1, size):
@@ -283,12 +292,8 @@ def _assemble_banded(
                 continue
             h = ss.H.component_form(2 * k + 3)
             entries[(i, i + k)] = h if k % 2 == 0 else -1 * h
-    entries[(size, size)] = x_p
-    for i in range(2, size):
-        m = size - i  # tail component index, degree p + 2m
-        comp = tail.get(m, model.zero_form())
-        entries[(i, size)] = Fraction(-1) ** (size - i) * comp
-    return DefiningSystem(model, [3] * (t + 1) + [x_p.degree], entries)
+    _fill_last_column(entries, size, x_p, tail)  # tail index m at degree p + 2m
+    return DefiningSystem(ss.model, [3] * (t + 1) + [x_p.degree], entries)
 
 
 def banded_defining_system(ss: SpectralSequence, x_p: Form, t: int) -> DefiningSystem:
@@ -304,37 +309,6 @@ def banded_defining_system(ss: SpectralSequence, x_p: Form, t: int) -> DefiningS
     return _assemble_banded(ss, x_p, t, _tail_components(ss, x_p, t))
 
 
-def sparse_tail(ss: SpectralSequence, x_p: Form, t: int, s: int) -> dict[int, Form]:
-    """Tail components at degree steps 2s solving d x_{p+2is} = -H ^ x_{p+2(i-1)s}.
-
-    Only valid for a single twist component H_{2s+1}; all other zig-zag
-    components can then be chosen zero, and the stacked solve below finds
-    the canonical sparse tail exactly when the class survives to page 2t+3.
-    """
-    if ss.H.single_degree() != 2 * s + 1:
-        raise MasseyError(f"the twist is not a single component of degree {2 * s + 1}")
-    p = x_p.degree
-    steps = t // s
-    var_degs = [p + 2 * i * s for i in range(1, steps + 1) if p + 2 * i * s <= ss.n]
-    cond_degs = [d + 1 for d in var_degs if d + 1 <= ss.n]
-    if not x_p.d().is_zero:
-        raise PageError(f"class does not survive to page {2 * t + 3}")
-    if not var_degs or not cond_degs:
-        return {}
-    dom = BlockSpace(ss.model, var_degs)
-    cod = BlockSpace(ss.model, cond_degs)
-    rhs = tuple(-c for c in cod.pack(apply_D(ss.H, x_p)))
-    sol = solve_particular(ss.op.matrix(dom, cod), rhs)
-    if sol is None:
-        raise PageError(f"class does not survive to page {2 * t + 3}")
-    solved = dom.unpack(sol)
-    return {
-        i: solved.homogeneous_part(p + 2 * i * s)
-        for i in range(1, steps + 1)
-        if p + 2 * i * s <= ss.n
-    }
-
-
 def diagonal_defining_system(
     ss: SpectralSequence, x_p: Form, t: int, s: int
 ) -> DefiningSystem:
@@ -342,6 +316,8 @@ def diagonal_defining_system(
 
     Constant diagonal H_{2s+1}, zero strict upper triangle except the last
     column, which carries signed sparse tail components at degree steps 2s.
+    With a single twist component every other zig-zag component can be
+    chosen zero, so the tail is solved for in the degrees p + 2is only.
     """
     if s < 1 or t < 1 or (t + 1) % s != 0:
         raise MasseyError(f"t = {t} is not of the form l*s - 1 for s = {s}")
@@ -354,7 +330,9 @@ def diagonal_defining_system(
     p = x_p.degree
     if not ss.cycles(2 * t + 3, p).contains(x_p.component(p)):
         raise PageError(f"class does not survive to page {2 * t + 3}")
-    tail = sparse_tail(ss, x_p, t, s)
+    solved = ss.resolve_tail(x_p, 2 * t + 3, [p + 2 * i * s for i in range(1, l)])
+    if solved is None:
+        raise PageError(f"class does not survive to page {2 * t + 3}")
     h = ss.H.component_form(2 * s + 1)
     size = l + 1
     entries: dict[tuple[int, int], Form] = {}
@@ -362,11 +340,8 @@ def diagonal_defining_system(
         entries[(i, i)] = h
         for j in range(i + 1, l + 1):
             entries[(i, j)] = model.zero_form()
-    entries[(size, size)] = x_p
-    for i in range(2, size):
-        m = size - i  # tail step, degree p + 2 m s
-        comp = tail.get(m, model.zero_form())
-        entries[(i, size)] = Fraction(-1) ** (size - i) * comp
+    # tail step m at degree p + 2ms
+    _fill_last_column(entries, size, x_p, _split_tail(solved, p, 2 * s, ss.n))
     return DefiningSystem(model, [2 * s + 1] * l + [p], entries)
 
 
@@ -444,17 +419,11 @@ def perturbed_banded_system(
             )
             if resolved is None:
                 continue
-            tail = {
-                j: resolved.homogeneous_part(p + 2 * j)
-                for j in range(1, (ss.n - p) // 2 + 1)
-            }
-            return _assemble_banded(ss, x_p, t, tail)
+            return _assemble_banded(ss, x_p, t, _split_tail(resolved, p, 2, ss.n))
     return None
 
 
-def verify_main_theorems(
-    ss: SpectralSequence, t: int, independence: bool = True
-) -> MasseyVerification:
+def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
     """Check every page-(2t+3) basis class against the Massey formulas.
 
     For each class: the zig-zag differential must equal (-1)^t [c(A)] for the
@@ -497,13 +466,12 @@ def verify_main_theorems(
                     case_ok = lhs.is_zero
 
             independence_ok: Optional[bool] = None
-            if independence:
-                perturbed = perturbed_banded_system(ss, x, t)
-                if perturbed is not None:
-                    c_a2 = validate_defining_system(perturbed)
-                    independence_ok = _page_class_of_form(
-                        ss, r, p + r, Fraction(-1) ** t * c_a2
-                    ) == _page_class_of_form(ss, r, p + r, rhs_a)
+            perturbed = perturbed_banded_system(ss, x, t)
+            if perturbed is not None:
+                c_a2 = validate_defining_system(perturbed)
+                independence_ok = _page_class_of_form(
+                    ss, r, p + r, Fraction(-1) ** t * c_a2
+                ) == _page_class_of_form(ss, r, p + r, rhs_a)
 
             out.checks.append(
                 ClassCheck(p, lhs, banded_ok, case_ok, routes_agree, independence_ok)

@@ -261,10 +261,9 @@ def crit_indeterminacy_coherence(ws: Workspace):
 
 def crit_page_agreement(ws: Workspace):
     """The cohomological Z_r/B_r cells equal the zig-zag cells everywhere."""
-    for ss in ws.pairs():
-        pa = page_agreement(ss)
-        if not pa.passed:
-            return False, f"disagreement on {ss.model.name} at {pa.mismatches[:3]}"
+    _, failure = _fold(ws.pairs(), page_agreement)
+    if failure:
+        return False, failure
     return True, "identical canonical bases on every page of every bundled model"
 
 

@@ -35,3 +35,19 @@ def test_tracer_counts_indeterminacy_and_operator_layers():
     assert tracer.calls["indet.subgroup"] > 0
     assert tracer.calls["indet.relcomplex"] > 0
     assert tracer.calls["twist.doperator"] > 0
+
+
+def test_tracer_counts_page_agreement_and_massey_classes():
+    # the tracer times page_agreement and counts the class checks that
+    # verify_main_theorems returns
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        m = bundled_model("cascade5")
+        assert run_analysis(m, parse_twist(m, "a")).all_pass
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["indet.page_agreement"] > 0
+    metrics = tracer.metrics()
+    assert metrics["indet.page_agreement_s"]["value"] > 0
+    assert metrics["massey.classes_checked"]["value"] > 0

@@ -1,4 +1,6 @@
 import json
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,27 @@ def test_form_parsing(torus3):
     assert torus3.parse_form("e1 - e1").is_zero
     with pytest.raises(KeyError):
         torus3.parse_form("bogus")
+
+
+def test_coefficients_integer_fraction_decimal():
+    assert parse_linear_combination("3*x + 2/3*y - 0.25*z") == [
+        (3, "x"), (Fraction(2, 3), "y"), (Fraction(-1, 4), "z")
+    ]
+
+
+@pytest.mark.parametrize("coeff", ["1e1000000", "1E1000000", "2.5e1000000", "1_000"])
+def test_exponent_notation_coefficient_rejected_fast(torus3, coeff):
+    # Fraction("1e1000000") would build a million-digit integer first
+    doc = _basis_doc(diff=[{"from": "1", "result": f"{coeff}*t"}])
+    for call in (
+        lambda: parse_linear_combination(f"{coeff}*x"),
+        lambda: torus3.parse_form(f"{coeff}*e1^e2^e3"),
+        lambda: model_from_dict(doc),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(ModelSchemaError, match="bad rational coefficient"):
+            call()
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_de_rham_torus(torus3):

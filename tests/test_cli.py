@@ -67,6 +67,13 @@ def test_analyze_bad_twist_exits_2(capsys):
     assert "degree >= 3" in err
 
 
+def test_analyze_exponent_coefficient_exits_2(capsys):
+    code, _, err = run(capsys, "analyze", "torus3", "--twist", "1e1000000*e1^e2^e3")
+    assert code == 2
+    assert err.startswith("error:")
+    assert "bad rational coefficient" in err
+
+
 def test_analyze_corrupt_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")

@@ -19,7 +19,9 @@ from twistss import (
     verify_main_theorems,
 )
 from twistss.cdga import Form
+from twistss.linalg import solve_particular
 from twistss.models import bundled_model
+from twistss.twist import BlockSpace, apply_D
 
 
 def make_ss(name, expr):
@@ -245,6 +247,49 @@ def test_diagonal_system_cascade5():
     assert c == m.parse_form("a^v")
     # d_9[x] = (-1)^{l-1} [c(B)] = -[a^v]
     assert ss.representative(ss.differential(9, x)) == -1 * m.parse_form("a^v")
+
+
+def dedicated_sparse_tail(ss, x_p, t, s):
+    """Reference: the tail at degree steps 2s from a stacked solve of only
+    the equations d x_{p+2is} = -H ^ x_{p+2(i-1)s}, free variables zeroed."""
+    p = x_p.degree
+    var_degs = [p + 2 * i * s for i in range(1, t // s + 1) if p + 2 * i * s <= ss.n]
+    cond_degs = [d + 1 for d in var_degs if d + 1 <= ss.n]
+    assert x_p.d().is_zero
+    if not var_degs or not cond_degs:
+        return {}
+    dom = BlockSpace(ss.model, var_degs)
+    cod = BlockSpace(ss.model, cond_degs)
+    rhs = tuple(-c for c in cod.pack(apply_D(ss.H, x_p)))
+    sol = solve_particular(ss.op.matrix(dom, cod), rhs)
+    assert sol is not None
+    solved = dom.unpack(sol)
+    return {i + 1: solved.homogeneous_part(d) for i, d in enumerate(var_degs)}
+
+
+@pytest.mark.parametrize(
+    "name,expr,s",
+    [("cascade3", "a", 1), ("cascade5", "a", 2), ("cascade7", "a", 3), ("su3xsu3", "x5", 2)],
+)
+def test_diagonal_tail_matches_dedicated_sparse_solve(name, expr, s):
+    ss = make_ss(name, expr)
+    m = ss.model
+    checked = 0
+    for t in range(2 * s - 1, (ss.max_page - 3) // 2 + 1, s):  # t = l s - 1, l >= 2
+        r = 2 * t + 3
+        for p in range(ss.n + 1):
+            # the page classes, and a basis of Z_r so a page with no classes left
+            # still checks its boundaries
+            for rep in ss.cell(r, p).coset_reps + ss.cycles(r, p).rows:
+                x = Form(m, {p: rep})
+                system = diagonal_defining_system(ss, x, t, s)
+                tail = dedicated_sparse_tail(ss, x, t, s)
+                size = system.size
+                for i in range(2, size):
+                    want = Fraction(-1) ** (size - i) * tail.get(size - i, m.zero_form())
+                    assert system.entry(i, size) == want, (t, p, i)
+                checked += 1
+    assert checked > 0
 
 
 def test_diagonal_system_rejects_bad_t():
