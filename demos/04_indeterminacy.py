@@ -4,7 +4,8 @@
 A class on page r at column p is an element of a subquotient of H^p: two
 closed forms name the same page class exactly when their difference lies in
 the indeterminacy subgroup, the image of a connecting homomorphism modulo
-exact forms.  The same notion bounds how much d_r values can move when the
+exact forms.  That image is the page's boundary space B_r, so the subgroups
+are read off the spectral sequence `ss` and cached there.  The same notion bounds how much d_r values can move when the
 representative changes.
 """
 
@@ -27,10 +28,10 @@ print("boundary direction: representatives of page classes at column 5 are")
 print("only defined up to multiples of [a].\n")
 
 for r in (3, 5, 6, 9):
-    sub = indeterminacy_subgroup(model, H, 5, 0, r)
+    sub = indeterminacy_subgroup(model, H, 5, 0, r, ss)
     print(f"indeterminacy at column 5, page {r}: dimension {sub.dim}")
 
-sub9 = indeterminacy_subgroup(model, H, 5, 0, 9)
+sub9 = indeterminacy_subgroup(model, H, 5, 0, 9, ss)
 print(f"\n[a] inside the page-9 subgroup? {sub9.contains_class(model.basis_form('a'))}")
 print(f"[x] inside it?                 {sub9.contains_class(model.basis_form('x'))}")
 
@@ -43,7 +44,7 @@ y1 = ss.zigzag_dx(ss.lift_zigzag(x, 9)).component(14)
 y2 = ss.zigzag_dx(ss.lift_zigzag(x + a, 9)).component(14)
 print(f"\nd_9 value from x:     {Form(model, {14: y1})}")
 print(f"d_9 value from x + a: {Form(model, {14: y2})}")
-dsub = differential_indeterminacy(model, H, 5, 0, 3)
+dsub = differential_indeterminacy(model, H, 5, 0, 3, ss)
 delta = Form(model, {14: tuple(u - v for u, v in zip(y1, y2))})
 print(f"difference {delta} lies in the d_9 indeterminacy: {dsub.contains_class(delta)}")
 

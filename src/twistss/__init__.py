@@ -64,9 +64,8 @@ from .indet import (
     connecting_delta_bar,
     differential_indeterminacy,
     indeterminacy_subgroup,
-    induced_map,
     page_agreement,
-    zb_cell,
+    z_cell,
 )
 
 __version__ = "0.1.0"
@@ -118,7 +117,6 @@ __all__ = [
     "connecting_delta_bar",
     "differential_indeterminacy",
     "indeterminacy_subgroup",
-    "induced_map",
     "page_agreement",
-    "zb_cell",
+    "z_cell",
 ]

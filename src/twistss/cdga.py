@@ -865,6 +865,8 @@ def loads_model(text: str) -> CdgaModel:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelSchemaError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise ModelSchemaError("not valid JSON: nested too deeply") from None
     return model_from_dict(doc)
 
 

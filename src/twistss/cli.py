@@ -15,7 +15,8 @@ Subcommands:
 
 The model argument is a path to a JSON model file; names of bundled models
 (``torus3``, ``heisenberg``, ...) are also accepted.  ``--t``, ``--s`` and
-``--max-page`` must be at least 1.
+``--max-page`` must be at least 1, and the page 2t+3 of ``--t`` must exist:
+at most n + 2 for a model of top degree n.
 """
 
 from __future__ import annotations
@@ -96,10 +97,12 @@ def _cmd_massey(args) -> int:
         print(f"  verdict: {'nonzero' if not tp.is_zero_class else 'zero'} class")
         return 0
 
-    ss = SpectralSequence(model, H)
-    x = model.parse_form(args.cls)
     t = args.t
     r = 2 * t + 3
+    if r > model.top_degree + 2:
+        raise InputError(f"--t {t} asks for page {r}, past the last page {model.top_degree + 2}")
+    ss = SpectralSequence(model, H)
+    x = model.parse_form(args.cls)
     if args.thm42:
         s = args.s
         if s is None:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cdga import CdgaModel, Form
-from .indet import cell_indeterminacy, page_agreement
+from .indet import connecting_delta_bar, indeterminacy_subgroup, page_agreement
+from .linalg import image
 from .massey import ClassCheck, verify_main_theorems
 from .spectral import SpectralSequence
 from .twist import TwistForm, twisted_cohomology
@@ -128,7 +129,7 @@ def run_analysis(
     indet_entries = []
     for r in range(3, top_r + 1):
         for p in range(model.top_degree + 1):
-            sub = cell_indeterminacy(ss, p, r)
+            sub = indeterminacy_subgroup(model, H, p, 0, r, ss)
             if sub.dim:
                 indet_entries.append({"r": r, "p": p, "dim": sub.dim})
 
@@ -148,7 +149,7 @@ def run_analysis(
     return report
 
 
-def _status(check: Check, unchecked: str = PASS) -> str:
+def _status(check: Check, unchecked: str = NA) -> str:
     checked, failure = check
     if failure:
         return FAIL
@@ -187,7 +188,8 @@ def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, tc, top_r: int):
         f"stable totals {stable_totals(ss)} vs twisted {tc.dims}",
     )
     v["page_construction_agreement"] = Verdict(_status(page_agreement(ss, max_r=top_r)))
-    v["indeterminacy_coherence"] = Verdict(_status(check_indeterminacy(ss)))
+    (cells, mismatch), (samples, escape) = check_indeterminacy(ss)
+    v["indeterminacy_coherence"] = Verdict(_status((cells + samples, mismatch or escape)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +288,29 @@ def check_massey(ss: SpectralSequence, top_r: int, rules: tuple) -> list[Check]:
     return list(zip(checked, failures))
 
 
-def check_indeterminacy(ss: SpectralSequence) -> Check:
-    """Sampled representative pairs differ inside the indeterminacy subgroups.
+def check_indeterminacy(ss: SpectralSequence) -> list[Check]:
+    """[oracle, samples] for the indeterminacy subgroups, which are B_r mod exact forms.
 
-    A pair is a cell's first representative and its shift by a non-exact
-    boundary; from page 5 on, their d_r values must differ inside the
-    differential indeterminacy too.
+    The oracle compares the image of the connecting map delta_bar with B_r
+    at every cell with r >= 3, once per distinct a = max(0, p - r + 1), and
+    counts cells.  A sample is a cell's first representative and its shift
+    by a non-exact boundary: they must differ inside the subgroup, and from
+    page 5 on their d_r values inside the differential indeterminacy.
     """
-    model = ss.model
+    cells, mismatch, images = 0, None, {}
+    for r, p in ((r, p) for r in range(3, ss.max_page + 1) for p in range(ss.n + 1)):
+        key = (p, max(0, p - r + 1))
+        if key not in images:
+            images[key] = image(connecting_delta_bar(ss.model, ss.H, p, r, (p - 1) % 2))
+        if images[key] != ss.boundaries(r, p):
+            mismatch = f"connecting image differs from B_{r} on {ss.model.name} at p={p}"
+            break
+        cells += 1
+    return [(cells, mismatch), _check_representative_pairs(ss)]
+
+
+def _check_representative_pairs(ss: SpectralSequence) -> Check:
+    model, H = ss.model, ss.H
     samples = 0
     for r in range(3, ss.max_page + 1):
         for p in range(ss.n + 1):
@@ -304,7 +321,7 @@ def check_indeterminacy(ss: SpectralSequence) -> Check:
             shifts = [b for b in ss.boundaries(r, p).rows if not h.sub.contains(b)]
             if not shifts:
                 continue
-            sub = cell_indeterminacy(ss, p, r)
+            sub = indeterminacy_subgroup(model, H, p, 0, r, ss)
             rep = cell.coset_reps[0]
             x1 = Form(model, {p: rep})
             x2 = Form(model, {p: tuple(a + b for a, b in zip(rep, shifts[0]))})
@@ -314,8 +331,7 @@ def check_indeterminacy(ss: SpectralSequence) -> Check:
             if r % 2 == 1 and r >= 5 and p + r <= ss.n:
                 y1 = ss.zigzag_dx(ss.lift_zigzag(x1, r)).component(p + r)
                 y2 = ss.zigzag_dx(ss.lift_zigzag(x2, r)).component(p + r)
-                # differential_indeterminacy(model, H, p, 0, t) for r = 2t + 3
-                dsub = cell_indeterminacy(ss, p + r, r)
+                dsub = indeterminacy_subgroup(model, H, p + r, 0, r, ss)  # of d_r values
                 delta = Form(model, {p + r: tuple(a - b for a, b in zip(y1, y2))})
                 if not dsub.contains_class(delta):
                     return samples, f"d_{r} values escape on {model.name} (p={p})"

@@ -90,8 +90,9 @@ class SpectralSequence:
     """All pages, cycles/boundaries, lifts and differentials for (model, H).
 
     ``indet_subgroups`` holds the indeterminacy subgroups of its cells by
-    (p, r), filled by `twistss.indet.cell_indeterminacy`, so an analysis
-    computes each one once.
+    (p, a) with a = max(0, p - r + 1), filled by
+    `twistss.indet.indeterminacy_subgroup`, so an analysis computes each one
+    once.
     """
 
     def __init__(self, model: CdgaModel, H: TwistForm):
@@ -124,9 +125,9 @@ class SpectralSequence:
     def _condition_degrees(self, p: int, reach: int) -> list[int]:
         return [q for q in range(p + 1, min(p + reach, self.n + 1), 2)]
 
-    def _compute_cycles(self, r: int, p: int) -> SubspaceBasis:
+    def _compute_cycles(self, p: int, end: int) -> SubspaceBasis:
         dim_p = self.model.dim(p)
-        conds = self._condition_degrees(p, r)
+        conds = self._condition_degrees(p, end - p)
         if dim_p == 0:
             return SubspaceBasis.zero(0)
         if not conds:
@@ -136,11 +137,9 @@ class SpectralSequence:
         phi = self.op.matrix(dom, cod)
         return SubspaceBasis.span(dim_p, [row[:dim_p] for row in kernel(phi).rows])
 
-    def _compute_boundaries(self, r: int, p: int) -> SubspaceBasis:
+    def _compute_boundaries(self, p: int, a: int) -> SubspaceBasis:
         dim_p = self.model.dim(p)
-        start = max(0, p - r + 1)
-        if (p + 1 - start) % 2 != 0:
-            start += 1
+        start = a if (p + 1 - a) % 2 == 0 else a + 1  # parity of D w landing in degree p
         dom_degs = [q for q in range(start, self.n + 1, 2)]
         if dim_p == 0 or not dom_degs:
             return SubspaceBasis.zero(dim_p)
@@ -159,17 +158,19 @@ class SpectralSequence:
     def cycles(self, r: int, p: int) -> SubspaceBasis:
         """Z_r at column p: leading terms of zig-zags of reach r."""
         self._check_r(r)
-        key = (r, p)
+        # Z_r depends on r only through where its conditions end
+        key = (p, min(p + r, self.n + 1))
         if key not in self._cycles:
-            self._cycles[key] = self._compute_cycles(r, p)
+            self._cycles[key] = self._compute_cycles(*key)
         return self._cycles[key]
 
     def boundaries(self, r: int, p: int) -> SubspaceBasis:
         """B_r at column p: degree-p components of D w, w in K_{p-r+1}, Dw in K_p."""
         self._check_r(r)
-        key = (r, p)
+        # B_r depends on r only through the start a of K_a
+        key = (p, max(0, p - r + 1))
         if key not in self._bounds:
-            self._bounds[key] = self._compute_boundaries(r, p)
+            self._bounds[key] = self._compute_boundaries(*key)
         return self._bounds[key]
 
     def precompute(self, max_r: Optional[int] = None) -> int:

@@ -152,6 +152,12 @@ def test_missing_unit_rejected():
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000])
+def test_deeply_nested_json_raises_schema_error(text):
+    with pytest.raises(ModelSchemaError, match="nested too deeply"):
+        loads_model(text)
+
+
 def test_schema_error_on_garbage():
     with pytest.raises(ModelSchemaError):
         loads_model("not json at all {")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,27 @@ def test_massey_dead_class_exits_2(capsys):
     )
     assert code == 2
     assert "survive" in err
+
+
+def test_massey_t_past_the_last_page_exits_2_before_any_work(capsys):
+    # torus3 has pages 1..5, so --t 400 (page 803) is rejected at once
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "massey", "torus3", "--twist", "e1^e2^e3", "--thm41", "--class", "e1", "--t", "400"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "page 803, past the last page 5" in err
+
+
+def test_analyze_deeply_nested_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err
 
 
 def test_massey_missing_args_exit_2(capsys):

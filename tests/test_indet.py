@@ -9,10 +9,10 @@ from twistss import (
     page_agreement,
     parse_twist,
     twisted_cohomology,
-    zb_cell,
+    z_cell,
 )
 from twistss.cdga import Form
-from twistss.linalg import SubspaceBasis, image, kernel
+from twistss.linalg import QuotientSpace, SubspaceBasis, image, kernel, span_in_quotient
 from twistss.models import bundled_model, standard_pairs
 from twistss.twist import BlockSpace
 
@@ -128,11 +128,55 @@ def test_cascade5_subgroup_and_membership():
     assert not sub.contains_class(m.basis_form("x"))
 
 
-@pytest.mark.parametrize("p,builds", [(0, 0), (1, 1), (3, 1), (5, 1), (11, 1)])
-def test_one_relative_complex_per_subgroup(monkeypatch, p, builds):
-    # delta_bar builds only its source K_{p-r+1}/K_p; at p = 0 that is K_0/K_0,
-    # and the complex is never built
+def delta_bar_subgroup(m, H, p, r):
+    """The subgroup built straight from the connecting map: im(delta_bar)/im(d).
+
+    This is how indeterminacy subgroups were computed before they were read
+    off the page's B_r; it is kept here as the oracle for the page route.
+    """
+    h = m.de_rham(p)
+    im_delta = image(connecting_delta_bar(m, H, p, r, (p - 1) % 2))
+    return QuotientSpace(im_delta, h.sub), span_in_quotient(h, list(im_delta.rows))
+
+
+@pytest.mark.parametrize("name,expr", standard_pairs(), ids=lambda v: str(v))
+def test_page_subgroup_matches_delta_bar_subgroup(name, expr):
+    # at every (r >= 3, p), and on two pages past the last one, where only
+    # a = max(0, p - r + 1) = 0 matters
+    m, H = make_pair(name, expr)
+    ss = SpectralSequence(m, H)
+    for r in range(3, ss.max_page + 3):
+        for p in range(ss.n + 1):
+            sub = indeterminacy_subgroup(m, H, p, 0, r, ss)
+            group, in_h = delta_bar_subgroup(m, H, p, r)
+            assert sub.group.coset_reps == group.coset_reps, (r, p)
+            assert sub.in_h == in_h, (r, p)
+            assert sub.a == max(0, p - r + 1)
+
+
+def test_subgroup_cached_by_column_and_start():
     m, H = make_pair("cascade5", "a")
+    ss = SpectralSequence(m, H)
+    # (p, r) = (3, 4), (3, 9) and (3, 40) all have a = 0
+    first = indeterminacy_subgroup(m, H, 3, 0, 4, ss)
+    assert indeterminacy_subgroup(m, H, 3, 2, 9, ss) is first
+    assert indeterminacy_subgroup(m, H, 3, 0, 40, ss) is first
+    assert indeterminacy_subgroup(m, H, 5, 0, 4, ss) is not indeterminacy_subgroup(m, H, 5, 0, 5, ss)
+    assert set(ss.indet_subgroups) == {(3, 0), (5, 2), (5, 1)}
+
+
+def test_subgroup_rejects_a_sequence_of_another_pair():
+    m, H = make_pair("cascade5", "a")
+    other = SpectralSequence(m, parse_twist(m, "a"))
+    with pytest.raises(ValueError):
+        indeterminacy_subgroup(m, H, 5, 0, 9, other)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, 5, 11])
+def test_subgroup_builds_no_relative_complex(monkeypatch, p):
+    # the subgroup is read off the page's B_r: no relative complex, whatever the cell
+    m, H = make_pair("cascade5", "a")
+    ss = SpectralSequence(m, H)
     complexes = []
     init = RelativeComplex.__init__
 
@@ -141,11 +185,11 @@ def test_one_relative_complex_per_subgroup(monkeypatch, p, builds):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RelativeComplex, "__init__", counting_init)
-    for q in (0, 2, -4):
-        for r in (3, 5, 9):
-            complexes.clear()
+    for q in (0, 2, -4, 1):
+        for r in (3, 5, 9, 30):
+            indeterminacy_subgroup(m, H, p, q, r, ss)
             indeterminacy_subgroup(m, H, p, q, r)
-            assert len(complexes) == builds, (q, r)
+    assert complexes == []
 
 
 def test_differential_indeterminacy_matches_shifted_subgroup():
@@ -204,7 +248,8 @@ def test_zb_tower_containments():
     for p in range(m.top_degree + 1):
         prev_z, prev_b = None, None
         for r in range(2, ss.max_page + 1):
-            z, b = zb_cell(m, H, r, p)
+            z = z_cell(m, H, r, p)
+            b = image(connecting_delta_bar(m, H, p, r, (p - 1) % 2))
             assert z.contains_space(b)
             if prev_z is not None:
                 assert prev_z.contains_space(z)  # Z_{r-1} contains Z_r
@@ -214,11 +259,11 @@ def test_zb_tower_containments():
 
 def test_zb_r2_is_de_rham():
     m, H = make_pair("heisenberg", "a^b^c")
+    ss = SpectralSequence(m, H)
     for p in range(m.top_degree + 1):
-        z, b = zb_cell(m, H, 2, p)
         h = m.de_rham(p)
-        assert z == h.ambient
-        assert b == h.sub
+        assert z_cell(m, H, 2, p) == h.ambient
+        assert ss.boundaries(2, p) == h.sub
 
 
 @pytest.mark.parametrize("name,expr", standard_pairs(), ids=lambda v: str(v))

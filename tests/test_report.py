@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from twistss import parse_twist
+from twistss import SpectralSequence, indet, parse_twist, report
+from twistss.linalg import SubspaceBasis
 from twistss.modelgen import random_model, random_twist
-from twistss.models import bundled_model
+from twistss.models import bundled_model, standard_pairs
 from twistss.report import run_analysis
 from twistss.twist import DOperator
 
@@ -75,16 +76,79 @@ def test_one_operator_per_analysis(monkeypatch):
 
 
 def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
-    from twistss import indet
+    # every subgroup is built once per distinct (p, a), and delta_bar, the
+    # B_r oracle, runs once per distinct (p, a) of the pages r >= 3
+    requested, built, delta_bars = set(), [], []
+    subgroup, span, delta_bar = (
+        indet.indeterminacy_subgroup, indet.span_in_quotient, report.connecting_delta_bar
+    )
 
-    calls = []
-    subgroup = indet.indeterminacy_subgroup
+    def counting_subgroup(model, H, p, q, r, ss=None):
+        requested.add((p, max(0, p - r + 1)))
+        return subgroup(model, H, p, q, r, ss)
 
-    def counting_subgroup(model, H, p, q, r):
-        calls.append((p, q % 2, r))
-        return subgroup(model, H, p, q, r)
+    def counting_span(h, rows):
+        built.append(1)
+        return span(h, rows)
+
+    def counting_delta_bar(model, H, p, r, parity):
+        delta_bars.append((p, max(0, p - r + 1)))
+        return delta_bar(model, H, p, r, parity)
 
     monkeypatch.setattr(indet, "indeterminacy_subgroup", counting_subgroup)
+    monkeypatch.setattr(report, "indeterminacy_subgroup", counting_subgroup)
+    monkeypatch.setattr(indet, "span_in_quotient", counting_span)
+    monkeypatch.setattr(report, "connecting_delta_bar", counting_delta_bar)
     m = bundled_model("cascade5")
     assert run_analysis(m, parse_twist(m, "a")).all_pass
-    assert calls and len(calls) == len(set(calls))
+    n = m.top_degree
+    assert requested and len(built) == len(requested)
+    assert len(delta_bars) == len(set(delta_bars))
+    assert set(delta_bars) == {(p, max(0, p - r + 1)) for r in range(3, n + 3) for p in range(n + 1)}
+
+
+@pytest.mark.parametrize("name,expr", standard_pairs(), ids=lambda v: str(v))
+def test_indeterminacy_checks_count_every_cell(name, expr):
+    m = bundled_model(name)
+    ss = SpectralSequence(m, parse_twist(m, expr))
+    oracle, samples = report.check_indeterminacy(ss)
+    assert oracle == ((ss.max_page - 2) * (ss.n + 1), None)
+    assert samples[1] is None
+    assert report.run_analysis(m, ss.H).verdicts["indeterminacy_coherence"].status == "pass"
+
+
+def _cascade5():
+    m = bundled_model("cascade5")
+    return SpectralSequence(m, parse_twist(m, "a"))
+
+
+def test_connecting_oracle_catches_a_dropped_boundary_row(monkeypatch):
+    ss = _cascade5()
+    target = (6, 5)  # B_6 at column 5 holds [a], killed by d_5
+    assert ss.boundaries(*target).dim >= 1
+    boundaries = SpectralSequence.boundaries
+
+    def dropping(self, r, p):
+        b = boundaries(self, r, p)
+        return SubspaceBasis.span(b.ambient_dim, b.rows[1:]) if (r, p) == target else b
+
+    monkeypatch.setattr(SpectralSequence, "boundaries", dropping)
+    oracle, _ = report.check_indeterminacy(_cascade5())
+    assert oracle[1] == "connecting image differs from B_6 on cascade5 at p=5"
+
+
+def test_connecting_oracle_catches_a_shifted_start(monkeypatch):
+    delta_bar = report.connecting_delta_bar
+
+    def shifted(model, H, p, r, parity):  # a = max(0, p - r + 1) moves down by one
+        return delta_bar(model, H, p, r + 1, parity)
+
+    monkeypatch.setattr(report, "connecting_delta_bar", shifted)
+    oracle, _ = report.check_indeterminacy(_cascade5())
+    assert oracle[1] is not None
+
+
+def test_unchecked_verdict_is_not_applicable():
+    assert report._status((0, None)) == "n/a"
+    assert report._status((3, None)) == "pass"
+    assert report._status((0, "broken")) == "fail"
