@@ -98,32 +98,24 @@ def _parse_rational(tok: str) -> Fraction:
 
 
 def _split_terms(s: str) -> list[tuple[int, str]]:
-    """Split a sum into (sign, term) pairs; raises on empty terms."""
+    """Split a sum into (sign, term) pairs; raises on an operator with no term after it."""
     terms = []
-    sign, buf = 1, []
-    started = False
+    sign, buf, dangling = 1, [], False
     for ch in s:
-        if ch.isspace() and not started:
-            continue
-        if ch in "+-" and started:
-            t = "".join(buf).strip()
-            if not t:
-                raise ModelSchemaError(f"empty term in expression {s!r}")
-            terms.append((sign, t))
-            sign, buf = (1 if ch == "+" else -1), []
-            started = False
-        elif ch == "-" and not started and not buf:
-            sign = -sign
-            started = False
-        elif ch == "+" and not buf:
-            continue
-        else:
+        if ch in "+-":
+            if buf:
+                terms.append((sign, "".join(buf).strip()))
+                sign, buf = 1, []
+            if ch == "-":
+                sign = -sign
+            dangling = True
+        elif buf or not ch.isspace():
             buf.append(ch)
-            if not ch.isspace():
-                started = True
-    t = "".join(buf).strip()
-    if t:
-        terms.append((sign, t))
+            dangling = False
+    if dangling:
+        raise ModelSchemaError(f"operator without a term in expression {s!r}")
+    if buf:
+        terms.append((sign, "".join(buf).strip()))
     return terms
 
 

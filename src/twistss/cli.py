@@ -31,9 +31,9 @@ from .massey import (
     MasseyError,
     banded_defining_system,
     diagonal_defining_system,
+    related_cocycle,
     specific_element,
     triple_product,
-    validate_defining_system,
 )
 from .models import model_names, model_path
 from .report import run_analysis
@@ -115,8 +115,8 @@ def _cmd_massey(args) -> int:
     else:
         system = banded_defining_system(ss, x, t)
         sign = Fraction(-1) ** t
-    c = validate_defining_system(system)
-    deg, cls = specific_element(system)
+    deg, cls = specific_element(system)  # validates the system
+    c = related_cocycle(system)
     print("defining system:")
     print(system.layout())
     print(f"related cocycle: {c}")

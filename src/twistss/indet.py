@@ -194,14 +194,19 @@ def page_agreement(
     Compares canonical subspace bases, not just dimensions, for every page
     from 2 on and every column.  Returns (cells compared, None) or, on a
     mismatch, the first three mismatched (r, p) in its description.  B_r has
-    its own oracle, the connecting map (`report.check_indeterminacy`).
+    its own oracle, the connecting map (`report.check_indeterminacy`).  Each
+    distinct Z_r, keyed (p, min(p + r, n + 1)) as both routes are, is compared once.
     """
     tower: dict[int, RelativeComplex] = {}  # K_a/K_{n+1}, reused across r
     top_r = max_r if max_r is not None else ss.max_page
     cells = [(r, p) for r in range(2, top_r + 1) for p in range(ss.n + 1)]
+    agree: dict[tuple[int, int], bool] = {}
     mismatches = []
     for r, p in cells:
-        if z_cell(ss.model, ss.H, r, p, tower) != ss.cycles(r, p):
+        key = (p, min(p + r, ss.n + 1))
+        if key not in agree:
+            agree[key] = z_cell(ss.model, ss.H, r, p, tower) == ss.cycles(r, p)
+        if not agree[key]:
             mismatches.append((r, p))
     if mismatches:
         return len(cells), f"disagreement on {ss.model.name} at {mismatches[:3]}"

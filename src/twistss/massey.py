@@ -272,14 +272,6 @@ def _fill_last_column(
         entries[(i, size)] = Fraction(-1) ** (size - i) * tail.get(size - i, zero)
 
 
-def _tail_components(ss: SpectralSequence, x_p: Form, t: int) -> dict[int, Form]:
-    """Zig-zag tail of x_p for page 2t+3, split per degree."""
-    zz = ss.lift_zigzag(x_p, 2 * t + 3)
-    if zz is None:
-        raise PageError(f"class does not survive to page {2 * t + 3}")
-    return _split_tail(zz.form, x_p.degree, 2, ss.n)
-
-
 def _assemble_banded(
     ss: SpectralSequence, x_p: Form, t: int, tail: dict[int, Form]
 ) -> DefiningSystem:
@@ -306,7 +298,10 @@ def banded_defining_system(ss: SpectralSequence, x_p: Form, t: int) -> DefiningS
         raise MasseyError("the banded system needs t >= 1")
     if x_p.degree is None:
         raise MasseyError("x_p must be a nonzero homogeneous form")
-    return _assemble_banded(ss, x_p, t, _tail_components(ss, x_p, t))
+    zz = ss.lift_zigzag(x_p, 2 * t + 3)
+    if zz is None:
+        raise PageError(f"class does not survive to page {2 * t + 3}")
+    return _assemble_banded(ss, x_p, t, _split_tail(zz.form, x_p.degree, 2, ss.n))
 
 
 def diagonal_defining_system(

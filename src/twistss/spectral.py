@@ -10,10 +10,10 @@ are realized directly at chain level:
   D w in K_p;
 * the cell E_r^{p,q} is Z_r / B_r with canonical echelon representatives.
 
-A zig-zag tail is found by one stacked linear solve with free variables
-zeroed, so lifting succeeds exactly when the class survives and the result
-is deterministic.  The differential d_r reads off the degree-(p+r) component
-of D x of a zig-zag lift of reach r.
+Lifts are read off the Z_r kernel, which stores the zero-free-variable tail
+of each basis vector, so lifting succeeds exactly when the class survives
+and the result is deterministic.  The matrix of d_r reads off the
+degree-(p+r) component of D x of the lift of each coset representative.
 
 Everything is a pure function of (model, twist); results are cached in the
 `SpectralSequence` object.
@@ -101,7 +101,7 @@ class SpectralSequence:
         self.op = H.operator(model)
         self.n = model.top_degree
         self.max_page = self.n + 2
-        self._cycles: dict[tuple[int, int], SubspaceBasis] = {}
+        self._cycles: dict[tuple[int, int], tuple[SubspaceBasis, Mat]] = {}
         self._bounds: dict[tuple[int, int], SubspaceBasis] = {}
         self._cells: dict[tuple[int, int], QuotientSpace] = {}
         self._dmats: dict[tuple[int, int], Mat] = {}
@@ -125,17 +125,32 @@ class SpectralSequence:
     def _condition_degrees(self, p: int, reach: int) -> list[int]:
         return [q for q in range(p + 1, min(p + reach, self.n + 1), 2)]
 
-    def _compute_cycles(self, p: int, end: int) -> SubspaceBasis:
+    def _compute_cycles(self, p: int, end: int) -> tuple[SubspaceBasis, Mat]:
+        """Z_r at column p (conditions below `end`), its rows' tails as matrix columns.
+
+        One kernel of [A | T] (D on x_p, D on the tail) with T's columns
+        reversed gives both.  The null vector of a free column f of T is
+        nonzero only at f and at pivots left of f, so reversed, T's echelon
+        kernel has its pivots on T's free columns.  The kernel rows pivoting
+        in degree p vanish there: their tails solve T t = -A x_p with free
+        variables zeroed (`resolve_tail`), and their p-parts are Z_r's RREF.
+        """
         dim_p = self.model.dim(p)
+        tail = BlockSpace(self.model, self._tail_degrees(p))
         conds = self._condition_degrees(p, end - p)
-        if dim_p == 0:
-            return SubspaceBasis.zero(0)
-        if not conds:
-            return SubspaceBasis.full(dim_p)
-        dom = BlockSpace(self.model, [p] + self._tail_degrees(p))
-        cod = BlockSpace(self.model, conds)
-        phi = self.op.matrix(dom, cod)
-        return SubspaceBasis.span(dim_p, [row[:dim_p] for row in kernel(phi).rows])
+        if dim_p == 0 or not conds:
+            return SubspaceBasis.full(dim_p), Mat.zeros(tail.total_dim, dim_p)
+        phi = self.op.matrix(BlockSpace(self.model, [p, *tail.degrees]), BlockSpace(self.model, conds))
+        k = kernel(Mat._exact(tuple(row[:dim_p] + row[dim_p:][::-1] for row in phi.data), phi.cols))
+        rank = sum(1 for c in k.pivots if c < dim_p)  # pivots ascend: a prefix of the rows
+        z = SubspaceBasis(dim_p, tuple(row[:dim_p] for row in k.rows[:rank]), k.pivots[:rank])
+        return z, Mat.from_cols([row[dim_p:][::-1] for row in k.rows[:rank]], rows=tail.total_dim)
+
+    def _zigzags(self, p: int, end: int) -> tuple[SubspaceBasis, Mat]:
+        # Z_r depends on r only through where its conditions end
+        if (p, end) not in self._cycles:
+            self._cycles[(p, end)] = self._compute_cycles(p, end)
+        return self._cycles[(p, end)]
 
     def _compute_boundaries(self, p: int, a: int) -> SubspaceBasis:
         dim_p = self.model.dim(p)
@@ -158,11 +173,7 @@ class SpectralSequence:
     def cycles(self, r: int, p: int) -> SubspaceBasis:
         """Z_r at column p: leading terms of zig-zags of reach r."""
         self._check_r(r)
-        # Z_r depends on r only through where its conditions end
-        key = (p, min(p + r, self.n + 1))
-        if key not in self._cycles:
-            self._cycles[key] = self._compute_cycles(*key)
-        return self._cycles[key]
+        return self._zigzags(p, min(p + r, self.n + 1))[0]
 
     def boundaries(self, r: int, p: int) -> SubspaceBasis:
         """B_r at column p: degree-p components of D w, w in K_{p-r+1}, Dw in K_p."""
@@ -203,7 +214,8 @@ class SpectralSequence:
 
         Only the listed free degrees are solved for (one stacked solve, free
         variables zeroed); the fixed components are kept verbatim.  Returns
-        None when no completion exists.
+        None when no completion exists.  Only partial tails (the diagonal and
+        perturbed defining systems) come here; `lift_zigzag` has full tails.
         """
         p = min(fixed.degrees)
         conds = self._condition_degrees(p, reach)
@@ -223,19 +235,21 @@ class SpectralSequence:
     def lift_zigzag(self, x_p: Form, reach: int) -> Optional[ZigZag]:
         """Extend x_p to a zig-zag with D x in K_{p+reach}, or None if it dies.
 
-        The whole tail is found by one stacked solve with free variables
-        zeroed, so the result is canonical and exists if and only if the
-        class of x_p survives to page `reach`.
+        The tail combines the stored canonical tails of Z's basis rows by
+        x_p's coordinates in Z, so it is the tail with free variables zeroed,
+        and it exists if and only if the class of x_p survives to page `reach`.
         """
         if x_p.is_zero:
             return ZigZag(0, x_p, reach)
         if not x_p.is_homogeneous:
             raise PageError("zig-zag base must be homogeneous")
         p = x_p.degree
-        full = self.resolve_tail(x_p, reach, self._tail_degrees(p))
-        if full is None:
+        z, tails = self._zigzags(p, min(p + reach, self.n + 1))
+        coords = z.coords(x_p.component(p))
+        if coords is None:
             return None
-        return ZigZag(p, full, reach)
+        tail = BlockSpace(self.model, self._tail_degrees(p)).unpack(tails.apply(coords))
+        return ZigZag(p, x_p + tail, reach)
 
     # -- differentials ---------------------------------------------------------
 
@@ -246,23 +260,15 @@ class SpectralSequence:
         if key not in self._dmats:
             src = self.cell(r, p)
             tgt = self.cell(r, p + r, q=(1 - r) % 2)
-            cols = []
-            for rep in src.coset_reps:
-                x = Form(self.model, {p: rep})
-                cls = self._differential_of_cycle(r, x, tgt)
-                cols.append(cls)
-            self._dmats[key] = Mat.from_cols(cols, rows=tgt.dim)
+            if tgt.dim == 0:
+                self._dmats[key] = Mat.zeros(0, src.dim)
+            else:
+                cols = []
+                for rep in src.coset_reps:
+                    zz = self.lift_zigzag(Form(self.model, {p: rep}), r)
+                    cols.append(tgt.project(self.zigzag_dx(zz).component(p + r)))
+                self._dmats[key] = Mat.from_cols(cols, rows=tgt.dim)
         return self._dmats[key]
-
-    def _differential_of_cycle(self, r: int, x: Form, tgt: QuotientSpace) -> Vec:
-        zz = self.lift_zigzag(x, r)
-        assert zz is not None, "cycle failed to lift; engine bug"
-        if tgt.dim == 0:
-            return ()
-        p = x.degree
-        y = self.zigzag_dx(zz).component(p + r)
-        assert self.cycles(r, p + r).contains(y), "d_r image left the cycle space"
-        return tgt.project(y)
 
     def differential(self, r: int, x_p: Form) -> PageClass:
         """d_r of the page class represented by x_p (homogeneous, on page r)."""
@@ -274,8 +280,8 @@ class SpectralSequence:
         p = x_p.degree
         if not self.cycles(r, p).contains(x_p.component(p)):
             raise PageError(f"form of degree {p} is not a class on page {r}")
-        tgt = self.cell(r, p + r, q=(1 - r) % 2)
-        return PageClass(r, p + r, self._differential_of_cycle(r, x_p, tgt))
+        coords = self.cell(r, p).project(x_p.component(p))
+        return PageClass(r, p + r, self.differential_matrix(r, p).apply(coords))
 
     def representative(self, cls: PageClass) -> Form:
         return Form(self.model, {cls.p: self.cell(cls.r, cls.p).lift(cls.coords)})

@@ -288,6 +288,20 @@ def test_basis_model_round_trip():
     assert sphere.unit_form().wedge(u) == u
 
 
+@pytest.mark.parametrize("expr", ["-", "+", "e1^e2^e3 -", "e1 +", "e1 - -"])
+def test_dangling_operator_rejected(torus3, expr):
+    for call in (lambda: parse_linear_combination(expr), lambda: torus3.parse_form(expr)):
+        with pytest.raises(ModelSchemaError, match="operator without a term") as info:
+            call()
+        assert repr(expr) in str(info.value)
+
+
+def test_unary_signs_before_a_term_accepted(torus3):
+    assert parse_linear_combination("-e1") == [(-1, "e1")]
+    assert parse_linear_combination("e1 + -e2") == [(1, "e1"), (-1, "e2")]
+    assert torus3.parse_form("e1 + -e2") == torus3.parse_form("e1 - e2")
+
+
 def test_model_file_is_json(tmp_path):
     # loading from an explicit path works the same as the bundle
     doc = {
@@ -349,6 +363,14 @@ def _basis_doc(**fields):
 )
 def test_malformed_document_raises_schema_error(doc):
     with pytest.raises(ModelSchemaError):
+        model_from_dict(doc)
+
+
+def test_generator_differential_with_dangling_operator_rejected():
+    gens = [{"name": g, "degree": 1} for g in "abc"]
+    assert model_from_dict(_gen_doc(top_degree=3, generators=gens, differentials={"c": "a^b"}))
+    doc = _gen_doc(top_degree=3, generators=gens, differentials={"c": "a^b -"})
+    with pytest.raises(ModelSchemaError, match=r"operator without a term in expression 'a\^b -'"):
         model_from_dict(doc)
 
 
@@ -476,3 +498,27 @@ def test_parse_linear_combination_fuzz(text):
     except ModelError:
         return
     assert all(isinstance(tok, str) and tok for _, tok in terms)
+
+
+_form_models = {name: bundled_model(name) for name in ("torus3", "heisenberg", "sphere3")}
+_form_labels = st.sampled_from(
+    sorted({lab for m in _form_models.values() for labs in m.labels for lab in labs}) + ["q", "1"]
+)
+_form_exprs = st.one_of(
+    st.text(alphabet="eabcuv123^*+-/. ", max_size=16),
+    st.lists(
+        st.tuples(st.sampled_from(["", "-", "2*", "1/3*", "0*"]), st.lists(_form_labels, min_size=1, max_size=3)),
+        min_size=1, max_size=3,
+    ).map(lambda terms: " + ".join(c + "^".join(w) for c, w in terms)),
+)
+
+
+@given(st.sampled_from(sorted(_form_models)), st.one_of(st.text(max_size=20), _form_exprs))
+@settings(max_examples=300, deadline=None)
+def test_parse_form_fuzz(name, text):
+    model = _form_models[name]
+    try:
+        form = model.parse_form(text)
+    except (ModelError, KeyError):
+        return
+    assert form.model is model and set(form.degrees) <= set(range(model.top_degree + 1))

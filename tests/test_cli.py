@@ -75,6 +75,14 @@ def test_analyze_exponent_coefficient_exits_2(capsys):
     assert "bad rational coefficient" in err
 
 
+@pytest.mark.parametrize("twist", ["e1^e2^e3 -", "-"])
+def test_analyze_dangling_operator_exits_2(capsys, twist):
+    code, out, err = run(capsys, "analyze", "torus3", "--twist", twist)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: operator without a term in expression {twist!r}\n"
+
+
 def test_analyze_corrupt_file_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ this is not json")
@@ -104,6 +112,34 @@ def test_massey_diagonal_d9(capsys):
     assert code == 0
     assert "matches" in out
     assert "a^v" in out
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["torus3", "--twist", "e1^e2^e3", "--thm41", "--class", "e1", "--t", "1"],
+        ["cascade5", "--twist", "a", "--thm42", "--class", "x", "--t", "3", "--s", "2"],
+    ],
+    ids=["thm41", "thm42"],
+)
+def test_massey_validates_the_system_once(capsys, monkeypatch, query):
+    import twistss.massey as massey
+
+    calls = []
+
+    def counting(system):
+        calls.append(system)
+        return validate(system)
+
+    import twistss.cli as cli
+
+    validate = massey.validate_defining_system
+    monkeypatch.setattr(massey, "validate_defining_system", counting)
+    # the command module must not validate by a binding of its own either
+    monkeypatch.setattr(cli, "validate_defining_system", counting, raising=False)
+    code, out, _ = run(capsys, "massey", *query)
+    assert code == 0 and "matches" in out
+    assert len(calls) == 1
 
 
 def test_massey_diagonal_not_applicable(capsys):

@@ -273,3 +273,42 @@ def test_page_agreement_everywhere(name, expr):
     checked, failure = page_agreement(ss)
     assert failure is None, failure
     assert checked == (ss.max_page - 1) * (ss.n + 1)
+
+
+def test_page_agreement_checks_each_cycle_space_once(monkeypatch):
+    import twistss.indet as indet
+
+    calls = []
+
+    def counting(model, H, r, p, tower=None):
+        calls.append((p, min(p + r, model.top_degree + 1)))
+        return z_cell_route(model, H, r, p, tower)
+
+    z_cell_route = indet.z_cell
+    monkeypatch.setattr(indet, "z_cell", counting)
+    m, H = make_pair("cascade7", "a")
+    ss = SpectralSequence(m, H)
+    checked, failure = page_agreement(ss)
+    assert failure is None
+    assert checked == (ss.max_page - 1) * (ss.n + 1)
+    assert len(calls) == len(set(calls)) < checked
+
+
+def test_page_agreement_names_every_cell_of_a_bad_cycle_space(monkeypatch):
+    # a wrong Z at one key shows at every (r, p) that shares it
+    m, H = make_pair("cascade5", "a")
+    ss = SpectralSequence(m, H)
+    true_cycles = ss.cycles
+    p, end = 0, ss.n + 1
+
+    def broken(r, q):
+        z = true_cycles(r, q)
+        if (q, min(q + r, ss.n + 1)) == (p, end):
+            return SubspaceBasis.full(z.ambient_dim)
+        return z
+
+    monkeypatch.setattr(ss, "cycles", broken)
+    checked, failure = page_agreement(ss)
+    assert checked == (ss.max_page - 1) * (ss.n + 1)
+    bad = [(r, p) for r in range(2, ss.max_page + 1) if p + r >= end]
+    assert failure == f"disagreement on {m.name} at {bad[:3]}"

@@ -253,3 +253,97 @@ def test_even_vanishing_everywhere():
         assert failure is None
         assert checked == len(range(2, ss.max_page + 1, 2))
 
+
+
+# -- lifts read off the cycle kernel --------------------------------------------------
+
+
+def oracle_sequences():
+    for name, expr in standard_pairs():
+        yield pytest.param(make_ss(name, expr), id=f"{name}/{expr}")
+    for seed in range(10):
+        m = random_model(seed)
+        yield pytest.param(SpectralSequence(m, random_twist(m, seed)), id=f"modelgen{seed}")
+
+
+@pytest.mark.parametrize("ss", list(oracle_sequences()))
+def test_lift_matches_the_stacked_solve(ss):
+    # the stored tails are the zero-free-variable solutions resolve_tail finds,
+    # for every Z_r basis vector and one combination, on every page and past it
+    m = ss.model
+    for r in range(1, ss.max_page + 3):
+        for p in range(ss.n + 1):
+            rows = list(ss.cycles(min(r, ss.max_page), p).rows)
+            if len(rows) > 1:
+                rows.append(tuple(a - 3 * b for a, b in zip(rows[0], rows[-1])))
+            for row in rows:
+                x = Form(m, {p: row})
+                want = ss.resolve_tail(x, r, ss._tail_degrees(p))
+                assert want is not None
+                assert ss.lift_zigzag(x, r).form == want
+
+
+def test_pages_and_lifts_make_no_particular_solve(monkeypatch):
+    import twistss.spectral as spectral
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    solve = spectral.solve_particular
+    monkeypatch.setattr(spectral, "solve_particular", counting)
+    for name, expr in (("cascade5", "a"), ("mixed5", "a + b"), ("torus3", "e1^e2^e3")):
+        ss = make_ss(name, expr)
+        ss.precompute()
+        for r in range(1, ss.max_page + 1):
+            ss.page(r)
+            for p in range(ss.n + 1):
+                for row in ss.cycles(r, p).rows:
+                    assert ss.lift_zigzag(Form(ss.model, {p: row}), r) is not None
+    assert calls == []
+
+
+def test_one_kernel_per_cycle_key_with_conditions(monkeypatch):
+    import twistss.spectral as spectral
+
+    calls = []
+
+    def counting(m):
+        calls.append(m.cols)
+        return kern(m)
+
+    kern = spectral.kernel
+    monkeypatch.setattr(spectral, "kernel", counting)
+    ss = make_ss("mixed5", "a + b")
+    keys = set()
+    for r in range(1, ss.max_page + 1):
+        for p in range(ss.n + 1):
+            ss.cycles(r, p)
+            if ss.model.dim(p) and p + 1 < min(p + r, ss.n + 1):
+                keys.add((p, min(p + r, ss.n + 1)))
+    for r in range(1, ss.max_page + 3):
+        for p in range(ss.n + 1):
+            for row in ss.cycles(min(r, ss.max_page), p).rows:
+                ss.lift_zigzag(Form(ss.model, {p: row}), r)
+    assert len(calls) == len(keys) > 0
+
+
+def test_differential_is_constant_on_boundary_cosets():
+    # d_r is read off the coset representatives, so rep + b with b in B_r
+    # must give the same class
+    checked = 0
+    for name, expr in standard_pairs():
+        ss = make_ss(name, expr)
+        for r in range(1, ss.max_page + 1):
+            for p in range(ss.n + 1):
+                reps, bounds = ss.cell(r, p).coset_reps, ss.boundaries(r, p).rows
+                if not (reps and bounds):
+                    continue
+                for i, rep in enumerate(reps):
+                    b = bounds[i % len(bounds)]
+                    shifted = Form(ss.model, {p: tuple(x + y for x, y in zip(rep, b))})
+                    assert ss.differential(r, shifted) == ss.differential(r, Form(ss.model, {p: rep}))
+                    checked += 1
+    assert checked > 50
