@@ -34,7 +34,6 @@ from .linalg import (
     QuotientSpace,
     SubspaceBasis,
     Vec,
-    kernel,
     solve_particular,
     span_in_quotient,
 )
@@ -136,7 +135,7 @@ def _closed_basis(model: CdgaModel, degree: int) -> list[Form]:
     if not (0 <= degree <= model.top_degree):
         return []
     return [
-        Form(model, {degree: row}) for row in kernel(model.d_mat(degree)).rows
+        Form(model, {degree: row}) for row in model.de_rham(degree).ambient.rows
     ]
 
 
@@ -401,7 +400,7 @@ def perturbed_banded_system(
         deg = p + 2 * i
         if deg > ss.n:
             break
-        for z_row in kernel(model.d_mat(deg)).rows:
+        for z_row in model.de_rham(deg).ambient.rows:
             shift = Form(model, {deg: z_row})
             if shift.is_zero:
                 continue

@@ -1,0 +1,294 @@
+"""Leibniz and associativity checked on indecomposables, against the full scan.
+
+`CdgaModel._validate` checks both axioms only with the first factor in
+{e_0} u G for a connected model, G a basis of a complement of A+ . A+ in A+.
+The full scan over every basis element as a first factor stays reachable as
+`_product_axiom_failure(_basis_elems())` and is the oracle here: on valid
+models, on seeded random models and on single mutated structure constants
+of small basis-form documents, both accept or both reject, and the
+rejection message is the full scan's.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from twistss.cdga import AlgebraError, CdgaModel, model_from_dict
+from twistss.models import bundled_model, model_names
+from twistss.modelgen import random_model
+
+
+def _torus_doc(k):
+    return {
+        "name": f"torus{k}",
+        "top_degree": k,
+        "generators": [{"name": f"e{i}", "degree": 1} for i in range(1, k + 1)],
+    }
+
+
+def _verdicts(model):
+    """(reduced, full): the first Leibniz/associativity failure of each scan, or None."""
+    return (
+        model._product_axiom_failure(model._first_factors()),
+        model._product_axiom_failure(model._basis_elems()),
+    )
+
+
+def _labels(model, elems):
+    return [model.label_of(p, i) for p, i in elems]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda name=name: bundled_model(name) for name in model_names()]
+    + [lambda seed=seed: random_model(seed) for seed in range(20)]
+    + [lambda k=k: model_from_dict(_torus_doc(k)) for k in (6, 7, 8)],
+    ids=list(model_names()) + [f"random{s}" for s in range(20)] + ["torus6", "torus7", "torus8"],
+)
+def test_reduced_check_agrees_with_full_scan_on_valid_models(build):
+    model = build()
+    assert _verdicts(model) == (None, None)
+    if model.dim(0) == 1:
+        firsts = model._first_factors()
+        assert firsts[0] == (0, 0)
+
+
+def test_indecomposables_of_torus8_and_heisenberg():
+    torus8 = model_from_dict(_torus_doc(8))
+    assert _labels(torus8, torus8._indecomposables()) == [f"e{i}" for i in range(1, 9)]
+    heis = bundled_model("heisenberg")
+    assert _labels(heis, heis._indecomposables()) == ["a", "b", "c"]
+    assert _labels(heis, heis._first_factors()) == ["1", "a", "b", "c"]
+
+
+def test_indecomposables_of_basis_and_higher_degree_models():
+    sphere = bundled_model("sphere3")
+    assert _labels(sphere, sphere._indecomposables()) == ["u"]
+    su3xsu3 = bundled_model("su3xsu3")
+    assert _labels(su3xsu3, su3xsu3._indecomposables()) == ["x3", "y3", "x5", "y5"]
+    # CP^2 = Q[x]/(x^3) with |x| = 2: the square x^2 = y is decomposable
+    cp2 = model_from_dict({
+        "name": "cp2",
+        "top_degree": 4,
+        "basis": {"0": ["1"], "2": ["x"], "4": ["y"]},
+        "mult": [
+            {"left": "1", "right": "1", "result": "1"},
+            {"left": "1", "right": "x", "result": "x"},
+            {"left": "x", "right": "1", "result": "x"},
+            {"left": "1", "right": "y", "result": "y"},
+            {"left": "y", "right": "1", "result": "y"},
+            {"left": "x", "right": "x", "result": "y"},
+        ],
+    })
+    assert _labels(cp2, cp2._indecomposables()) == ["x"]
+
+
+def test_nonzero_differential_of_the_unit_rejected():
+    # d(1) = t with d t = 0 passes d o d and commutativity; only Leibniz on
+    # (e_0, e_0) sees it: d(1 1) = t but d1 1 + 1 d1 = 2t
+    doc = {
+        "name": "dunit",
+        "top_degree": 1,
+        "basis": {"0": ["1"], "1": ["t"]},
+        "mult": [
+            {"left": "1", "right": "1", "result": "1"},
+            {"left": "1", "right": "t", "result": "t"},
+            {"left": "t", "right": "1", "result": "t"},
+        ],
+        "diff": [{"from": "1", "result": "t"}],
+    }
+    with pytest.raises(AlgebraError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == "Leibniz rule fails on '1' ^ '1'"
+
+
+# -- random basis-form documents with one mutated structure constant -----------
+
+
+def _sheared_tables(model, rng):
+    """Products and differentials of `model` in a randomly sheared basis.
+
+    In some degrees one basis element e_i is replaced by f_i = e_i + lam e_k,
+    so that products of basis elements are no longer single basis elements
+    and a basis element outside G need not be a product.  Returns two dicts,
+    keyed by label pairs and by labels, of sparse {index: coefficient}
+    coordinates in the sheared basis.
+    """
+    shears = {}
+    for r in range(1, model.top_degree + 1):
+        if model.dim(r) >= 2 and rng.random() < 0.7:
+            i, k = rng.sample(range(model.dim(r)), 2)
+            shears[r] = (i, k, Fraction(rng.choice([-1, 1, 2])))
+
+    def element(p, i):
+        v = [Fraction(0)] * model.dim(p)
+        v[i] = Fraction(1)
+        if shears.get(p, (None,))[0] == i:
+            v[shears[p][1]] += shears[p][2]
+        return model.form({p: v})
+
+    def coords(form, r):
+        v = list(form.component(r))
+        if r in shears:
+            i, k, lam = shears[r]
+            v[k] -= lam * v[i]
+        return {j: c for j, c in enumerate(v) if c}
+
+    elems = model._basis_elems()
+    products = {
+        (model.label_of(p, i), model.label_of(q, j)): coords(element(p, i).wedge(element(q, j)), p + q)
+        for p, i in elems
+        for q, j in elems
+        if p + q <= model.top_degree
+    }
+    diffs = {
+        model.label_of(p, i): coords(element(p, i).d(), p + 1)
+        for p, i in elems
+        if p < model.top_degree
+    }
+    return products, diffs
+
+
+def _basis_document(model, top, products, diffs, name):
+    """A basis-form document on the labels of `model`, truncated to degree `top`."""
+
+    def combo(r, terms):
+        return " + ".join(f"{c}*{model.label_of(r, k)}" for k, c in sorted(terms.items()) if c)
+
+    mult = [
+        {"left": left, "right": right, "result": combo(model.index_of(left)[0] + model.index_of(right)[0], t)}
+        for (left, right), t in products.items()
+        if model.index_of(left)[0] + model.index_of(right)[0] <= top and any(t.values())
+    ]
+    diff = [
+        {"from": lab, "result": combo(model.index_of(lab)[0] + 1, t)}
+        for lab, t in diffs.items()
+        if model.index_of(lab)[0] < top and any(t.values())
+    ]
+    basis = {str(p): list(model.labels[p]) for p in range(top + 1)}
+    return {"name": name, "top_degree": top, "basis": basis, "mult": mult, "diff": diff}
+
+
+def _mutated_document(seed):
+    """A small truncated modelgen model with one structure constant changed symmetrically.
+
+    The product b c gains delta at one coordinate and c b gains (-1)^(pq)
+    delta, so graded commutativity still holds; d and the unit rows are
+    untouched, so the document reaches the Leibniz and associativity checks.
+    """
+    rng = random.Random(seed)
+    model = random_model(seed, max_gens=4)
+    products, diffs = _sheared_tables(model, rng)
+    top = rng.randint(max(2, model.top_degree - 2), model.top_degree)
+
+    def pairs(top):
+        return [
+            ((p, i), (q, j))
+            for p, i in model._basis_elems()
+            for q, j in model._basis_elems()
+            if p >= 1 and q >= 1 and p + q <= top and model.dim(p + q)
+            and (p, i) <= (q, j) and not ((p, i) == (q, j) and p % 2)
+        ]
+
+    if not pairs(top):
+        top = model.top_degree
+    (p, i), (q, j) = rng.choice(pairs(top))
+    k = rng.randrange(model.dim(p + q))
+    delta = Fraction(rng.choice([-2, -1, 1, 2]))
+    b, c = model.label_of(p, i), model.label_of(q, j)
+    sign = -1 if p % 2 and q % 2 else 1
+    for key, d in (((b, c), delta), ((c, b), sign * delta)):
+        terms = products[key] = dict(products[key])
+        terms[k] = terms.get(k, 0) + d
+        if b == c:
+            break
+    return _basis_document(model, top, products, diffs, f"mutated{seed}")
+
+
+def _unchecked_model(monkeypatch, doc):
+    with monkeypatch.context() as mp:
+        mp.setattr(CdgaModel, "_validate", lambda self: None)
+        return model_from_dict(doc)
+
+
+def test_sheared_truncated_basis_documents_are_valid():
+    for seed in range(10):
+        model = random_model(seed, max_gens=4)
+        products, diffs = _sheared_tables(model, random.Random(seed))
+        for top in range(model.top_degree + 1):
+            truncated = model_from_dict(_basis_document(model, top, products, diffs, f"trunc{seed}"))
+            assert truncated.dims == model.dims[: top + 1]
+            assert _verdicts(truncated) == (None, None)
+
+
+SWEEP = 200
+
+
+def test_mutated_structure_constant_rejected_alike(monkeypatch):
+    rejected = outside = 0
+    for seed in range(SWEEP):
+        doc = _mutated_document(seed)
+        raw = _unchecked_model(monkeypatch, doc)
+        reduced, full = _verdicts(raw)
+        try:
+            model_from_dict(doc)
+            message = None
+        except AlgebraError as err:
+            message = str(err)
+        assert (reduced is None) == (full is None), (seed, reduced, full)
+        assert message == full, (seed, message, full)
+        if full is not None:
+            rejected += 1
+            # the witness's first factor is the first quoted label
+            if full.split("'")[1] not in _labels(raw, raw._first_factors()):
+                outside += 1
+    # a rejection whose first full-scan witness has its first factor
+    # outside {e_0} u G is one the reduced check finds only through the
+    # induction, at another witness
+    print(f"{rejected} of {SWEEP} mutations rejected; {outside} with a first factor outside {{e_0}} u G")
+    assert rejected >= SWEEP // 4 and outside >= 1
+
+
+# -- a model that is not connected ---------------------------------------------------
+
+
+def _product_doc(mutate=False):
+    """Q x Lambda(e1, e2, e3): orthogonal idempotents e and f in degree 0, unit e + f.
+
+    The Lambda factor is torus3 with its unit renamed f.  With `mutate`, the
+    product of e1^e2 and e3 (both ways round) is doubled.
+    """
+    t3 = bundled_model("torus3")
+
+    def label(p, i):
+        return "f" if p == 0 else t3.label_of(p, i)
+
+    mult = [{"left": "e", "right": "e", "result": "e"}]
+    for p, i in t3._basis_elems():
+        for q, j in t3._basis_elems():
+            prod = t3.wedge_basis(p, i, q, j)
+            if prod:
+                scale = 2 if mutate and {label(p, i), label(q, j)} == {"e1^e2", "e3"} else 1
+                result = " + ".join(f"{scale * c}*{label(p + q, k)}" for k, c in prod)
+                mult.append({"left": label(p, i), "right": label(q, j), "result": result})
+    basis = {"0": ["e", "f"], **{str(p): list(t3.labels[p]) for p in range(1, 4)}}
+    return {"name": "q_x_torus3", "top_degree": 3, "basis": basis, "mult": mult, "diff": []}
+
+
+def test_non_connected_model_validates_through_the_full_scan():
+    model = model_from_dict(_product_doc())
+    assert model.dims == (2, 3, 3, 1)
+    assert model._first_factors() == model._basis_elems()
+    assert model.unit == (1, 1)
+
+
+def test_non_connected_mutated_product_rejected_with_the_full_scan_message(monkeypatch):
+    # (e1 e2) e3 = 2 e1^e2^e3 but e1 (e2 e3) = e1^e2^e3
+    doc = _product_doc(mutate=True)
+    raw = _unchecked_model(monkeypatch, doc)
+    assert raw._first_factors() == raw._basis_elems()
+    with pytest.raises(AlgebraError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == "associativity fails on 'e1', 'e2', 'e3'"
+    assert str(err.value) == raw._product_axiom_failure(raw._basis_elems())

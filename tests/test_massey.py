@@ -1,6 +1,15 @@
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import twistss.cdga
+import twistss.indet
+import twistss.massey
+import twistss.spectral
+import twistss.twist
 
 from twistss import (
     DefiningSystem,
@@ -21,6 +30,7 @@ from twistss import (
 from twistss.cdga import Form
 from twistss.linalg import solve_particular
 from twistss.models import bundled_model
+from twistss.report import run_analysis
 from twistss.twist import BlockSpace, apply_D
 
 
@@ -364,3 +374,34 @@ def test_related_cocycle_closed_for_valid_systems():
             x = Form(ss.model, {p: rep})
             system = banded_defining_system(ss, x, 1)
             assert related_cocycle(system).d().is_zero
+
+
+def _count_closed_form_kernels(monkeypatch, model):
+    """Patch every module's `kernel` and count the calls on each d_mat(deg) of `model`."""
+    calls = {}
+    for module in (twistss.cdga, twistss.indet, twistss.massey, twistss.spectral, twistss.twist):
+        original = getattr(module, "kernel", None)
+        if original is None:
+            continue
+
+        def counting(m, _original=original):
+            for deg in range(model.top_degree + 1):
+                if m is model.d_mat(deg):
+                    calls[deg] = calls.get(deg, 0) + 1
+            return _original(m)
+
+        monkeypatch.setattr(module, "kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name,expr", [("torus3", "e1^e2^e3"), ("heisenberg", "a^b^c")])
+def test_closed_forms_come_from_the_cached_de_rham_space(monkeypatch, name, expr):
+    m = bundled_model(name)
+    twist = parse_twist(m, expr)
+    calls = _count_closed_form_kernels(monkeypatch, m)
+    rep = run_analysis(m, twist)
+    # the massey defining systems read ker d from model.de_rham, which
+    # computes it once per degree
+    assert calls and max(calls.values()) == 1
+    golden = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == golden[f"{name}/{expr}"]["json"]
