@@ -122,10 +122,7 @@ def _cmd_massey(args) -> int:
     print(f"related cocycle: {c}")
     print(f"specific element: {_print_class(model, deg, cls)} in degree {deg}")
     lhs = ss.differential(r, x)
-    rhs_form = sign * c
-    tgt = ss.cell(r, x.degree + r)
-    rhs = tgt.project(rhs_form.component(x.degree + r)) if tgt.dim else ()
-    agree = lhs.coords == rhs
+    agree = lhs.coords == ss.page_coords(r, x.degree + r, sign * c)
     print(f"d_{r} class: {_print_class(model, x.degree + r, _in_h(model, ss, lhs))}")
     print(f"verdict: zig-zag differential {'matches' if agree else 'DIFFERS FROM'} the signed specific element on page {r}")
     return 0 if agree else 1

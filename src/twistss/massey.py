@@ -37,7 +37,7 @@ from .linalg import (
     solve_particular,
     span_in_quotient,
 )
-from .spectral import PageClass, PageError, SpectralSequence
+from .spectral import PageClass, PageError, SpectralSequence, ZigZag
 
 
 class MasseyError(Exception):
@@ -271,6 +271,16 @@ def _fill_last_column(
         entries[(i, size)] = Fraction(-1) ** (size - i) * tail.get(size - i, zero)
 
 
+def _lift(ss: SpectralSequence, x_p: Form, reach: int) -> ZigZag:
+    """The canonical zig-zag of x_p through page `reach`; raises unless x_p survives."""
+    if x_p.degree is None:
+        raise MasseyError("x_p must be a nonzero homogeneous form")
+    zz = ss.lift_zigzag(x_p, reach)
+    if zz is None:
+        raise PageError(f"class does not survive to page {reach}")
+    return zz
+
+
 def _assemble_banded(
     ss: SpectralSequence, x_p: Form, t: int, tail: dict[int, Form]
 ) -> DefiningSystem:
@@ -295,11 +305,7 @@ def banded_defining_system(ss: SpectralSequence, x_p: Form, t: int) -> DefiningS
     """
     if t < 1:
         raise MasseyError("the banded system needs t >= 1")
-    if x_p.degree is None:
-        raise MasseyError("x_p must be a nonzero homogeneous form")
-    zz = ss.lift_zigzag(x_p, 2 * t + 3)
-    if zz is None:
-        raise PageError(f"class does not survive to page {2 * t + 3}")
+    zz = _lift(ss, x_p, 2 * t + 3)
     return _assemble_banded(ss, x_p, t, _split_tail(zz.form, x_p.degree, 2, ss.n))
 
 
@@ -310,8 +316,10 @@ def diagonal_defining_system(
 
     Constant diagonal H_{2s+1}, zero strict upper triangle except the last
     column, which carries signed sparse tail components at degree steps 2s.
-    With a single twist component every other zig-zag component can be
-    chosen zero, so the tail is solved for in the degrees p + 2is only.
+    The tail is the banded system's zig-zag lift, whose components off the
+    degrees p + 2is vanish: with D = d + H_{2s+1} the zig-zag equations split
+    into blocks by degree mod 2s, only the block of degree p has a nonzero
+    right-hand side, and a free variable of one block is free in the whole.
     """
     if s < 1 or t < 1 or (t + 1) % s != 0:
         raise MasseyError(f"t = {t} is not of the form l*s - 1 for s = {s}")
@@ -320,13 +328,9 @@ def diagonal_defining_system(
         raise MasseyError("the diagonal system needs l >= 2; t = s - 1 is plain cup product")
     if ss.H.single_degree() != 2 * s + 1:
         raise MasseyError(f"the twist is not a single component of degree {2 * s + 1}")
+    zz = _lift(ss, x_p, 2 * t + 3)
     model = ss.model
     p = x_p.degree
-    if not ss.cycles(2 * t + 3, p).contains(x_p.component(p)):
-        raise PageError(f"class does not survive to page {2 * t + 3}")
-    solved = ss.resolve_tail(x_p, 2 * t + 3, [p + 2 * i * s for i in range(1, l)])
-    if solved is None:
-        raise PageError(f"class does not survive to page {2 * t + 3}")
     h = ss.H.component_form(2 * s + 1)
     size = l + 1
     entries: dict[tuple[int, int], Form] = {}
@@ -335,7 +339,7 @@ def diagonal_defining_system(
         for j in range(i + 1, l + 1):
             entries[(i, j)] = model.zero_form()
     # tail step m at degree p + 2ms
-    _fill_last_column(entries, size, x_p, _split_tail(solved, p, 2 * s, ss.n))
+    _fill_last_column(entries, size, x_p, _split_tail(zz.form, p, 2 * s, ss.n))
     return DefiningSystem(model, [2 * s + 1] * l + [p], entries)
 
 
@@ -373,47 +377,31 @@ class MasseyVerification:
         return all(c.passed for c in self.checks)
 
 
-def _page_class_of_form(ss: SpectralSequence, r: int, p: int, f: Form) -> Vec:
-    cell = ss.cell(r, p, q=0)
-    if cell.dim == 0:
-        return ()
-    return cell.project(f.component(p))
-
-
 def perturbed_banded_system(
     ss: SpectralSequence, x_p: Form, t: int
 ) -> Optional[DefiningSystem]:
     """A second valid banded system with a shifted tail, when one exists.
 
-    One solved tail component is shifted by a canonical nonzero closed form
-    of its degree and the later components are re-solved; returns None when
-    no shift keeps the recursion solvable.  This is a heuristic search, not
-    an exhaustive one.
+    Its zig-zag is the base one of x_p plus the lift (reach 2t + 3 - 2i) of
+    the first closed basis form z of degree p + 2i that lifts; None if none
+    does.  It equals re-solving past p + 2i with the head and z fixed, since
+    D is linear, the zero-free-variable solution is linear in the right-hand
+    side, and a free column of the tail past p + 2i is free in the whole tail.
+    This is a heuristic search, not an exhaustive one.
     """
+    reach = 2 * t + 3
+    base = _lift(ss, x_p, reach)
     model = ss.model
     p = x_p.degree
-    reach = 2 * t + 3
-    base = ss.lift_zigzag(x_p, reach)
-    if base is None:
-        raise PageError(f"class does not survive to page {reach}")
     for i in range(1, t + 1):
         deg = p + 2 * i
         if deg > ss.n:
             break
         for z_row in model.de_rham(deg).ambient.rows:
-            shift = Form(model, {deg: z_row})
-            if shift.is_zero:
-                continue
-            fixed = model.zero_form()
-            for j in range(0, i + 1):
-                fixed = fixed + base.form.homogeneous_part(p + 2 * j)
-            fixed = fixed + shift
-            resolved = ss.resolve_tail(
-                fixed, reach, [p + 2 * j for j in range(i + 1, (ss.n - p) // 2 + 1)]
-            )
-            if resolved is None:
-                continue
-            return _assemble_banded(ss, x_p, t, _split_tail(resolved, p, 2, ss.n))
+            shifted = ss.lift_zigzag(Form(model, {deg: z_row}), reach - 2 * i)
+            if shifted is not None:
+                tail = _split_tail(base.form + shifted.form, p, 2, ss.n)
+                return _assemble_banded(ss, x_p, t, tail)
     return None
 
 
@@ -440,22 +428,23 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
             system = banded_defining_system(ss, x, t)
             c_a = validate_defining_system(system)
             rhs_a = Fraction(-1) ** t * c_a
-            banded_ok = lhs.coords == _page_class_of_form(ss, r, p + r, rhs_a)
+            coords_a = ss.page_coords(r, p + r, rhs_a)
+            banded_ok = lhs.coords == coords_a
 
             case_ok: Optional[bool] = None
             routes_agree: Optional[bool] = None
             if s is not None:
                 if t == s - 1:
                     cup = ss.H.component_form(2 * s + 1).wedge(x)
-                    case_ok = lhs.coords == _page_class_of_form(ss, r, p + r, cup)
+                    case_ok = lhs.coords == ss.page_coords(r, p + r, cup)
                 elif (t + 1) % s == 0 and (t + 1) // s >= 2:
                     l = (t + 1) // s
                     system_b = diagonal_defining_system(ss, x, t, s)
                     c_b = validate_defining_system(system_b)
                     rhs_b = Fraction(-1) ** (l - 1) * c_b
-                    coords_b = _page_class_of_form(ss, r, p + r, rhs_b)
+                    coords_b = ss.page_coords(r, p + r, rhs_b)
                     case_ok = lhs.coords == coords_b
-                    routes_agree = coords_b == _page_class_of_form(ss, r, p + r, rhs_a)
+                    routes_agree = coords_b == coords_a
                 else:
                     case_ok = lhs.is_zero
 
@@ -463,9 +452,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
             perturbed = perturbed_banded_system(ss, x, t)
             if perturbed is not None:
                 c_a2 = validate_defining_system(perturbed)
-                independence_ok = _page_class_of_form(
-                    ss, r, p + r, Fraction(-1) ** t * c_a2
-                ) == _page_class_of_form(ss, r, p + r, rhs_a)
+                independence_ok = ss.page_coords(r, p + r, Fraction(-1) ** t * c_a2) == coords_a
 
             out.checks.append(
                 ClassCheck(p, lhs, banded_ok, case_ok, routes_agree, independence_ok)

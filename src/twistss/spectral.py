@@ -14,6 +14,8 @@ Lifts are read off the Z_r kernel, which stores the zero-free-variable tail
 of each basis vector, so lifting succeeds exactly when the class survives
 and the result is deterministic.  The matrix of d_r reads off the
 degree-(p+r) component of D x of the lift of each coset representative.
+The Massey defining systems read their tails off the same lifts;
+`resolve_tail` solves the same systems directly and is the test oracle.
 
 Everything is a pure function of (model, twist); results are cached in the
 `SpectralSequence` object.
@@ -214,8 +216,8 @@ class SpectralSequence:
 
         Only the listed free degrees are solved for (one stacked solve, free
         variables zeroed); the fixed components are kept verbatim.  Returns
-        None when no completion exists.  Only partial tails (the diagonal and
-        perturbed defining systems) come here; `lift_zigzag` has full tails.
+        None when no completion exists.  The tests' oracle for `lift_zigzag`;
+        the engine never calls it.
         """
         p = min(fixed.degrees)
         conds = self._condition_degrees(p, reach)
@@ -282,6 +284,11 @@ class SpectralSequence:
             raise PageError(f"form of degree {p} is not a class on page {r}")
         coords = self.cell(r, p).project(x_p.component(p))
         return PageClass(r, p + r, self.differential_matrix(r, p).apply(coords))
+
+    def page_coords(self, r: int, p: int, f: Form) -> Vec:
+        """The class of f's degree-p component in E_r^p; () when the cell is zero."""
+        cell = self.cell(r, p)
+        return cell.project(f.component(p)) if cell.dim else ()
 
     def representative(self, cls: PageClass) -> Form:
         return Form(self.model, {cls.p: self.cell(cls.r, cls.p).lift(cls.coords)})

@@ -150,6 +150,31 @@ def test_massey_diagonal_not_applicable(capsys):
     assert "not applicable" in out
 
 
+def test_analyze_point_model_passes(capsys, tmp_path):
+    # top degree 0: the last page is 2, so there is no d_3 to check
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps({
+        "name": "pt",
+        "top_degree": 0,
+        "basis": {"0": ["1"]},
+        "mult": [{"left": "1", "right": "1", "result": "1"}],
+    }))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0, err
+    assert "N/A   d3_cup_rule" in out
+    assert "overall: PASS" in out
+
+
+def test_massey_zero_class_exits_2(capsys):
+    code, out, err = run(
+        capsys, "massey", "cascade5", "--twist", "a", "--thm42", "--class", "0", "--t", "3", "--s", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "x_p must be a nonzero homogeneous form" in err
+    assert "Traceback" not in err
+
+
 def test_massey_dead_class_exits_2(capsys):
     code, _, err = run(
         capsys, "massey", "torus3", "--twist", "e1^e2^e3", "--thm41", "--class", "1", "--t", "1"

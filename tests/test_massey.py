@@ -29,7 +29,8 @@ from twistss import (
 )
 from twistss.cdga import Form
 from twistss.linalg import solve_particular
-from twistss.models import bundled_model
+from twistss.modelgen import random_model, random_twist
+from twistss.models import bundled_model, standard_pairs
 from twistss.report import run_analysis
 from twistss.twist import BlockSpace, apply_D
 
@@ -356,6 +357,91 @@ def test_perturbed_system_same_page_class_different_cocycle():
     # ...but the same class on the page
     cell = ss.cell(5, 8)
     assert cell.project(c1.component(8)) == cell.project(c2.component(8))
+
+
+def fixed_head_perturbed_tail(ss, x_p, t):
+    """Reference: the perturbed tail by one stacked solve per shift.
+
+    The base zig-zag's head up to degree p + 2i plus a closed form z of that
+    degree is fixed and the components past it are re-solved with free
+    variables zeroed, for the first i and z that solve.
+    """
+    model, p, reach = ss.model, x_p.degree, 2 * t + 3
+    base = ss.lift_zigzag(x_p, reach)
+    for i in range(1, t + 1):
+        deg = p + 2 * i
+        if deg > ss.n:
+            break
+        for z_row in model.de_rham(deg).ambient.rows:
+            fixed = Form(model, {deg: z_row})
+            for j in range(0, i + 1):
+                fixed = fixed + base.form.homogeneous_part(p + 2 * j)
+            free = [p + 2 * j for j in range(i + 1, (ss.n - p) // 2 + 1)]
+            resolved = ss.resolve_tail(fixed, reach, free)
+            if resolved is not None:
+                return resolved
+    return None
+
+
+def perturbed_oracle_pairs():
+    for name, expr in standard_pairs():
+        yield pytest.param(make_ss(name, expr), id=f"{name}/{expr}")
+    # the first ten generated models with a page 5 (top degree at least 3)
+    seeds = [seed for seed in range(11) if random_model(seed).top_degree >= 3]
+    for seed in seeds:
+        m = random_model(seed)
+        yield pytest.param(SpectralSequence(m, random_twist(m, seed)), id=f"modelgen{seed}")
+
+
+@pytest.mark.parametrize("ss", list(perturbed_oracle_pairs()))
+def test_perturbed_system_matches_fixed_head_solve(ss):
+    # every class and Z_r basis vector of every page 2t+3: the same system
+    # exists, with the same last column, and its bands are the banded system's
+    m = ss.model
+    checked = 0
+    for t in range(1, (ss.max_page - 3) // 2 + 1):
+        r = 2 * t + 3
+        for p in range(ss.n + 1):
+            for rep in ss.cell(r, p).coset_reps + ss.cycles(r, p).rows:
+                x = Form(m, {p: rep})
+                system = perturbed_banded_system(ss, x, t)
+                want = fixed_head_perturbed_tail(ss, x, t)
+                assert (system is None) == (want is None), (t, p)
+                checked += 1
+                if system is None:
+                    continue
+                tail = {k: want.homogeneous_part(p + 2 * k) for k in range(1, (ss.n - p) // 2 + 1)}
+                size = system.size
+                banded = banded_defining_system(ss, x, t)
+                for i in range(1, size + 1):
+                    for j in range(i, size + 1):
+                        if j < size or i in (1, size):
+                            assert system.entry(i, j) == banded.entry(i, j), (t, p, i, j)
+                        else:
+                            part = tail.get(size - i, m.zero_form())
+                            assert system.entry(i, j) == Fraction(-1) ** (size - i) * part, (t, p, i)
+    assert checked > 0
+
+
+def test_run_analysis_makes_no_particular_solve(monkeypatch):
+    # every zig-zag, the Massey defining systems' included, is read off a
+    # cycle kernel; only a model load solves (for its unit)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve_particular(*args)
+
+    pairs = []
+    for name, expr in standard_pairs():
+        m = bundled_model(name)
+        pairs.append((m, parse_twist(m, expr)))
+    for module in vars(twistss).values():  # every module binding of it
+        if getattr(module, "solve_particular", None) is solve_particular:
+            monkeypatch.setattr(module, "solve_particular", counting)
+    for m, twist in pairs:
+        run_analysis(m, twist)
+    assert calls == []
 
 
 def test_specific_element_lives_in_cohomology():
