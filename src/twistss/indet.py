@@ -145,13 +145,14 @@ def differential_indeterminacy(
 
 def z_cell(
     model: CdgaModel, H: TwistForm, r: int, p: int,
-    tower: Optional[dict[int, RelativeComplex]] = None,
+    tower: Optional[dict] = None,
 ) -> SubspaceBasis:
     """Z_r at column p (even q) through the cohomological description.
 
     Z_r is the delta-preimage of the classes coming from H(K_{p+r}), inside
-    E_1^{p, even} = Omega^p.  `tower` caches the complexes K_a/K_{n+1} by a,
-    for reuse across calls on the same (model, H).
+    E_1^{p, even} = Omega^p.  `tower` caches, for reuse across calls on the
+    same (model, H), the complexes K_a/K_{n+1} by a and, since delta does not
+    depend on r, the matrix of delta by ("delta", p): once per column.
     """
     if r < 2:
         raise ValueError("the cohomological description starts at r = 2")
@@ -171,11 +172,13 @@ def z_cell(
     parity = (p + 1) % 2
     k_next = k(p + 1)
     h_next = k_next.cohomology(parity)
-    cols = []
-    for i in range(dim_p):
-        de = op.apply(model.basis_form(model.label_of(p, i)))
-        cols.append(h_next.project(k_next.pack(de, parity)))
-    delta = Mat.from_cols(cols, rows=h_next.dim)
+    if ("delta", p) not in tower:
+        cols = []
+        for i in range(dim_p):
+            de = op.apply(model.basis_form(model.label_of(p, i)))
+            cols.append(h_next.project(k_next.pack(de, parity)))
+        tower[("delta", p)] = Mat.from_cols(cols, rows=h_next.dim)
+    delta = tower[("delta", p)]
     if p + r > n:
         return kernel(delta)
     far = k(p + r)  # the classes of K_{p+r}, restricted to K_{p+1}
@@ -197,7 +200,7 @@ def page_agreement(
     its own oracle, the connecting map (`report.check_indeterminacy`).  Each
     distinct Z_r, keyed (p, min(p + r, n + 1)) as both routes are, is compared once.
     """
-    tower: dict[int, RelativeComplex] = {}  # K_a/K_{n+1}, reused across r
+    tower: dict = {}  # K_a/K_{n+1} and each column's delta, reused across r
     top_r = max_r if max_r is not None else ss.max_page
     cells = [(r, p) for r in range(2, top_r + 1) for p in range(ss.n + 1)]
     agree: dict[tuple[int, int], bool] = {}

@@ -15,6 +15,11 @@ Fractions through unchanged, and matrices built here from rows that are
 already exact are not coerced again.  Most entries of the matrices the
 engine builds are zero, so the kernels (`Mat.apply`, `@`, `rref` and the
 subspace reductions) skip zero entries.
+
+Each kernel costs one elimination.  Eliminating m with its columns reversed
+puts every null vector's leading 1 on its own free column with zeros at the
+other free columns, so the null vectors come out as the canonical RREF of
+the kernel (the proof is in `kernel`); `preimage` keeps a prefix of them.
 """
 
 from __future__ import annotations
@@ -305,18 +310,33 @@ class SubspaceBasis:
 
 
 def kernel(m: Mat) -> SubspaceBasis:
-    """Null space of m, canonicalized."""
-    r, pivots = rref(m)
+    """Null space of m, canonicalized, from one elimination.
+
+    m is eliminated with its columns reversed, so column f of m becomes
+    column c = n-1-f.  The null vector of a free column c is 1 at c, minus
+    the RREF's column c at the pivots left of c, and 0 elsewhere.  Mapped
+    back, its first nonzero entry is that 1, at its own free column f, and
+    it is 0 at every other free column, since its other nonzero entries sit
+    at pivots right of f.  Sorted by f, the null vectors are therefore
+    already the RREF of ker m (each leads with a 1 where every other row is
+    0), which is unique, so no second elimination is needed.
+    """
+    n = m.cols
+    r, pivots = rref(Mat._exact(tuple(row[::-1] for row in m.data), n))
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
+    free = [c for c in range(n - 1, -1, -1) if c not in pivset]  # ascending f
+    rows = []
+    for c in free:
+        v = [ZERO] * n
+        v[n - 1 - c] = ONE
         for i, p in enumerate(pivots):
-            v[p] = -r.data[i][f]
-        basis.append(tuple(v))
-    return SubspaceBasis.span(m.cols, basis)
+            if p > c:
+                break
+            x = r.data[i][c]
+            if x:
+                v[n - 1 - p] = -x
+        rows.append(tuple(v))
+    return SubspaceBasis(n, tuple(rows), tuple(n - 1 - c for c in free))
 
 
 def image(m: Mat) -> SubspaceBasis:
@@ -347,7 +367,10 @@ def preimage(m: Mat, w: SubspaceBasis) -> SubspaceBasis:
     """The subspace {v : m v lies in w}, canonicalized.
 
     Computed as the domain projection of the kernel of [m | -W] where the
-    columns of W span w.
+    columns of W span w.  The kernel rows pivoting in the first m.cols
+    columns, truncated there, are already that projection's RREF (they keep
+    their leading 1s and the zeros at each other's pivots), and every other
+    row projects to zero.
     """
     if w.ambient_dim != m.rows:
         raise ValueError("subspace does not live in the codomain")
@@ -355,7 +378,8 @@ def preimage(m: Mat, w: SubspaceBasis) -> SubspaceBasis:
         return kernel(m)
     neg = w.basis_matrix().scaled(-1)
     k = kernel(m.augment(neg))
-    return SubspaceBasis.span(m.cols, [r[: m.cols] for r in k.rows])
+    rank = sum(1 for c in k.pivots if c < m.cols)  # pivots ascend: a prefix of the rows
+    return SubspaceBasis(m.cols, tuple(r[: m.cols] for r in k.rows[:rank]), k.pivots[:rank])
 
 
 class QuotientSpace:

@@ -156,6 +156,16 @@ def _status(check: Check, unchecked: str = NA) -> str:
     return PASS if checked else unchecked
 
 
+def _unchecked(ss: SpectralSequence, top_r: int, full: str, cut: str) -> str:
+    """Why a Massey verdict checked nothing: `full` when every page was
+    built, else `cut` on the pages that --max-page (top_r) kept."""
+    if top_r == ss.max_page:
+        return full
+    if top_r < 5:
+        return f"pages 5 and up are past --max-page {top_r}"
+    return f"{cut} on pages 5 to {top_r}; --max-page {top_r} cuts the rest"
+
+
 def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, tc, top_r: int):
     v = report.verdicts
     v["page_identifications"] = Verdict(
@@ -167,20 +177,21 @@ def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, tc, top_r: int):
 
     # higher differentials through defining systems
     massey, case, compat = check_massey(ss, top_r, (banded_rule, case_rule, route_rule))
+    no_classes = _unchecked(ss, top_r, "no classes on pages 5 and up", "no classes")
     v["massey_differentials"] = Verdict(
-        _status(massey, NA),
-        f"{massey[0]} classes checked" if massey[0] else "no classes on pages 5 and up",
+        _status(massey, NA), f"{massey[0]} classes checked" if massey[0] else no_classes
     )
     if case[0]:
         case_detail = f"{case[0]} classes checked"
     elif ss.H.single_degree() is None:
         case_detail = "twist is not a single component"
     else:
-        case_detail = "no classes on pages 5 and up"
+        case_detail = no_classes
     v["single_twist_case_table"] = Verdict(_status(case, NA), case_detail)
+    no_hit = "no classes hit the iterated case"
     v["route_compatibility"] = Verdict(
         _status(compat, NA),
-        f"{compat[0]} classes checked" if compat[0] else "no classes hit the iterated case",
+        f"{compat[0]} classes checked" if compat[0] else _unchecked(ss, top_r, no_hit, no_hit),
     )
 
     v["convergence"] = Verdict(

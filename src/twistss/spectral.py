@@ -7,7 +7,9 @@ are realized directly at chain level:
 * cycles  Z_r at (p, even q) are the degree-p forms x_p that extend to a
   zig-zag x = x_p + x_{p+2} + ... with D x in K_{p+r};
 * boundaries B_r are the degree-p components of D w for w in K_{p-r+1} with
-  D w in K_p;
+  D w in K_p.  D raises degree, so the lifts from K_a are the lifts from K_0
+  (or K_1) that vanish below a: in RREF, a suffix of the rows.  Each column
+  runs one boundary kernel, and each B_r spans the images of a suffix;
 * the cell E_r^{p,q} is Z_r / B_r with canonical echelon representatives.
 
 Lifts are read off the Z_r kernel, which stores the zero-free-variable tail
@@ -23,6 +25,7 @@ Everything is a pure function of (model, twist); results are cached in the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,7 +35,6 @@ from .linalg import (
     QuotientSpace,
     SubspaceBasis,
     Vec,
-    image,
     kernel,
     solve_particular,
 )
@@ -105,6 +107,7 @@ class SpectralSequence:
         self.max_page = self.n + 2
         self._cycles: dict[tuple[int, int], tuple[SubspaceBasis, Mat]] = {}
         self._bounds: dict[tuple[int, int], SubspaceBasis] = {}
+        self._bound_images: dict[int, tuple[BlockSpace, tuple[int, ...], tuple[Vec, ...]]] = {}
         self._cells: dict[tuple[int, int], QuotientSpace] = {}
         self._dmats: dict[tuple[int, int], Mat] = {}
         self._pages: dict[int, SpectralPage] = {}
@@ -154,23 +157,34 @@ class SpectralSequence:
             self._cycles[(p, end)] = self._compute_cycles(p, end)
         return self._cycles[(p, end)]
 
+    def _boundary_images(self, p: int) -> tuple[BlockSpace, tuple[int, ...], tuple[Vec, ...]]:
+        """Column p's one boundary kernel: the lifts w from the lowest start with
+        D w in K_p, in RREF, as (their domain, their pivots, their degree-p images)."""
+        if p not in self._bound_images:
+            low = (p + 1) % 2  # parity of D w landing in degree p
+            dom = BlockSpace(self.model, range(low, self.n + 1, 2))
+            conds = list(range(low + 1, p, 2))
+            if conds:
+                lifts = kernel(self.op.matrix(dom, BlockSpace(self.model, conds)))
+            else:
+                lifts = SubspaceBasis.full(dom.total_dim)
+            proj = self.op.matrix(dom, BlockSpace(self.model, [p]))
+            self._bound_images[p] = (dom, lifts.pivots, tuple(proj.apply(w) for w in lifts.rows))
+        return self._bound_images[p]
+
     def _compute_boundaries(self, p: int, a: int) -> SubspaceBasis:
+        """B_r at column p for K_a: the span of a suffix of the column's kernel images.
+
+        D raises degree, so a lift from K_start meets the conditions below start.
+        The lifts from K_start are the kernel vectors that vanish before start's
+        offset: in RREF, the rows pivoting at or after it (a suffix of the rows).
+        """
         dim_p = self.model.dim(p)
         start = a if (p + 1 - a) % 2 == 0 else a + 1  # parity of D w landing in degree p
-        dom_degs = [q for q in range(start, self.n + 1, 2)]
-        if dim_p == 0 or not dom_degs:
+        if dim_p == 0 or start > self.n:
             return SubspaceBasis.zero(dim_p)
-        dom = BlockSpace(self.model, dom_degs)
-        conds = [q for q in range(start + 1, p, 2)]
-        if conds:
-            psi = self.op.matrix(dom, BlockSpace(self.model, conds))
-            lifts = kernel(psi)
-        else:
-            lifts = SubspaceBasis.full(dom.total_dim)
-        proj = self.op.matrix(dom, BlockSpace(self.model, [p]))
-        if not lifts.dim:
-            return SubspaceBasis.zero(dim_p)
-        return image(proj @ lifts.basis_matrix())
+        dom, pivots, images = self._boundary_images(p)
+        return SubspaceBasis.span(dim_p, images[bisect_left(pivots, dom.offsets[start]) :])
 
     def cycles(self, r: int, p: int) -> SubspaceBasis:
         """Z_r at column p: leading terms of zig-zags of reach r."""

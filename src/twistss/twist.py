@@ -27,7 +27,6 @@ from .linalg import (
     kernel,
     vec_concat,
     vec_is_zero,
-    zero_vec,
 )
 
 
@@ -215,15 +214,21 @@ class DOperator:
         return None
 
     def matrix(self, domain: BlockSpace, codomain: BlockSpace) -> Mat:
+        """D from `domain` to `codomain`: the blocks that exist, at their offsets, in zeros."""
+        n = domain.total_dim
         data = []
         for dst in codomain.degrees:
-            blocks = [(src, self.block(src, dst)) for src in domain.degrees]
+            blocks = [
+                (domain.offsets[src], b)
+                for src in domain.degrees
+                if src < dst and (b := self.block(src, dst)) is not None
+            ]
             for r in range(self.model.dim(dst)):
-                row = []
-                for src, b in blocks:
-                    row.extend(zero_vec(self.model.dim(src)) if b is None else b.data[r])
-                data.append(row)
-        return Mat(data, cols=domain.total_dim)
+                row = [ZERO] * n
+                for o, b in blocks:
+                    row[o : o + b.cols] = b.data[r]
+                data.append(tuple(row))
+        return Mat._exact(tuple(data), n)
 
     def apply(self, x: Form) -> Form:
         return apply_D(self.H, x)

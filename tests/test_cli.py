@@ -56,6 +56,22 @@ def test_analyze_max_page(capsys):
     assert "E_3" in out and "E_4" not in out
 
 
+def test_analyze_max_page_names_the_cut(capsys):
+    # the Massey verdicts check nothing below page 5: the detail names the cut,
+    # not a lack of classes, which the full analysis has
+    code, out, _ = run(capsys, "analyze", "cascade5", "--twist", "a", "--max-page", "3")
+    assert code == 0
+    for verdict in ("massey_differentials", "single_twist_case_table", "route_compatibility"):
+        assert f"N/A   {verdict}  (pages 5 and up are past --max-page 3)" in out
+    code, out, _ = run(capsys, "analyze", "cascade5", "--twist", "a", "--max-page", "6")
+    assert "PASS  massey_differentials  (6 classes checked)" in out
+    cut = "no classes hit the iterated case on pages 5 to 6; --max-page 6 cuts the rest"
+    assert f"N/A   route_compatibility  ({cut})" in out
+    code, out, _ = run(capsys, "analyze", "cascade5", "--twist", "a")
+    assert "PASS  massey_differentials  (10 classes checked)" in out
+    assert "PASS  route_compatibility  (2 classes checked)" in out
+
+
 def test_analyze_missing_model_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "no_such_model_anywhere")
     assert code == 2

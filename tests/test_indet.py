@@ -294,6 +294,27 @@ def test_page_agreement_checks_each_cycle_space_once(monkeypatch):
     assert len(calls) == len(set(calls)) < checked
 
 
+def test_page_agreement_builds_delta_once_per_column(monkeypatch):
+    # delta applies D to each basis form of its column, and nothing else in
+    # the cohomological route applies D to a form
+    from twistss.twist import DOperator
+
+    applied = []
+
+    def counting(op, x):
+        applied.append((x.degree, x.component(x.degree)))
+        return apply(op, x)
+
+    apply = DOperator.apply
+    m, H = make_pair("cascade7", "a")
+    ss = SpectralSequence(m, H)
+    ss.precompute()
+    monkeypatch.setattr(DOperator, "apply", counting)
+    checked, failure = page_agreement(ss)
+    assert failure is None
+    assert len(applied) == len(set(applied)) == sum(m.dim(p) for p in range(m.top_degree))
+
+
 def test_page_agreement_names_every_cell_of_a_bad_cycle_space(monkeypatch):
     # a wrong Z at one key shows at every (r, p) that shares it
     m, H = make_pair("cascade5", "a")

@@ -111,6 +111,28 @@ def dense_project(q, v):
     return sol[: len(q.coset_reps)]
 
 
+def two_pass_kernel(m):
+    """Eliminate m, build the null vectors, then canonicalize them by a second rref."""
+    r, pivots = rref(m)
+    free = [c for c in range(m.cols) if c not in set(pivots)]
+    basis = []
+    for f in free:
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -r.data[i][f]
+        basis.append(tuple(v))
+    return SubspaceBasis.span(m.cols, basis)
+
+
+def two_pass_preimage(m, w):
+    """The domain projection of the kernel of [m | -W], canonicalized by a last rref."""
+    if w.dim == 0:
+        return two_pass_kernel(m)
+    k = two_pass_kernel(m.augment(w.basis_matrix().scaled(-1)))
+    return SubspaceBasis.span(m.cols, [r[: m.cols] for r in k.rows])
+
+
 def all_fractions(rows):
     return all(type(x) is F for row in rows for x in row)
 
@@ -255,6 +277,61 @@ def test_rank_nullity(m):
 def test_kernel_vectors_map_to_zero(m):
     for row in kernel(m).rows:
         assert all(x == 0 for x in m.apply(row))
+
+
+KERNEL_EDGE_CASES = [
+    Mat([], cols=0),
+    Mat([], cols=3),
+    Mat.zeros(3, 0),
+    Mat.zeros(2, 4),
+    Mat.identity(4),
+    Mat([[1, 2, 0, 3], [0, 1, 1, 1], [2, 0, 1, 0]]),  # full row rank
+    Mat([[1, 2], [3, 4], [5, 6]]),  # full column rank
+]
+
+
+@given(st.one_of(sparse_matrices(), small_matrices(), st.sampled_from(KERNEL_EDGE_CASES)))
+@settings(max_examples=300, deadline=None)
+def test_kernel_matches_two_pass_oracle(m):
+    k, k0 = kernel(m), two_pass_kernel(m)
+    assert k.rows == k0.rows and k.pivots == k0.pivots
+    assert all_fractions(k.rows)
+
+
+@given(st.one_of(sparse_matrices(rows=st.integers(1, 6)), small_matrices()), st.data())
+@settings(max_examples=300, deadline=None)
+def test_preimage_matches_two_pass_oracle(m, data):
+    gens = data.draw(st.lists(
+        st.lists(mostly_zero_rationals(), min_size=m.rows, max_size=m.rows), max_size=4))
+    w = SubspaceBasis.span(m.rows, gens)
+    pre, pre0 = preimage(m, w), two_pass_preimage(m, w)
+    assert pre.rows == pre0.rows and pre.pivots == pre0.pivots
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    import twistss.linalg as linalg
+
+    calls = []
+
+    def counting(m):
+        calls.append(m.cols)
+        return eliminate(m)
+
+    eliminate = linalg.rref
+    monkeypatch.setattr(linalg, "rref", counting)
+    return calls
+
+
+def test_kernel_eliminates_once(rref_calls):
+    assert kernel(Mat([[1, 2, 0, 3], [2, 4, 1, 1]])).dim == 2
+    assert rref_calls == [4]
+
+
+def test_preimage_eliminates_once(rref_calls):
+    w = SubspaceBasis(2, (vec([1, 1]),), (0,))
+    assert preimage(Mat([[1, 2, 0, 3], [2, 4, 1, 1]]), w).dim == 3
+    assert rref_calls == [5]
 
 
 # -- canonicality --------------------------------------------------------------

@@ -4,7 +4,9 @@ from twistss import PageError, SpectralSequence, apply_D, parse_twist, twisted_c
 from twistss.cdga import Form
 from twistss.models import bundled_model, standard_pairs
 from twistss.modelgen import random_model, random_twist
+from twistss.linalg import SubspaceBasis, image, kernel
 from twistss.report import check_even_vanishing
+from twistss.twist import BlockSpace
 
 
 def make_ss(name, expr):
@@ -338,6 +340,57 @@ def test_one_kernel_per_cycle_key_with_conditions(monkeypatch):
             for row in ss.cycles(min(r, ss.max_page), p).rows:
                 ss.lift_zigzag(Form(ss.model, {p: row}), r)
     assert len(calls) == len(keys) > 0
+
+
+def per_start_boundaries(ss, p, a):
+    """B_r at (p, a) from its own lift kernel, one per (p, a): the reference
+    for reading every a off one kernel per column."""
+    m = ss.model
+    dim_p = m.dim(p)
+    start = a if (p + 1 - a) % 2 == 0 else a + 1
+    dom_degs = list(range(start, ss.n + 1, 2))
+    if dim_p == 0 or not dom_degs:
+        return SubspaceBasis.zero(dim_p)
+    dom = BlockSpace(m, dom_degs)
+    conds = list(range(start + 1, p, 2))
+    if conds:
+        lifts = kernel(ss.op.matrix(dom, BlockSpace(m, conds)))
+    else:
+        lifts = SubspaceBasis.full(dom.total_dim)
+    proj = ss.op.matrix(dom, BlockSpace(m, [p]))
+    if not lifts.dim:
+        return SubspaceBasis.zero(dim_p)
+    return image(proj @ lifts.basis_matrix())
+
+
+@pytest.mark.parametrize("ss,step", [s for s in oracle_sequences() if s.values[1] == 2])
+def test_boundaries_match_per_start_kernels(ss, step):
+    for r in range(1, ss.max_page + 1):
+        for p in range(ss.n + 1):
+            b, b0 = ss.boundaries(r, p), per_start_boundaries(ss, p, max(0, p - r + 1))
+            assert b.rows == b0.rows and b.pivots == b0.pivots
+
+
+def test_one_boundary_kernel_per_column(monkeypatch):
+    import twistss.spectral as spectral
+
+    calls = []
+
+    def counting(m):
+        calls.append(m.cols)
+        return kern(m)
+
+    kern = spectral.kernel
+    monkeypatch.setattr(spectral, "kernel", counting)
+    for name, expr in (("cascade7", "a"), ("mixed5", "a + b")):
+        calls.clear()
+        ss = make_ss(name, expr)
+        for r in range(1, ss.max_page + 1):
+            for p in range(ss.n + 1):
+                ss.boundaries(r, p)
+        # columns whose lifts meet a condition: D w lands below p from (p + 1) % 2 + 1
+        columns = [p for p in range(ss.n + 1) if ss.model.dim(p) and (p + 1) % 2 + 1 < p]
+        assert len(calls) == len(columns) > 0
 
 
 def test_differential_is_constant_on_boundary_cosets():

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from twistss import (
@@ -9,7 +11,10 @@ from twistss import (
     parse_twist,
     twisted_cohomology,
 )
+from twistss.linalg import Mat, zero_vec
 from twistss.models import bundled_model, standard_pairs
+from twistss.report import run_analysis
+from twistss.twist import BlockSpace, DOperator
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +143,48 @@ def test_cohomologous_twists_same_dims():
             shifted = [dbeta.homogeneous_part(q) for q in dbeta.degrees if q >= 3]
             H2 = make_twist(m, parts + shifted)
             assert twisted_cohomology(m, H2).dims == tc.dims
+
+
+# -- block assembly of D ----------------------------------------------------------------
+
+
+def dense_matrix(op, domain, codomain):
+    """D between two degree lists, every block visited and the missing ones padded."""
+    data = []
+    for dst in codomain.degrees:
+        blocks = [(src, op.block(src, dst)) for src in domain.degrees]
+        for r in range(op.model.dim(dst)):
+            row = []
+            for src, b in blocks:
+                row.extend(zero_vec(op.model.dim(src)) if b is None else b.data[r])
+            data.append(row)
+    return Mat(data, cols=domain.total_dim)
+
+
+@pytest.mark.parametrize(
+    "name,expr",
+    [("cascade7", "a"), ("mixed5", "a + b"), ("torus5", "e1^e2^e3 + e1^e2^e3^e4^e5")],
+)
+def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
+    # every degree list an analysis assembles: the relative complexes, the
+    # cycle and boundary kernels, the lifts; cascade7 has many empty degrees
+    m = bundled_model(name)
+    H = parse_twist(m, expr)
+    shapes = set()
+
+    def recording(op, domain, codomain):
+        shapes.add((domain.degrees, codomain.degrees))
+        return assemble(op, domain, codomain)
+
+    assemble = DOperator.matrix
+    monkeypatch.setattr(DOperator, "matrix", recording)
+    run_analysis(m, H)
+    monkeypatch.undo()
+    op = H.operator(m)
+    assert len(shapes) > 20
+    for dom_degs, cod_degs in shapes:
+        dom, cod = BlockSpace(m, dom_degs), BlockSpace(m, cod_degs)
+        got = op.matrix(dom, cod)
+        assert got == dense_matrix(op, dom, cod)
+        assert (got.rows, got.cols) == (cod.total_dim, dom.total_dim)
+        assert all(type(x) is Fraction for row in got.data for x in row)
