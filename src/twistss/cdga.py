@@ -23,7 +23,8 @@ Two input layouts are accepted:
 * generator form -- an exterior algebra on named odd-degree generators with
   the differential given on generators; the parser expands it to basis
   level (square-free monomials, ordered by degree then lexicographically on
-  the generator sequence), and
+  the generator sequence; while expanding, a monomial is the bitmask of its
+  generators, bit i for the i-th generator listed), and
 * basis form -- explicit per-degree labels plus multiplication/differential
   tables; unspecified products and differentials are zero.
 """
@@ -639,27 +640,21 @@ class CdgaModel:
 # generator-form construction (exterior algebras on odd generators)
 
 
-def _monomial_label(names: Sequence[str], mono: tuple[int, ...]) -> str:
-    return "^".join(names[g] for g in mono) if mono else "1"
+_SIGNS = (ONE, -ONE)
 
 
-def _sort_with_sign(gens: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sort generator indices, tracking the sign; 0 on a repeated generator.
+def _sign(a: int, b: int) -> Fraction:
+    """(-1)^#{(i in a, j in b) : i > j}: the sign that sorts monomial a times b.
 
-    All generators are odd-degree, so each transposition contributes -1.
+    Monomials are bitmasks of odd generators, so each inversion is one
+    transposition of odd factors.
     """
-    lst = list(gens)
-    sign = 1
-    for i in range(1, len(lst)):
-        j = i
-        while j > 0 and lst[j - 1] > lst[j]:
-            lst[j - 1], lst[j] = lst[j], lst[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(lst, lst[1:]):
-        if a == b:
-            return 0, ()
-    return sign, tuple(lst)
+    n = 0
+    while b:
+        low = b & -b
+        n += (a & -(low << 1)).bit_count()  # the generators of a above b's lowest
+        b ^= low
+    return _SIGNS[n & 1]
 
 
 def build_generator_model(
@@ -671,7 +666,10 @@ def build_generator_model(
     """Expand an exterior algebra on odd generators to a basis-level model.
 
     ``diffs`` maps a generator name to a polynomial, given as a list of
-    (coefficient, monomial-of-generator-names) terms.
+    (coefficient, monomial-of-generator-names) terms.  Disjoint monomials a, b
+    multiply to (-1)^#{(i in a, j in b) : i > j} (a | b), overlapping ones to 0.
+    Each d(g) has even degree, so it commutes past every factor and
+    d(x_1...x_m) = sum_t (-1)^t d(x_t) (x without x_t), x_t the t-th from 0.
     """
     if 1 << len(gens) > MAX_DIM:
         raise ModelSchemaError(
@@ -696,53 +694,28 @@ def build_generator_model(
             f"top_degree {n} would truncate the exterior algebra (needs {full_degree})"
         )
 
-    # square-free monomials, bucketed by degree, ordered lexicographically
-    monos_by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    # monomials bucketed by degree (one empty bucket past n), each ordered
+    # lexicographically on its generator sequence; pos[mask] is the index in its bucket
     k = len(names)
-    all_monos = []
-    for mask in range(1 << k):
-        mono = tuple(i for i in range(k) if mask & (1 << i))
-        all_monos.append(mono)
-    all_monos.sort()
-    for mono in all_monos:
-        d = sum(degs[i] for i in mono)
-        if d <= n:
-            monos_by_degree[d].append(mono)
-    for ms in monos_by_degree:
-        ms.sort()
-    mono_pos = {}
-    for d, ms in enumerate(monos_by_degree):
-        for i, m in enumerate(ms):
-            mono_pos[m] = (d, i)
-
-    labels = [[_monomial_label(names, m) for m in ms] for ms in monos_by_degree]
-
-    def mono_vec(coeffs: Iterable[tuple[Fraction, tuple[int, ...]]], degree: int) -> Vec:
-        out = [ZERO] * len(monos_by_degree[degree])
-        for c, m in coeffs:
-            if c == 0:
-                continue
-            d, i = mono_pos[m]
-            assert d == degree
-            out[i] += c
-        return tuple(out)
+    seqs = [tuple(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
+    monos: list[list[int]] = [[] for _ in range(n + 2)]
+    for mask in sorted(range(1 << k), key=seqs.__getitem__):
+        monos[sum(degs[i] for i in seqs[mask])].append(mask)
+    pos = [0] * (1 << k)
+    for ms in monos:
+        for i, mask in enumerate(ms):
+            pos[mask] = i
+    labels = [["^".join(names[i] for i in seqs[mask]) or "1" for mask in ms] for ms in monos[: n + 1]]
 
     # every product of two monomials is zero or one signed monomial
-    signs = {1: ONE, -1: -ONE}
-    mult = {}
-    for p in range(n + 1):
-        for q in range(n + 1 - p):
-            table = []
-            for m1 in monos_by_degree[p]:
-                row = []
-                for m2 in monos_by_degree[q]:
-                    sign, prod = _sort_with_sign(m1 + m2)
-                    row.append(((mono_pos[prod][1], signs[sign]),) if sign else ())
-                table.append(row)
-            mult[(p, q)] = table
+    mult = {
+        (p, q): [[() if a & b else ((pos[a | b], _sign(a, b)),) for b in monos[q]] for a in monos[p]]
+        for p in range(n + 1)
+        for q in range(n + 1 - p)
+    }
 
-    # differentials of generators, as monomial-coefficient lists
-    dgen: dict[int, list[tuple[Fraction, tuple[int, ...]]]] = {}
+    # differentials of generators, as (coefficient, monomial) lists
+    dgen: dict[int, list[tuple[Fraction, int]]] = {}
     for gname, poly in diffs.items():
         if gname not in gen_index:
             raise ModelSchemaError(f"differential given for unknown generator {gname!r}")
@@ -750,44 +723,37 @@ def build_generator_model(
         terms = []
         for coeff, mono_names in poly:
             try:
-                mono = tuple(gen_index[m] for m in mono_names)
+                seq = [gen_index[m] for m in mono_names]
             except KeyError as e:
                 raise ModelSchemaError(f"unknown generator in differential of {gname!r}: {e}")
-            sign, mono = _sort_with_sign(mono)
-            if sign == 0:
-                continue
-            deg = sum(degs[i] for i in mono)
+            mask = 0
+            for g in seq:
+                coeff *= _sign(mask, 1 << g)
+                mask |= 1 << g
+            if mask.bit_count() < len(seq):
+                continue  # a repeated generator: the term is zero
+            deg = sum(degs[i] for i in seq)
             if deg != degs[gi] + 1:
                 raise ModelSchemaError(
                     f"differential of {gname!r} has a term of degree {deg}, expected {degs[gi] + 1}"
                 )
-            terms.append((sign * coeff, mono))
+            terms.append((coeff, mask))
         dgen[gi] = terms
-
-    def d_mono(mono: tuple[int, ...]) -> list[tuple[Fraction, tuple[int, ...]]]:
-        out = []
-        for t, g in enumerate(mono):
-            if g not in dgen:
-                continue
-            # all generators are odd, so the Koszul prefix sign is (-1)^t
-            prefix_sign = Fraction(-1 if t % 2 else 1)
-            for c, m in dgen[g]:
-                combined = mono[:t] + m + mono[t + 1 :]
-                sign, sorted_mono = _sort_with_sign(combined)
-                if sign:
-                    out.append((prefix_sign * c * sign, sorted_mono))
-        return out
 
     diff_mats = []
     for p in range(n + 1):
         cols = []
-        for mono in monos_by_degree[p]:
-            cols.append(mono_vec(d_mono(mono), p + 1) if p + 1 <= n else ())
-        diff_mats.append(
-            Mat.from_cols(cols, rows=len(monos_by_degree[p + 1]) if p + 1 <= n else 0)
-            if cols
-            else Mat.zeros(len(monos_by_degree[p + 1]) if p + 1 <= n else 0, 0)
-        )
+        for a in monos[p]:
+            col = [ZERO] * len(monos[p + 1])
+            for g, terms in dgen.items():
+                bit = 1 << g
+                if a & bit:
+                    rest = a ^ bit  # _sign(bit, rest) is (-1)^t, t the generators below g
+                    for c, m in terms:
+                        if not m & rest:
+                            col[pos[m | rest]] += _sign(bit, rest) * _sign(m, rest) * c
+            cols.append(tuple(col))
+        diff_mats.append(Mat.from_cols(cols, rows=len(monos[p + 1])))
 
     return CdgaModel(name, n, labels, mult, diff_mats)
 
@@ -901,13 +867,8 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
         dcols[src] = combo_vec(str(entry.get("result", "0")), p + 1)
     for p in range(n + 1):
         target_dim = len(labels[p + 1]) if p + 1 <= n else 0
-        cols = [
-            dcols.get(lab, zero_vec(target_dim)) if target_dim else ()
-            for lab in labels[p]
-        ]
-        diff_mats.append(
-            Mat.from_cols(cols, rows=target_dim) if cols else Mat.zeros(target_dim, 0)
-        )
+        cols = [dcols.get(lab, zero_vec(target_dim)) for lab in labels[p]]
+        diff_mats.append(Mat.from_cols(cols, rows=target_dim))
 
     return CdgaModel(str(doc["name"]), n, labels, mult, diff_mats)
 

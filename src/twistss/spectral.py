@@ -17,7 +17,7 @@ of each basis vector, so lifting succeeds exactly when the class survives
 and the result is deterministic.  The matrix of d_r reads off the
 degree-(p+r) component of D x of the lift of each coset representative.
 The Massey defining systems read their tails off the same lifts;
-`resolve_tail` solves the same systems directly and is the test oracle.
+the tests' `lift_oracle.resolve_tail` solves the same systems directly.
 
 Everything is a pure function of (model, twist); results are cached in the
 `SpectralSequence` object.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cdga import CdgaModel, Form
 from .linalg import (
@@ -36,7 +36,6 @@ from .linalg import (
     SubspaceBasis,
     Vec,
     kernel,
-    solve_particular,
 )
 from .twist import BlockSpace, TwistForm
 
@@ -138,7 +137,8 @@ class SpectralSequence:
         nonzero only at f and at pivots left of f, so reversed, T's echelon
         kernel has its pivots on T's free columns.  The kernel rows pivoting
         in degree p vanish there: their tails solve T t = -A x_p with free
-        variables zeroed (`resolve_tail`), and their p-parts are Z_r's RREF.
+        variables zeroed (the tests' `lift_oracle.resolve_tail`), and their
+        p-parts are Z_r's RREF.
         """
         dim_p = self.model.dim(p)
         tail = BlockSpace(self.model, self._tail_degrees(p))
@@ -222,31 +222,6 @@ class SpectralSequence:
         return self._cells[key]
 
     # -- zig-zag lifting -------------------------------------------------------
-
-    def resolve_tail(
-        self, fixed: Form, reach: int, free_degrees: Sequence[int]
-    ) -> Optional[Form]:
-        """Complete `fixed` so that D of the result vanishes below p + reach.
-
-        Only the listed free degrees are solved for (one stacked solve, free
-        variables zeroed); the fixed components are kept verbatim.  Returns
-        None when no completion exists.  The tests' oracle for `lift_zigzag`;
-        the engine never calls it.
-        """
-        p = min(fixed.degrees)
-        conds = self._condition_degrees(p, reach)
-        if not conds:
-            return fixed
-        cod = BlockSpace(self.model, conds)
-        rhs = tuple(-c for c in cod.pack(self.op.apply(fixed)))
-        free = [q for q in free_degrees if q <= self.n]
-        if not free:
-            return fixed if all(c == 0 for c in rhs) else None
-        dom = BlockSpace(self.model, free)
-        sol = solve_particular(self.op.matrix(dom, cod), rhs)
-        if sol is None:
-            return None
-        return fixed + dom.unpack(sol)
 
     def lift_zigzag(self, x_p: Form, reach: int) -> Optional[ZigZag]:
         """Extend x_p to a zig-zag with D x in K_{p+reach}, or None if it dies.

@@ -1,11 +1,13 @@
 import json
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistss import cdga, modelgen
 from twistss.cdga import (
     MAX_DIM,
     MAX_TOP_DEGREE,
@@ -17,7 +19,8 @@ from twistss.cdga import (
     model_from_dict,
     parse_linear_combination,
 )
-from twistss.models import bundled_model, model_names
+from twistss.linalg import Mat
+from twistss.models import bundled_model, model_names, model_path
 
 
 @pytest.fixture(scope="module")
@@ -522,3 +525,212 @@ def test_parse_form_fuzz(name, text):
     except (ModelError, KeyError):
         return
     assert form.model is model and set(form.degrees) <= set(range(model.top_degree + 1))
+
+
+# -- the generator-form expansion against insertion sort ------------------------
+
+
+def _sort_with_sign(gens):
+    """Sort generator indices, tracking the sign; 0 on a repeated generator."""
+    lst = list(gens)
+    sign = 1
+    for i in range(1, len(lst)):
+        j = i
+        while j > 0 and lst[j - 1] > lst[j]:
+            lst[j - 1], lst[j] = lst[j], lst[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(lst, lst[1:]):
+        if a == b:
+            return 0, ()
+    return sign, tuple(lst)
+
+
+def sorted_expansion(name, gens, diffs, top_degree=None):
+    """Oracle: the generator-form expansion on generator tuples, re-sorting
+    every product and every Leibniz term.  Returns the `CdgaModel` arguments."""
+    if 1 << len(gens) > MAX_DIM:
+        raise ModelSchemaError(
+            f"{len(gens)} generators span 2^{len(gens)} basis elements; "
+            f"the limit is MAX_DIM = {MAX_DIM} ({MAX_DIM.bit_length() - 1} generators)"
+        )
+    names = [g for g, _ in gens]
+    degs = [d for _, d in gens]
+    gen_index = {g: i for i, g in enumerate(names)}
+    if len(gen_index) != len(names):
+        raise ModelSchemaError("duplicate generator name")
+    for g, d in gens:
+        if d % 2 == 0 or d < 1:
+            raise ModelSchemaError(
+                f"generator {g!r} has degree {d}; the generator form only supports odd degrees"
+            )
+    full_degree = sum(degs)
+    n = full_degree if top_degree is None else top_degree
+    cdga._check_top_degree(n)
+    if n < full_degree:
+        raise ModelSchemaError(f"top_degree {n} would truncate the exterior algebra (needs {full_degree})")
+    k = len(names)
+    all_monos = sorted(tuple(i for i in range(k) if mask & (1 << i)) for mask in range(1 << k))
+    monos_by_degree = [[] for _ in range(n + 1)]
+    for mono in all_monos:
+        monos_by_degree[sum(degs[i] for i in mono)].append(mono)
+    mono_pos = {m: (d, i) for d, ms in enumerate(monos_by_degree) for i, m in enumerate(ms)}
+    labels = [["^".join(names[g] for g in m) if m else "1" for m in ms] for ms in monos_by_degree]
+
+    signs = {1: Fraction(1), -1: Fraction(-1)}
+    mult = {}
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            table = []
+            for m1 in monos_by_degree[p]:
+                row = []
+                for m2 in monos_by_degree[q]:
+                    sign, prod = _sort_with_sign(m1 + m2)
+                    row.append(((mono_pos[prod][1], signs[sign]),) if sign else ())
+                table.append(row)
+            mult[(p, q)] = table
+
+    dgen = {}
+    for gname, poly in diffs.items():
+        if gname not in gen_index:
+            raise ModelSchemaError(f"differential given for unknown generator {gname!r}")
+        gi = gen_index[gname]
+        terms = []
+        for coeff, mono_names in poly:
+            try:
+                mono = tuple(gen_index[m] for m in mono_names)
+            except KeyError as e:
+                raise ModelSchemaError(f"unknown generator in differential of {gname!r}: {e}")
+            sign, mono = _sort_with_sign(mono)
+            if sign == 0:
+                continue
+            deg = sum(degs[i] for i in mono)
+            if deg != degs[gi] + 1:
+                raise ModelSchemaError(
+                    f"differential of {gname!r} has a term of degree {deg}, expected {degs[gi] + 1}"
+                )
+            terms.append((sign * coeff, mono))
+        dgen[gi] = terms
+
+    diff_mats = []
+    for p in range(n + 1):
+        rows = len(monos_by_degree[p + 1]) if p + 1 <= n else 0
+        cols = []
+        for mono in monos_by_degree[p]:
+            col = [Fraction(0)] * rows
+            for t, g in enumerate(mono):
+                for c, m in dgen.get(g, ()):
+                    sign, sorted_mono = _sort_with_sign(mono[:t] + m + mono[t + 1 :])
+                    if sign:
+                        col[mono_pos[sorted_mono][1]] += Fraction(-1 if t % 2 else 1) * c * sign
+            cols.append(tuple(col))
+        diff_mats.append(Mat.from_cols(cols, rows=rows))
+    return name, n, labels, mult, diff_mats
+
+
+def _expansion(build, args, kwargs):
+    """(top degree, labels, products, differential matrices) of one expansion,
+    or the message of its ModelSchemaError; the model itself is not validated."""
+    try:
+        with mock.patch.object(cdga, "CdgaModel", lambda *model_args: model_args):
+            _, n, labels, mult, diff = build(*args, **kwargs)
+    except ModelSchemaError as e:
+        return str(e)
+    coeffs = [c for t in mult.values() for row in t for prod in row for _, c in prod]
+    coeffs += [c for m in diff for row in m.data for c in row]
+    assert all(type(c) is Fraction for c in coeffs)
+    return n, labels, mult, [(m.rows, m.cols, m.data) for m in diff]
+
+
+def _builds(make):
+    """The generator-form builder's (args, kwargs) while make() runs."""
+    calls = []
+    real = cdga.build_generator_model
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    with mock.patch.object(cdga, "build_generator_model", record), mock.patch.object(
+        modelgen, "build_generator_model", record
+    ):
+        try:
+            make()
+        except ModelError:
+            pass
+    return calls
+
+
+def _assert_expansions_agree(make):
+    calls = _builds(make)
+    for args, kwargs in calls:
+        assert _expansion(cdga.build_generator_model, args, kwargs) == _expansion(
+            sorted_expansion, args, kwargs
+        ), args[0]
+    return len(calls)
+
+
+def _torus_doc(k):
+    gens = [{"name": f"e{i}", "degree": 1} for i in range(1, k + 1)]
+    return {"name": f"torus{k}", "top_degree": k, "generators": gens}
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_bundled_expansion_matches_insertion_sort(name):
+    with open(model_path(name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert _assert_expansions_agree(lambda: model_from_dict(doc)) == ("generators" in doc)
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_torus_expansion_matches_insertion_sort(k):
+    assert _assert_expansions_agree(lambda: model_from_dict(_torus_doc(k))) == 1
+
+
+def test_modelgen_expansions_match_insertion_sort():
+    # every model and partial model of the first 200 seeds
+    builds = sum(_assert_expansions_agree(lambda: modelgen.random_model(seed)) for seed in range(200))
+    assert builds > 200
+
+
+@given(_generator_docs)
+@settings(max_examples=300, deadline=None)
+def test_generator_doc_expansion_matches_insertion_sort(doc):
+    _assert_expansions_agree(lambda: model_from_dict(doc))
+
+
+def test_unsorted_and_repeated_terms_expand_like_insertion_sort():
+    gens = [("a", 1), ("b", 1), ("c", 1), ("e", 1), ("d", 3)]
+    diffs = {
+        "e": [(Fraction(2), ("c", "a")), (Fraction(5), ("b", "b"))],
+        "d": [(Fraction(3), ("c", "e", "a", "b")), (Fraction(-1), ("b", "a", "b", "c"))],
+    }
+    args = ("unsorted", gens, diffs)
+    want = _expansion(sorted_expansion, args, {})
+    assert not isinstance(want, str) and any(any(row) for _, _, data in want[3] for row in data)
+    assert _expansion(cdga.build_generator_model, args, {}) == want
+
+
+def _three_gens(**fields):
+    return _gen_doc(top_degree=3, generators=[{"name": g, "degree": 1} for g in "abc"], **fields)
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (_gen_doc(generators=[{"name": "x", "degree": 1}] * 2), "duplicate generator name"),
+        (_three_gens(differentials={"q": "a"}), "differential given for unknown generator 'q'"),
+        # every name of a term is resolved before a repeated generator drops it
+        (_three_gens(differentials={"c": "a^a^zz"}), "unknown generator in differential of 'c': 'zz'"),
+        (_three_gens(differentials={"c": "a^b^c"}), "differential of 'c' has a term of degree 3, expected 2"),
+        # a dropped term (a repeated generator) skips the degree check
+        (_three_gens(differentials={"c": "a^b^a"}), None),
+    ],
+)
+def test_generator_form_rejection_messages(doc, message):
+    if message is None:
+        assert model_from_dict(doc).dims == (1, 3, 3, 1)
+        return
+    with pytest.raises(ModelSchemaError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == message

@@ -34,6 +34,8 @@ from twistss.models import bundled_model, standard_pairs
 from twistss.report import run_analysis
 from twistss.twist import BlockSpace, apply_D
 
+from lift_oracle import resolve_tail
+
 
 def make_ss(name, expr):
     m = bundled_model(name)
@@ -377,7 +379,7 @@ def fixed_head_perturbed_tail(ss, x_p, t):
             for j in range(0, i + 1):
                 fixed = fixed + base.form.homogeneous_part(p + 2 * j)
             free = [p + 2 * j for j in range(i + 1, (ss.n - p) // 2 + 1)]
-            resolved = ss.resolve_tail(fixed, reach, free)
+            resolved = resolve_tail(ss, fixed, reach, free)
             if resolved is not None:
                 return resolved
     return None
