@@ -9,8 +9,11 @@ modulo exact forms.  D induces zero on K_p/K_{p+1}, so the connecting map
 delta_bar lands in H(K_p/K_{p+1}) = Omega^p itself, and its image is the
 page's boundary space B_r.  `indeterminacy_subgroup` therefore reads the
 subgroup off the spectral sequence as B_r modulo exact forms;
-`connecting_delta_bar` builds the source complex K_{p-r+1}/K_p and is the
-independent oracle for B_r (`twistss.report.check_indeterminacy`).
+`connecting_delta_bar` is the independent oracle for B_r
+(`twistss.report.check_indeterminacy`).  It builds the source complex
+K_{p-r+1}/K_p for each (p, a), one relative complex each rather than the
+suffixes of one kernel the engine reads B_r off, and maps the cocycles of
+one parity: coboundaries map to zero, so the quotient is never formed.
 
 The cycles get their own independent route through the cohomological
 description
@@ -37,7 +40,7 @@ from .linalg import (
     span_in_quotient,
 )
 from .spectral import SpectralSequence
-from .twist import RelativeComplex, TwistForm
+from .twist import BlockSpace, RelativeComplex, TwistForm
 
 
 def connecting_delta_bar(
@@ -51,6 +54,13 @@ def connecting_delta_bar(
     on K_p/K_{p+1}, so its cohomology is Omega^p in parity p with identity
     coordinates, and zero in the other parity: a relative cocycle's class
     is read off as the degree-p component of D applied to it.
+
+    The columns are the images of a kernel basis of the relative cocycles,
+    not of cohomology classes, which has the same image: a relative
+    coboundary is D b + k with k in K_p, and (D(D b + k))_p = 0, since
+    D D = 0 and D k lies in K_{p+1}.  So only this parity's D and its
+    kernel are computed, and one matrix of D into degree p takes the
+    cocycles to their images.
     """
     if r < 2:
         raise ValueError("connecting_delta_bar needs r >= 2")
@@ -62,11 +72,11 @@ def connecting_delta_bar(
     if a == p:  # the source complex K_p/K_p is zero
         return Mat.zeros(rows, 0)
     src = RelativeComplex(op, a, p)
-    cols = [
-        op.apply(src.unpack(rep, parity)).component(p) if rows else ()
-        for rep in src.cohomology(parity).coset_reps
-    ]
-    return Mat.from_cols(cols, rows=rows)
+    cocycles = src.cocycles(parity)
+    if not rows:
+        return Mat.zeros(0, cocycles.dim)
+    to_p = op.matrix(src.space(parity), BlockSpace(model, [p]))
+    return Mat.from_cols([to_p.apply(z) for z in cocycles.rows], rows=rows)
 
 
 @dataclass(frozen=True)
@@ -136,6 +146,8 @@ def differential_indeterminacy(
     """Indeterminacy of d_{2t+3} values, a subgroup of H^{p+2t+3} (t >= 1)."""
     if t < 1:
         raise ValueError("differential_indeterminacy needs t >= 1")
+    if not (0 <= p <= model.top_degree):
+        raise ValueError(f"column {p} outside 0..{model.top_degree}")
     return indeterminacy_subgroup(model, H, p + 2 * t + 3, q - 2 * t - 2, 2 * t + 3, ss)
 
 
@@ -156,9 +168,11 @@ def z_cell(
     """
     if r < 2:
         raise ValueError("the cohomological description starts at r = 2")
+    n = model.top_degree
+    if not (0 <= p <= n):
+        raise ValueError(f"column {p} outside 0..{n}")
     op = H.operator(model)
     tower = {} if tower is None else tower
-    n = model.top_degree
 
     def k(a: int) -> RelativeComplex:  # K_a/K_{n+1}
         if a not in tower:
@@ -199,9 +213,11 @@ def page_agreement(
     mismatch, the first three mismatched (r, p) in its description.  B_r has
     its own oracle, the connecting map (`report.check_indeterminacy`).  Each
     distinct Z_r, keyed (p, min(p + r, n + 1)) as both routes are, is compared once.
+    A `max_r` outside the pages 1..ss.max_page raises `PageError`.
     """
-    tower: dict = {}  # K_a/K_{n+1} and each column's delta, reused across r
     top_r = max_r if max_r is not None else ss.max_page
+    ss.check_page(top_r)  # past the last page, the keys below still match real cells
+    tower: dict = {}  # K_a/K_{n+1} and each column's delta, reused across r
     cells = [(r, p) for r in range(2, top_r + 1) for p in range(ss.n + 1)]
     agree: dict[tuple[int, int], bool] = {}
     mismatches = []

@@ -203,38 +203,79 @@ def related_cocycle(system: DefiningSystem) -> Form:
     return out
 
 
+def _entry_failure(system: DefiningSystem, cells: Sequence[tuple[int, int]]) -> Optional[str]:
+    """The first violated condition among `cells`, as `validate_defining_system` names it.
+
+    Every degree condition comes first, in the order of `cells`, then every
+    differential condition (off the diagonal) in the same order.
+    """
+    for (i, j) in cells:
+        a = system.entry(i, j)
+        want = system.slot_degree(i, j)
+        if not a.is_zero and (not a.is_homogeneous or a.degree != want):
+            return f"entry ({i},{j}) has degree {a.degrees}, expected {want}"
+    for (i, j) in cells:
+        if i == j:
+            continue
+        lhs = system.entry(i, j).d()
+        rhs = system.model.zero_form()
+        for m in range(i, j):
+            rhs = rhs + bar(system.entry(i, m)).wedge(system.entry(m + 1, j))
+        if lhs != rhs:
+            return f"differential condition fails at entry ({i},{j})"
+    return None
+
+
+def _closed_cocycle(system: DefiningSystem) -> Form:
+    c = related_cocycle(system)
+    if not c.d().is_zero:
+        raise DefiningSystemError("related cocycle is not closed")
+    return c
+
+
 def validate_defining_system(system: DefiningSystem) -> Form:
     """Check the degree, diagonal and differential conditions; return c(A).
 
     Raises `DefiningSystemError` naming the first violated entry.
     """
     n = system.size
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if (i, j) == (1, n):
-                continue
-            a = system.entry(i, j)
-            want = system.slot_degree(i, j)
-            if not a.is_zero and (not a.is_homogeneous or a.degree != want):
-                raise DefiningSystemError(
-                    f"entry ({i},{j}) has degree {a.degrees}, expected {want}"
-                )
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) == (1, n):
-                continue
-            lhs = system.entry(i, j).d()
-            rhs = system.model.zero_form()
-            for m in range(i, j):
-                rhs = rhs + bar(system.entry(i, m)).wedge(system.entry(m + 1, j))
-            if lhs != rhs:
-                raise DefiningSystemError(
-                    f"differential condition fails at entry ({i},{j})"
-                )
-    c = related_cocycle(system)
-    if not c.d().is_zero:
-        raise DefiningSystemError("related cocycle is not closed")
-    return c
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1) if (i, j) != (1, n)]
+    failure = _entry_failure(system, cells)
+    if failure:
+        raise DefiningSystemError(failure)
+    return _closed_cocycle(system)
+
+
+def _band_failure(system: DefiningSystem) -> Optional[str]:
+    """The first violated condition among the entries (i, j) with j < size.
+
+    Those entries and their conditions involve neither the last input nor
+    its tail, so they are the same for every class of one t and one kind of
+    system.
+    """
+    n = system.size
+    return _entry_failure(system, [(i, j) for i in range(1, n) for j in range(i, n)])
+
+
+def _class_cocycle(system: DefiningSystem, kind: str, bands: set) -> Form:
+    """`validate_defining_system(system)`, with its band checked once per kind.
+
+    `bands` holds the kinds of system whose band has held.  The last
+    column and c(A) are checked on every call.  When the band holds, the
+    full scan's first failure lies in the last column, which is scanned in
+    the same order (the degrees of (2, n), ..., (n, n), then the
+    differential conditions), so the error is the same.  When the band
+    fails, the full scan runs and names its first entry.
+    """
+    if kind not in bands:
+        if _band_failure(system) is not None:
+            return validate_defining_system(system)
+        bands.add(kind)
+    n = system.size
+    failure = _entry_failure(system, [(i, n) for i in range(2, n + 1)])
+    if failure:
+        raise DefiningSystemError(failure)
+    return _closed_cocycle(system)
 
 
 def specific_element(system: DefiningSystem) -> tuple[int, Vec]:
@@ -328,7 +369,13 @@ def diagonal_defining_system(
         raise MasseyError("the diagonal system needs l >= 2; t = s - 1 is plain cup product")
     if ss.H.single_degree() != 2 * s + 1:
         raise MasseyError(f"the twist is not a single component of degree {2 * s + 1}")
-    zz = _lift(ss, x_p, 2 * t + 3)
+    return _assemble_diagonal(ss, x_p, s, l, _lift(ss, x_p, 2 * t + 3))
+
+
+def _assemble_diagonal(
+    ss: SpectralSequence, x_p: Form, s: int, l: int, zz: ZigZag
+) -> DefiningSystem:
+    """Lay out the (l+1)-fold diagonal system from the zig-zag zz of x_p."""
     model = ss.model
     p = x_p.degree
     h = ss.H.component_form(2 * s + 1)
@@ -377,6 +424,22 @@ class MasseyVerification:
         return all(c.passed for c in self.checks)
 
 
+def _perturbing_shift(ss: SpectralSequence, p: int, t: int) -> Optional[ZigZag]:
+    """The lift (reach 2t + 3 - 2i) of the first closed basis form z of
+    degree p + 2i that lifts, for the least such i; None if none does."""
+    reach = 2 * t + 3
+    model = ss.model
+    for i in range(1, t + 1):
+        deg = p + 2 * i
+        if deg > ss.n:
+            break
+        for z_row in model.de_rham(deg).ambient.rows:
+            shifted = ss.lift_zigzag(Form(model, {deg: z_row}), reach - 2 * i)
+            if shifted is not None:
+                return shifted
+    return None
+
+
 def perturbed_banded_system(
     ss: SpectralSequence, x_p: Form, t: int
 ) -> Optional[DefiningSystem]:
@@ -387,22 +450,14 @@ def perturbed_banded_system(
     does.  It equals re-solving past p + 2i with the head and z fixed, since
     D is linear, the zero-free-variable solution is linear in the right-hand
     side, and a free column of the tail past p + 2i is free in the whole tail.
-    This is a heuristic search, not an exhaustive one.
+    This is a heuristic search, not an exhaustive one.  It reads only the
+    degree p of x_p, so `verify_main_theorems` runs it once per column.
     """
-    reach = 2 * t + 3
-    base = _lift(ss, x_p, reach)
-    model = ss.model
-    p = x_p.degree
-    for i in range(1, t + 1):
-        deg = p + 2 * i
-        if deg > ss.n:
-            break
-        for z_row in model.de_rham(deg).ambient.rows:
-            shifted = ss.lift_zigzag(Form(model, {deg: z_row}), reach - 2 * i)
-            if shifted is not None:
-                tail = _split_tail(base.form + shifted.form, p, 2, ss.n)
-                return _assemble_banded(ss, x_p, t, tail)
-    return None
+    base = _lift(ss, x_p, 2 * t + 3)
+    shifted = _perturbing_shift(ss, x_p.degree, t)
+    if shifted is None:
+        return None
+    return _assemble_banded(ss, x_p, t, _split_tail(base.form + shifted.form, x_p.degree, 2, ss.n))
 
 
 def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
@@ -413,22 +468,38 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
     hold (cup product at t = s-1, (-1)^(l-1) [c(B)] at t = l s - 1, zero
     otherwise), with both defining-system routes agreeing on the page; and a
     perturbed defining system, when one is found, must give the same page
-    class.
+    class.  Requires t >= 1.
+
+    Each system is the one its public builder gives, and its c(A) the one
+    `validate_defining_system` returns or the error it raises.  What does
+    not depend on the class is done once: each class is lifted once for
+    all three systems, the perturbing shift is searched once per column,
+    and each kind of system has its band checked once.  The result is kept
+    in `ss.massey_verifications`.
     """
+    if t < 1:
+        raise MasseyError("the banded system needs t >= 1")
+    if t in ss.massey_verifications:
+        return ss.massey_verifications[t]
     r = 2 * t + 3
     out = MasseyVerification(t=t, r=r)
     single = ss.H.single_degree()
     s = (single - 1) // 2 if single is not None else None
+    bands: set = set()
+
+    def page_class(sign: Fraction, system: DefiningSystem, kind: str, p: int) -> Vec:
+        return ss.page_coords(r, p + r, sign * _class_cocycle(system, kind, bands))
+
     for p in range(ss.n + 1):
-        cell = ss.cell(r, p)
-        for rep in cell.coset_reps:
+        reps = ss.cell(r, p).coset_reps
+        shift = _perturbing_shift(ss, p, t) if reps else None
+        for rep in reps:
             x = Form(ss.model, {p: rep})
             lhs = ss.differential(r, x)
+            zz = _lift(ss, x, r)
 
-            system = banded_defining_system(ss, x, t)
-            c_a = validate_defining_system(system)
-            rhs_a = Fraction(-1) ** t * c_a
-            coords_a = ss.page_coords(r, p + r, rhs_a)
+            banded = _assemble_banded(ss, x, t, _split_tail(zz.form, p, 2, ss.n))
+            coords_a = page_class(Fraction(-1) ** t, banded, "banded", p)
             banded_ok = lhs.coords == coords_a
 
             case_ok: Optional[bool] = None
@@ -439,22 +510,21 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
                     case_ok = lhs.coords == ss.page_coords(r, p + r, cup)
                 elif (t + 1) % s == 0 and (t + 1) // s >= 2:
                     l = (t + 1) // s
-                    system_b = diagonal_defining_system(ss, x, t, s)
-                    c_b = validate_defining_system(system_b)
-                    rhs_b = Fraction(-1) ** (l - 1) * c_b
-                    coords_b = ss.page_coords(r, p + r, rhs_b)
+                    diagonal = _assemble_diagonal(ss, x, s, l, zz)
+                    coords_b = page_class(Fraction(-1) ** (l - 1), diagonal, "diagonal", p)
                     case_ok = lhs.coords == coords_b
                     routes_agree = coords_b == coords_a
                 else:
                     case_ok = lhs.is_zero
 
             independence_ok: Optional[bool] = None
-            perturbed = perturbed_banded_system(ss, x, t)
-            if perturbed is not None:
-                c_a2 = validate_defining_system(perturbed)
-                independence_ok = ss.page_coords(r, p + r, Fraction(-1) ** t * c_a2) == coords_a
+            if shift is not None:
+                tail = _split_tail(zz.form + shift.form, p, 2, ss.n)
+                perturbed = _assemble_banded(ss, x, t, tail)
+                independence_ok = page_class(Fraction(-1) ** t, perturbed, "banded", p) == coords_a
 
             out.checks.append(
                 ClassCheck(p, lhs, banded_ok, case_ok, routes_agree, independence_ok)
             )
+    ss.massey_verifications[t] = out
     return out

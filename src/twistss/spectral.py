@@ -95,7 +95,8 @@ class SpectralSequence:
     ``indet_subgroups`` holds the indeterminacy subgroups of its cells by
     (p, a) with a = max(0, p - r + 1), filled by
     `twistss.indet.indeterminacy_subgroup`, so an analysis computes each one
-    once.
+    once; ``massey_verifications`` likewise holds the result of
+    `twistss.massey.verify_main_theorems` by t.
     """
 
     def __init__(self, model: CdgaModel, H: TwistForm):
@@ -111,6 +112,7 @@ class SpectralSequence:
         self._dmats: dict[tuple[int, int], Mat] = {}
         self._pages: dict[int, SpectralPage] = {}
         self.indet_subgroups: dict[tuple[int, int], object] = {}
+        self.massey_verifications: dict[int, object] = {}
 
     # -- D on zig-zags -------------------------------------------------------
 
@@ -119,7 +121,8 @@ class SpectralSequence:
 
     # -- chain-level cell pieces ----------------------------------------------
 
-    def _check_r(self, r: int):
+    def check_page(self, r: int):
+        """Raise `PageError` unless r is one of the pages 1..max_page."""
         if not (1 <= r <= self.max_page):
             raise PageError(f"page index {r} outside 1..{self.max_page}")
 
@@ -188,12 +191,12 @@ class SpectralSequence:
 
     def cycles(self, r: int, p: int) -> SubspaceBasis:
         """Z_r at column p: leading terms of zig-zags of reach r."""
-        self._check_r(r)
+        self.check_page(r)
         return self._zigzags(p, min(p + r, self.n + 1))[0]
 
     def boundaries(self, r: int, p: int) -> SubspaceBasis:
         """B_r at column p: degree-p components of D w, w in K_{p-r+1}, Dw in K_p."""
-        self._check_r(r)
+        self.check_page(r)
         # B_r depends on r only through the start a of K_a
         key = (p, max(0, p - r + 1))
         if key not in self._bounds:
@@ -212,7 +215,7 @@ class SpectralSequence:
 
     def cell(self, r: int, p: int, q: int = 0) -> QuotientSpace:
         """The cell E_r^{p,q}; cells with odd q are zero."""
-        self._check_r(r)
+        self.check_page(r)
         dim_p = self.model.dim(p) if 0 <= p <= self.n else 0
         if q % 2 == 1 or not (0 <= p <= self.n):
             return QuotientSpace(SubspaceBasis.zero(dim_p), SubspaceBasis.zero(dim_p))
@@ -246,7 +249,7 @@ class SpectralSequence:
 
     def differential_matrix(self, r: int, p: int) -> Mat:
         """d_r as a matrix from the cell at p to the cell at p+r (even q)."""
-        self._check_r(r)
+        self.check_page(r)
         key = (r, p)
         if key not in self._dmats:
             src = self.cell(r, p)
@@ -263,7 +266,7 @@ class SpectralSequence:
 
     def differential(self, r: int, x_p: Form) -> PageClass:
         """d_r of the page class represented by x_p (homogeneous, on page r)."""
-        self._check_r(r)
+        self.check_page(r)
         if x_p.is_zero:
             raise PageError("the zero form does not name a page class")
         if not x_p.is_homogeneous:
@@ -286,7 +289,7 @@ class SpectralSequence:
 
     def page(self, r: int) -> SpectralPage:
         """The full page E_r with its differentials; r must be in 1..n+2."""
-        self._check_r(r)
+        self.check_page(r)
         if r not in self._pages:
             cells = {p: self.cell(r, p) for p in range(self.n + 1)}
             d = {p: self.differential_matrix(r, p) for p in range(self.n + 1)}

@@ -21,6 +21,7 @@ from .cdga import CdgaModel, Form
 from .linalg import (
     Mat,
     QuotientSpace,
+    SubspaceBasis,
     Vec,
     ZERO,
     image,
@@ -244,7 +245,9 @@ class RelativeComplex:
     D is induced by dropping output components of degree >= b; it is
     well-defined since D raises degree.  K_0/K_{n+1} is the whole twisted
     complex; for b = a+1 the induced D is zero.  Cohomology is parity-graded
-    (the parity of the total degree).
+    (the parity of the total degree).  Each parity's D matrix and cocycle
+    kernel are built on first use and kept, so a caller that needs one
+    parity's cocycles pays for that parity's D alone.
     """
 
     def __init__(self, op: DOperator, a: int, b: int):
@@ -259,21 +262,31 @@ class RelativeComplex:
             BlockSpace(op.model, [p for p in degs if p % 2 == 0]),
             BlockSpace(op.model, [p for p in degs if p % 2 == 1]),
         )
-        self.d = (
-            op.matrix(self.spaces[0], self.spaces[1]),
-            op.matrix(self.spaces[1], self.spaces[0]),
-        )
+        self._d: dict[int, Mat] = {}
+        self._cocycles: dict[int, SubspaceBasis] = {}
         self._cohom: dict[int, QuotientSpace] = {}
 
     def space(self, parity: int) -> BlockSpace:
         return self.spaces[parity % 2]
 
+    def d(self, parity: int) -> Mat:
+        """D from the parity's space to the other parity's."""
+        parity %= 2
+        if parity not in self._d:
+            self._d[parity] = self.op.matrix(self.spaces[parity], self.spaces[1 - parity])
+        return self._d[parity]
+
+    def cocycles(self, parity: int) -> SubspaceBasis:
+        """The kernel of D on the parity's space."""
+        parity %= 2
+        if parity not in self._cocycles:
+            self._cocycles[parity] = kernel(self.d(parity))
+        return self._cocycles[parity]
+
     def cohomology(self, parity: int) -> QuotientSpace:
         parity %= 2
         if parity not in self._cohom:
-            self._cohom[parity] = QuotientSpace(
-                kernel(self.d[parity]), image(self.d[1 - parity])
-            )
+            self._cohom[parity] = QuotientSpace(self.cocycles(parity), image(self.d(1 - parity)))
         return self._cohom[parity]
 
     def pack(self, f: Form, parity: int) -> Vec:
@@ -294,7 +307,7 @@ class TwistedCohomology:
     """
 
     def __init__(self, complex_: RelativeComplex):
-        d_even, d_odd = complex_.d
+        d_even, d_odd = complex_.d(0), complex_.d(1)
         if not (d_odd @ d_even).is_zero():
             raise TwistError("D o D != 0 on the even part")
         if not (d_even @ d_odd).is_zero():

@@ -1,6 +1,7 @@
 import pytest
 
 from twistss import (
+    PageError,
     RelativeComplex,
     SpectralSequence,
     connecting_delta_bar,
@@ -12,9 +13,10 @@ from twistss import (
     z_cell,
 )
 from twistss.cdga import Form
-from twistss.linalg import QuotientSpace, SubspaceBasis, image, kernel, span_in_quotient
+from twistss.linalg import Mat, QuotientSpace, SubspaceBasis, image, kernel, span_in_quotient
+from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model, standard_pairs
-from twistss.twist import BlockSpace
+from twistss.twist import BlockSpace, DOperator
 
 
 def make_pair(name, expr):
@@ -99,6 +101,74 @@ def test_delta_bar_chain_level_oracle(name, expr):
                 assert brute.dim == 1  # spanned by the top form
             # the opposite source parity maps into the zero cohomology of K_p/K_{p+1}
             assert connecting_delta_bar(m, H, p, r, p % 2).rows == 0
+
+
+def coset_delta_bar(m, H, p, r, parity):
+    """Reference: the connecting map on the source's cohomology coset representatives.
+
+    This is how `connecting_delta_bar` was computed before it mapped a
+    kernel basis of the relative cocycles; it is kept as the oracle for
+    that shortcut.
+    """
+    op = H.operator(m)
+    rows = m.dim(p) if (parity + 1) % 2 == p % 2 else 0
+    a = max(0, p - r + 1)
+    if a == p:
+        return Mat.zeros(rows, 0)
+    src = RelativeComplex(op, a, p)
+    cols = [
+        op.apply(src.unpack(rep, parity)).component(p) if rows else ()
+        for rep in src.cohomology(parity).coset_reps
+    ]
+    return Mat.from_cols(cols, rows=rows)
+
+
+def oracle_pairs():
+    for name, expr in standard_pairs():
+        yield pytest.param(name, expr, id=f"{name}/{expr}")
+    for seed in range(20):
+        yield pytest.param("modelgen", seed, id=f"modelgen{seed}")
+
+
+@pytest.mark.parametrize("name,arg", list(oracle_pairs()))
+def test_delta_bar_image_matches_coset_oracle(name, arg):
+    if name == "modelgen":
+        m = random_model(arg)
+        H = random_twist(m, arg)
+    else:
+        m, H = make_pair(name, arg)
+    for p in range(m.top_degree + 1):
+        for r in range(2, m.top_degree + 3):
+            for parity in (0, 1):
+                db = connecting_delta_bar(m, H, p, r, parity)
+                want = coset_delta_bar(m, H, p, r, parity)
+                assert db.rows == want.rows
+                assert image(db) == image(want), (p, r, parity)
+
+
+def test_delta_bar_builds_one_matrix_of_the_source_complex(monkeypatch):
+    # the source K_a/K_p needs only the D of the given parity: D into the
+    # source's other parity once, never back
+    codomains = []
+    matrix = DOperator.matrix
+
+    def counting(op, domain, codomain):
+        codomains.append(codomain.degrees)
+        return matrix(op, domain, codomain)
+
+    monkeypatch.setattr(DOperator, "matrix", counting)
+    m, H = make_pair("mixed5", "a + b")
+    calls = 0
+    for p in range(1, m.top_degree + 1):
+        for r in range(2, p + 2):
+            a = p - r + 1
+            for parity in (0, 1):
+                codomains.clear()
+                connecting_delta_bar(m, H, p, r, parity)
+                into_source = [c for c in codomains if set(c) <= set(range(a, p))]
+                assert len(into_source) == 1, (p, r, parity)
+                calls += 1
+    assert calls > 0
 
 
 # -- indeterminacy subgroups ------------------------------------------------------------
@@ -200,6 +270,13 @@ def test_differential_indeterminacy_matches_shifted_subgroup():
     assert d.dim == s.dim
 
 
+def test_differential_indeterminacy_rejects_a_negative_column():
+    # -5 + 2t + 3 is column 0, but column -5 has no classes
+    m, H = make_pair("cascade5", "a")
+    with pytest.raises(ValueError, match=rf"column -5 outside 0\.\.{m.top_degree}"):
+        differential_indeterminacy(m, H, -5, 0, 1)
+
+
 def test_differential_indeterminacy_beyond_top_degree_trivial():
     # on the 3-torus any d_{2t+3} lands above the top degree
     m, H = make_pair("torus3", "e1^e2^e3")
@@ -264,6 +341,21 @@ def test_zb_r2_is_de_rham():
         h = m.de_rham(p)
         assert z_cell(m, H, 2, p) == h.ambient
         assert ss.boundaries(2, p) == h.sub
+
+
+def test_z_cell_rejects_a_negative_column():
+    m, H = make_pair("cascade5", "a")
+    with pytest.raises(ValueError, match=rf"column -1 outside 0\.\.{m.top_degree}"):
+        z_cell(m, H, 3, -1)
+
+
+@pytest.mark.parametrize("max_r", [0, 22, 99])
+def test_page_agreement_rejects_pages_that_do_not_exist(max_r):
+    # cascade5 has the pages 1..21; a cut past them is no cut
+    m, H = make_pair("cascade5", "a")
+    ss = SpectralSequence(m, H)
+    with pytest.raises(PageError, match=rf"page index {max_r} outside 1\.\.21"):
+        page_agreement(ss, max_r)
 
 
 @pytest.mark.parametrize("name,expr", standard_pairs(), ids=lambda v: str(v))

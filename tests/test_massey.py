@@ -493,3 +493,184 @@ def test_closed_forms_come_from_the_cached_de_rham_space(monkeypatch, name, expr
     assert calls and max(calls.values()) == 1
     golden = json.loads(Path(__file__).with_name("golden_reports.json").read_text())
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == golden[f"{name}/{expr}"]["json"]
+
+
+# -- the hoisted verification against the per-class oracle ------------------------------
+
+
+def per_class_verification(ss, t):
+    """Reference: every class builds and fully validates its own three systems.
+
+    This is how `verify_main_theorems` ran before it shared one lift per
+    class, one shift search per column and one band check per kind of
+    system; it is kept as the oracle for those shortcuts.
+    """
+    r = 2 * t + 3
+    out = twistss.massey.MasseyVerification(t=t, r=r)
+    single = ss.H.single_degree()
+    s = (single - 1) // 2 if single is not None else None
+    for p in range(ss.n + 1):
+        for rep in ss.cell(r, p).coset_reps:
+            x = Form(ss.model, {p: rep})
+            lhs = ss.differential(r, x)
+            c_a = validate_defining_system(banded_defining_system(ss, x, t))
+            coords_a = ss.page_coords(r, p + r, Fraction(-1) ** t * c_a)
+            case_ok = routes_agree = independence_ok = None
+            if s is not None:
+                if t == s - 1:
+                    cup = ss.H.component_form(2 * s + 1).wedge(x)
+                    case_ok = lhs.coords == ss.page_coords(r, p + r, cup)
+                elif (t + 1) % s == 0 and (t + 1) // s >= 2:
+                    l = (t + 1) // s
+                    c_b = validate_defining_system(diagonal_defining_system(ss, x, t, s))
+                    coords_b = ss.page_coords(r, p + r, Fraction(-1) ** (l - 1) * c_b)
+                    case_ok = lhs.coords == coords_b
+                    routes_agree = coords_b == coords_a
+                else:
+                    case_ok = lhs.is_zero
+            perturbed = perturbed_banded_system(ss, x, t)
+            if perturbed is not None:
+                c_a2 = validate_defining_system(perturbed)
+                independence_ok = ss.page_coords(r, p + r, Fraction(-1) ** t * c_a2) == coords_a
+            out.checks.append(twistss.massey.ClassCheck(
+                p, lhs, lhs.coords == coords_a, case_ok, routes_agree, independence_ok
+            ))
+    return out
+
+
+def oracle_sequences():
+    for name, expr in standard_pairs():
+        yield pytest.param(name, expr, id=f"{name}/{expr}")
+    for seed in range(20):
+        yield pytest.param("modelgen", seed, id=f"modelgen{seed}")
+
+
+def oracle_ss(name, arg):
+    if name == "modelgen":
+        m = random_model(arg)
+        return SpectralSequence(m, random_twist(m, arg))
+    return make_ss(name, arg)
+
+
+@pytest.mark.parametrize("name,arg", list(oracle_sequences()))
+def test_verification_matches_per_class_oracle(name, arg):
+    ss = oracle_ss(name, arg)
+    for t in range(1, (ss.max_page - 3) // 2 + 1):
+        assert verify_main_theorems(ss, t).checks == per_class_verification(ss, t).checks, t
+
+
+def _record_lifts(monkeypatch):
+    lifts = []
+    lift = SpectralSequence.lift_zigzag
+
+    def counting(ss, x_p, reach):
+        lifts.append((x_p.degree, x_p.component(x_p.degree), reach))
+        return lift(ss, x_p, reach)
+
+    monkeypatch.setattr(SpectralSequence, "lift_zigzag", counting)
+    return lifts
+
+
+@pytest.mark.parametrize(
+    "name,expr,t,shifted",
+    [
+        ("torus5", "e1^e2^e3^e4^e5", 1, True),
+        ("torus5", "e1^e2^e3", 2, True),
+        ("su3xsu3", "x5", 1, True),  # the cup-product case
+        ("cascade5", "a", 3, False),  # the diagonal case; no shift lifts
+    ],
+)
+def test_one_lift_per_class_and_one_shift_search_per_column(monkeypatch, name, expr, t, shifted):
+    ss = make_ss(name, expr)
+    r = 2 * t + 3
+    ss.page(r)  # the d_r matrices lift their own representatives
+    lifts = _record_lifts(monkeypatch)
+    checks = verify_main_theorems(ss, t).checks
+    assert checks
+    classes = [(p, rep, r) for p in range(ss.n + 1) for rep in ss.cell(r, p).coset_reps]
+    # each class is lifted once, for all three systems
+    assert sorted(l for l in lifts if l[2] == r) == sorted(classes)
+    # the shift candidates, lifted short of r, are searched once per column
+    shifts = [l for l in lifts if l[2] < r]
+    assert bool(shifts) == shifted
+    assert len(shifts) == len(set(shifts))
+
+
+@pytest.mark.parametrize("name,expr,t,kinds", [("cascade5", "a", 1, 1), ("cascade5", "a", 3, 2)])
+def test_one_band_check_per_kind_and_no_full_scan(monkeypatch, name, expr, t, kinds):
+    band_checks, full_scans = [], []
+    band_failure = twistss.massey._band_failure
+    validate = twistss.massey.validate_defining_system
+
+    def counting_band(system):
+        band_checks.append(system.input_degrees[:-1])
+        return band_failure(system)
+
+    def counting_validate(system):
+        full_scans.append(system)
+        return validate(system)
+
+    monkeypatch.setattr(twistss.massey, "_band_failure", counting_band)
+    monkeypatch.setattr(twistss.massey, "validate_defining_system", counting_validate)
+    ss = make_ss(name, expr)
+    assert len(verify_main_theorems(ss, t).checks) >= 2
+    assert len(band_checks) == len(set(band_checks)) == kinds
+    assert full_scans == []
+
+
+def test_verification_kept_per_sequence_and_t(monkeypatch):
+    ss = make_ss("cascade5", "a")
+    first = verify_main_theorems(ss, 3)
+    lifts = _record_lifts(monkeypatch)
+    assert verify_main_theorems(ss, 3) is first
+    assert lifts == []
+    assert ss.massey_verifications == {3: first}
+
+
+def test_verification_needs_t_at_least_one():
+    with pytest.raises(MasseyError, match="t >= 1"):
+        verify_main_theorems(make_ss("cascade5", "a"), 0)
+
+
+def _corrupt_band_degree(ss, system):
+    system.entries[(1, 1)] = ss.model.unit_form()
+
+
+def _corrupt_band_differential(ss, system):
+    system.entries[(1, 2)] = system.entry(1, 2) + ss.model.basis_form("v")  # d v = a^x
+
+
+def _corrupt_column_degree(ss, system):
+    system.entries[(2, system.size)] = system.entry(system.size, system.size)
+
+
+def _corrupt_band_and_column(ss, system):
+    _corrupt_band_differential(ss, system)
+    _corrupt_column_degree(ss, system)
+
+
+@pytest.mark.parametrize(
+    "corrupt,entry",
+    [
+        (_corrupt_band_degree, "entry (1,1) has degree"),
+        (_corrupt_band_differential, "differential condition fails at entry (1,2)"),
+        (_corrupt_column_degree, "entry (2,3) has degree"),
+        # the band fails first, but the full scan names the column's degree
+        (_corrupt_band_and_column, "entry (2,3) has degree"),
+    ],
+)
+def test_hoisted_checks_name_the_full_scans_first_entry(monkeypatch, corrupt, entry):
+    assemble = twistss.massey._assemble_banded
+
+    def corrupted(ss, x_p, t, tail):
+        system = assemble(ss, x_p, t, tail)
+        corrupt(ss, system)
+        return system
+
+    monkeypatch.setattr(twistss.massey, "_assemble_banded", corrupted)
+    with pytest.raises(DefiningSystemError) as full:
+        per_class_verification(make_ss("mixed5", "a + b"), 1)
+    with pytest.raises(DefiningSystemError) as hoisted:
+        verify_main_theorems(make_ss("mixed5", "a + b"), 1)
+    assert str(hoisted.value) == str(full.value)
+    assert str(full.value).startswith(entry)

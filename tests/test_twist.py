@@ -74,7 +74,7 @@ def test_parity_complex_d_squared(torus3):
     H = parse_twist(torus3, "e1^e2^e3")
     whole = twisted_cohomology(torus3, H).complex
     assert (whole.a, whole.b) == (0, torus3.top_degree + 1)
-    d_even, d_odd = whole.d
+    d_even, d_odd = whole.d(0), whole.d(1)
     assert (d_odd @ d_even).is_zero()
     assert (d_even @ d_odd).is_zero()
 
