@@ -212,8 +212,13 @@ def page_agreement(
     from 2 on and every column.  Returns (cells compared, None) or, on a
     mismatch, the first three mismatched (r, p) in its description.  B_r has
     its own oracle, the connecting map (`report.check_indeterminacy`).  Each
-    distinct Z_r, keyed (p, min(p + r, n + 1)) as both routes are, is compared once.
-    A `max_r` outside the pages 1..ss.max_page raises `PageError`.
+    Z_r is compared once per raw key (p, min(p + r, n + 1)), the subcomplex
+    K_{p+r} it is built from here.  The engine shares one Z between pages 2k
+    and 2k+1, since their conditions agree; keying this check the same way
+    would build only one of them and leave that sharing unchecked, so both
+    members of each pair come from their own complex and are compared with
+    the shared engine object.  A `max_r` outside the pages 1..ss.max_page
+    raises `PageError`.
     """
     top_r = max_r if max_r is not None else ss.max_page
     ss.check_page(top_r)  # past the last page, the keys below still match real cells

@@ -111,11 +111,18 @@ class Mat:
 
     @staticmethod
     def from_cols(columns: Sequence[Vec], rows: Optional[int] = None) -> "Mat":
-        if columns:
-            rows = len(columns[0])
+        """The matrix with the given columns; `rows` must agree with their length."""
+        cols = [vec(c) for c in columns]
         if rows is None:
-            raise ValueError("empty column list needs an explicit row count")
-        return Mat([[c[i] for c in columns] for i in range(rows)], cols=len(columns))
+            if not cols:
+                raise ValueError("empty column list needs an explicit row count")
+            rows = len(cols[0])
+        lengths = {len(c) for c in cols}
+        if len(lengths) > 1:
+            raise ValueError("ragged columns")
+        if lengths - {rows}:
+            raise ValueError("explicit row count disagrees with columns")
+        return Mat._exact(tuple(zip(*cols)) if cols else ((),) * rows, len(cols))
 
     def row(self, i: int) -> Vec:
         return self.data[i]

@@ -220,7 +220,14 @@ def check_page_identifications(ss: SpectralSequence) -> Check:
 
 
 def check_even_vanishing(ss: SpectralSequence) -> Check:
-    """d_{2k} = 0 and E_{2k+1} = E_{2k} on every even page."""
+    """d_{2k} = 0 and E_{2k+1} = E_{2k} on every even page.
+
+    The engine builds pages 2k and 2k+1 from one Z, one B and one cell, so
+    here E_{2k+1} = E_{2k} compares an object with itself.  Two oracles
+    check it independently: `indet.page_agreement` builds Z_{2k} and
+    Z_{2k+1} from K_{p+2k} and K_{p+2k+1}, and `check_indeterminacy` builds
+    B_{2k} and B_{2k+1} from the connecting maps of K_a/K_p at a and a + 1.
+    """
     checked, cols = 0, range(ss.n + 1)
     for r in range(2, ss.max_page + 1, 2):
         d_zero = all(ss.differential_matrix(r, p).is_zero() for p in cols)

@@ -12,12 +12,22 @@ are realized directly at chain level:
   runs one boundary kernel, and each B_r spans the images of a suffix;
 * the cell E_r^{p,q} is Z_r / B_r with canonical echelon representatives.
 
+D = d + H^ has only odd-degree pieces, so the pages pair up: Z_r's
+conditions sit in the degrees p+1, p+3, ... below p+r, and B_r's lifts start
+at a = max(0, p-r+1) or a+1, whichever parity lands in degree p.  Pages 2k
+and 2k+1 therefore have the same Z, the same B and the same cell (d_{2k} = 0,
+E_{2k+1} = E_{2k}), and so does every page past a column's stable point.
+Each object is cached by what it depends on (the condition list, the start
+of the lifts) and built once.
+
 Lifts are read off the Z_r kernel, which stores the zero-free-variable tail
 of each basis vector, so lifting succeeds exactly when the class survives
-and the result is deterministic.  The matrix of d_r reads off the
-degree-(p+r) component of D x of the lift of each coset representative.
+and the result is deterministic.  A coset representative of a cell is a row
+of Z_r's basis, so its lift is that row followed by its stored tail, and the
+matrix of d_r is one matrix of D into degree p+r applied to those rows.
 The Massey defining systems read their tails off the same lifts;
-the tests' `lift_oracle.resolve_tail` solves the same systems directly.
+the tests' `lift_oracle` solves the same systems and recomputes d_r from
+per-representative lifts.
 
 Everything is a pure function of (model, twist); results are cached in the
 `SpectralSequence` object.
@@ -108,7 +118,8 @@ class SpectralSequence:
         self._cycles: dict[tuple[int, int], tuple[SubspaceBasis, Mat]] = {}
         self._bounds: dict[tuple[int, int], SubspaceBasis] = {}
         self._bound_images: dict[int, tuple[BlockSpace, tuple[int, ...], tuple[Vec, ...]]] = {}
-        self._cells: dict[tuple[int, int], QuotientSpace] = {}
+        self._cells: dict[tuple[int, int, int], QuotientSpace] = {}
+        self._zero_cells: dict[int, QuotientSpace] = {}
         self._dmats: dict[tuple[int, int], Mat] = {}
         self._pages: dict[int, SpectralPage] = {}
         self.indet_subgroups: dict[tuple[int, int], object] = {}
@@ -154,11 +165,20 @@ class SpectralSequence:
         z = SubspaceBasis(dim_p, tuple(row[:dim_p] for row in k.rows[:rank]), k.pivots[:rank])
         return z, Mat.from_cols([row[dim_p:][::-1] for row in k.rows[:rank]], rows=tail.total_dim)
 
-    def _zigzags(self, p: int, end: int) -> tuple[SubspaceBasis, Mat]:
-        # Z_r depends on r only through where its conditions end
-        if (p, end) not in self._cycles:
-            self._cycles[(p, end)] = self._compute_cycles(p, end)
-        return self._cycles[(p, end)]
+    def _cycle_key(self, p: int, reach: int) -> tuple[int, int]:
+        """(p, e) for zig-zags of reach `reach`: e fixes the conditions range(p+1, e, 2).
+
+        e is where the conditions end, min(p + reach, n + 1), rounded down to
+        p's parity (and to p when there are none), so the reaches 2k and 2k+1,
+        and every reach past the top degree, share a key.
+        """
+        e = min(p + reach, self.n + 1)
+        return p, max(p, e - (e - p) % 2)
+
+    def _zigzags(self, key: tuple[int, int]) -> tuple[SubspaceBasis, Mat]:
+        if key not in self._cycles:
+            self._cycles[key] = self._compute_cycles(*key)
+        return self._cycles[key]
 
     def _boundary_images(self, p: int) -> tuple[BlockSpace, tuple[int, ...], tuple[Vec, ...]]:
         """Column p's one boundary kernel: the lifts w from the lowest start with
@@ -175,15 +195,22 @@ class SpectralSequence:
             self._bound_images[p] = (dom, lifts.pivots, tuple(proj.apply(w) for w in lifts.rows))
         return self._bound_images[p]
 
-    def _compute_boundaries(self, p: int, a: int) -> SubspaceBasis:
-        """B_r at column p for K_a: the span of a suffix of the column's kernel images.
+    @staticmethod
+    def _boundary_start(p: int, r: int) -> int:
+        """The lowest degree of B_r's lifts at column p: a = max(0, p - r + 1),
+        or a + 1 when D of degree a cannot land in degree p by parity."""
+        a = max(0, p - r + 1)
+        return a if (p + 1 - a) % 2 == 0 else a + 1
+
+    def _compute_boundaries(self, p: int, start: int) -> SubspaceBasis:
+        """B at column p of the lifts from K_start: the span of a suffix of the
+        column's kernel images.
 
         D raises degree, so a lift from K_start meets the conditions below start.
         The lifts from K_start are the kernel vectors that vanish before start's
         offset: in RREF, the rows pivoting at or after it (a suffix of the rows).
         """
         dim_p = self.model.dim(p)
-        start = a if (p + 1 - a) % 2 == 0 else a + 1  # parity of D w landing in degree p
         if dim_p == 0 or start > self.n:
             return SubspaceBasis.zero(dim_p)
         dom, pivots, images = self._boundary_images(p)
@@ -192,16 +219,18 @@ class SpectralSequence:
     def cycles(self, r: int, p: int) -> SubspaceBasis:
         """Z_r at column p: leading terms of zig-zags of reach r."""
         self.check_page(r)
-        return self._zigzags(p, min(p + r, self.n + 1))[0]
+        return self._zigzags(self._cycle_key(p, r))[0]
+
+    def _boundaries(self, p: int, start: int) -> SubspaceBasis:
+        key = (p, start)
+        if key not in self._bounds:
+            self._bounds[key] = self._compute_boundaries(p, start)
+        return self._bounds[key]
 
     def boundaries(self, r: int, p: int) -> SubspaceBasis:
         """B_r at column p: degree-p components of D w, w in K_{p-r+1}, Dw in K_p."""
         self.check_page(r)
-        # B_r depends on r only through the start a of K_a
-        key = (p, max(0, p - r + 1))
-        if key not in self._bounds:
-            self._bounds[key] = self._compute_boundaries(*key)
-        return self._bounds[key]
+        return self._boundaries(p, self._boundary_start(p, r))
 
     def precompute(self, max_r: Optional[int] = None) -> int:
         """Fill the cell caches for pages 1..max_r (all pages for None); return the last page."""
@@ -216,12 +245,16 @@ class SpectralSequence:
     def cell(self, r: int, p: int, q: int = 0) -> QuotientSpace:
         """The cell E_r^{p,q}; cells with odd q are zero."""
         self.check_page(r)
-        dim_p = self.model.dim(p) if 0 <= p <= self.n else 0
         if q % 2 == 1 or not (0 <= p <= self.n):
-            return QuotientSpace(SubspaceBasis.zero(dim_p), SubspaceBasis.zero(dim_p))
-        key = (r, p)
+            dim_p = self.model.dim(p) if 0 <= p <= self.n else 0
+            if dim_p not in self._zero_cells:
+                zero = SubspaceBasis.zero(dim_p)
+                self._zero_cells[dim_p] = QuotientSpace(zero, zero)
+            return self._zero_cells[dim_p]
+        zkey, start = self._cycle_key(p, r), self._boundary_start(p, r)
+        key = (*zkey, start)
         if key not in self._cells:
-            self._cells[key] = QuotientSpace(self.cycles(r, p), self.boundaries(r, p))
+            self._cells[key] = QuotientSpace(self._zigzags(zkey)[0], self._boundaries(p, start))
         return self._cells[key]
 
     # -- zig-zag lifting -------------------------------------------------------
@@ -238,7 +271,7 @@ class SpectralSequence:
         if not x_p.is_homogeneous:
             raise PageError("zig-zag base must be homogeneous")
         p = x_p.degree
-        z, tails = self._zigzags(p, min(p + reach, self.n + 1))
+        z, tails = self._zigzags(self._cycle_key(p, reach))
         coords = z.coords(x_p.component(p))
         if coords is None:
             return None
@@ -248,20 +281,32 @@ class SpectralSequence:
     # -- differentials ---------------------------------------------------------
 
     def differential_matrix(self, r: int, p: int) -> Mat:
-        """d_r as a matrix from the cell at p to the cell at p+r (even q)."""
+        """d_r as a matrix from the cell at p to the cell at p+r (even q).
+
+        Each coset representative is a row of Z_r's basis, whose lift is the
+        row followed by its stored tail; one matrix of D into degree p + r
+        maps those lifts, and the target cell projects the images.
+        """
         self.check_page(r)
         key = (r, p)
         if key not in self._dmats:
             src = self.cell(r, p)
             tgt = self.cell(r, p + r, q=(1 - r) % 2)
-            if tgt.dim == 0:
-                self._dmats[key] = Mat.zeros(0, src.dim)
+            if tgt.dim == 0 or src.dim == 0:
+                self._dmats[key] = Mat.zeros(tgt.dim, src.dim)
             else:
-                cols = []
-                for rep in src.coset_reps:
-                    zz = self.lift_zigzag(Form(self.model, {p: rep}), r)
-                    cols.append(tgt.project(self.zigzag_dx(zz).component(p + r)))
-                self._dmats[key] = Mat.from_cols(cols, rows=tgt.dim)
+                z, tails = self._zigzags(self._cycle_key(p, r))
+                dom = BlockSpace(self.model, [p, *self._tail_degrees(p)])
+                to_target = self.op.matrix(dom, BlockSpace(self.model, [p + r]))
+                bpiv = set(src.sub.pivots)
+                self._dmats[key] = Mat.from_cols(
+                    [
+                        tgt.project(to_target.apply(row + tails.col(i)))
+                        for i, (row, piv) in enumerate(zip(z.rows, z.pivots))
+                        if piv not in bpiv
+                    ],
+                    rows=tgt.dim,
+                )
         return self._dmats[key]
 
     def differential(self, r: int, x_p: Form) -> PageClass:

@@ -1,10 +1,16 @@
-"""The lift oracle: zig-zag tails by one stacked particular solve.
+"""The lift oracles: zig-zag tails by one stacked particular solve, and d_r
+by lifting each coset representative.
 
 `SpectralSequence.lift_zigzag` reads its tails off the stored cycle kernels;
 `resolve_tail` solves the same systems directly, so the tests compare the two.
+`SpectralSequence.differential_matrix` maps the stored zig-zags of Z_r's basis
+rows through one matrix of D; `lifted_differential_matrix` lifts each coset
+representative as a form, applies D to it and projects the degree-(p+r)
+component, one representative at a time.
 """
 
-from twistss.linalg import solve_particular
+from twistss.cdga import Form
+from twistss.linalg import Mat, solve_particular
 from twistss.twist import BlockSpace
 
 
@@ -29,3 +35,16 @@ def resolve_tail(ss, fixed, reach, free_degrees):
     if sol is None:
         return None
     return fixed + dom.unpack(sol)
+
+
+def lifted_differential_matrix(ss, r, p):
+    """d_r from the cell at p to the cell at p+r, one lifted representative per column."""
+    src = ss.cell(r, p)
+    tgt = ss.cell(r, p + r, q=(1 - r) % 2)
+    if tgt.dim == 0:
+        return Mat.zeros(0, src.dim)
+    cols = []
+    for rep in src.coset_reps:
+        zz = ss.lift_zigzag(Form(ss.model, {p: rep}), r)
+        cols.append(tgt.project(ss.zigzag_dx(zz).component(p + r)))
+    return Mat.from_cols(cols, rows=tgt.dim)

@@ -250,6 +250,31 @@ def test_empty_matrix_needs_column_count():
     assert Mat([], cols=4).cols == 4
 
 
+def test_from_cols_transposes_exactly():
+    m = Mat.from_cols([(1, 2, 3), (Fraction(1, 2), 0, -1)])
+    assert (m.rows, m.cols) == (3, 2)
+    assert m.data == ((1, Fraction(1, 2)), (2, 0), (3, -1))
+    assert all_fractions(m.data)
+    assert m == Mat.from_cols([(1, 2, 3), (Fraction(1, 2), 0, -1)], rows=3)
+    assert Mat.from_cols([], rows=2) == Mat.zeros(2, 0)
+    with pytest.raises(ValueError):
+        Mat.from_cols([])
+
+
+@pytest.mark.parametrize(
+    "columns,rows",
+    [
+        ([(1, 2), (3, 4, 5)], None),  # a longer column
+        ([(1, 2, 3), (4, 5)], None),  # a shorter column
+        ([(1, 2)], 5),  # a row count the columns disagree with
+    ],
+    ids=["longer", "shorter", "row-count"],
+)
+def test_from_cols_rejects_bad_shapes(columns, rows):
+    with pytest.raises(ValueError):
+        Mat.from_cols(columns, rows=rows)
+
+
 # -- kernel / image -----------------------------------------------------------
 
 

@@ -152,3 +152,21 @@ def test_unchecked_verdict_is_not_applicable():
     assert report._status((0, None)) == "n/a"
     assert report._status((3, None)) == "pass"
     assert report._status((0, "broken")) == "fail"
+
+
+def test_oracles_catch_odd_pages_sharing_the_next_even_cell(monkeypatch):
+    # the engine shares one cell between pages 2k and 2k+1; pair the pages
+    # wrongly, 2k-1 with 2k, and both independent oracles must object
+    cycle_key, boundary_start = SpectralSequence._cycle_key, SpectralSequence._boundary_start
+
+    def up(r):
+        return r + 1 if r % 2 == 1 else r
+
+    monkeypatch.setattr(SpectralSequence, "_cycle_key", lambda self, p, r: cycle_key(self, p, up(r)))
+    monkeypatch.setattr(SpectralSequence, "_boundary_start", staticmethod(lambda p, r: boundary_start(p, up(r))))
+    m = bundled_model("torus3")
+    ss = SpectralSequence(m, parse_twist(m, "e1^e2^e3"))
+    assert ss.cell(3, 0) is ss.cell(4, 0) and ss.cell(3, 0).dim == 0  # the true E_3^0 holds the unit
+    verdicts = run_analysis(m, ss.H).verdicts
+    assert verdicts["page_construction_agreement"].status == "fail"
+    assert verdicts["indeterminacy_coherence"].status == "fail"

@@ -8,7 +8,7 @@ from twistss.linalg import SubspaceBasis, image, kernel
 from twistss.report import check_even_vanishing
 from twistss.twist import BlockSpace
 
-from lift_oracle import resolve_tail
+from lift_oracle import lifted_differential_matrix, resolve_tail
 
 
 def make_ss(name, expr):
@@ -337,17 +337,19 @@ def test_one_kernel_per_cycle_key_with_conditions(monkeypatch):
     kern = spectral.kernel
     monkeypatch.setattr(spectral, "kernel", counting)
     ss = make_ss("mixed5", "a + b")
-    keys = set()
+    condition_lists = set()
     for r in range(1, ss.max_page + 1):
         for p in range(ss.n + 1):
             ss.cycles(r, p)
-            if ss.model.dim(p) and p + 1 < min(p + r, ss.n + 1):
-                keys.add((p, min(p + r, ss.n + 1)))
+            conds = tuple(range(p + 1, min(p + r, ss.n + 1), 2))
+            if ss.model.dim(p) and conds:
+                condition_lists.add((p, conds))
     for r in range(1, ss.max_page + 3):
         for p in range(ss.n + 1):
             for row in ss.cycles(min(r, ss.max_page), p).rows:
                 ss.lift_zigzag(Form(ss.model, {p: row}), r)
-    assert len(calls) == len(keys) > 0
+    # pages 2k and 2k + 1 share the conditions p+1, p+3, ..., p+2k-1
+    assert len(calls) == len(condition_lists) > 0
 
 
 def per_start_boundaries(ss, p, a):
@@ -418,3 +420,90 @@ def test_differential_is_constant_on_boundary_cosets():
                     assert ss.differential(r, shifted) == ss.differential(r, Form(ss.model, {p: rep}))
                     checked += 1
     assert checked > 50
+
+
+
+def cell_keys(ss):
+    """The (p, where Z's conditions end, where B's lifts start) of every cell:
+    what a cell depends on, from the definitions of Z_r and B_r."""
+    keys = set()
+    for r in range(1, ss.max_page + 1):
+        for p in range(ss.n + 1):
+            conds = tuple(range(p + 1, min(p + r, ss.n + 1), 2))
+            a = max(0, p - r + 1)
+            keys.add((p, conds, a + (p + 1 - a) % 2))
+    return keys
+
+
+def test_one_boundary_span_per_start(monkeypatch):
+    # B_r depends on r only through where its lifts start: a or a + 1 by parity
+    span = SubspaceBasis.span
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return span(*args)
+
+    monkeypatch.setattr(SubspaceBasis, "span", staticmethod(counting))
+    for name, expr in (("cascade7", "a"), ("mixed5", "a + b")):
+        ss = make_ss(name, expr)
+        calls.clear()
+        for r in range(1, ss.max_page + 1):
+            for p in range(ss.n + 1):
+                ss.boundaries(r, p)
+        starts = {(p, start) for p, _, start in cell_keys(ss) if ss.model.dim(p) and start <= ss.n}
+        assert len(calls) == len(starts) > 0
+
+
+def test_one_quotient_space_per_distinct_cell(monkeypatch):
+    import twistss.spectral as spectral
+
+    built = []
+
+    class Counting(spectral.QuotientSpace):
+        __slots__ = ()
+
+        def __init__(self, ambient, sub):
+            built.append((ambient, sub))
+            super().__init__(ambient, sub)
+
+    monkeypatch.setattr(spectral, "QuotientSpace", Counting)
+    for name, expr in (("cascade5", "a"), ("mixed5", "a + b"), ("torus3", "e1^e2^e3")):
+        built.clear()
+        ss = make_ss(name, expr)
+        ss.precompute()
+        for r in range(1, ss.max_page + 1):
+            ss.page(r)
+            for p in range(-1, ss.n + 2):
+                assert ss.cell(r, p, q=1).dim == 0
+                assert ss.cell(r, p, q=2) is ss.cell(r, p)
+        # one zero cell per dimension for odd q and for columns out of range
+        zero_dims = {ss.model.dim(p) for p in range(ss.n + 1)} | {0}
+        assert len(built) == len(cell_keys(ss)) + len(zero_dims)
+
+
+def test_differential_matrix_makes_no_lift(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("differential_matrix lifted a form")
+
+    sequences = [make_ss(name, expr) for name, expr in standard_pairs()]
+    monkeypatch.setattr(SpectralSequence, "lift_zigzag", refuse)
+    for ss in sequences:
+        for r in range(1, ss.max_page + 1):
+            for p in range(ss.n + 1):
+                ss.differential_matrix(r, p)
+
+
+def d_oracle_sequences():
+    for name, expr in standard_pairs():
+        yield pytest.param(make_ss(name, expr), id=f"{name}/{expr}")
+    for seed in range(20):
+        m = random_model(seed)
+        yield pytest.param(SpectralSequence(m, random_twist(m, seed)), id=f"modelgen{seed}")
+
+
+@pytest.mark.parametrize("ss", list(d_oracle_sequences()))
+def test_differential_matrix_matches_lifted_representatives(ss):
+    for r in range(1, ss.max_page + 1):
+        for p in range(ss.n + 1):
+            assert ss.differential_matrix(r, p) == lifted_differential_matrix(ss, r, p)
