@@ -27,6 +27,9 @@ Two input layouts are accepted:
   generators, bit i for the i-th generator listed), and
 * basis form -- explicit per-degree labels plus multiplication/differential
   tables; unspecified products and differentials are zero.
+
+Each loader checks its document and builds full tables in this layout; the
+`CdgaModel` constructor takes the layout as given and checks the axioms.
 """
 
 from __future__ import annotations
@@ -275,7 +278,14 @@ class Form:
 
 
 class CdgaModel:
-    """A finite CDGA with explicit structure constants.  Immutable."""
+    """A finite CDGA with explicit structure constants.  Immutable.
+
+    The constructor takes its tables as the two loaders build them: labels
+    for every degree 0..top_degree (top_degree >= 0), a product table for
+    every pair (p, q) with p + q <= top_degree, each product sorted, nonzero
+    and in range, and a dim(p+1) x dim(p) matrix of d for every p.  It
+    checks the axioms, not that layout.
+    """
 
     def __init__(
         self,
@@ -296,7 +306,6 @@ class CdgaModel:
                 if lab in self._label_index:
                     raise ModelSchemaError(f"duplicate basis label {lab!r}")
                 self._label_index[lab] = (p, i)
-        self._validate_shapes()
         self.unit = self._find_unit()
         self._validate()
         self._de_rham_cache: dict[int, QuotientSpace] = {}
@@ -447,37 +456,6 @@ class CdgaModel:
         if sol is None:
             raise AlgebraError("degree 0 contains no unit element with 1^x = x")
         return sol
-
-    def _validate_shapes(self):
-        n = self.top_degree
-        if n < 0:
-            raise ModelSchemaError("top_degree must be >= 0")
-        if len(self.labels) != n + 1:
-            raise ModelSchemaError("basis must list every degree 0..top_degree")
-        if len(self.diff) != n + 1:
-            raise ModelSchemaError("differential must cover every degree 0..top_degree")
-        for p in range(n + 1):
-            for q in range(n + 1 - p):
-                t = self._mult.get((p, q))
-                if t is None:
-                    raise ModelSchemaError(f"missing multiplication table for degrees ({p},{q})")
-                if len(t) != self.dim(p) or any(len(row) != self.dim(q) for row in t):
-                    raise ModelSchemaError(f"multiplication table for degrees ({p},{q}) has the wrong shape")
-                size = self.dim(p + q)
-                for row in t:
-                    for prod in row:
-                        ks = [k for k, _ in prod]
-                        if ks != sorted(set(ks)) or not all(0 <= k < size for k in ks) or not all(
-                            c for _, c in prod
-                        ):
-                            raise ModelSchemaError(
-                                f"product in degrees ({p},{q}) is not a sorted list of nonzero "
-                                f"(index, coefficient) pairs below {size}"
-                            )
-        for p in range(n + 1):
-            dmat = self.diff[p]
-            if dmat.cols != self.dim(p) or dmat.rows != self.dim(p + 1):
-                raise ModelSchemaError(f"differential at degree {p} has the wrong shape")
 
     def _basis_elems(self) -> list[tuple[int, int]]:
         """Every basis element as (degree, index), in degree order."""
@@ -663,7 +641,17 @@ def build_generator_model(
     diffs: Mapping[str, Sequence[tuple[Fraction, tuple[str, ...]]]],
     top_degree: Optional[int] = None,
 ) -> CdgaModel:
-    """Expand an exterior algebra on odd generators to a basis-level model.
+    """Expand an exterior algebra on odd generators to a validated basis-level model."""
+    return CdgaModel(name, *expand_generators(gens, diffs, top_degree))
+
+
+def expand_generators(
+    gens: Sequence[tuple[str, int]],
+    diffs: Mapping[str, Sequence[tuple[Fraction, tuple[str, ...]]]],
+    top_degree: Optional[int] = None,
+) -> tuple[int, list, dict, list]:
+    """The `CdgaModel` tables (top degree, labels, products, d matrices) of an
+    exterior algebra on odd generators, unvalidated.
 
     ``diffs`` maps a generator name to a polynomial, given as a list of
     (coefficient, monomial-of-generator-names) terms.  Disjoint monomials a, b
@@ -755,7 +743,7 @@ def build_generator_model(
             cols.append(tuple(col))
         diff_mats.append(Mat.from_cols(cols, rows=len(monos[p + 1])))
 
-    return CdgaModel(name, n, labels, mult, diff_mats)
+    return n, labels, mult, diff_mats
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +751,8 @@ def build_generator_model(
 
 
 def _check_top_degree(n: int):
+    if n < 0:
+        raise ModelSchemaError("top_degree must be >= 0")
     if n > MAX_TOP_DEGREE:
         raise ModelSchemaError(f"top_degree {n} exceeds the limit MAX_TOP_DEGREE = {MAX_TOP_DEGREE}")
 

@@ -373,8 +373,9 @@ def solve_particular(m: Mat, b: Vec) -> Optional[Vec]:
 def preimage(m: Mat, w: SubspaceBasis) -> SubspaceBasis:
     """The subspace {v : m v lies in w}, canonicalized.
 
-    Computed as the domain projection of the kernel of [m | -W] where the
-    columns of W span w.  The kernel rows pivoting in the first m.cols
+    Computed as the domain projection of the kernel of [m | W] where the
+    columns of W span w: m v = -W u lies in w, and the projection is the
+    same as that of [m | -W].  The kernel rows pivoting in the first m.cols
     columns, truncated there, are already that projection's RREF (they keep
     their leading 1s and the zeros at each other's pivots), and every other
     row projects to zero.
@@ -383,8 +384,7 @@ def preimage(m: Mat, w: SubspaceBasis) -> SubspaceBasis:
         raise ValueError("subspace does not live in the codomain")
     if w.dim == 0:
         return kernel(m)
-    neg = w.basis_matrix().scaled(-1)
-    k = kernel(m.augment(neg))
+    k = kernel(m.augment(w.basis_matrix()))
     rank = sum(1 for c in k.pivots if c < m.cols)  # pivots ascend: a prefix of the rows
     return SubspaceBasis(m.cols, tuple(r[: m.cols] for r in k.rows[:rank]), k.pivots[:rank])
 

@@ -246,31 +246,21 @@ def validate_defining_system(system: DefiningSystem) -> Form:
     return _closed_cocycle(system)
 
 
-def _band_failure(system: DefiningSystem) -> Optional[str]:
-    """The first violated condition among the entries (i, j) with j < size.
+def _class_cocycle(system: DefiningSystem, kind: str, checked: set) -> Form:
+    """`validate_defining_system(system)`, with the full scan run once per kind.
 
-    Those entries and their conditions involve neither the last input nor
-    its tail, so they are the same for every class of one t and one kind of
-    system.
-    """
-    n = system.size
-    return _entry_failure(system, [(i, j) for i in range(1, n) for j in range(i, n)])
-
-
-def _class_cocycle(system: DefiningSystem, kind: str, bands: set) -> Form:
-    """`validate_defining_system(system)`, with its band checked once per kind.
-
-    `bands` holds the kinds of system whose band has held.  The last
-    column and c(A) are checked on every call.  When the band holds, the
-    full scan's first failure lies in the last column, which is scanned in
+    `checked` holds the kinds of system that passed the full scan.  The
+    entries (i, j) with j < size involve neither the last input nor its
+    tail, so they are the same for every class of one t and one kind; once
+    they have held, only the last column and c(A) are checked.  The full
+    scan's first failure then lies in the last column, which is scanned in
     the same order (the degrees of (2, n), ..., (n, n), then the
-    differential conditions), so the error is the same.  When the band
-    fails, the full scan runs and names its first entry.
+    differential conditions), so the error is the same.
     """
-    if kind not in bands:
-        if _band_failure(system) is not None:
-            return validate_defining_system(system)
-        bands.add(kind)
+    if kind not in checked:
+        c = validate_defining_system(system)
+        checked.add(kind)
+        return c
     n = system.size
     failure = _entry_failure(system, [(i, n) for i in range(2, n + 1)])
     if failure:
@@ -474,7 +464,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
     `validate_defining_system` returns or the error it raises.  What does
     not depend on the class is done once: each class is lifted once for
     all three systems, the perturbing shift is searched once per column,
-    and each kind of system has its band checked once.  The result is kept
+    and each kind of system is fully validated once.  The result is kept
     in `ss.massey_verifications`.
     """
     if t < 1:
@@ -485,17 +475,20 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
     out = MasseyVerification(t=t, r=r)
     single = ss.H.single_degree()
     s = (single - 1) // 2 if single is not None else None
-    bands: set = set()
+    checked: set = set()
 
     def page_class(sign: Fraction, system: DefiningSystem, kind: str, p: int) -> Vec:
-        return ss.page_coords(r, p + r, sign * _class_cocycle(system, kind, bands))
+        return ss.page_coords(r, p + r, sign * _class_cocycle(system, kind, checked))
 
     for p in range(ss.n + 1):
         reps = ss.cell(r, p).coset_reps
-        shift = _perturbing_shift(ss, p, t) if reps else None
-        for rep in reps:
+        if not reps:
+            continue
+        shift = _perturbing_shift(ss, p, t)
+        d_r = ss.differential_matrix(r, p)  # column j is d_r of reps[j]
+        for j, rep in enumerate(reps):
             x = Form(ss.model, {p: rep})
-            lhs = ss.differential(r, x)
+            lhs = PageClass(r, p + r, d_r.col(j))
             zz = _lift(ss, x, r)
 
             banded = _assemble_banded(ss, x, t, _split_tail(zz.form, p, 2, ss.n))

@@ -4,7 +4,9 @@ Models are exterior algebras on a few odd-degree generators, built one
 generator at a time: the differential of each new generator is a random
 closed element of the subalgebra on the earlier generators, so d o d = 0 and
 the Leibniz rule hold by construction and the full validation in `cdga`
-must succeed.  For a fixed seed both the model and the twist are
+must succeed.  The earlier generators' subalgebras are read as unvalidated
+expansions: each is a sub-CDGA of the final model, so validating the final
+model alone covers them.  For a fixed seed both the model and the twist are
 reproducible bit for bit.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .cdga import CdgaModel, build_generator_model
+from .cdga import CdgaModel, build_generator_model, expand_generators
 from .linalg import kernel
 from .twist import TwistForm, make_twist
 
@@ -31,26 +33,24 @@ def random_model(seed: int, max_gens: int = 5) -> CdgaModel:
     diffs: dict[str, list[tuple[Fraction, tuple[str, ...]]]] = {}
     for i in range(1, num):
         # candidates: closed elements of degree deg+1 in the earlier generators
-        partial = build_generator_model(
-            f"partial{i}", gens[:i], {g: diffs[g] for g in diffs}
-        )
+        top, labels, _, diff_mats = expand_generators(gens[:i], dict(diffs))
         target = degrees[i] + 1
-        if target > partial.top_degree:
+        if target > top:
             continue
-        closed = kernel(partial.d_mat(target))
+        closed = kernel(diff_mats[target])
         if closed.dim == 0 or rng.random() < 0.35:
             continue
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(closed.dim)]
         if all(c == 0 for c in coeffs):
             continue
-        combo = [Fraction(0)] * partial.dim(target)
+        combo = [Fraction(0)] * len(labels[target])
         for c, row in zip(coeffs, closed.rows):
             combo = [x + c * y for x, y in zip(combo, row)]
         terms = []
         for k, c in enumerate(combo):
             if c == 0:
                 continue
-            label = partial.label_of(target, k)
+            label = labels[target][k]
             mono = tuple(label.split("^")) if label != "1" else ()
             terms.append((c, mono))
         if terms:

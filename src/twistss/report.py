@@ -245,9 +245,10 @@ def check_d3_cup(ss: SpectralSequence) -> Check:
     h3 = ss.H.component_form(3)
     checked = 0
     for p in range(ss.n + 1):
-        for rep in ss.cell(3, p).coset_reps:
-            x = Form(ss.model, {p: rep})
-            if ss.differential(3, x).coords != ss.page_coords(3, p + 3, h3.wedge(x)):
+        reps = ss.cell(3, p).coset_reps
+        d_3 = ss.differential_matrix(3, p) if reps else None  # column j is d_3 of reps[j]
+        for j, rep in enumerate(reps):
+            if d_3.col(j) != ss.page_coords(3, p + 3, h3.wedge(Form(ss.model, {p: rep}))):
                 return checked, f"d_3 != cup on {ss.model.name} at p={p}"
             checked += 1
     return checked, None

@@ -11,6 +11,7 @@ detail line for the seed-0 workspace, so the counts in it cannot drift.
 
 import pytest
 
+from twistss.linalg import Mat
 from twistss.selftest import CRITERIA, Workspace
 
 
@@ -73,3 +74,15 @@ def test_criterion_11_indeterminacy_coherence(workspace):
 
 def test_criterion_12_page_construction_agreement(workspace):
     _run(workspace, 12, "identical canonical bases on every page of every bundled model")
+
+
+def test_criterion_01_checks_d_squared_on_the_operator_blocks():
+    # Flip the x^v entry of D's wedge-by-a block on v (degree 9 to 14) in
+    # cascade5: then a ^ (a^v + x^v) = a^x^v, so D o D != 0 on the block
+    # matrices the engine uses, while D applied to forms is unchanged.
+    ws = Workspace(seed=0)
+    op = ws.ss("cascade5", "a").op
+    block = op.block(9, 14)
+    assert op.model.labels[14] == ("a^v", "x^v") and block.data == ((1,), (0,))
+    op._wedge_mats[5][9] = Mat([block.data[0], (1 - block.data[1][0],)])
+    assert CRITERIA[0][1](ws) == (False, "D^2 != 0 on cascade5")

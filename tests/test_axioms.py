@@ -6,7 +6,9 @@ The full scan over every basis element as a first factor stays reachable as
 `_product_axiom_failure(_basis_elems())` and is the oracle here: on valid
 models, on seeded random models and on single mutated structure constants
 of small basis-form documents, both accept or both reject, and the
-rejection message is the full scan's.
+rejection message is the full scan's.  The mutated documents come from
+modelgen models and from quotients A/zA by the d-stable ideal of a closed
+form z, which need not be free.
 """
 
 import random
@@ -15,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from twistss.cdga import AlgebraError, CdgaModel, model_from_dict
+from twistss.linalg import SubspaceBasis, kernel
 from twistss.models import bundled_model, model_names
 from twistss.modelgen import random_model
 
@@ -170,15 +173,17 @@ def _basis_document(model, top, products, diffs, name):
     return {"name": name, "top_degree": top, "basis": basis, "mult": mult, "diff": diff}
 
 
-def _mutated_document(seed):
-    """A small truncated modelgen model with one structure constant changed symmetrically.
+def _mutated_document(seed, model=None):
+    """A small truncated model with one structure constant changed symmetrically.
 
-    The product b c gains delta at one coordinate and c b gains (-1)^(pq)
-    delta, so graded commutativity still holds; d and the unit rows are
-    untouched, so the document reaches the Leibniz and associativity checks.
+    The model is `model`, or a modelgen model of the seed.  The product b c
+    gains delta at one coordinate and c b gains (-1)^(pq) delta, so graded
+    commutativity still holds; d and the unit rows are untouched, so the
+    document reaches the Leibniz and associativity checks.
     """
     rng = random.Random(seed)
-    model = random_model(seed, max_gens=4)
+    if model is None:
+        model = random_model(seed, max_gens=4)
     products, diffs = _sheared_tables(model, rng)
     top = rng.randint(max(2, model.top_degree - 2), model.top_degree)
 
@@ -225,10 +230,12 @@ def test_sheared_truncated_basis_documents_are_valid():
 SWEEP = 200
 
 
-def test_mutated_structure_constant_rejected_alike(monkeypatch):
+def _sweep(monkeypatch, docs):
+    """Load each document with and without validation; the reduced and full
+    scans must agree, and a rejection must carry the full scan's message.
+    Returns (rejections, rejections whose first factor lies outside {e_0} u G)."""
     rejected = outside = 0
-    for seed in range(SWEEP):
-        doc = _mutated_document(seed)
+    for doc in docs:
         raw = _unchecked_model(monkeypatch, doc)
         reduced, full = _verdicts(raw)
         try:
@@ -236,18 +243,118 @@ def test_mutated_structure_constant_rejected_alike(monkeypatch):
             message = None
         except AlgebraError as err:
             message = str(err)
-        assert (reduced is None) == (full is None), (seed, reduced, full)
-        assert message == full, (seed, message, full)
+        assert (reduced is None) == (full is None), (doc["name"], reduced, full)
+        assert message == full, (doc["name"], message, full)
         if full is not None:
             rejected += 1
             # the witness's first factor is the first quoted label
             if full.split("'")[1] not in _labels(raw, raw._first_factors()):
                 outside += 1
+    return rejected, outside
+
+
+def test_mutated_structure_constant_rejected_alike(monkeypatch):
+    rejected, outside = _sweep(monkeypatch, (_mutated_document(seed) for seed in range(SWEEP)))
     # a rejection whose first full-scan witness has its first factor
     # outside {e_0} u G is one the reduced check finds only through the
     # induction, at another witness
     print(f"{rejected} of {SWEEP} mutations rejected; {outside} with a first factor outside {{e_0}} u G")
     assert rejected >= SWEEP // 4 and outside >= 1
+
+
+# -- quotients by a d-stable ideal ---------------------------------------------------
+
+
+def _quotient_document(model, z, name):
+    """A/zA for a nonzero closed form z of degree k >= 1, as a basis-form document.
+
+    zA is spanned in degree r by the products z e, e a basis element of
+    degree r - k.  It is an ideal (graded commutativity makes it two-sided)
+    and d-stable, since d(z a) = (-1)^k z da for closed z.  The quotient's
+    basis in degree r is the basis elements that are not pivots of zA's RREF
+    in degree r; a product or a differential is reduced modulo zA, which
+    leaves it a combination of those basis elements.
+    """
+    n, k = model.top_degree, z.degree
+    ideal = [
+        SubspaceBasis.span(model.dim(r), [z.wedge(model.basis_form(lab)).component(r) for lab in model.labels[r - k]])
+        if r >= k
+        else SubspaceBasis.zero(model.dim(r))
+        for r in range(n + 1)
+    ]
+    kept = [lab for r in range(n + 1) for i, lab in enumerate(model.labels[r]) if i not in ideal[r].pivots]
+
+    def combo(form, r):
+        w = ideal[r].reduce(form.component(r))
+        return " + ".join(f"{c}*{model.label_of(r, i)}" for i, c in enumerate(w) if c)
+
+    def degree(lab):
+        return model.index_of(lab)[0]
+
+    mult, diff = [], []
+    for left in kept:
+        x = model.basis_form(left)
+        if degree(left) < n and (result := combo(x.d(), degree(left) + 1)):
+            diff.append({"from": left, "result": result})
+        for right in kept:
+            r = degree(left) + degree(right)
+            if r <= n and (result := combo(x.wedge(model.basis_form(right)), r)):
+                mult.append({"left": left, "right": right, "result": result})
+    basis = {str(r): [lab for lab in model.labels[r] if lab in kept] for r in range(n + 1)}
+    return {"name": name, "top_degree": n, "basis": basis, "mult": mult, "diff": diff}
+
+
+def _closed_form(model, rng):
+    """A random nonzero closed form of a random degree >= 1."""
+    choices = [(p, kernel(model.d_mat(p))) for p in range(1, model.top_degree + 1)]
+    p, closed = rng.choice([(p, k) for p, k in choices if k.dim])
+    while True:
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(closed.dim)]
+        if any(coeffs):
+            break
+    v = [Fraction(0)] * model.dim(p)
+    for c, row in zip(coeffs, closed.rows):
+        v = [x + c * y for x, y in zip(v, row)]
+    return model.form({p: v})
+
+
+QUOTIENTS = 60
+
+
+def _quotients():
+    """(source, quotient document) for modelgen models and torus4 and torus5."""
+    sources = [random_model(seed, max_gens=4) for seed in range(QUOTIENTS - 10)]
+    sources += [model_from_dict(_torus_doc(k)) for k in (4, 5) for _ in range(5)]
+    for seed, model in enumerate(sources):
+        z = _closed_form(model, random.Random(seed))
+        yield model, _quotient_document(model, z, f"{model.name}/({z})")
+
+
+def test_quotients_by_a_d_stable_ideal_load():
+    for source, doc in _quotients():
+        model = model_from_dict(doc)
+        assert model.dims == tuple(len(doc["basis"][str(p)]) for p in range(doc["top_degree"] + 1))
+        assert model.dim(0) == 1 and model.total_dim < source.total_dim
+        assert _verdicts(model) == (None, None)
+
+
+def _has_mutable_product(model):
+    """Whether `_mutated_document` finds a product b c to change: b, c of
+    degrees p, q >= 1 with A^{p+q} != 0, and not b = c of odd degree."""
+    n = model.top_degree
+    return any(
+        model.dim(p) and model.dim(q) and model.dim(p + q) and (p != q or p % 2 == 0 or model.dim(p) >= 2)
+        for p in range(1, n + 1)
+        for q in range(p, n + 1 - p)
+    )
+
+
+def test_mutated_quotient_structure_constant_rejected_alike(monkeypatch):
+    models = [model_from_dict(doc) for _, doc in _quotients()]
+    mutated = [_mutated_document(seed, m) for seed, m in enumerate(models) if _has_mutable_product(m)]
+    rejected, outside = _sweep(monkeypatch, mutated)
+    print(f"{rejected} of {len(mutated)} quotient mutations rejected; {outside} outside {{e_0}} u G")
+    assert len(mutated) >= len(models) // 2 and rejected >= len(mutated) // 4
 
 
 # -- a model that is not connected ---------------------------------------------------

@@ -41,8 +41,9 @@ def test_tracer_counts_indeterminacy_and_operator_layers():
 
 
 def test_tracer_counts_page_agreement_and_massey_classes():
-    # the tracer times page_agreement and counts the class checks that
-    # verify_main_theorems returns
+    # the tracer times page_agreement, counts the class checks that
+    # verify_main_theorems returns and times the full defining-system
+    # validation it runs once per kind of system
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
@@ -54,3 +55,5 @@ def test_tracer_counts_page_agreement_and_massey_classes():
     metrics = tracer.metrics()
     assert metrics["indet.page_agreement_s"]["value"] > 0
     assert metrics["massey.classes_checked"]["value"] > 0
+    assert tracer.calls["massey.validate"] > 0
+    assert metrics["massey.validate_s"]["value"] > 0

@@ -546,9 +546,9 @@ def _sort_with_sign(gens):
     return sign, tuple(lst)
 
 
-def sorted_expansion(name, gens, diffs, top_degree=None):
+def sorted_expansion(gens, diffs, top_degree=None):
     """Oracle: the generator-form expansion on generator tuples, re-sorting
-    every product and every Leibniz term.  Returns the `CdgaModel` arguments."""
+    every product and every Leibniz term.  Returns the `CdgaModel` tables."""
     if 1 << len(gens) > MAX_DIM:
         raise ModelSchemaError(
             f"{len(gens)} generators span 2^{len(gens)} basis elements; "
@@ -625,15 +625,14 @@ def sorted_expansion(name, gens, diffs, top_degree=None):
                         col[mono_pos[sorted_mono][1]] += Fraction(-1 if t % 2 else 1) * c * sign
             cols.append(tuple(col))
         diff_mats.append(Mat.from_cols(cols, rows=rows))
-    return name, n, labels, mult, diff_mats
+    return n, labels, mult, diff_mats
 
 
 def _expansion(build, args, kwargs):
     """(top degree, labels, products, differential matrices) of one expansion,
-    or the message of its ModelSchemaError; the model itself is not validated."""
+    or the message of its ModelSchemaError."""
     try:
-        with mock.patch.object(cdga, "CdgaModel", lambda *model_args: model_args):
-            _, n, labels, mult, diff = build(*args, **kwargs)
+        n, labels, mult, diff = build(*args, **kwargs)
     except ModelSchemaError as e:
         return str(e)
     coeffs = [c for t in mult.values() for row in t for prod in row for _, c in prod]
@@ -643,16 +642,17 @@ def _expansion(build, args, kwargs):
 
 
 def _builds(make):
-    """The generator-form builder's (args, kwargs) while make() runs."""
+    """The generator-form expansion's (args, kwargs) while make() runs, from
+    the loader and from modelgen's partial algebras alike."""
     calls = []
-    real = cdga.build_generator_model
+    real = cdga.expand_generators
 
     def record(*args, **kwargs):
         calls.append((args, kwargs))
         return real(*args, **kwargs)
 
-    with mock.patch.object(cdga, "build_generator_model", record), mock.patch.object(
-        modelgen, "build_generator_model", record
+    with mock.patch.object(cdga, "expand_generators", record), mock.patch.object(
+        modelgen, "expand_generators", record
     ):
         try:
             make()
@@ -664,9 +664,9 @@ def _builds(make):
 def _assert_expansions_agree(make):
     calls = _builds(make)
     for args, kwargs in calls:
-        assert _expansion(cdga.build_generator_model, args, kwargs) == _expansion(
+        assert _expansion(cdga.expand_generators, args, kwargs) == _expansion(
             sorted_expansion, args, kwargs
-        ), args[0]
+        ), args
     return len(calls)
 
 
@@ -705,10 +705,10 @@ def test_unsorted_and_repeated_terms_expand_like_insertion_sort():
         "e": [(Fraction(2), ("c", "a")), (Fraction(5), ("b", "b"))],
         "d": [(Fraction(3), ("c", "e", "a", "b")), (Fraction(-1), ("b", "a", "b", "c"))],
     }
-    args = ("unsorted", gens, diffs)
+    args = (gens, diffs)
     want = _expansion(sorted_expansion, args, {})
     assert not isinstance(want, str) and any(any(row) for _, _, data in want[3] for row in data)
-    assert _expansion(cdga.build_generator_model, args, {}) == want
+    assert _expansion(cdga.expand_generators, args, {}) == want
 
 
 def _three_gens(**fields):
@@ -734,3 +734,134 @@ def test_generator_form_rejection_messages(doc, message):
     with pytest.raises(ModelSchemaError) as err:
         model_from_dict(doc)
     assert str(err.value) == message
+
+
+# -- the layout the loaders hand the constructor ---------------------------------
+
+
+def _layout_failure(n, labels, mult, diff):
+    """The first part of the `CdgaModel` table layout that (n, labels, mult,
+    diff) breaks, or None.  The constructor takes this layout as given."""
+    if n < 0 or len(labels) != n + 1 or len(diff) != n + 1:
+        return "degree count"
+    dims = [len(ls) for ls in labels] + [0]
+    if set(mult) != {(p, q) for p in range(n + 1) for q in range(n + 1 - p)}:
+        return "product table keys"
+    for (p, q), t in mult.items():
+        if len(t) != dims[p] or any(len(row) != dims[q] for row in t):
+            return f"product table ({p},{q}) shape"
+        for row in t:
+            for prod in row:
+                ks = [k for k, _ in prod]
+                if ks != sorted(set(ks)) or not all(0 <= k < dims[p + q] for k in ks):
+                    return f"product in ({p},{q}) unsorted or out of range"
+                if not all(type(c) is Fraction and c for _, c in prod):
+                    return f"product in ({p},{q}) with a zero or inexact coefficient"
+    for p, m in enumerate(diff):
+        if (m.rows, m.cols) != (dims[p + 1], dims[p]) or len(m.data) != m.rows:
+            return f"d at degree {p} shape"
+        if any(len(row) != m.cols for row in m.data):
+            return f"d at degree {p} ragged"
+    return None
+
+
+def _handed_tables(make):
+    """Every table set handed to `CdgaModel`, and every partial expansion
+    modelgen reads, while make() runs."""
+    tables = []
+    real_model, real_expand = cdga.CdgaModel, cdga.expand_generators
+
+    def model(name, *t):
+        tables.append(t)
+        return real_model(name, *t)
+
+    def expand(*args, **kwargs):
+        tables.append(real_expand(*args, **kwargs))
+        return tables[-1]
+
+    with mock.patch.object(cdga, "CdgaModel", model), mock.patch.object(
+        modelgen, "expand_generators", expand
+    ):
+        try:
+            make()
+        except ModelError:
+            pass
+    return tables
+
+
+def _assert_layouts(make):
+    tables = _handed_tables(make)
+    for t in tables:
+        assert _layout_failure(*t) is None
+    return len(tables)
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_bundled_loaders_hand_the_constructor_its_layout(name):
+    assert _assert_layouts(lambda: bundled_model(name)) == 1
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_torus_loader_hands_the_constructor_its_layout(k):
+    assert _assert_layouts(lambda: model_from_dict(_torus_doc(k))) == 1
+
+
+def test_modelgen_models_and_partial_expansions_have_the_layout():
+    handed = sum(_assert_layouts(lambda: modelgen.random_model(seed)) for seed in range(200))
+    assert handed > 200
+
+
+@given(st.one_of(_generator_docs, _basis_docs))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_documents_reach_the_constructor_with_its_layout(doc):
+    _assert_layouts(lambda: model_from_dict(doc))
+
+
+def test_sparse_basis_document_reaches_the_constructor_with_its_layout():
+    # empty degrees, a zero result, a result that cancels and an unlisted product
+    doc = _basis_doc(
+        top_degree=4,
+        basis={"0": ["1"], "2": ["x", "y"], "4": ["z"]},
+        mult=[
+            {"left": "1", "right": "1", "result": "1"},
+            {"left": "1", "right": "x", "result": "x"},
+            {"left": "x", "right": "1", "result": "x"},
+            {"left": "1", "right": "y", "result": "y"},
+            {"left": "y", "right": "1", "result": "y + x - x"},
+            {"left": "1", "right": "z", "result": "z"},
+            {"left": "z", "right": "1", "result": "z"},
+            {"left": "x", "right": "y", "result": "0"},
+        ],
+    )
+    (tables,) = _handed_tables(lambda: model_from_dict(doc))
+    assert _layout_failure(*tables) is None
+    assert tables[2][(2, 0)][1][0] == ((1, Fraction(1)),) and tables[2][(2, 2)][0][1] == ()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _basis_doc(top_degree=-1, basis={}, mult=[]),
+        _basis_doc(top_degree=-2),
+        _gen_doc(top_degree=-1, generators=[]),
+        _gen_doc(top_degree=-1),
+    ],
+)
+def test_negative_top_degree_rejected(doc):
+    with pytest.raises(ModelSchemaError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == "top_degree must be >= 0"
+
+
+def test_random_model_constructs_one_model_per_seed():
+    real = cdga.CdgaModel
+    for seed in range(50):
+        names = []
+
+        def counting(name, *tables):
+            names.append(name)
+            return real(name, *tables)
+
+        with mock.patch.object(cdga, "CdgaModel", counting):
+            modelgen.random_model(seed)
+        assert names == [f"random{seed}"]

@@ -161,6 +161,16 @@ def test_differential_representative_independence():
     assert c1 == c2
 
 
+@pytest.mark.parametrize("ss", list(all_sequences()), ids=lambda s: f"{s.model.name}/{s.H.describe()}")
+def test_matrix_columns_are_the_differentials_of_the_coset_reps(ss):
+    # the verdicts read d_r of coset_reps[j] off column j of the page matrix
+    for r in range(1, ss.max_page + 1):
+        for p in range(ss.n + 1):
+            d_r = ss.differential_matrix(r, p)
+            for j, rep in enumerate(ss.cell(r, p).coset_reps):
+                assert ss.differential(r, Form(ss.model, {p: rep})).coords == d_r.col(j)
+
+
 def test_differential_tail_choice_independence():
     # any two valid zig-zag tails for the same leading form give the same
     # d_r page class: perturb the canonical tail by kernel elements of the
