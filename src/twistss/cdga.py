@@ -17,6 +17,15 @@ elements is a tuple of (index, coefficient) pairs, sorted by index, with no
 zero coefficient (in generator form it is at most one signed monomial).
 This table is the one representation of the product; `wedge`, the axiom
 checks and the wedge-by-H blocks of the twisted differential all read it.
+The differential is held the same way once more, as the sparse columns of
+its matrices, which `d` and the Leibniz check read.
+
+A `Form` is sparse too: per degree, the sorted (index, coefficient) pairs
+of its nonzero coordinates.  `Form.component` is the dense view at the API.
+Values are coerced to `Fraction` and checked once, where they enter (the
+public `Form` constructor); the results of sums, scalings, `wedge` and `d`
+are built in the stored layout and not checked again, and `wedge` and `d`
+walk only the nonzero coordinates.
 
 Two input layouts are accepted:
 
@@ -49,9 +58,7 @@ from .linalg import (
     kernel,
     solve_particular,
     vec,
-    vec_add,
     vec_is_zero,
-    vec_scale,
     zero_vec,
 )
 
@@ -82,6 +89,17 @@ Product = tuple  # tuple[tuple[int, Fraction], ...]
 
 def _sparse(v: Vec) -> Product:
     return tuple((k, c) for k, c in enumerate(v) if c)
+
+
+def _sparse_parts(acc: Mapping[int, Mapping[int, Fraction]]) -> dict:
+    """Per-degree coordinate sums as stored `Form` parts: degree-sorted,
+    index-sorted, without zero coordinates or empty degrees."""
+    out = {}
+    for p, coords in sorted(acc.items()):
+        nz = tuple(sorted((k, x) for k, x in coords.items() if x))
+        if nz:
+            out[p] = nz
+    return out
 
 
 def _combine(terms) -> dict:
@@ -157,10 +175,16 @@ def parse_linear_combination(s: str) -> list[tuple[Fraction, str]]:
 
 
 class Form:
-    """A (possibly inhomogeneous) element of a model, stored per degree.
+    """A (possibly inhomogeneous) element of a model, stored sparsely per degree.
 
-    Zero components are omitted.  Forms are immutable; arithmetic returns
-    new values.
+    ``parts`` maps each degree with a nonzero component, in increasing
+    order, to that component's nonzero coordinates as a tuple of
+    (index, Fraction) pairs sorted by index.  `component` is the dense view
+    at the API.  The public constructor takes dense components and coerces
+    and validates them once, where the values enter; sums, scalings, wedges
+    and differentials are built by `_exact` from parts that are already in
+    this layout.  Forms are immutable; arithmetic returns new values, or
+    an operand itself when that is the result.
     """
 
     __slots__ = ("model", "parts")
@@ -175,10 +199,22 @@ class Form:
                 raise ValueError(
                     f"component of degree {p} has length {len(v)}, expected {model.dim(p)}"
                 )
-            if not vec_is_zero(v):
-                cleaned[p] = v
+            nz = _sparse(v)
+            if nz:
+                cleaned[p] = nz
         self.model = model
         self.parts = dict(sorted(cleaned.items()))
+
+    @staticmethod
+    def _exact(model: "CdgaModel", parts: dict) -> "Form":
+        """A form on parts already in the stored layout: degree-sorted, each a
+        nonempty index-sorted tuple of (index, Fraction) pairs.  Every zero
+        form is the model's one zero form."""
+        if not parts:
+            return model.zero_form()
+        f = Form.__new__(Form)
+        f.model, f.parts = model, parts
+        return f
 
     # -- structure ---------------------------------------------------------
 
@@ -204,10 +240,16 @@ class Form:
         return next(iter(self.parts))
 
     def component(self, p: int) -> Vec:
-        return self.parts.get(p, zero_vec(self.model.dim(p)))
+        """The degree-p component as a dense coordinate vector."""
+        v = [ZERO] * self.model.dim(p)
+        for i, c in self.parts.get(p, ()):
+            v[i] = c
+        return tuple(v)
 
     def homogeneous_part(self, p: int) -> "Form":
-        return Form(self.model, {p: self.component(p)})
+        if not (0 <= p <= self.model.top_degree):
+            raise ValueError(f"degree {p} outside the model range")
+        return Form._exact(self.model, {p: self.parts[p]} if p in self.parts else {})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -215,22 +257,43 @@ class Form:
         if self.model is not other.model:
             raise ValueError("forms belong to different models")
 
-    def __add__(self, other: "Form") -> "Form":
+    def _plus(self, other: "Form", sign: int) -> "Form":
+        """self + sign * other, for sign = 1 or -1."""
         self._check_same_model(other)
-        parts = dict(self.parts)
+        if not other.parts:
+            return self
+        if not self.parts:
+            return other if sign == 1 else -other
+        acc = {p: dict(v) for p, v in self.parts.items()}
         for p, v in other.parts.items():
-            parts[p] = vec_add(parts[p], v) if p in parts else v
-        return Form(self.model, parts)
+            coords = acc.setdefault(p, {})
+            for k, c in v:
+                if k in coords:
+                    coords[k] = coords[k] + c if sign == 1 else coords[k] - c
+                else:
+                    coords[k] = c if sign == 1 else -c
+        return Form._exact(self.model, _sparse_parts(acc))
 
-    def __neg__(self) -> "Form":
-        return Form(self.model, {p: vec_scale(-1, v) for p, v in self.parts.items()})
+    def __add__(self, other: "Form") -> "Form":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "Form":
+        return Form._exact(self.model, {p: tuple((k, -c) for k, c in v) for p, v in self.parts.items()})
 
     def __rmul__(self, c) -> "Form":
-        c = Fraction(c)
-        return Form(self.model, {p: vec_scale(c, v) for p, v in self.parts.items()})
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        c = c if type(c) is Fraction else Fraction(c)
+        if not c:
+            return self.model.zero_form()
+        return Form._exact(
+            self.model, {p: tuple((k, c * a) for k, a in v) for p, v in self.parts.items()}
+        )
 
     def wedge(self, other: "Form") -> "Form":
         self._check_same_model(other)
@@ -255,9 +318,7 @@ class Form:
     def __str__(self):
         terms = []
         for p, v in self.parts.items():
-            for i, c in enumerate(v):
-                if c == 0:
-                    continue
+            for i, c in v:
                 label = self.model.label_of(p, i)
                 if c == 1:
                     terms.append(label)
@@ -306,6 +367,9 @@ class CdgaModel:
                 if lab in self._label_index:
                     raise ModelSchemaError(f"duplicate basis label {lab!r}")
                 self._label_index[lab] = (p, i)
+        # d as sparse columns: _dcols[p][i] is d of the i-th basis element of degree p
+        self._dcols = tuple(tuple(_sparse(col) for col in m.transpose().data) for m in self.diff)
+        self._zero = Form(self, {})
         self.unit = self._find_unit()
         self._validate()
         self._de_rham_cache: dict[int, QuotientSpace] = {}
@@ -337,16 +401,15 @@ class CdgaModel:
     # -- form construction ----------------------------------------------------
 
     def zero_form(self) -> Form:
-        return Form(self, {})
+        """The zero form, one per model (forms are immutable)."""
+        return self._zero
 
     def form(self, parts: Mapping[int, Iterable]) -> Form:
-        return Form(self, {p: vec(v) for p, v in parts.items()})
+        return Form(self, parts)
 
     def basis_form(self, label: str) -> Form:
         p, i = self.index_of(label)
-        v = [ZERO] * self.dim(p)
-        v[i] = ONE
-        return Form(self, {p: tuple(v)})
+        return Form._exact(self, {p: ((i, ONE),)})
 
     def unit_form(self) -> Form:
         return Form(self, {0: self.unit})
@@ -360,24 +423,24 @@ class CdgaModel:
         return self._mult[(p, q)][i][j]
 
     def wedge(self, u: Form, v: Form) -> Form:
-        out: dict[int, list] = {}
+        """u ^ v, from the nonzero coordinates of u and v against the product table."""
+        out: dict[int, dict] = {}
         for p, up in u.parts.items():
-            nz_u = [(i, a) for i, a in enumerate(up) if a]
             for q, vq in v.parts.items():
                 if p + q > self.top_degree:
-                    continue
-                acc = out.setdefault(p + q, [ZERO] * self.dim(p + q))
+                    break  # v's degrees increase
+                acc = out.setdefault(p + q, {})
                 tab = self._mult[(p, q)]
-                nz_v = [(j, b) for j, b in enumerate(vq) if b]
-                for i, a in nz_u:
+                for i, a in up:
                     row = tab[i]
-                    for j, b in nz_v:
+                    for j, b in vq:
                         prod = row[j]
                         if prod:
                             c = a * b
                             for k, s in prod:
-                                acc[k] += c * s
-        return Form(self, {p: tuple(v) for p, v in out.items()})
+                                x = c * s
+                                acc[k] = acc[k] + x if k in acc else x
+        return Form._exact(self, _sparse_parts(out))
 
     def d_mat(self, p: int) -> Mat:
         """The differential on the degree-p piece, as a dim(p+1) x dim(p) matrix."""
@@ -386,14 +449,16 @@ class CdgaModel:
         return Mat.zeros(self.dim(p + 1), 0)
 
     def d(self, u: Form) -> Form:
-        out: dict[int, Vec] = {}
+        """d u, from the nonzero coordinates of u against the sparse columns of d."""
+        out: dict[int, dict] = {}
         for p, up in u.parts.items():
-            if p + 1 > self.top_degree:
-                continue
-            w = self.diff[p].apply(up)
-            if not vec_is_zero(w):
-                out[p + 1] = w
-        return Form(self, out)
+            cols = self._dcols[p]
+            acc = out[p + 1] = {}
+            for i, a in up:
+                for k, c in cols[i]:
+                    x = a * c
+                    acc[k] = acc[k] + x if k in acc else x
+        return Form._exact(self, _sparse_parts(out))
 
     def de_rham(self, p: int) -> QuotientSpace:
         """Ordinary cohomology ker(d_p)/im(d_{p-1}) with canonical representatives."""
@@ -568,9 +633,7 @@ class CdgaModel:
         n = self.top_degree
         mult = self._mult
         basis_elems = self._basis_elems()
-        dcols = [
-            [_sparse(col) for col in self.diff[p].transpose().data] for p in range(n + 1)
-        ]
+        dcols = self._dcols
 
         # graded Leibniz: d(ab) = da b + (-1)^p a db; both sides vanish once
         # p + q + 1 exceeds the top degree

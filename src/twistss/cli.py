@@ -24,16 +24,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .cdga import CdgaModel, Form, ModelError, load_model
 from .massey import (
     MasseyError,
     banded_defining_system,
+    cocycle_class,
     diagonal_defining_system,
-    related_cocycle,
-    specific_element,
     triple_product,
+    validate_defining_system,
 )
 from .models import model_names, model_path
 from .report import run_analysis
@@ -111,12 +110,12 @@ def _cmd_massey(args) -> int:
             print(f"verdict: not applicable (t = {t} is not l*s - 1 with l >= 2 for s = {s})")
             return 0
         system = diagonal_defining_system(ss, x, t, s)
-        sign = Fraction(-1) ** (((t + 1) // s) - 1)
+        sign = (-1) ** ((t + 1) // s - 1)
     else:
         system = banded_defining_system(ss, x, t)
-        sign = Fraction(-1) ** t
-    deg, cls = specific_element(system)  # validates the system
-    c = related_cocycle(system)
+        sign = (-1) ** t
+    c = validate_defining_system(system)  # c(A), from the one validation
+    deg, cls = cocycle_class(system, c)
     print("defining system:")
     print(system.layout())
     print(f"related cocycle: {c}")

@@ -35,6 +35,7 @@ from .linalg import (
     Mat,
     QuotientSpace,
     SubspaceBasis,
+    ZERO,
     kernel,
     preimage,
     span_in_quotient,
@@ -195,11 +196,12 @@ def z_cell(
     delta = tower[("delta", p)]
     if p + r > n:
         return kernel(delta)
-    far = k(p + r)  # the classes of K_{p+r}, restricted to K_{p+1}
-    incl = [
-        h_next.project(k_next.pack(far.unpack(rep, parity), parity))
-        for rep in far.cohomology(parity).coset_reps
-    ]
+    # the classes of K_{p+r}, restricted to K_{p+1}: in one parity the degrees
+    # of K_{p+r}/K_{n+1} are a suffix of those of K_{p+1}/K_{n+1}, so a
+    # representative's coordinates there are zeros followed by its own
+    far = k(p + r)
+    pad = (ZERO,) * (k_next.space(parity).total_dim - far.space(parity).total_dim)
+    incl = [h_next.project(pad + rep) for rep in far.cohomology(parity).coset_reps]
     return preimage(delta, SubspaceBasis.span(h_next.dim, incl))
 
 

@@ -67,13 +67,6 @@ def vec_is_zero(u: Vec) -> bool:
     return not any(u)
 
 
-def vec_concat(parts: Sequence[Vec]) -> Vec:
-    out = []
-    for p in parts:
-        out.extend(p)
-    return tuple(out)
-
-
 class Mat:
     """Dense matrix over Q.  Immutable after construction."""
 

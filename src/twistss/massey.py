@@ -26,7 +26,6 @@ differentials of the twisted spectral sequence:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cdga import CdgaModel, Form
@@ -54,7 +53,7 @@ def bar(x: Form) -> Form:
         return x
     if not x.is_homogeneous:
         raise MasseyError("bar is only defined on homogeneous forms")
-    return x if x.degree % 2 == 1 else -1 * x
+    return x if x.degree % 2 == 1 else -x
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +273,11 @@ def specific_element(system: DefiningSystem) -> tuple[int, Vec]:
     The degree is the nominal one, sum of input degrees minus size plus 2;
     beyond the model's top degree the class is trivially zero.
     """
-    c = validate_defining_system(system)
+    return cocycle_class(system, validate_defining_system(system))
+
+
+def cocycle_class(system: DefiningSystem, c: Form) -> tuple[int, Vec]:
+    """`specific_element` from c = c(A), which `validate_defining_system` returned."""
     deg = sum(system.input_degrees) - system.size + 2
     model = system.model
     if deg > model.top_degree:
@@ -299,7 +302,8 @@ def _fill_last_column(
     zero = x_p.model.zero_form()
     entries[(size, size)] = x_p
     for i in range(2, size):
-        entries[(i, size)] = Fraction(-1) ** (size - i) * tail.get(size - i, zero)
+        part = tail.get(size - i, zero)
+        entries[(i, size)] = part if (size - i) % 2 == 0 else -part
 
 
 def _lift(ss: SpectralSequence, x_p: Form, reach: int) -> ZigZag:
@@ -317,13 +321,13 @@ def _assemble_banded(
 ) -> DefiningSystem:
     """Lay out the (t+2)-fold banded system from a per-index tail."""
     size = t + 2
+    bands = [ss.H.component_form(2 * k + 3) for k in range(size - 1)]
+    bands = [h if k % 2 == 0 else -h for k, h in enumerate(bands)]
     entries: dict[tuple[int, int], Form] = {}
     for i in range(1, size):
         for k in range(0, size - i):
-            if (i, i + k) == (1, size):
-                continue
-            h = ss.H.component_form(2 * k + 3)
-            entries[(i, i + k)] = h if k % 2 == 0 else -1 * h
+            if (i, i + k) != (1, size):
+                entries[(i, i + k)] = bands[k]
     _fill_last_column(entries, size, x_p, tail)  # tail index m at degree p + 2m
     return DefiningSystem(ss.model, [3] * (t + 1) + [x_p.degree], entries)
 
@@ -477,7 +481,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
     s = (single - 1) // 2 if single is not None else None
     checked: set = set()
 
-    def page_class(sign: Fraction, system: DefiningSystem, kind: str, p: int) -> Vec:
+    def page_class(sign: int, system: DefiningSystem, kind: str, p: int) -> Vec:
         return ss.page_coords(r, p + r, sign * _class_cocycle(system, kind, checked))
 
     for p in range(ss.n + 1):
@@ -492,7 +496,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
             zz = _lift(ss, x, r)
 
             banded = _assemble_banded(ss, x, t, _split_tail(zz.form, p, 2, ss.n))
-            coords_a = page_class(Fraction(-1) ** t, banded, "banded", p)
+            coords_a = page_class((-1) ** t, banded, "banded", p)
             banded_ok = lhs.coords == coords_a
 
             case_ok: Optional[bool] = None
@@ -504,7 +508,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
                 elif (t + 1) % s == 0 and (t + 1) // s >= 2:
                     l = (t + 1) // s
                     diagonal = _assemble_diagonal(ss, x, s, l, zz)
-                    coords_b = page_class(Fraction(-1) ** (l - 1), diagonal, "diagonal", p)
+                    coords_b = page_class((-1) ** (l - 1), diagonal, "diagonal", p)
                     case_ok = lhs.coords == coords_b
                     routes_agree = coords_b == coords_a
                 else:
@@ -514,7 +518,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
             if shift is not None:
                 tail = _split_tail(zz.form + shift.form, p, 2, ss.n)
                 perturbed = _assemble_banded(ss, x, t, tail)
-                independence_ok = page_class(Fraction(-1) ** t, perturbed, "banded", p) == coords_a
+                independence_ok = page_class((-1) ** t, perturbed, "banded", p) == coords_a
 
             out.checks.append(
                 ClassCheck(p, lhs, banded_ok, case_ok, routes_agree, independence_ok)

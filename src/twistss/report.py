@@ -343,15 +343,15 @@ def _check_representative_pairs(ss: SpectralSequence) -> Check:
             sub = indeterminacy_subgroup(model, H, p, 0, r, ss)
             rep = cell.coset_reps[0]
             x1 = Form(model, {p: rep})
-            x2 = Form(model, {p: tuple(a + b for a, b in zip(rep, shifts[0]))})
+            x2 = x1 + Form(model, {p: shifts[0]})
             if not sub.contains_class(x2 - x1):
                 return samples, f"representative difference escapes on {model.name} (r={r}, p={p})"
             samples += 1
             if r % 2 == 1 and r >= 5 and p + r <= ss.n:
-                y1 = ss.zigzag_dx(ss.lift_zigzag(x1, r)).component(p + r)
-                y2 = ss.zigzag_dx(ss.lift_zigzag(x2, r)).component(p + r)
+                y1 = ss.zigzag_dx(ss.lift_zigzag(x1, r))
+                y2 = ss.zigzag_dx(ss.lift_zigzag(x2, r))
                 dsub = indeterminacy_subgroup(model, H, p + r, 0, r, ss)  # of d_r values
-                delta = Form(model, {p + r: tuple(a - b for a, b in zip(y1, y2))})
+                delta = (y1 - y2).homogeneous_part(p + r)
                 if not dsub.contains_class(delta):
                     return samples, f"d_{r} values escape on {model.name} (p={p})"
     return samples, None

@@ -26,7 +26,6 @@ from .linalg import (
     ZERO,
     image,
     kernel,
-    vec_concat,
     vec_is_zero,
 )
 
@@ -43,7 +42,7 @@ class TwistForm:
     at H_3 and the first-page structure relies on that.
     """
 
-    __slots__ = ("model", "components", "_form", "_op")
+    __slots__ = ("model", "components", "_form", "_component_forms", "_op")
 
     def __init__(self, model: CdgaModel, components: dict[int, Vec]):
         self.model = model
@@ -51,6 +50,7 @@ class TwistForm:
             p: v for p, v in sorted(components.items()) if not vec_is_zero(v)
         }
         self._form: Optional[Form] = None
+        self._component_forms: dict[int, Form] = {}
         self._op: Optional[DOperator] = None
 
     @property
@@ -62,9 +62,12 @@ class TwistForm:
         return tuple(self.components)
 
     def component_form(self, p: int) -> Form:
-        if p in self.components:
-            return Form(self.model, {p: self.components[p]})
-        return self.model.zero_form()
+        """H_p as a form, built once per degree (forms are immutable)."""
+        if p not in self.components:
+            return self.model.zero_form()
+        if p not in self._component_forms:
+            self._component_forms[p] = Form(self.model, {p: self.components[p]})
+        return self._component_forms[p]
 
     def form(self) -> Form:
         """H as one inhomogeneous form, built once (forms are immutable)."""
@@ -105,7 +108,7 @@ class TwistForm:
 
 def make_twist(model: CdgaModel, parts: Sequence[Form]) -> TwistForm:
     """Validate homogeneous odd closed forms of degree >= 3 into a twist."""
-    components: dict[int, Vec] = {}
+    total = model.zero_form()
     for part in parts:
         if part.is_zero:
             continue
@@ -118,11 +121,8 @@ def make_twist(model: CdgaModel, parts: Sequence[Form]) -> TwistForm:
             raise TwistError("twist components must have degree >= 3")
         if not part.d().is_zero:
             raise TwistError(f"twist component of degree {p} is not closed")
-        v = part.component(p)
-        components[p] = (
-            tuple(a + b for a, b in zip(components[p], v)) if p in components else v
-        )
-    return TwistForm(model, components)
+        total = total + part
+    return TwistForm(model, {p: total.component(p) for p in total.degrees})
 
 
 def parse_twist(model: CdgaModel, expr: str) -> TwistForm:
@@ -158,15 +158,24 @@ class BlockSpace:
 
     def pack(self, f: Form) -> Vec:
         """The block's coordinates of f; components in other degrees are dropped."""
-        return vec_concat([f.component(p) for p in self.degrees])
+        out = [ZERO] * self.total_dim
+        for p, nz in f.parts.items():
+            o = self.offsets.get(p)
+            if o is not None:
+                for i, c in nz:
+                    out[o + i] = c
+        return tuple(out)
 
     def unpack(self, v: Vec) -> Form:
+        """The form with the block's coordinates v, an exact vector."""
         assert len(v) == self.total_dim
         parts = {}
-        for p in self.degrees:
+        for p in sorted(self.degrees):
             o = self.offsets[p]
-            parts[p] = v[o : o + self.model.dim(p)]
-        return Form(self.model, parts)
+            nz = tuple((i, c) for i, c in enumerate(v[o : o + self.model.dim(p)]) if c)
+            if nz:
+                parts[p] = nz
+        return Form._exact(self.model, parts)
 
     def __repr__(self):
         return f"BlockSpace(degrees={self.degrees}, dim={self.total_dim})"

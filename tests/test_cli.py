@@ -130,7 +130,7 @@ def test_massey_diagonal_d9(capsys):
     assert "a^v" in out
 
 
-@pytest.mark.parametrize(
+SYSTEM_QUERIES = pytest.mark.parametrize(
     "query",
     [
         ["torus3", "--twist", "e1^e2^e3", "--thm41", "--class", "e1", "--t", "1"],
@@ -138,6 +138,9 @@ def test_massey_diagonal_d9(capsys):
     ],
     ids=["thm41", "thm42"],
 )
+
+
+@SYSTEM_QUERIES
 def test_massey_validates_the_system_once(capsys, monkeypatch, query):
     import twistss.massey as massey
 
@@ -153,6 +156,25 @@ def test_massey_validates_the_system_once(capsys, monkeypatch, query):
     monkeypatch.setattr(massey, "validate_defining_system", counting)
     # the command module must not validate by a binding of its own either
     monkeypatch.setattr(cli, "validate_defining_system", counting, raising=False)
+    code, out, _ = run(capsys, "massey", *query)
+    assert code == 0 and "matches" in out
+    assert len(calls) == 1
+
+
+@SYSTEM_QUERIES
+def test_massey_builds_the_related_cocycle_once(capsys, monkeypatch, query):
+    import twistss.cli as cli
+    import twistss.massey as massey
+
+    calls = []
+    related = massey.related_cocycle
+
+    def counting(system):
+        calls.append(system)
+        return related(system)
+
+    monkeypatch.setattr(massey, "related_cocycle", counting)
+    monkeypatch.setattr(cli, "related_cocycle", counting, raising=False)
     code, out, _ = run(capsys, "massey", *query)
     assert code == 0 and "matches" in out
     assert len(calls) == 1

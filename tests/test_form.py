@@ -1,0 +1,203 @@
+"""Sparse `Form`s against the dense form oracle, and the forms built once.
+
+Forms come from dense vectors with scattered zeros (ints and Fractions
+mixed, so the entry coercion is exercised) on the bundled models and on
+`modelgen` seeds.  Every operation must agree with `form_oracle` entry for
+entry, and its result must be in the stored layout.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import form_oracle as oracle
+from twistss import Form, SpectralSequence, parse_twist, verify_main_theorems
+from twistss.models import bundled_model, model_names
+from twistss.modelgen import random_model
+from twistss.twist import BlockSpace, TwistForm
+
+MODELS = [bundled_model(name) for name in model_names()] + [random_model(seed) for seed in range(8)]
+
+COEFFS = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(-2, 2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def dense_parts(draw, model):
+    parts = {}
+    for p in range(model.top_degree + 1):
+        n = model.dim(p)
+        if n and draw(st.booleans()):
+            parts[p] = draw(st.lists(COEFFS, min_size=n, max_size=n))
+    return parts
+
+
+def _draw_pair(data):
+    m = data.draw(st.sampled_from(MODELS), label="model")
+    a, b = data.draw(dense_parts(m)), data.draw(dense_parts(m))
+    return m, Form(m, a), Form(m, b), oracle.dense(m, a), oracle.dense(m, b)
+
+
+def _assert_layout(f):
+    assert list(f.parts) == sorted(f.parts)
+    for p, nz in f.parts.items():
+        assert nz, "a stored degree has no nonzero coordinate"
+        assert [i for i, _ in nz] == sorted({i for i, _ in nz})
+        assert all(type(c) is Fraction and c for _, c in nz)
+        assert all(0 <= i < f.model.dim(p) for i, _ in nz)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_entry_and_component_match_the_oracle(data):
+    m, u, _, du, _ = _draw_pair(data)
+    _assert_layout(u)
+    assert oracle.of_form(u) == du
+    for p in range(-1, m.top_degree + 2):
+        assert u.component(p) == oracle.component(m, du, p)
+        assert all(type(c) is Fraction for c in u.component(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), COEFFS)
+def test_sums_and_scalings_match_the_oracle(data, c):
+    m, u, v, du, dv = _draw_pair(data)
+    for result, want in [
+        (u + v, oracle.add(m, du, dv)),
+        (u - v, oracle.add(m, du, oracle.neg(m, dv))),
+        (-u, oracle.neg(m, du)),
+        (0 * u, {}),
+        (1 * u, du),
+        (-1 * u, oracle.neg(m, du)),
+        (c * u, oracle.scale(m, c, du)),
+        (Fraction(c) * u, oracle.scale(m, c, du)),
+        (u - u, {}),
+    ]:
+        _assert_layout(result)
+        assert oracle.of_form(result) == want
+    assert 1 * u is u and Fraction(1) * u is u
+    assert u + m.zero_form() is u
+    if not u.is_zero:  # a zero result not equal to an operand is the model's one zero form
+        assert m.zero_form() + u is u
+        assert 0 * u is m.zero_form() and u - u is m.zero_form()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_wedge_d_and_homogeneous_parts_match_the_oracle(data):
+    m, u, v, du, dv = _draw_pair(data)
+    for result, want in [
+        (u.wedge(v), oracle.wedge(m, du, dv)),
+        (v.wedge(u), oracle.wedge(m, dv, du)),
+        (u.d(), oracle.d(m, du)),
+        (u.d().d(), {}),
+    ]:
+        _assert_layout(result)
+        assert oracle.of_form(result) == want
+    for p in range(m.top_degree + 1):
+        part = u.homogeneous_part(p)
+        _assert_layout(part)
+        assert oracle.of_form(part) == oracle.homogeneous_part(m, du, p)
+    with pytest.raises(ValueError):
+        u.homogeneous_part(m.top_degree + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_equality_hash_and_str_match_the_oracle(data):
+    m, u, v, du, dv = _draw_pair(data)
+    again = Form(m, {p: list(x) for p, x in du.items()})
+    assert u == again and hash(u) == hash(again)
+    assert (u == v) == (du == dv)
+    if u == v:
+        assert hash(u) == hash(v)
+    assert str(u) == oracle.to_str(m, du)
+    assert str(u + v) == oracle.to_str(m, oracle.add(m, du, dv))
+    assert str(u.wedge(v)) == oracle.to_str(m, oracle.wedge(m, du, dv))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_block_pack_and_unpack_match_the_dense_components(data):
+    m, u, _, du, _ = _draw_pair(data)
+    degrees = data.draw(st.lists(st.integers(0, m.top_degree), unique=True))
+    space = BlockSpace(m, degrees)
+    packed = space.pack(u)
+    assert packed == tuple(c for p in degrees for c in oracle.component(m, du, p))
+    back = space.unpack(packed)
+    _assert_layout(back)
+    assert oracle.of_form(back) == {p: x for p, x in du.items() if p in degrees}
+
+
+def test_entry_still_rejects_bad_components():
+    m = bundled_model("torus3")
+    with pytest.raises(ValueError, match="outside the model range"):
+        Form(m, {4: ()})
+    with pytest.raises(ValueError, match="has length 2, expected 3"):
+        Form(m, {1: (1, 0)})
+
+
+# ---------------------------------------------------------------------------
+# forms built once
+
+
+PAIRS = [("cascade5", "a"), ("mixed5", "a + b"), ("torus5", "e1^e2^e3 + e3^e4^e5")]
+
+
+def _verify_all(ss):
+    for t in range(1, (ss.max_page - 3) // 2 + 1):
+        verify_main_theorems(ss, t)
+
+
+@pytest.mark.parametrize("name,expr", PAIRS)
+def test_one_zero_form_per_model(monkeypatch, name, expr):
+    m = bundled_model(name)
+    ss = SpectralSequence(m, parse_twist(m, expr))
+    zeros = []
+    init, exact = Form.__init__, Form._exact
+
+    def counting_init(self, model, parts):
+        init(self, model, parts)
+        if self.is_zero:
+            zeros.append(self)
+
+    def counting_exact(model, parts):
+        f = exact(model, parts)
+        if f.is_zero:
+            zeros.append(f)
+        return f
+
+    monkeypatch.setattr(Form, "__init__", counting_init)
+    monkeypatch.setattr(Form, "_exact", staticmethod(counting_exact))
+    _verify_all(ss)
+    assert zeros, "the run made no zero form, so nothing was counted"
+    assert {id(z) for z in zeros} == {id(m.zero_form())}
+
+
+@pytest.mark.parametrize("name,expr", PAIRS)
+def test_one_component_form_per_twist_degree(monkeypatch, name, expr):
+    m = bundled_model(name)
+    H = parse_twist(m, expr)
+    ss = SpectralSequence(m, H)
+    seen: dict = {}
+    component_form = TwistForm.component_form
+
+    def recording(self, p):
+        f = component_form(self, p)
+        seen.setdefault(p, []).append(f)  # kept alive, so no id is reused
+        return f
+
+    monkeypatch.setattr(TwistForm, "component_form", recording)
+    _verify_all(ss)
+    assert set(H.degrees) <= set(seen)
+    for p, forms in seen.items():
+        ids = {id(f) for f in forms}
+        assert len(ids) == 1, f"degree {p} built {len(ids)} forms"
+        if p not in H.degrees:
+            assert ids == {id(m.zero_form())}
