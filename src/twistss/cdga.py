@@ -3,14 +3,17 @@
 A model is a finite-dimensional graded-commutative differential graded
 algebra given at basis level: ordered basis labels per degree, structure
 constants for the wedge product, and matrices for the degree +1
-differential.  Loading a model validates the axioms eagerly (d o d = 0,
-graded commutativity, Leibniz, associativity, existence of a unit) so that
-everything downstream can rely on them.  For a connected model (dim A^0 = 1)
-Leibniz and associativity are checked only with the first factor in
-{e_0} u G, G a set of basis elements spanning a complement of the
-decomposables A+ . A+ in A+ (the indecomposables Q(A)); by induction on
-degree that implies them for every first factor, and costs order |G| N^2
-instead of N^3.  Other models are checked on every first factor.
+differential.  Loading a model makes sure of the axioms (d o d = 0, graded
+commutativity, Leibniz, associativity, existence of a unit) so that
+everything downstream can rely on them.  A model expanded from generator
+form satisfies all of them by construction except d o d = 0, which is the
+one it checks (`_GeneratorModel`).  A basis-form model is checked on every
+axiom.  For a connected one (dim A^0 = 1) Leibniz and associativity are
+checked only with the first factor in {e_0} u G, G a set of basis elements
+spanning a complement of the decomposables A+ . A+ in A+ (the
+indecomposables Q(A)); by induction on degree that implies them for every
+first factor, and costs order |G| N^2 instead of N^3.  Other models are
+checked on every first factor.
 
 The structure constants are held once, sparsely: the product of two basis
 elements is a tuple of (index, coefficient) pairs, sorted by index, with no
@@ -38,7 +41,7 @@ Two input layouts are accepted:
   tables; unspecified products and differentials are zero.
 
 Each loader checks its document and builds full tables in this layout; the
-`CdgaModel` constructor takes the layout as given and checks the axioms.
+constructor takes the layout as given and checks the axioms that can fail.
 """
 
 from __future__ import annotations
@@ -77,9 +80,9 @@ class AlgebraError(ModelError):
 
 # Size limits, checked before anything is allocated from a document's
 # numbers: a model has at most MAX_DIM basis elements (so the generator form,
-# which has 2^k of them, at most 8 generators) and top degree at most
+# which has 2^k of them, at most 9 generators) and top degree at most
 # MAX_TOP_DEGREE (the product table has (n+1)(n+2)/2 degree pairs).
-MAX_DIM = 256
+MAX_DIM = 512
 MAX_TOP_DEGREE = 256
 
 # The product of two basis elements: (index, coefficient) pairs in the
@@ -345,7 +348,7 @@ class CdgaModel:
     for every degree 0..top_degree (top_degree >= 0), a product table for
     every pair (p, q) with p + q <= top_degree, each product sorted, nonzero
     and in range, and a dim(p+1) x dim(p) matrix of d for every p.  It
-    checks the axioms, not that layout.
+    finds the unit and checks every axiom, not that layout.
     """
 
     def __init__(
@@ -370,9 +373,14 @@ class CdgaModel:
         # d as sparse columns: _dcols[p][i] is d of the i-th basis element of degree p
         self._dcols = tuple(tuple(_sparse(col) for col in m.transpose().data) for m in self.diff)
         self._zero = Form(self, {})
+        self._de_rham_cache: dict[int, QuotientSpace] = {}
+        self._check_axioms()
+
+    def _check_axioms(self):
+        """Find the unit and check every axiom: tables handed in at basis
+        level can break any of them."""
         self.unit = self._find_unit()
         self._validate()
-        self._de_rham_cache: dict[int, QuotientSpace] = {}
 
     # -- basic geometry -----------------------------------------------------
 
@@ -567,11 +575,9 @@ class CdgaModel:
             return [(0, 0)] + self._indecomposables()
         return self._basis_elems()
 
-    def _validate(self):
-        n = self.top_degree
-
-        # d o d = 0
-        for p in range(n - 1):
+    def _check_d_squared(self):
+        """d o d = 0, as products of the matrices of d."""
+        for p in range(self.top_degree - 1):
             prod = self.diff[p + 1] @ self.diff[p]
             if not prod.is_zero():
                 i = next(
@@ -580,6 +586,10 @@ class CdgaModel:
                 raise AlgebraError(
                     f"d o d != 0 on basis element {self.label_of(p, i)!r} of degree {p}"
                 )
+
+    def _validate(self):
+        n = self.top_degree
+        self._check_d_squared()
 
         # graded commutativity, on every basis pair
         mult = self._mult
@@ -698,14 +708,40 @@ def _sign(a: int, b: int) -> Fraction:
     return _SIGNS[n & 1]
 
 
+class _GeneratorModel(CdgaModel):
+    """A model on the tables of `expand_generators`: a CDGA by construction
+    except for d o d = 0, which is the one axiom checked.
+
+    The algebra is the exterior algebra on odd generators g_1, ..., g_k,
+    untruncated (`expand_generators` rejects a top degree below the sum of
+    the generator degrees).  A product of monomials is the signed monomial
+    of their union, or zero when they overlap, so the product is associative
+    and graded commutative.  Every generator has degree >= 1, so the empty
+    monomial `1` is the only degree-0 basis element; its row and column of
+    the table are the identity, so it is the unit.  d is the derivation
+    that extends the given d(g), each of degree |g| + 1 (checked while
+    expanding): d(x_1...x_m) = sum_t (-1)^t d(x_t) (x without x_t), so the
+    Leibniz rule holds and d(1) = 0.  Since d is odd, d o d = 1/2 [d, d] is
+    a derivation, so it vanishes iff it vanishes on the generators
+    (Felix-Halperin-Thomas, Rational Homotopy Theory, GTM 205, section 12;
+    Sullivan, Infinitesimal computations in topology, 1977).  The matrix
+    check below covers every basis element, with the basis-form message.
+    """
+
+    def _check_axioms(self):
+        self.unit = (ONE,)
+        self._check_d_squared()
+
+
 def build_generator_model(
     name: str,
     gens: Sequence[tuple[str, int]],
     diffs: Mapping[str, Sequence[tuple[Fraction, tuple[str, ...]]]],
     top_degree: Optional[int] = None,
 ) -> CdgaModel:
-    """Expand an exterior algebra on odd generators to a validated basis-level model."""
-    return CdgaModel(name, *expand_generators(gens, diffs, top_degree))
+    """Expand an exterior algebra on odd generators to a basis-level model,
+    checked for d o d = 0 (every other axiom holds by construction)."""
+    return _GeneratorModel(name, *expand_generators(gens, diffs, top_degree))
 
 
 def expand_generators(

@@ -53,16 +53,6 @@ def unit_vec(n: int, i: int) -> Vec:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    assert len(u) == len(v)
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
 def vec_is_zero(u: Vec) -> bool:
     return not any(u)
 
@@ -165,14 +155,6 @@ class Mat:
         return Mat._exact(
             tuple(a + b for a, b in zip(self.data, other.data)), self.cols + other.cols
         )
-
-    def scaled(self, c) -> "Mat":
-        return Mat._exact(tuple(vec_scale(c, r) for r in self.data), self.cols)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return Mat._exact(tuple(vec_add(a, b) for a, b in zip(self.data, other.data)), self.cols)
 
     def is_zero(self) -> bool:
         return not any(any(r) for r in self.data)

@@ -193,13 +193,29 @@ class DefiningSystem:
         return f"DefiningSystem(size={self.size}, degrees={self.input_degrees})"
 
 
+def _bar_products(system: DefiningSystem, i: int, j: int) -> Form:
+    """sum over i <= m < j of bar(a_{i,m}) wedge a_{m+1,j}.
+
+    Only the m with both entries stored and nonzero add a term; an absent
+    or zero entry is the zero form.  bar still sees every nonzero a_{i,m},
+    so an inhomogeneous one raises as it would in the full sum.
+    """
+    entries = system.entries
+    out = system.model.zero_form()
+    for m in range(i, j):
+        a = entries.get((i, m))
+        if a is None or a.is_zero:
+            continue
+        a = bar(a)
+        b = entries.get((m + 1, j))
+        if b is not None and not b.is_zero:
+            out = out + a.wedge(b)
+    return out
+
+
 def related_cocycle(system: DefiningSystem) -> Form:
     """c(A) = sum over m of bar(a_{1,m}) wedge a_{m+1,n}."""
-    n = system.size
-    out = system.model.zero_form()
-    for m in range(1, n):
-        out = out + bar(system.entry(1, m)).wedge(system.entry(m + 1, n))
-    return out
+    return _bar_products(system, 1, system.size)
 
 
 def _entry_failure(system: DefiningSystem, cells: Sequence[tuple[int, int]]) -> Optional[str]:
@@ -216,11 +232,7 @@ def _entry_failure(system: DefiningSystem, cells: Sequence[tuple[int, int]]) -> 
     for (i, j) in cells:
         if i == j:
             continue
-        lhs = system.entry(i, j).d()
-        rhs = system.model.zero_form()
-        for m in range(i, j):
-            rhs = rhs + bar(system.entry(i, m)).wedge(system.entry(m + 1, j))
-        if lhs != rhs:
+        if system.entry(i, j).d() != _bar_products(system, i, j):
             return f"differential condition fails at entry ({i},{j})"
     return None
 

@@ -3,11 +3,11 @@
 Models are exterior algebras on a few odd-degree generators, built one
 generator at a time: the differential of each new generator is a random
 closed element of the subalgebra on the earlier generators, so d o d = 0 and
-the Leibniz rule hold by construction and the full validation in `cdga`
-must succeed.  The earlier generators' subalgebras are read as unvalidated
-expansions: each is a sub-CDGA of the final model, so validating the final
-model alone covers them.  For a fixed seed both the model and the twist are
-reproducible bit for bit.
+the Leibniz rule hold by construction and the d o d check of the generator
+form in `cdga` must succeed.  The earlier generators' subalgebras are read as
+unchecked expansions: each is a sub-CDGA of the final model, so checking the
+final model alone covers them.  For a fixed seed both the model and the twist
+are reproducible bit for bit.
 """
 
 from __future__ import annotations

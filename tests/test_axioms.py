@@ -1,21 +1,32 @@
-"""Leibniz and associativity checked on indecomposables, against the full scan.
+"""The axiom checks of each loading route, against the fuller route as oracle.
 
-`CdgaModel._validate` checks both axioms only with the first factor in
-{e_0} u G for a connected model, G a basis of a complement of A+ . A+ in A+.
-The full scan over every basis element as a first factor stays reachable as
-`_product_axiom_failure(_basis_elems())` and is the oracle here: on valid
-models, on seeded random models and on single mutated structure constants
-of small basis-form documents, both accept or both reject, and the
-rejection message is the full scan's.  The mutated documents come from
-modelgen models and from quotients A/zA by the d-stable ideal of a closed
-form z, which need not be free.
+A model expanded from generator form is a CDGA by construction except for
+d o d = 0, so its load checks only that and takes the empty monomial as the
+unit.  The basis-form route (the unit solve `_find_unit` and the full
+`_validate`) is the oracle for it: on every generator model loaded here it
+finds the same unit and accepts.
+
+`CdgaModel._validate` checks Leibniz and associativity only with the first
+factor in {e_0} u G for a connected model, G a basis of a complement of
+A+ . A+ in A+.  The full scan over every basis element as a first factor
+stays reachable as `_product_axiom_failure(_basis_elems())` and is the
+oracle here: on valid models, on seeded random models and on single mutated
+structure constants of small basis-form documents, both accept or both
+reject, and the rejection message is the full scan's.  The mutated
+documents come from modelgen models and from quotients A/zA by the
+d-stable ideal of a closed form z, which need not be free.
 """
 
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twistss import cdga
 from twistss.cdga import AlgebraError, CdgaModel, model_from_dict
 from twistss.linalg import SubspaceBasis, kernel
 from twistss.models import bundled_model, model_names
@@ -42,13 +53,110 @@ def _labels(model, elems):
     return [model.label_of(p, i) for p, i in elems]
 
 
-@pytest.mark.parametrize(
-    "build",
-    [lambda name=name: bundled_model(name) for name in model_names()]
-    + [lambda seed=seed: random_model(seed) for seed in range(20)]
-    + [lambda k=k: model_from_dict(_torus_doc(k)) for k in (6, 7, 8)],
-    ids=list(model_names()) + [f"random{s}" for s in range(20)] + ["torus6", "torus7", "torus8"],
-)
+def _builds(tori):
+    """(id, build) for the bundled models, modelgen seeds 0-19 and the given tori."""
+    return (
+        [(name, lambda name=name: bundled_model(name)) for name in model_names()]
+        + [(f"random{s}", lambda s=s: random_model(s)) for s in range(20)]
+        + [(f"torus{k}", lambda k=k: model_from_dict(_torus_doc(k))) for k in tori]
+    )
+
+
+def _over_builds(tori):
+    builds = _builds(tori)
+    return pytest.mark.parametrize("build", [b for _, b in builds], ids=[i for i, _ in builds])
+
+
+@_over_builds((6, 7, 8, 9))
+def test_basis_form_route_accepts_every_generator_model(build):
+    model = build()
+    assert model._find_unit() == model.unit == (1,)
+    model._validate()
+
+
+def _counting(monkeypatch, names):
+    """Count the calls of the named `CdgaModel` methods."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(CdgaModel, name)
+
+        def counted(self, *args, name=name, real=real):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(CdgaModel, name, counted)
+    return calls
+
+
+BASIS_ROUTE = ("_find_unit", "_indecomposables", "_product_axiom_failure")
+
+
+@_over_builds((6, 9))
+def test_generator_load_skips_the_basis_form_checks(monkeypatch, build):
+    calls = _counting(monkeypatch, BASIS_ROUTE + ("_check_d_squared",))
+    model = build()
+    if model.name == "sphere3":
+        assert calls == dict.fromkeys(calls, 1)
+    else:
+        assert calls == {**dict.fromkeys(BASIS_ROUTE, 0), "_check_d_squared": 1}
+
+
+def test_generator_document_with_nonzero_d_squared_rejected():
+    # d e = a^b and d a = c^f, so d d e = c^f^b
+    doc = {
+        "name": "dd",
+        "top_degree": 5,
+        "generators": [{"name": g, "degree": 1} for g in ("a", "b", "c", "f", "e")],
+        "differentials": {"a": "c^f", "e": "a^b"},
+    }
+    with pytest.raises(AlgebraError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == "d o d != 0 on basis element 'e' of degree 1"
+
+
+@st.composite
+def _generator_documents(draw):
+    """Generator documents whose differentials have the right degrees; many
+    break d o d = 0."""
+    degrees = draw(st.lists(st.sampled_from([1, 1, 3]), min_size=2, max_size=5))
+    names = [f"g{i}" for i in range(len(degrees))]
+    diffs = {}
+    for g, deg in zip(names, degrees):
+        monos = [
+            "^".join(names[i] for i in s)
+            for r in range(2, len(names) + 1)
+            for s in itertools.combinations(range(len(names)), r)
+            if sum(degrees[i] for i in s) == deg + 1
+        ]
+        if monos:
+            terms = draw(st.lists(st.tuples(st.integers(-2, 2), st.sampled_from(monos)), max_size=3))
+            if terms:
+                diffs[g] = " + ".join(f"{c}*{m}" for c, m in terms)
+    return {
+        "name": "fuzz",
+        "top_degree": sum(degrees),
+        "generators": [{"name": g, "degree": d} for g, d in zip(names, degrees)],
+        "differentials": diffs,
+    }
+
+
+def _outcome(doc):
+    try:
+        model = model_from_dict(doc)
+    except AlgebraError as err:
+        return str(err)
+    return model.unit, model.dims, model.diff
+
+
+@given(_generator_documents())
+@settings(max_examples=200, deadline=None)
+def test_generator_documents_load_as_through_the_basis_form_route(doc):
+    new = _outcome(doc)
+    with mock.patch.object(cdga, "_GeneratorModel", CdgaModel):
+        assert _outcome(doc) == new
+
+
+@_over_builds((6, 7, 8))
 def test_reduced_check_agrees_with_full_scan_on_valid_models(build):
     model = build()
     assert _verdicts(model) == (None, None)

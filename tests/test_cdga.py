@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from fractions import Fraction
 from unittest import mock
@@ -380,15 +381,23 @@ def test_generator_differential_with_dangling_operator_rejected():
 def test_generator_count_limit_checked_before_expansion():
     # 40 generators would expand to 2^40 monomials
     gens = [{"name": f"g{i}", "degree": 1} for i in range(40)]
-    with pytest.raises(ModelSchemaError, match="MAX_DIM = 256"):
+    with pytest.raises(ModelSchemaError, match="MAX_DIM = 512"):
         model_from_dict(_gen_doc(generators=gens, top_degree=40))
-    assert MAX_DIM == 256
-    # 8 generators (torus8) pass the limit and reach the next check
-    gens8 = [{"name": f"g{i}", "degree": 1} for i in range(8)]
+    assert MAX_DIM == 512
+    # 9 generators (torus9) pass the limit and reach the next check
+    gens9 = [{"name": f"g{i}", "degree": 1} for i in range(9)]
     with pytest.raises(ModelSchemaError, match="truncate"):
-        model_from_dict(_gen_doc(generators=gens8, top_degree=7))
-    with pytest.raises(ModelSchemaError, match="MAX_DIM"):
-        model_from_dict(_gen_doc(generators=gens8 + [{"name": "g8", "degree": 1}], top_degree=9))
+        model_from_dict(_gen_doc(generators=gens9, top_degree=8))
+    with pytest.raises(ModelSchemaError) as err:
+        model_from_dict(_gen_doc(generators=gens9 + [{"name": "g9", "degree": 1}], top_degree=10))
+    assert str(err.value) == "10 generators span 2^10 basis elements; the limit is MAX_DIM = 512 (9 generators)"
+
+
+def test_torus9_loads_at_the_dimension_limit():
+    model = model_from_dict(_torus_doc(9))
+    assert model.total_dim == MAX_DIM
+    assert model.dims == tuple(math.comb(9, p) for p in range(10))
+    assert model.unit == (1,) and model.unit_form() == model.basis_form("1")
 
 
 def test_top_degree_limit_checked_before_allocation():
@@ -411,8 +420,9 @@ def test_top_degree_limit_checked_before_allocation():
 
 def test_basis_dimension_limit_checked_before_allocation():
     labels = [f"t{i}" for i in range(MAX_DIM)]
-    with pytest.raises(ModelSchemaError, match="MAX_DIM"):
+    with pytest.raises(ModelSchemaError) as err:
         model_from_dict(_basis_doc(basis={"0": ["1"], "1": labels}))
+    assert str(err.value) == "513 basis elements exceed the limit MAX_DIM = 512"
 
 
 # -- fuzzing: a value or a ModelError, nothing else ------------------------------
@@ -766,20 +776,21 @@ def _layout_failure(n, labels, mult, diff):
 
 
 def _handed_tables(make):
-    """Every table set handed to `CdgaModel`, and every partial expansion
-    modelgen reads, while make() runs."""
+    """Every table set handed to the `CdgaModel` constructor, on the
+    basis-form and the generator-form route alike, and every partial
+    expansion modelgen reads, while make() runs."""
     tables = []
-    real_model, real_expand = cdga.CdgaModel, cdga.expand_generators
+    real_init, real_expand = cdga.CdgaModel.__init__, cdga.expand_generators
 
-    def model(name, *t):
+    def init(self, name, *t):
         tables.append(t)
-        return real_model(name, *t)
+        real_init(self, name, *t)
 
     def expand(*args, **kwargs):
         tables.append(real_expand(*args, **kwargs))
         return tables[-1]
 
-    with mock.patch.object(cdga, "CdgaModel", model), mock.patch.object(
+    with mock.patch.object(cdga.CdgaModel, "__init__", init), mock.patch.object(
         modelgen, "expand_generators", expand
     ):
         try:
@@ -854,14 +865,14 @@ def test_negative_top_degree_rejected(doc):
 
 
 def test_random_model_constructs_one_model_per_seed():
-    real = cdga.CdgaModel
+    real = cdga.CdgaModel.__init__
     for seed in range(50):
         names = []
 
-        def counting(name, *tables):
+        def counting(self, name, *tables):
             names.append(name)
-            return real(name, *tables)
+            real(self, name, *tables)
 
-        with mock.patch.object(cdga, "CdgaModel", counting):
+        with mock.patch.object(cdga.CdgaModel, "__init__", counting):
             modelgen.random_model(seed)
         assert names == [f"random{seed}"]

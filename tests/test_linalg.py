@@ -129,7 +129,8 @@ def two_pass_preimage(m, w):
     """The domain projection of the kernel of [m | -W], canonicalized by a last rref."""
     if w.dim == 0:
         return two_pass_kernel(m)
-    k = two_pass_kernel(m.augment(w.basis_matrix().scaled(-1)))
+    minus_w = Mat.from_cols([tuple(-x for x in r) for r in w.rows], rows=w.ambient_dim)
+    k = two_pass_kernel(m.augment(minus_w))
     return SubspaceBasis.span(m.cols, [r[: m.cols] for r in k.rows])
 
 

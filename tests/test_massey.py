@@ -669,3 +669,46 @@ def test_hoisted_checks_name_the_full_scans_first_entry(monkeypatch, corrupt, en
         verify_main_theorems(make_ss("mixed5", "a + b"), 1)
     assert str(hoisted.value) == str(full.value)
     assert str(full.value).startswith(entry)
+
+
+# -- the defining-system sums walk only the stored nonzero entries ----------------
+
+
+def _dense_bar_products(system, i, j):
+    """The sum over every m, zero and absent entries included, as the oracle."""
+    out = system.model.zero_form()
+    for m in range(i, j):
+        out = out + bar(system.entry(i, m)).wedge(system.entry(m + 1, j))
+    return out
+
+
+def _torus6_checks_and_wedges(monkeypatch, bar_products):
+    """Every t's Massey checks of torus6 twisted by e1^e2^e3, and the number
+    of `wedge` calls they make, with the given defining-system sums."""
+    doc = {
+        "name": "torus6",
+        "top_degree": 6,
+        "generators": [{"name": f"e{i}", "degree": 1} for i in range(1, 7)],
+    }
+    model = twistss.cdga.model_from_dict(doc)
+    ss = SpectralSequence(model, parse_twist(model, "e1^e2^e3"))
+    ss.page(ss.max_page)
+    wedges = []
+    wedge = twistss.cdga.CdgaModel.wedge
+
+    def counting(model, u, v):
+        wedges.append(1)
+        return wedge(model, u, v)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(twistss.cdga.CdgaModel, "wedge", counting)
+        mp.setattr(twistss.massey, "_bar_products", bar_products)
+        checks = [verify_main_theorems(ss, t).checks for t in range(1, (ss.max_page - 3) // 2 + 1)]
+    return checks, len(wedges)
+
+
+def test_defining_system_sums_skip_zero_entries(monkeypatch):
+    checks, wedges = _torus6_checks_and_wedges(monkeypatch, twistss.massey._bar_products)
+    dense_checks, dense_wedges = _torus6_checks_and_wedges(monkeypatch, _dense_bar_products)
+    assert checks == dense_checks and any(checks)
+    assert wedges < dense_wedges

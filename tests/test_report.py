@@ -3,6 +3,7 @@ import json
 import pytest
 
 from twistss import SpectralSequence, indet, parse_twist, report
+from twistss.cdga import model_from_dict
 from twistss.linalg import SubspaceBasis
 from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model, standard_pairs
@@ -170,3 +171,26 @@ def test_oracles_catch_odd_pages_sharing_the_next_even_cell(monkeypatch):
     verdicts = run_analysis(m, ss.H).verdicts
     assert verdicts["page_construction_agreement"].status == "fail"
     assert verdicts["indeterminacy_coherence"].status == "fail"
+
+
+def test_nilmanifold_twisted_by_an_exact_form_has_the_untwisted_pages():
+    # the nilmanifold (0,0,0,12,13,14+23): e1^e2^e3 = -d(e1^e6) is exact,
+    # so from E_2 on every page is the de Rham cohomology
+    doc = {
+        "name": "nil6",
+        "top_degree": 6,
+        "generators": [{"name": f"e{i}", "degree": 1} for i in range(1, 7)],
+        "differentials": {"e4": "e1^e2", "e5": "e1^e3", "e6": "e1^e4 + e2^e3"},
+    }
+    m = model_from_dict(doc)
+    assert m.parse_form("e1^e2^e3") == -m.parse_form("e1^e6").d()
+    betti = [1, 3, 6, 8, 6, 3, 1]
+    rep = run_analysis(m, parse_twist(m, "e1^e2^e3"))
+    assert rep.de_rham == betti
+    assert len(rep.pages) >= 2
+    for page in rep.pages[1:]:
+        assert page["dims"] == {str(p): b for p, b in enumerate(betti)}, page["r"]
+    assert (rep.twisted_even, rep.twisted_odd) == (14, 14)
+    untwisted = run_analysis(m, parse_twist(m, ""))
+    assert (untwisted.twisted_even, untwisted.twisted_odd) == (14, 14)
+    assert rep.all_pass
