@@ -67,5 +67,5 @@ c1, c2 = related_cocycle(base), related_cocycle(other)
 h8 = mixed.de_rham(8)
 cell = ssm.cell(5, 8)
 print(f"\nmixed twist: c(A1) = {c1}  vs  c(A2) = {c2}")
-print(f"equal in H^8?        {h8.project(c1.component(8)) == h8.project(c2.component(8))}")
-print(f"equal on page 5?     {cell.project(c1.component(8)) == cell.project(c2.component(8))}")
+print(f"equal in H^8?        {h8.project(c1.part(8)) == h8.project(c2.part(8))}")
+print(f"equal on page 5?     {cell.project(c1.part(8)) == cell.project(c2.part(8))}")

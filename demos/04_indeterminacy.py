@@ -39,7 +39,7 @@ print(f"[x] inside it?                 {sub9.contains_class(model.basis_form('x'
 # honest forms that differ only inside the differential indeterminacy
 x, a = model.basis_form("x"), model.basis_form("a")
 cell = ss.cell(9, 5)
-assert cell.project(x.component(5)) == cell.project((x + a).component(5))
+assert cell.project(x.part(5)) == cell.project((x + a).part(5))
 y1 = ss.zigzag_dx(ss.lift_zigzag(x, 9)).component(14)
 y2 = ss.zigzag_dx(ss.lift_zigzag(x + a, 9)).component(14)
 print(f"\nd_9 value from x:     {Form(model, {14: y1})}")

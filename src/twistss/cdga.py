@@ -21,10 +21,12 @@ zero coefficient (in generator form it is at most one signed monomial).
 This table is the one representation of the product; `wedge`, the axiom
 checks and the wedge-by-H blocks of the twisted differential all read it.
 The differential is held the same way once more, as the sparse columns of
-its matrices, which `d` and the Leibniz check read.
+its matrices, which `d`, the d o d check and the Leibniz check read; the
+matrices themselves are `linalg.Mat`s on sparse rows.
 
 A `Form` is sparse too: per degree, the sorted (index, coefficient) pairs
-of its nonzero coordinates.  `Form.component` is the dense view at the API.
+of its nonzero coordinates, the vector layout of `linalg`.  `Form.part` is
+that vector, and `Form.component` is the dense view at the API.
 Values are coerced to `Fraction` and checked once, where they enter (the
 public `Form` constructor); the results of sums, scalings, `wedge` and `d`
 are built in the stored layout and not checked again, and `wedge` and `d`
@@ -55,14 +57,15 @@ from .linalg import (
     ONE,
     QuotientSpace,
     SubspaceBasis,
+    SVec,
     Vec,
     ZERO,
+    combine,
+    dense,
     image,
     kernel,
     solve_particular,
-    vec,
-    vec_is_zero,
-    zero_vec,
+    sparse,
 )
 
 
@@ -88,10 +91,6 @@ MAX_TOP_DEGREE = 256
 # The product of two basis elements: (index, coefficient) pairs in the
 # degree of the product, sorted by index, with no zero coefficient.
 Product = tuple  # tuple[tuple[int, Fraction], ...]
-
-
-def _sparse(v: Vec) -> Product:
-    return tuple((k, c) for k, c in enumerate(v) if c)
 
 
 def _sparse_parts(acc: Mapping[int, Mapping[int, Fraction]]) -> dict:
@@ -197,12 +196,12 @@ class Form:
         for p, v in parts.items():
             if not (0 <= p <= model.top_degree):
                 raise ValueError(f"degree {p} outside the model range")
-            v = vec(v)
+            v = tuple(v)
             if len(v) != model.dim(p):
                 raise ValueError(
                     f"component of degree {p} has length {len(v)}, expected {model.dim(p)}"
                 )
-            nz = _sparse(v)
+            nz = sparse(v)
             if nz:
                 cleaned[p] = nz
         self.model = model
@@ -244,10 +243,11 @@ class Form:
 
     def component(self, p: int) -> Vec:
         """The degree-p component as a dense coordinate vector."""
-        v = [ZERO] * self.model.dim(p)
-        for i, c in self.parts.get(p, ()):
-            v[i] = c
-        return tuple(v)
+        return dense(self.parts.get(p, ()), self.model.dim(p))
+
+    def part(self, p: int) -> SVec:
+        """The degree-p component as a sparse vector, the layout of `linalg`."""
+        return self.parts.get(p, ())
 
     def homogeneous_part(self, p: int) -> "Form":
         if not (0 <= p <= self.model.top_degree):
@@ -371,7 +371,7 @@ class CdgaModel:
                     raise ModelSchemaError(f"duplicate basis label {lab!r}")
                 self._label_index[lab] = (p, i)
         # d as sparse columns: _dcols[p][i] is d of the i-th basis element of degree p
-        self._dcols = tuple(tuple(_sparse(col) for col in m.transpose().data) for m in self.diff)
+        self._dcols = tuple(m.columns() for m in self.diff)
         self._zero = Form(self, {})
         self._de_rham_cache: dict[int, QuotientSpace] = {}
         self._check_axioms()
@@ -418,6 +418,10 @@ class CdgaModel:
     def basis_form(self, label: str) -> Form:
         p, i = self.index_of(label)
         return Form._exact(self, {p: ((i, ONE),)})
+
+    def part_form(self, p: int, v: SVec) -> Form:
+        """The form whose degree-p component is the sparse vector v, an exact one."""
+        return Form._exact(self, {p: v} if v else {})
 
     def unit_form(self) -> Form:
         return Form(self, {0: self.unit})
@@ -512,23 +516,23 @@ class CdgaModel:
         """Solve for a degree-0 unit acting as identity on every basis element."""
         if self.dim(0) == 0:
             raise AlgebraError("degree 0 is empty; no unit element")
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
+        rows: list[SVec] = []
+        rhs: list[tuple[int, Fraction]] = []
         n0 = self.dim(0)
         for q in range(self.top_degree + 1):
             tab = self._mult[(0, q)]
             for j in range(self.dim(q)):
-                block = [[ZERO] * n0 for _ in range(self.dim(q))]
+                # row k of this block: the coefficients of e_k in e_i^0 ^ e_j, by i
+                block: list[list] = [[] for _ in range(self.dim(q))]
                 for i in range(n0):
                     for k, c in tab[i][j]:
-                        block[k][i] = c
-                for k in range(self.dim(q)):
-                    rows.append(block[k])
-                    rhs.append(ONE if j == k else ZERO)
-        sol = solve_particular(Mat(rows, cols=n0), tuple(rhs))
+                        block[k].append((i, c))
+                rhs.append((len(rows) + j, ONE))
+                rows.extend(map(tuple, block))
+        sol = solve_particular(Mat._exact(tuple(rows), n0), tuple(rhs))
         if sol is None:
             raise AlgebraError("degree 0 contains no unit element with 1^x = x")
-        return sol
+        return dense(sol, n0)
 
     def _basis_elems(self) -> list[tuple[int, int]]:
         """Every basis element as (degree, index), in degree order."""
@@ -555,13 +559,7 @@ class CdgaModel:
                         if prod:
                             c0 = prod[0][1]
                             rows.add(prod if c0 == 1 else tuple((k, c / c0) for k, c in prod))
-            dense = []
-            for prod in rows:
-                v = [ZERO] * self.dim(r)
-                for k, c in prod:
-                    v[k] = c
-                dense.append(v)
-            pivots = set(SubspaceBasis.span(self.dim(r), dense).pivots)
+            pivots = set(SubspaceBasis.span(self.dim(r), rows).pivots)
             out += [(r, i) for i in range(self.dim(r)) if i not in pivots]
         return out
 
@@ -576,16 +574,15 @@ class CdgaModel:
         return self._basis_elems()
 
     def _check_d_squared(self):
-        """d o d = 0, as products of the matrices of d."""
+        """d o d = 0, composed on the sparse columns of d."""
+        dcols = self._dcols
         for p in range(self.top_degree - 1):
-            prod = self.diff[p + 1] @ self.diff[p]
-            if not prod.is_zero():
-                i = next(
-                    j for j in range(self.dim(p)) if not vec_is_zero(prod.col(j))
-                )
-                raise AlgebraError(
-                    f"d o d != 0 on basis element {self.label_of(p, i)!r} of degree {p}"
-                )
+            d_next = dcols[p + 1]
+            for i, col in enumerate(dcols[p]):
+                if col and combine(col, d_next):
+                    raise AlgebraError(
+                        f"d o d != 0 on basis element {self.label_of(p, i)!r} of degree {p}"
+                    )
 
     def _validate(self):
         n = self.top_degree
@@ -831,16 +828,17 @@ def expand_generators(
     for p in range(n + 1):
         cols = []
         for a in monos[p]:
-            col = [ZERO] * len(monos[p + 1])
+            col: dict[int, Fraction] = {}
             for g, terms in dgen.items():
                 bit = 1 << g
                 if a & bit:
                     rest = a ^ bit  # _sign(bit, rest) is (-1)^t, t the generators below g
                     for c, m in terms:
                         if not m & rest:
-                            col[pos[m | rest]] += _sign(bit, rest) * _sign(m, rest) * c
-            cols.append(tuple(col))
-        diff_mats.append(Mat.from_cols(cols, rows=len(monos[p + 1])))
+                            k = pos[m | rest]
+                            col[k] = col.get(k, ZERO) + _sign(bit, rest) * _sign(m, rest) * c
+            cols.append(tuple(sorted((k, x) for k, x in col.items() if x)))
+        diff_mats.append(Mat.from_cols(cols, len(monos[p + 1])))
 
     return n, labels, mult, diff_mats
 
@@ -908,7 +906,7 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
                     raise ModelSchemaError(f"basis label {lab!r} contains {ch!r}")
             index[lab] = (p, i)
 
-    def combo_vec(s: str, degree: int) -> Vec:
+    def combo_vec(s: str, degree: int) -> SVec:
         out = [ZERO] * len(labels[degree])
         for coeff, tok in parse_linear_combination(s):
             if tok not in index:
@@ -919,7 +917,7 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
                     f"label {tok!r} has degree {p}, expected {degree} in {s!r}"
                 )
             out[i] += coeff
-        return tuple(out)
+        return sparse(out)
 
     def entries(field: str, keys: tuple[str, ...]) -> list[dict]:
         out = _typed_field(doc.get(field, []), list, repr(field))
@@ -942,10 +940,10 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
             raise ModelSchemaError(
                 f"product {left!r}^{right!r} exceeds top degree {n}"
             )
-        mult[(p, q)][i][j] = _sparse(combo_vec(str(entry.get("result", "0")), p + q))
+        mult[(p, q)][i][j] = combo_vec(str(entry.get("result", "0")), p + q)
 
     diff_mats = []
-    dcols: dict[str, Vec] = {}
+    dcols: dict[str, SVec] = {}
     for entry in entries("diff", ("from",)):
         src = str(entry["from"])
         if src not in index:
@@ -956,8 +954,8 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
         dcols[src] = combo_vec(str(entry.get("result", "0")), p + 1)
     for p in range(n + 1):
         target_dim = len(labels[p + 1]) if p + 1 <= n else 0
-        cols = [dcols.get(lab, zero_vec(target_dim)) for lab in labels[p]]
-        diff_mats.append(Mat.from_cols(cols, rows=target_dim))
+        cols = [dcols.get(lab, ()) for lab in labels[p]]
+        diff_mats.append(Mat.from_cols(cols, target_dim))
 
     return CdgaModel(str(doc["name"]), n, labels, mult, diff_mats)
 

@@ -25,7 +25,7 @@ import argparse
 import os
 import sys
 
-from .cdga import CdgaModel, Form, ModelError, load_model
+from .cdga import CdgaModel, ModelError, load_model
 from .massey import (
     MasseyError,
     banded_defining_system,
@@ -76,10 +76,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _print_class(model, degree: int, coords) -> str:
-    if degree > model.top_degree or not coords or all(c == 0 for c in coords):
+    if degree > model.top_degree or not coords:
         return "0"
-    h = model.de_rham(degree)
-    return f"[{Form(model, {degree: h.lift(coords)})}]"
+    return f"[{model.part_form(degree, model.de_rham(degree).lift(coords))}]"
 
 
 def _cmd_massey(args) -> int:

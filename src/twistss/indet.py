@@ -35,7 +35,6 @@ from .linalg import (
     Mat,
     QuotientSpace,
     SubspaceBasis,
-    ZERO,
     kernel,
     preimage,
     span_in_quotient,
@@ -60,8 +59,8 @@ def connecting_delta_bar(
     not of cohomology classes, which has the same image: a relative
     coboundary is D b + k with k in K_p, and (D(D b + k))_p = 0, since
     D D = 0 and D k lies in K_{p+1}.  So only this parity's D and its
-    kernel are computed, and one matrix of D into degree p takes the
-    cocycles to their images.
+    kernel are computed, and one product with the matrix of D into degree p
+    takes the cocycles to their images.
     """
     if r < 2:
         raise ValueError("connecting_delta_bar needs r >= 2")
@@ -77,7 +76,7 @@ def connecting_delta_bar(
     if not rows:
         return Mat.zeros(0, cocycles.dim)
     to_p = op.matrix(src.space(parity), BlockSpace(model, [p]))
-    return Mat.from_cols([to_p.apply(z) for z in cocycles.rows], rows=rows)
+    return to_p @ cocycles.basis_matrix()
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ class IndeterminacySubgroup:
         """Whether a closed degree-p form's cohomology class is in the subgroup."""
         if f.is_zero:
             return True
-        return self.in_h.contains(self.h.project(f.component(self.p)))
+        return self.in_h.contains(self.h.project(f.part(self.p)))
 
 
 def indeterminacy_subgroup(
@@ -135,7 +134,7 @@ def indeterminacy_subgroup(
     if key not in ss.indet_subgroups:
         b = ss.boundaries(min(r, ss.max_page), p)  # every page from n + 2 on has a = 0
         ss.indet_subgroups[key] = IndeterminacySubgroup(
-            p, a, QuotientSpace(b, h.sub), span_in_quotient(h, b.rows), h
+            p, a, QuotientSpace(b, h.sub), span_in_quotient(h, b.sparse), h
         )
     return ss.indet_subgroups[key]
 
@@ -188,20 +187,22 @@ def z_cell(
     k_next = k(p + 1)
     h_next = k_next.cohomology(parity)
     if ("delta", p) not in tower:
-        cols = []
-        for i in range(dim_p):
-            de = op.apply(model.basis_form(model.label_of(p, i)))
-            cols.append(h_next.project(k_next.pack(de, parity)))
-        tower[("delta", p)] = Mat.from_cols(cols, rows=h_next.dim)
+        # column i is D of the i-th basis form, in the coordinates of K_{p+1}
+        packed = op.matrix(BlockSpace(model, [p]), k_next.space(parity))
+        cols = [h_next.project(c) for c in packed.columns()]
+        tower[("delta", p)] = Mat.from_cols(cols, h_next.dim)
     delta = tower[("delta", p)]
     if p + r > n:
         return kernel(delta)
     # the classes of K_{p+r}, restricted to K_{p+1}: in one parity the degrees
     # of K_{p+r}/K_{n+1} are a suffix of those of K_{p+1}/K_{n+1}, so a
-    # representative's coordinates there are zeros followed by its own
+    # representative's coordinates there are its own, shifted past the others
     far = k(p + r)
-    pad = (ZERO,) * (k_next.space(parity).total_dim - far.space(parity).total_dim)
-    incl = [h_next.project(pad + rep) for rep in far.cohomology(parity).coset_reps]
+    o = k_next.space(parity).total_dim - far.space(parity).total_dim
+    incl = [
+        h_next.project(tuple((j + o, x) for j, x in rep))
+        for rep in far.cohomology(parity).sparse_reps
+    ]
     return preimage(delta, SubspaceBasis.span(h_next.dim, incl))
 
 

@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: echelon forms, kernels, images, quotients.
+"""Exact rational linear algebra on sparse rows: echelon forms, kernels, images, quotients.
 
 Everything is computed over Q with `fractions.Fraction`, so equality tests
 are exact and every routine is deterministic.  Reduced row-echelon form is
@@ -6,15 +6,20 @@ the canonical representative of a row space: two generating sets of the same
 subspace always produce identical bases.  Particular solutions zero their
 free variables.
 
+Vectors are sparse: a vector is the tuple of (index, Fraction) pairs of its
+nonzero coordinates, sorted by index, the layout of a `Form`'s parts.  A
+`Mat` holds its rows and a `SubspaceBasis` its basis in that layout, and
+every routine here walks only the stored pairs: `rref` finds pivots by each
+row's leading column (its first pair) and eliminates by adding sparse rows,
+and `Mat.apply`, `@` and the subspace reductions touch only nonzeros.
 Matrices act on column vectors: a `Mat` with shape (rows, cols) is a linear
-map Q^cols -> Q^rows.  Vectors are plain tuples of Fractions.  All values
-are immutable once built.
+map Q^cols -> Q^rows.  All values are immutable once built.
 
-Values are coerced to `Fraction` once, where they enter: `vec` passes
-Fractions through unchanged, and matrices built here from rows that are
-already exact are not coerced again.  Most entries of the matrices the
-engine builds are zero, so the kernels (`Mat.apply`, `@`, `rref` and the
-subspace reductions) skip zero entries.
+Dense views (`Mat.data`, `SubspaceBasis.rows`, `QuotientSpace.coset_reps`,
+and `dense`) are built on demand for callers at the API boundary; nothing in
+this module reads them.  Values are coerced to `Fraction` once, where they
+enter through the dense constructors (`vec`, `sparse`, `Mat(...)`); the
+routines take sparse vectors that are already exact and do not coerce them.
 
 Each kernel costs one elimination.  Eliminating m with its columns reversed
 puts every null vector's leading 1 on its own free column with zeros at the
@@ -27,7 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-Vec = tuple  # tuple[Fraction, ...]
+Vec = tuple  # dense: tuple[Fraction, ...]
+SVec = tuple  # sparse: tuple[tuple[int, Fraction], ...], sorted by index, no zero value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -35,7 +41,7 @@ _EXACT = {Fraction}
 
 
 def vec(entries: Iterable) -> Vec:
-    """Coerce an iterable of numbers into an exact coordinate vector.
+    """Coerce an iterable of numbers into an exact dense coordinate vector.
 
     Fractions are immutable, so one that is already exact is kept as is.
     """
@@ -45,128 +51,150 @@ def vec(entries: Iterable) -> Vec:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
-def zero_vec(n: int) -> Vec:
-    return (ZERO,) * n
+def sparse(entries: Iterable) -> SVec:
+    """The sparse vector of a dense iterable of numbers, coerced to Fractions."""
+    return tuple((j, x) for j, x in enumerate(vec(entries)) if x)
 
 
-def unit_vec(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
+def dense(v: SVec, n: int) -> Vec:
+    """The dense view of a sparse vector of length n."""
+    out = [ZERO] * n
+    for j, x in v:
+        out[j] = x
+    return tuple(out)
 
 
-def vec_is_zero(u: Vec) -> bool:
-    return not any(u)
+def _collect(acc: dict) -> SVec:
+    """A sparse vector from an index -> value accumulator, dropping zeros."""
+    return tuple(sorted((j, x) for j, x in acc.items() if x))
+
+
+def _subtract(acc: dict, c: Fraction, v: SVec) -> None:
+    """acc -= c * v, on an index -> value accumulator."""
+    for j, x in v:
+        acc[j] = acc[j] - c * x if j in acc else -c * x
+
+
+def combine(coeffs: SVec, vectors: Sequence[SVec]) -> SVec:
+    """The sum of c * vectors[k] over the pairs (k, c) of coeffs."""
+    if len(coeffs) == 1:
+        k, c = coeffs[0]
+        return vectors[k] if c == 1 else tuple((j, c * x) for j, x in vectors[k])
+    acc: dict = {}
+    for k, c in coeffs:
+        for j, x in vectors[k]:
+            y = c * x
+            acc[j] = acc[j] + y if j in acc else y
+    return _collect(acc)
+
+
+def _transpose(rows: Sequence[SVec], ncols: int) -> tuple[SVec, ...]:
+    """The sparse columns of the matrix with the given sparse rows."""
+    cols: list[list] = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            cols[j].append((i, x))
+    return tuple(map(tuple, cols))
 
 
 class Mat:
-    """Dense matrix over Q.  Immutable after construction."""
+    """Matrix over Q on sparse rows.  Immutable after construction.
 
-    __slots__ = ("rows", "cols", "data")
+    ``sparse`` holds one sparse vector per row; ``rows`` and ``cols`` are the
+    shape.  `data` is the dense view at the API boundary.
+    """
+
+    __slots__ = ("rows", "cols", "sparse")
 
     def __init__(self, rows_of_entries: Iterable[Iterable], cols: Optional[int] = None):
-        data = tuple(vec(r) for r in rows_of_entries)
-        self.rows = len(data)
+        """The matrix of dense rows of numbers, coerced to Fractions."""
+        data = [vec(r) for r in rows_of_entries]
         if data:
-            self.cols = len(data[0])
-            if any(len(r) != self.cols for r in data):
+            n = len(data[0])
+            if any(len(r) != n for r in data):
                 raise ValueError("ragged rows")
-            if cols is not None and cols != self.cols:
+            if cols is not None and cols != n:
                 raise ValueError("explicit column count disagrees with rows")
+        elif cols is None:
+            raise ValueError("empty matrix needs an explicit column count")
         else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.cols = cols
-        self.data = data
+            n = cols
+        self.rows, self.cols = len(data), n
+        self.sparse = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in data)
 
     @staticmethod
-    def _exact(data: tuple, cols: int) -> "Mat":
-        """A matrix on a tuple of rows that are already exact tuples of length cols."""
+    def _exact(rows: tuple, cols: int) -> "Mat":
+        """A matrix on a tuple of sparse rows that are already exact, indices below cols."""
         m = Mat.__new__(Mat)
-        m.rows, m.cols, m.data = len(data), cols, data
+        m.rows, m.cols, m.sparse = len(rows), cols, rows
         return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat._exact((zero_vec(cols),) * rows, cols)
+        return Mat._exact(((),) * rows, cols)
 
     @staticmethod
-    def identity(n: int) -> "Mat":
-        return Mat._exact(tuple(unit_vec(n, i) for i in range(n)), n)
+    def from_cols(columns: Sequence[SVec], rows: int) -> "Mat":
+        """The rows x len(columns) matrix with the given sparse columns."""
+        if any(c and c[-1][0] >= rows for c in columns):
+            raise ValueError("a column has an index past the row count")
+        return Mat._exact(_transpose(columns, rows), len(columns))
 
-    @staticmethod
-    def from_cols(columns: Sequence[Vec], rows: Optional[int] = None) -> "Mat":
-        """The matrix with the given columns; `rows` must agree with their length."""
-        cols = [vec(c) for c in columns]
-        if rows is None:
-            if not cols:
-                raise ValueError("empty column list needs an explicit row count")
-            rows = len(cols[0])
-        lengths = {len(c) for c in cols}
-        if len(lengths) > 1:
-            raise ValueError("ragged columns")
-        if lengths - {rows}:
-            raise ValueError("explicit row count disagrees with columns")
-        return Mat._exact(tuple(zip(*cols)) if cols else ((),) * rows, len(cols))
+    @property
+    def data(self) -> tuple[Vec, ...]:
+        """The dense rows, built on demand."""
+        return tuple(dense(r, self.cols) for r in self.sparse)
 
-    def row(self, i: int) -> Vec:
-        return self.data[i]
+    def columns(self) -> tuple[SVec, ...]:
+        """The sparse columns, in one pass over the nonzeros."""
+        return _transpose(self.sparse, self.cols)
 
-    def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.data)
-
-    def apply(self, v: Vec) -> Vec:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} on vector of length {len(v)}")
-        nz = [(j, b) for j, b in enumerate(v) if b]
+    def apply(self, v: SVec) -> SVec:
+        """Matrix-vector product of a sparse vector."""
+        if v and v[-1][0] >= self.cols:
+            raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} on index {v[-1][0]}")
+        if not v:
+            return ()
+        vd = dict(v)
         out = []
-        for r in self.data:
-            s = ZERO
-            for j, b in nz:
-                a = r[j]
-                if a:
-                    s += a * b
-            out.append(s)
+        for i, row in enumerate(self.sparse):
+            s = None
+            for j, a in row:
+                b = vd.get(j)
+                if b is not None:
+                    s = a * b if s is None else s + a * b
+            if s:
+                out.append((i, s))
         return tuple(out)
 
     def __matmul__(self, other: "Mat") -> "Mat":
+        """Row i of the product is the combination of other's rows by self's row i."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        n = other.cols
-        other_nz = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
-        out = []
-        for r in self.data:
-            acc = [ZERO] * n
-            for k, a in enumerate(r):
-                if a:
-                    for j, x in other_nz[k]:
-                        acc[j] += a * x
-            out.append(tuple(acc))
-        return Mat._exact(tuple(out), n)
-
-    def transpose(self) -> "Mat":
-        if not self.data:
-            return Mat._exact(((),) * self.cols, 0)
-        return Mat._exact(tuple(zip(*self.data)), self.rows)
+        b = other.sparse
+        return Mat._exact(tuple(combine(r, b) if r else () for r in self.sparse), other.cols)
 
     def augment(self, other: "Mat") -> "Mat":
         """Stack side by side: [self | other]."""
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
+        n = self.cols
         return Mat._exact(
-            tuple(a + b for a, b in zip(self.data, other.data)), self.cols + other.cols
+            tuple(a + tuple((j + n, x) for j, x in b) for a, b in zip(self.sparse, other.sparse)),
+            n + other.cols,
         )
 
     def is_zero(self) -> bool:
-        return not any(any(r) for r in self.data)
+        return not any(self.sparse)
 
     def rank(self) -> int:
         return len(rref(self)[1])
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.cols == other.cols and self.data == other.data
+        return isinstance(other, Mat) and self.cols == other.cols and self.sparse == other.sparse
 
     def __hash__(self):
-        return hash((self.cols, self.data))
+        return hash((self.cols, self.sparse))
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
@@ -175,61 +203,69 @@ class Mat:
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row-echelon form and the pivot columns, fully canonical.
 
-    Only the nonzero entries of the pivot row are scaled and subtracted;
-    its entries left of the pivot column are zero already.
+    A row's leading column is its first pair.  Each row in turn loses its
+    leading entry against the pivot row of that column, until it leads in a
+    new column, is scaled to a leading 1 and becomes that column's pivot
+    row.  Then, from the last pivot back, each pivot row subtracts the
+    already reduced pivot rows at its other pivot columns; those add
+    entries only at non-pivot columns, so one pass leaves every pivot
+    column zero outside its own row.  The RREF of a row space is unique, so
+    this is the matrix the column-by-column elimination gives.
     """
-    a = [list(r) for r in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        prow = a[r]
-        nz = [j for j in range(c, ncols) if prow[j]]
-        pv = prow[c]
-        if pv != 1:
-            for j in nz:
-                prow[j] /= pv
-        for i in range(nrows):
-            row = a[i]
-            f = row[c]
-            if f and i != r:
-                for j in nz:
-                    row[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-    return Mat._exact(tuple(map(tuple, a)), ncols), tuple(pivots)
+    pivot_rows: dict[int, SVec] = {}
+    for row in m.sparse:
+        while row:
+            c, f = row[0]
+            prow = pivot_rows.get(c)
+            if prow is None:
+                if f != 1:
+                    row = tuple((j, x / f) for j, x in row)
+                pivot_rows[c] = row
+                break
+            acc = dict(row[1:])  # the leading entries cancel
+            _subtract(acc, f, prow[1:])
+            row = _collect(acc)
+    pivots = tuple(sorted(pivot_rows))
+    out = []
+    for c in reversed(pivots):
+        row = pivot_rows[c]
+        hits = [(pivot_rows[j], x) for j, x in row[1:] if j in pivot_rows]
+        if hits:
+            acc = dict(row)
+            for prow, x in hits:
+                del acc[prow[0][0]]  # x times prow's leading 1 cancels it
+                _subtract(acc, x, prow[1:])
+            row = pivot_rows[c] = _collect(acc)
+        out.append(row)
+    out.reverse()
+    return Mat._exact(tuple(out) + ((),) * (m.rows - len(out)), m.cols), pivots
 
 
 class SubspaceBasis:
-    """A subspace of Q^n held by its reduced-echelon basis.
+    """A subspace of Q^n held by its reduced-echelon basis, as sparse rows.
 
     The basis rows are the nonzero rows of the RREF of any generating set,
-    so equal subspaces compare equal structurally.
+    so equal subspaces compare equal structurally; each row's first pair is
+    the 1 at its pivot.  `rows` is the dense view.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots")
+    __slots__ = ("ambient_dim", "sparse", "pivots", "_index")
 
-    def __init__(self, ambient_dim: int, rows: tuple[Vec, ...], pivots: tuple[int, ...]):
+    def __init__(self, ambient_dim: int, rows: tuple[SVec, ...], pivots: tuple[int, ...]):
         self.ambient_dim = ambient_dim
-        self.rows = rows
+        self.sparse = rows
         self.pivots = pivots
+        self._index = {p: k for k, p in enumerate(pivots)}  # pivot column -> basis row
 
     @staticmethod
-    def span(ambient_dim: int, vectors: Iterable[Vec]) -> "SubspaceBasis":
-        vs = [vec(v) for v in vectors]
-        for v in vs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length disagrees with ambient dimension")
+    def span(ambient_dim: int, vectors: Iterable[SVec]) -> "SubspaceBasis":
+        vs = tuple(vectors)
+        if any(v and v[-1][0] >= ambient_dim for v in vs):
+            raise ValueError("vector index outside the ambient dimension")
         if not vs:
             return SubspaceBasis(ambient_dim, (), ())
-        r, piv = rref(Mat._exact(tuple(vs), ambient_dim))
-        return SubspaceBasis(ambient_dim, r.data[: len(piv)], piv)
+        r, piv = rref(Mat._exact(vs, ambient_dim))
+        return SubspaceBasis(ambient_dim, r.sparse[: len(piv)], piv)
 
     @staticmethod
     def zero(ambient_dim: int) -> "SubspaceBasis":
@@ -238,57 +274,70 @@ class SubspaceBasis:
     @staticmethod
     def full(ambient_dim: int) -> "SubspaceBasis":
         return SubspaceBasis(
-            ambient_dim,
-            tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim)),
-            tuple(range(ambient_dim)),
+            ambient_dim, tuple(((i, ONE),) for i in range(ambient_dim)), tuple(range(ambient_dim))
         )
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
-    def reduce(self, v: Vec) -> Vec:
-        """Residual of v after eliminating every pivot; zero iff v is a member."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length disagrees with ambient dimension")
-        v = list(vec(v))
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] -= c * x
-        return tuple(v)
+    @property
+    def rows(self) -> tuple[Vec, ...]:
+        """The dense basis rows, built on demand."""
+        return tuple(dense(r, self.ambient_dim) for r in self.sparse)
 
-    def contains(self, v: Vec) -> bool:
-        return vec_is_zero(self.reduce(v))
+    def reduce(self, v: SVec) -> SVec:
+        """Residual of v after eliminating every pivot; empty iff v is a member.
+
+        The basis is reduced, so subtracting one row leaves v unchanged at
+        the other pivots: each row's coefficient is v's own entry at its pivot.
+        """
+        if v and v[-1][0] >= self.ambient_dim:
+            raise ValueError("vector index outside the ambient dimension")
+        index, rows = self._index, self.sparse
+        hits = [(rows[k], c) for j, c in v if (k := index.get(j)) is not None]
+        if not hits:
+            return v
+        acc = dict(v)
+        for row, c in hits:
+            del acc[row[0][0]]  # c times the row's leading 1 at its pivot cancels it
+            _subtract(acc, c, row[1:])
+        return _collect(acc)
+
+    def contains(self, v: SVec) -> bool:
+        return not self.reduce(v)
 
     def contains_space(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in other.sparse)
 
-    def coords(self, v: Vec) -> Optional[Vec]:
+    def coords(self, v: SVec) -> Optional[SVec]:
         """Coefficients of v in the echelon basis, or None if not a member."""
-        c = tuple(v[p] for p in self.pivots)
-        if vec_is_zero(self.reduce(v)):
-            return c
-        return None
+        if self.reduce(v):
+            return None
+        index = self._index
+        return tuple((k, c) for j, c in v if (k := index.get(j)) is not None)
 
     def basis_matrix(self) -> Mat:
         """Basis vectors as columns (ambient_dim x dim)."""
-        return Mat.from_cols(list(self.rows), rows=self.ambient_dim)
+        return Mat.from_cols(self.sparse, self.ambient_dim)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubspaceBasis)
             and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
+            and self.sparse == other.sparse
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.rows))
+        return hash((self.ambient_dim, self.sparse))
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient_dim})"
+
+
+def _reversed_row(row: SVec, n: int) -> SVec:
+    """The row with column c moved to n - 1 - c."""
+    return tuple((n - 1 - j, x) for j, x in reversed(row))
 
 
 def kernel(m: Mat) -> SubspaceBasis:
@@ -304,45 +353,45 @@ def kernel(m: Mat) -> SubspaceBasis:
     0), which is unique, so no second elimination is needed.
     """
     n = m.cols
-    r, pivots = rref(Mat._exact(tuple(row[::-1] for row in m.data), n))
+    r, pivots = rref(Mat._exact(tuple(_reversed_row(row, n) for row in m.sparse), n))
+    # the RREF's column c at the pivots, by c; a pivot row holds only columns past its pivot
+    at: dict[int, list] = {}
+    for row, p in zip(r.sparse, pivots):
+        for c, x in row[1:]:
+            at.setdefault(c, []).append((n - 1 - p, -x))
     pivset = set(pivots)
-    free = [c for c in range(n - 1, -1, -1) if c not in pivset]  # ascending f
-    rows = []
-    for c in free:
-        v = [ZERO] * n
-        v[n - 1 - c] = ONE
-        for i, p in enumerate(pivots):
-            if p > c:
-                break
-            x = r.data[i][c]
-            if x:
-                v[n - 1 - p] = -x
-        rows.append(tuple(v))
-    return SubspaceBasis(n, tuple(rows), tuple(n - 1 - c for c in free))
+    rows, free = [], []
+    for c in range(n - 1, -1, -1):  # ascending f = n-1-c
+        if c not in pivset:
+            f = n - 1 - c
+            rows.append(((f, ONE),) + tuple(reversed(at.get(c, ()))))
+            free.append(f)
+    return SubspaceBasis(n, tuple(rows), tuple(free))
 
 
 def image(m: Mat) -> SubspaceBasis:
     """Column span of m, canonicalized."""
-    return SubspaceBasis.span(m.rows, [m.col(j) for j in range(m.cols)])
+    return SubspaceBasis.span(m.rows, m.columns())
 
 
-def solve_particular(m: Mat, b: Vec) -> Optional[Vec]:
+def solve_particular(m: Mat, b: SVec) -> Optional[SVec]:
     """The solution of m x = b whose free variables are all zero.
 
     Returns None when b is outside the image.  The zero-free-variable
     convention makes the result unique and deterministic.
     """
-    b = vec(b)
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length disagrees with row count")
-    aug = Mat._exact(tuple(row + (x,) for row, x in zip(m.data, b)), m.cols + 1)
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == m.cols:
+    if b and b[-1][0] >= m.rows:
+        raise ValueError("right-hand side index past the row count")
+    n = m.cols
+    aug = list(m.sparse)
+    for i, x in b:
+        aug[i] = aug[i] + ((n, x),)
+    r, pivots = rref(Mat._exact(tuple(aug), n + 1))
+    if pivots and pivots[-1] == n:
         return None
-    x = [ZERO] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = r.data[i][m.cols]
-    return tuple(x)
+    return tuple(
+        (p, row[-1][1]) for row, p in zip(r.sparse, pivots) if row[-1][0] == n
+    )
 
 
 def preimage(m: Mat, w: SubspaceBasis) -> SubspaceBasis:
@@ -360,8 +409,11 @@ def preimage(m: Mat, w: SubspaceBasis) -> SubspaceBasis:
     if w.dim == 0:
         return kernel(m)
     k = kernel(m.augment(w.basis_matrix()))
-    rank = sum(1 for c in k.pivots if c < m.cols)  # pivots ascend: a prefix of the rows
-    return SubspaceBasis(m.cols, tuple(r[: m.cols] for r in k.rows[:rank]), k.pivots[:rank])
+    n = m.cols
+    rank = sum(1 for c in k.pivots if c < n)  # pivots ascend: a prefix of the rows
+    return SubspaceBasis(
+        n, tuple(tuple(e for e in row if e[0] < n) for row in k.sparse[:rank]), k.pivots[:rank]
+    )
 
 
 class QuotientSpace:
@@ -370,10 +422,11 @@ class QuotientSpace:
     The representatives are the echelon basis vectors of Z whose pivot
     columns are not pivots of B; they form a complement of B inside Z, so
     project(lift(c)) == c for every class c and project(v) == 0 exactly when
-    v lies in B.
+    v lies in B.  ``sparse_reps`` holds them as sparse vectors and
+    `coset_reps` is their dense view.
     """
 
-    __slots__ = ("ambient", "sub", "coset_reps", "_rep_pivots")
+    __slots__ = ("ambient", "sub", "sparse_reps", "_rep_index")
 
     def __init__(self, ambient: SubspaceBasis, sub: SubspaceBasis):
         if ambient.ambient_dim != sub.ambient_dim:
@@ -382,10 +435,10 @@ class QuotientSpace:
             raise ValueError("denominator is not contained in numerator")
         self.ambient = ambient
         self.sub = sub
-        subpiv = set(sub.pivots)
-        reps = [(row, p) for row, p in zip(ambient.rows, ambient.pivots) if p not in subpiv]
-        self.coset_reps = tuple(row for row, _ in reps)
-        self._rep_pivots = tuple(p for _, p in reps)
+        subpiv = sub._index
+        reps = [(row, p) for row, p in zip(ambient.sparse, ambient.pivots) if p not in subpiv]
+        self.sparse_reps = tuple(row for row, _ in reps)
+        self._rep_index = {p: k for k, (_, p) in enumerate(reps)}  # rep pivot -> class coordinate
 
     @property
     def dim(self) -> int:
@@ -395,10 +448,15 @@ class QuotientSpace:
     def ambient_dim(self) -> int:
         return self.ambient.ambient_dim
 
-    def is_zero_class(self, v: Vec) -> bool:
+    @property
+    def coset_reps(self) -> tuple[Vec, ...]:
+        """The dense coset representatives, built on demand."""
+        return tuple(dense(r, self.ambient_dim) for r in self.sparse_reps)
+
+    def is_zero_class(self, v: SVec) -> bool:
         return self.sub.contains(v)
 
-    def project(self, v: Vec) -> Vec:
+    def project(self, v: SVec) -> SVec:
         """Class coordinates of a member of the numerator space.
 
         These are the x of the unique solution of v = reps x + sub y.  The
@@ -410,18 +468,13 @@ class QuotientSpace:
         w = self.sub.reduce(v)
         if not self.ambient.contains(w):
             raise ValueError("vector not in the subspace being quotiented")
-        return tuple(w[p] for p in self._rep_pivots)
+        index = self._rep_index
+        return tuple((k, c) for j, c in w if (k := index.get(j)) is not None)
 
-    def lift(self, coords: Vec) -> Vec:
-        if len(coords) != self.dim:
-            raise ValueError("class coordinate length mismatch")
-        out = list(zero_vec(self.ambient_dim))
-        for c, rep in zip(coords, self.coset_reps):
-            if c:
-                for j, x in enumerate(rep):
-                    if x:
-                        out[j] += c * x
-        return tuple(out)
+    def lift(self, coords: SVec) -> SVec:
+        if coords and coords[-1][0] >= self.dim:
+            raise ValueError("class coordinate index past the quotient dimension")
+        return combine(coords, self.sparse_reps) if coords else ()
 
     def __eq__(self, other) -> bool:
         return (
@@ -437,6 +490,6 @@ class QuotientSpace:
         return f"QuotientSpace(dim {self.dim} = {self.ambient.dim}-{self.sub.dim} in Q^{self.ambient_dim})"
 
 
-def span_in_quotient(q: QuotientSpace, vectors: Iterable[Vec]) -> SubspaceBasis:
+def span_in_quotient(q: QuotientSpace, vectors: Iterable[SVec]) -> SubspaceBasis:
     """Span of the classes of the given numerator vectors, in class coordinates."""
     return SubspaceBasis.span(q.dim, [q.project(v) for v in vectors])

@@ -32,7 +32,7 @@ from .cdga import CdgaModel, Form
 from .linalg import (
     QuotientSpace,
     SubspaceBasis,
-    Vec,
+    SVec,
     solve_particular,
     span_in_quotient,
 )
@@ -68,7 +68,7 @@ class TripleProduct:
     d v2 = bar(x2) ^ x3, both solved with zeroed free variables.  ``coords``
     is the class of omega in cohomology at ``degree``; ``indeterminacy``
     spans the subgroup [x1] H + H [x3] inside that cohomology, so the product
-    as a set is coords + indeterminacy.
+    as a set is coords + indeterminacy.  Class coordinates are sparse vectors.
     """
 
     omega: Form
@@ -76,22 +76,22 @@ class TripleProduct:
     v2: Form
     degree: int
     cohomology: QuotientSpace
-    coords: Vec
+    coords: SVec
     indeterminacy: SubspaceBasis
 
     @property
     def is_zero_class(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not self.coords
 
 
 def _solve_primitive(model: CdgaModel, w: Form, degree: int) -> Form:
     """A form v of the given degree with d v = w, free variables zeroed."""
     if w.is_zero:
         return model.zero_form()
-    sol = solve_particular(model.d_mat(degree), w.component(degree + 1))
+    sol = solve_particular(model.d_mat(degree), w.part(degree + 1))
     if sol is None:
         raise MasseyError("product class is nonzero; Massey product undefined")
-    return Form(model, {degree: sol})
+    return model.part_form(degree, sol)
 
 
 def triple_product(x1: Form, x2: Form, x3: Form) -> TripleProduct:
@@ -116,16 +116,16 @@ def triple_product(x1: Form, x2: Form, x3: Form) -> TripleProduct:
         trivial = QuotientSpace(SubspaceBasis.zero(0), SubspaceBasis.zero(0))
         return TripleProduct(omega, v1, v2, degree, trivial, (), SubspaceBasis.zero(0))
     h = model.de_rham(degree)
-    coords = h.project(omega.component(degree))
+    coords = h.project(omega.part(degree))
     shifts = []
     for z in _closed_basis(model, r2 + r3 - 1):
         w = x1.wedge(z)
         if not w.is_zero:
-            shifts.append(w.component(degree))
+            shifts.append(w.part(degree))
     for z in _closed_basis(model, r1 + r2 - 1):
         w = z.wedge(x3)
         if not w.is_zero:
-            shifts.append(w.component(degree))
+            shifts.append(w.part(degree))
     indet = span_in_quotient(h, shifts) if shifts else SubspaceBasis.zero(h.dim)
     return TripleProduct(omega, v1, v2, degree, h, coords, indet)
 
@@ -133,9 +133,7 @@ def triple_product(x1: Form, x2: Form, x3: Form) -> TripleProduct:
 def _closed_basis(model: CdgaModel, degree: int) -> list[Form]:
     if not (0 <= degree <= model.top_degree):
         return []
-    return [
-        Form(model, {degree: row}) for row in model.de_rham(degree).ambient.rows
-    ]
+    return [model.part_form(degree, row) for row in model.de_rham(degree).ambient.sparse]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +277,7 @@ def _class_cocycle(system: DefiningSystem, kind: str, checked: set) -> Form:
     return _closed_cocycle(system)
 
 
-def specific_element(system: DefiningSystem) -> tuple[int, Vec]:
+def specific_element(system: DefiningSystem) -> tuple[int, SVec]:
     """The cohomology class of the related cocycle: (degree, class coordinates).
 
     The degree is the nominal one, sum of input degrees minus size plus 2;
@@ -288,14 +286,14 @@ def specific_element(system: DefiningSystem) -> tuple[int, Vec]:
     return cocycle_class(system, validate_defining_system(system))
 
 
-def cocycle_class(system: DefiningSystem, c: Form) -> tuple[int, Vec]:
+def cocycle_class(system: DefiningSystem, c: Form) -> tuple[int, SVec]:
     """`specific_element` from c = c(A), which `validate_defining_system` returned."""
     deg = sum(system.input_degrees) - system.size + 2
     model = system.model
     if deg > model.top_degree:
         assert c.is_zero
         return deg, ()
-    return deg, model.de_rham(deg).project(c.component(deg))
+    return deg, model.de_rham(deg).project(c.part(deg))
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +437,8 @@ def _perturbing_shift(ss: SpectralSequence, p: int, t: int) -> Optional[ZigZag]:
         deg = p + 2 * i
         if deg > ss.n:
             break
-        for z_row in model.de_rham(deg).ambient.rows:
-            shifted = ss.lift_zigzag(Form(model, {deg: z_row}), reach - 2 * i)
+        for z_row in model.de_rham(deg).ambient.sparse:
+            shifted = ss.lift_zigzag(model.part_form(deg, z_row), reach - 2 * i)
             if shifted is not None:
                 return shifted
     return None
@@ -493,18 +491,18 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
     s = (single - 1) // 2 if single is not None else None
     checked: set = set()
 
-    def page_class(sign: int, system: DefiningSystem, kind: str, p: int) -> Vec:
+    def page_class(sign: int, system: DefiningSystem, kind: str, p: int) -> SVec:
         return ss.page_coords(r, p + r, sign * _class_cocycle(system, kind, checked))
 
     for p in range(ss.n + 1):
-        reps = ss.cell(r, p).coset_reps
+        reps = ss.cell(r, p).sparse_reps
         if not reps:
             continue
         shift = _perturbing_shift(ss, p, t)
-        d_r = ss.differential_matrix(r, p)  # column j is d_r of reps[j]
-        for j, rep in enumerate(reps):
-            x = Form(ss.model, {p: rep})
-            lhs = PageClass(r, p + r, d_r.col(j))
+        d_r = ss.differential_matrix(r, p).columns()  # column j is d_r of reps[j]
+        for rep, d_rep in zip(reps, d_r):
+            x = ss.model.part_form(p, rep)
+            lhs = PageClass(r, p + r, d_rep)
             zz = _lift(ss, x, r)
 
             banded = _assemble_banded(ss, x, t, _split_tail(zz.form, p, 2, ss.n))

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from .cdga import CdgaModel, build_generator_model, expand_generators
-from .linalg import kernel
+from .linalg import combine, kernel, sparse
 from .twist import TwistForm, make_twist
 
 _NAME_POOL = "gabcdefhkmnpqrstuw"
@@ -43,13 +43,8 @@ def random_model(seed: int, max_gens: int = 5) -> CdgaModel:
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(closed.dim)]
         if all(c == 0 for c in coeffs):
             continue
-        combo = [Fraction(0)] * len(labels[target])
-        for c, row in zip(coeffs, closed.rows):
-            combo = [x + c * y for x, y in zip(combo, row)]
         terms = []
-        for k, c in enumerate(combo):
-            if c == 0:
-                continue
+        for k, c in combine(sparse(coeffs), closed.sparse):
             label = labels[target][k]
             mono = tuple(label.split("^")) if label != "1" else ()
             terms.append((c, mono))
@@ -70,8 +65,5 @@ def random_twist(model: CdgaModel, seed: int) -> TwistForm:
         if closed.dim == 0:
             continue
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(closed.dim)]
-        combo = [Fraction(0)] * model.dim(deg)
-        for c, row in zip(coeffs, closed.rows):
-            combo = [x + c * y for x, y in zip(combo, row)]
-        parts.append(model.form({deg: combo}))
+        parts.append(model.part_form(deg, combine(sparse(coeffs), closed.sparse)))
     return make_twist(model, parts)

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cdga import CdgaModel, Form
+from .cdga import CdgaModel
 from .indet import connecting_delta_bar, indeterminacy_subgroup, page_agreement
 from .linalg import image
 from .massey import ClassCheck, verify_main_theorems
@@ -214,7 +214,7 @@ def check_page_identifications(ss: SpectralSequence) -> Check:
         if ss.cell(1, p).dim != m.dim(p):
             return p, f"E_1 dim mismatch on {m.name} at p={p}"
         c2 = ss.cell(2, p)
-        if c2.dim != m.betti(p) or c2.coset_reps != m.de_rham(p).coset_reps:
+        if c2.dim != m.betti(p) or c2.sparse_reps != m.de_rham(p).sparse_reps:
             return p, f"E_2 mismatch on {m.name} at p={p}"
     return ss.n + 1, None
 
@@ -245,10 +245,10 @@ def check_d3_cup(ss: SpectralSequence) -> Check:
     h3 = ss.H.component_form(3)
     checked = 0
     for p in range(ss.n + 1):
-        reps = ss.cell(3, p).coset_reps
-        d_3 = ss.differential_matrix(3, p) if reps else None  # column j is d_3 of reps[j]
-        for j, rep in enumerate(reps):
-            if d_3.col(j) != ss.page_coords(3, p + 3, h3.wedge(Form(ss.model, {p: rep}))):
+        reps = ss.cell(3, p).sparse_reps
+        d_3 = ss.differential_matrix(3, p).columns() if reps else ()  # column j is d_3 of reps[j]
+        for rep, d_rep in zip(reps, d_3):
+            if d_rep != ss.page_coords(3, p + 3, h3.wedge(ss.model.part_form(p, rep))):
                 return checked, f"d_3 != cup on {ss.model.name} at p={p}"
             checked += 1
     return checked, None
@@ -337,13 +337,12 @@ def _check_representative_pairs(ss: SpectralSequence) -> Check:
             if cell.dim == 0:
                 continue
             h = model.de_rham(p)
-            shifts = [b for b in ss.boundaries(r, p).rows if not h.sub.contains(b)]
+            shifts = [b for b in ss.boundaries(r, p).sparse if not h.sub.contains(b)]
             if not shifts:
                 continue
             sub = indeterminacy_subgroup(model, H, p, 0, r, ss)
-            rep = cell.coset_reps[0]
-            x1 = Form(model, {p: rep})
-            x2 = x1 + Form(model, {p: shifts[0]})
+            x1 = model.part_form(p, cell.sparse_reps[0])
+            x2 = x1 + model.part_form(p, shifts[0])
             if not sub.contains_class(x2 - x1):
                 return samples, f"representative difference escapes on {model.name} (r={r}, p={p})"
             samples += 1

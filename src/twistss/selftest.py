@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .cdga import Form
 from .indet import page_agreement
 from .massey import bar, triple_product
 from .models import bundled_model, standard_pairs
@@ -244,15 +243,15 @@ def crit_triple_product(ws: Workspace):
     # [a] H^1 + H^1 [b]
     from .linalg import kernel
 
-    for z_row in kernel(m.d_mat(1)).rows:
-        z = Form(m, {1: z_row})
+    for z_row in kernel(m.d_mat(1)).sparse:
+        z = m.part_form(1, z_row)
         omega2 = bar(tp.v1 + z).wedge(b) + bar(a).wedge(tp.v2)
         omega3 = bar(tp.v1).wedge(b) + bar(a).wedge(tp.v2 + z)
         for om in (omega2, omega3):
             if not om.d().is_zero:
                 return False, "shifted representative is not closed"
             delta = om - tp.omega
-            coords = tp.cohomology.project(delta.component(tp.degree)) if not delta.is_zero else None
+            coords = tp.cohomology.project(delta.part(tp.degree)) if not delta.is_zero else None
             if coords is not None and not tp.indeterminacy.contains(coords):
                 return False, "shifted class escapes the indeterminacy subgroup"
     return True, "<a,b,b> = [c^b] != 0; shifts stay in the indeterminacy subgroup"

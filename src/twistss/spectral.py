@@ -20,11 +20,11 @@ E_{2k+1} = E_{2k}), and so does every page past a column's stable point.
 Each object is cached by what it depends on (the condition list, the start
 of the lifts) and built once.
 
-Lifts are read off the Z_r kernel, which stores the zero-free-variable tail
-of each basis vector, so lifting succeeds exactly when the class survives
-and the result is deterministic.  A coset representative of a cell is a row
-of Z_r's basis, so its lift is that row followed by its stored tail, and the
-matrix of d_r is one matrix of D into degree p+r applied to those rows.
+Lifts are read off the Z_r kernel, which stores each basis vector with its
+zero-free-variable tail as one sparse lift, so lifting succeeds exactly when
+the class survives and the result is deterministic.  A coset representative
+of a cell is a row of Z_r's basis, so its lift is stored, and the matrix of
+d_r is one product of the matrix of D into degree p+r with those lifts.
 The Massey defining systems read their tails off the same lifts;
 the tests' `lift_oracle` solves the same systems and recomputes d_r from
 per-representative lifts.
@@ -44,10 +44,17 @@ from .linalg import (
     Mat,
     QuotientSpace,
     SubspaceBasis,
-    Vec,
+    SVec,
+    combine,
     kernel,
 )
 from .twist import BlockSpace, TwistForm
+
+
+def _flip_tail(row: SVec, h: int, n: int) -> SVec:
+    """The row with its columns from h on reversed: c -> n - 1 - c + h."""
+    i = bisect_left(row, (h,))  # (h,) sorts before every pair (h, x)
+    return row[:i] + tuple((n - 1 - c + h, x) for c, x in reversed(row[i:]))
 
 
 class PageError(Exception):
@@ -65,15 +72,16 @@ class ZigZag:
 
 @dataclass(frozen=True)
 class PageClass:
-    """A class on page r at column p, in the cell's canonical coordinates."""
+    """A class on page r at column p, in the cell's canonical coordinates
+    (a sparse vector)."""
 
     r: int
     p: int
-    coords: Vec
+    coords: SVec
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not self.coords
 
 
 class SpectralPage:
@@ -115,9 +123,9 @@ class SpectralSequence:
         self.op = H.operator(model)
         self.n = model.top_degree
         self.max_page = self.n + 2
-        self._cycles: dict[tuple[int, int], tuple[SubspaceBasis, Mat]] = {}
+        self._cycles: dict[tuple[int, int], tuple[SubspaceBasis, tuple[SVec, ...]]] = {}
         self._bounds: dict[tuple[int, int], SubspaceBasis] = {}
-        self._bound_images: dict[int, tuple[BlockSpace, tuple[int, ...], tuple[Vec, ...]]] = {}
+        self._bound_images: dict[int, tuple[BlockSpace, tuple[int, ...], tuple[SVec, ...]]] = {}
         self._cells: dict[tuple[int, int, int], QuotientSpace] = {}
         self._zero_cells: dict[int, QuotientSpace] = {}
         self._dmats: dict[tuple[int, int], Mat] = {}
@@ -143,8 +151,12 @@ class SpectralSequence:
     def _condition_degrees(self, p: int, reach: int) -> list[int]:
         return [q for q in range(p + 1, min(p + reach, self.n + 1), 2)]
 
-    def _compute_cycles(self, p: int, end: int) -> tuple[SubspaceBasis, Mat]:
-        """Z_r at column p (conditions below `end`), its rows' tails as matrix columns.
+    def _lift_space(self, p: int) -> BlockSpace:
+        """The degrees of a zig-zag from column p: p, then its tail."""
+        return BlockSpace(self.model, [p, *self._tail_degrees(p)])
+
+    def _compute_cycles(self, p: int, end: int) -> tuple[SubspaceBasis, tuple[SVec, ...]]:
+        """Z_r at column p (conditions below `end`) and the lift of each of its rows.
 
         One kernel of [A | T] (D on x_p, D on the tail) with T's columns
         reversed gives both.  The null vector of a free column f of T is
@@ -152,18 +164,21 @@ class SpectralSequence:
         kernel has its pivots on T's free columns.  The kernel rows pivoting
         in degree p vanish there: their tails solve T t = -A x_p with free
         variables zeroed (the tests' `lift_oracle.resolve_tail`), and their
-        p-parts are Z_r's RREF.
+        p-parts are Z_r's RREF.  With T's columns put back, each such row is
+        the lift of its Z_r row, in the coordinates of `_lift_space(p)`.
         """
         dim_p = self.model.dim(p)
-        tail = BlockSpace(self.model, self._tail_degrees(p))
         conds = self._condition_degrees(p, end - p)
         if dim_p == 0 or not conds:
-            return SubspaceBasis.full(dim_p), Mat.zeros(tail.total_dim, dim_p)
-        phi = self.op.matrix(BlockSpace(self.model, [p, *tail.degrees]), BlockSpace(self.model, conds))
-        k = kernel(Mat._exact(tuple(row[:dim_p] + row[dim_p:][::-1] for row in phi.data), phi.cols))
+            z = SubspaceBasis.full(dim_p)
+            return z, z.sparse
+        phi = self.op.matrix(self._lift_space(p), BlockSpace(self.model, conds))
+        n = phi.cols
+        k = kernel(Mat._exact(tuple(_flip_tail(row, dim_p, n) for row in phi.sparse), n))
         rank = sum(1 for c in k.pivots if c < dim_p)  # pivots ascend: a prefix of the rows
-        z = SubspaceBasis(dim_p, tuple(row[:dim_p] for row in k.rows[:rank]), k.pivots[:rank])
-        return z, Mat.from_cols([row[dim_p:][::-1] for row in k.rows[:rank]], rows=tail.total_dim)
+        lifts = tuple(_flip_tail(row, dim_p, n) for row in k.sparse[:rank])
+        heads = tuple(row[: bisect_left(row, (dim_p,))] for row in lifts)
+        return SubspaceBasis(dim_p, heads, k.pivots[:rank]), lifts
 
     def _cycle_key(self, p: int, reach: int) -> tuple[int, int]:
         """(p, e) for zig-zags of reach `reach`: e fixes the conditions range(p+1, e, 2).
@@ -175,12 +190,12 @@ class SpectralSequence:
         e = min(p + reach, self.n + 1)
         return p, max(p, e - (e - p) % 2)
 
-    def _zigzags(self, key: tuple[int, int]) -> tuple[SubspaceBasis, Mat]:
+    def _zigzags(self, key: tuple[int, int]) -> tuple[SubspaceBasis, tuple[SVec, ...]]:
         if key not in self._cycles:
             self._cycles[key] = self._compute_cycles(*key)
         return self._cycles[key]
 
-    def _boundary_images(self, p: int) -> tuple[BlockSpace, tuple[int, ...], tuple[Vec, ...]]:
+    def _boundary_images(self, p: int) -> tuple[BlockSpace, tuple[int, ...], tuple[SVec, ...]]:
         """Column p's one boundary kernel: the lifts w from the lowest start with
         D w in K_p, in RREF, as (their domain, their pivots, their degree-p images)."""
         if p not in self._bound_images:
@@ -192,7 +207,8 @@ class SpectralSequence:
             else:
                 lifts = SubspaceBasis.full(dom.total_dim)
             proj = self.op.matrix(dom, BlockSpace(self.model, [p]))
-            self._bound_images[p] = (dom, lifts.pivots, tuple(proj.apply(w) for w in lifts.rows))
+            images = (proj @ lifts.basis_matrix()).columns()
+            self._bound_images[p] = (dom, lifts.pivots, images)
         return self._bound_images[p]
 
     @staticmethod
@@ -262,8 +278,8 @@ class SpectralSequence:
     def lift_zigzag(self, x_p: Form, reach: int) -> Optional[ZigZag]:
         """Extend x_p to a zig-zag with D x in K_{p+reach}, or None if it dies.
 
-        The tail combines the stored canonical tails of Z's basis rows by
-        x_p's coordinates in Z, so it is the tail with free variables zeroed,
+        The zig-zag combines the stored lifts of Z's basis rows by x_p's
+        coordinates in Z, so its tail is the one with free variables zeroed,
         and it exists if and only if the class of x_p survives to page `reach`.
         """
         if x_p.is_zero:
@@ -271,20 +287,19 @@ class SpectralSequence:
         if not x_p.is_homogeneous:
             raise PageError("zig-zag base must be homogeneous")
         p = x_p.degree
-        z, tails = self._zigzags(self._cycle_key(p, reach))
-        coords = z.coords(x_p.component(p))
+        z, lifts = self._zigzags(self._cycle_key(p, reach))
+        coords = z.coords(x_p.part(p))
         if coords is None:
             return None
-        tail = BlockSpace(self.model, self._tail_degrees(p)).unpack(tails.apply(coords))
-        return ZigZag(p, x_p + tail, reach)
+        return ZigZag(p, self._lift_space(p).unpack(combine(coords, lifts)), reach)
 
     # -- differentials ---------------------------------------------------------
 
     def differential_matrix(self, r: int, p: int) -> Mat:
         """d_r as a matrix from the cell at p to the cell at p+r (even q).
 
-        Each coset representative is a row of Z_r's basis, whose lift is the
-        row followed by its stored tail; one matrix of D into degree p + r
+        Each coset representative is a row of Z_r's basis, whose lift is
+        stored with it; one product with the matrix of D into degree p + r
         maps those lifts, and the target cell projects the images.
         """
         self.check_page(r)
@@ -295,18 +310,12 @@ class SpectralSequence:
             if tgt.dim == 0 or src.dim == 0:
                 self._dmats[key] = Mat.zeros(tgt.dim, src.dim)
             else:
-                z, tails = self._zigzags(self._cycle_key(p, r))
-                dom = BlockSpace(self.model, [p, *self._tail_degrees(p)])
-                to_target = self.op.matrix(dom, BlockSpace(self.model, [p + r]))
+                z, lifts = self._zigzags(self._cycle_key(p, r))
+                to_target = self.op.matrix(self._lift_space(p), BlockSpace(self.model, [p + r]))
                 bpiv = set(src.sub.pivots)
-                self._dmats[key] = Mat.from_cols(
-                    [
-                        tgt.project(to_target.apply(row + tails.col(i)))
-                        for i, (row, piv) in enumerate(zip(z.rows, z.pivots))
-                        if piv not in bpiv
-                    ],
-                    rows=tgt.dim,
-                )
+                reps = [lift for lift, piv in zip(lifts, z.pivots) if piv not in bpiv]
+                images = (to_target @ Mat.from_cols(reps, to_target.cols)).columns()
+                self._dmats[key] = Mat.from_cols([tgt.project(y) for y in images], tgt.dim)
         return self._dmats[key]
 
     def differential(self, r: int, x_p: Form) -> PageClass:
@@ -317,18 +326,18 @@ class SpectralSequence:
         if not x_p.is_homogeneous:
             raise PageError("page classes are represented by homogeneous forms")
         p = x_p.degree
-        if not self.cycles(r, p).contains(x_p.component(p)):
+        if not self.cycles(r, p).contains(x_p.part(p)):
             raise PageError(f"form of degree {p} is not a class on page {r}")
-        coords = self.cell(r, p).project(x_p.component(p))
+        coords = self.cell(r, p).project(x_p.part(p))
         return PageClass(r, p + r, self.differential_matrix(r, p).apply(coords))
 
-    def page_coords(self, r: int, p: int, f: Form) -> Vec:
+    def page_coords(self, r: int, p: int, f: Form) -> SVec:
         """The class of f's degree-p component in E_r^p; () when the cell is zero."""
         cell = self.cell(r, p)
-        return cell.project(f.component(p)) if cell.dim else ()
+        return cell.project(f.part(p)) if cell.dim else ()
 
     def representative(self, cls: PageClass) -> Form:
-        return Form(self.model, {cls.p: self.cell(cls.r, cls.p).lift(cls.coords)})
+        return self.model.part_form(cls.p, self.cell(cls.r, cls.p).lift(cls.coords))
 
     # -- pages ------------------------------------------------------------------
 

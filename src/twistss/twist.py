@@ -22,11 +22,10 @@ from .linalg import (
     Mat,
     QuotientSpace,
     SubspaceBasis,
-    Vec,
+    SVec,
     ZERO,
     image,
     kernel,
-    vec_is_zero,
 )
 
 
@@ -35,7 +34,7 @@ class TwistError(Exception):
 
 
 class TwistForm:
-    """A twist H stored per homogeneous odd degree.
+    """A twist H stored per homogeneous odd degree, each a sparse vector.
 
     Every component must be closed, of odd degree between 3 and the model's
     top degree.  Degree-1 components are rejected: the twisted theory starts
@@ -44,11 +43,9 @@ class TwistForm:
 
     __slots__ = ("model", "components", "_form", "_component_forms", "_op")
 
-    def __init__(self, model: CdgaModel, components: dict[int, Vec]):
+    def __init__(self, model: CdgaModel, components: dict[int, SVec]):
         self.model = model
-        self.components = {
-            p: v for p, v in sorted(components.items()) if not vec_is_zero(v)
-        }
+        self.components = {p: v for p, v in sorted(components.items()) if v}
         self._form: Optional[Form] = None
         self._component_forms: dict[int, Form] = {}
         self._op: Optional[DOperator] = None
@@ -66,13 +63,13 @@ class TwistForm:
         if p not in self.components:
             return self.model.zero_form()
         if p not in self._component_forms:
-            self._component_forms[p] = Form(self.model, {p: self.components[p]})
+            self._component_forms[p] = self.model.part_form(p, self.components[p])
         return self._component_forms[p]
 
     def form(self) -> Form:
         """H as one inhomogeneous form, built once (forms are immutable)."""
         if self._form is None:
-            self._form = Form(self.model, self.components)
+            self._form = Form._exact(self.model, dict(self.components))
         return self._form
 
     def operator(self, model: CdgaModel) -> DOperator:
@@ -122,7 +119,7 @@ def make_twist(model: CdgaModel, parts: Sequence[Form]) -> TwistForm:
         if not part.d().is_zero:
             raise TwistError(f"twist component of degree {p} is not closed")
         total = total + part
-    return TwistForm(model, {p: total.component(p) for p in total.degrees})
+    return TwistForm(model, dict(total.parts))
 
 
 def parse_twist(model: CdgaModel, expr: str) -> TwistForm:
@@ -156,26 +153,28 @@ class BlockSpace:
         self.offsets = offs
         self.total_dim = t
 
-    def pack(self, f: Form) -> Vec:
+    def pack(self, f: Form) -> SVec:
         """The block's coordinates of f; components in other degrees are dropped."""
-        out = [ZERO] * self.total_dim
-        for p, nz in f.parts.items():
-            o = self.offsets.get(p)
-            if o is not None:
-                for i, c in nz:
-                    out[o + i] = c
+        out: list = []
+        for p in self.degrees:  # offsets ascend in this order
+            nz = f.parts.get(p)
+            if nz:
+                o = self.offsets[p]
+                out.extend(((o + i, c) for i, c in nz) if o else nz)
         return tuple(out)
 
-    def unpack(self, v: Vec) -> Form:
-        """The form with the block's coordinates v, an exact vector."""
-        assert len(v) == self.total_dim
+    def unpack(self, v: SVec) -> Form:
+        """The form with the block's coordinates v, an exact sparse vector."""
         parts = {}
-        for p in sorted(self.degrees):
+        k, n = 0, len(v)
+        for p in self.degrees:
             o = self.offsets[p]
-            nz = tuple((i, c) for i, c in enumerate(v[o : o + self.model.dim(p)]) if c)
-            if nz:
-                parts[p] = nz
-        return Form._exact(self.model, parts)
+            end, start = o + self.model.dim(p), k
+            while k < n and v[k][0] < end:
+                k += 1
+            if k > start:
+                parts[p] = tuple((i - o, c) for i, c in v[start:k]) if o else v[start:k]
+        return Form._exact(self.model, dict(sorted(parts.items())))
 
     def __repr__(self):
         return f"BlockSpace(degrees={self.degrees}, dim={self.total_dim})"
@@ -197,8 +196,7 @@ class DOperator:
         self.model = model
         self.H = H
         self._wedge_mats: dict[int, dict[int, Mat]] = {}
-        for h_deg, h_vec in H.components.items():
-            h_terms = [(m, c) for m, c in enumerate(h_vec) if c]
+        for h_deg, h_terms in H.components.items():
             per_src = {}
             for src in range(model.top_degree + 1):
                 dst = src + h_deg
@@ -206,12 +204,12 @@ class DOperator:
                     continue
                 cols = []
                 for i in range(model.dim(src)):
-                    col = [ZERO] * model.dim(dst)
+                    col: dict = {}
                     for m, c in h_terms:
                         for k, s in model.wedge_basis(h_deg, m, src, i):
-                            col[k] += c * s
-                    cols.append(tuple(col))
-                per_src[src] = Mat.from_cols(cols, rows=model.dim(dst))
+                            col[k] = col.get(k, ZERO) + c * s
+                    cols.append(tuple(sorted((k, x) for k, x in col.items() if x)))
+                per_src[src] = Mat.from_cols(cols, model.dim(dst))
             self._wedge_mats[h_deg] = per_src
 
     def block(self, src: int, dst: int) -> Optional[Mat]:
@@ -224,21 +222,21 @@ class DOperator:
         return None
 
     def matrix(self, domain: BlockSpace, codomain: BlockSpace) -> Mat:
-        """D from `domain` to `codomain`: the blocks that exist, at their offsets, in zeros."""
-        n = domain.total_dim
+        """D from `domain` to `codomain`: each row joins the rows of the blocks
+        that exist, shifted to their offsets."""
         data = []
         for dst in codomain.degrees:
             blocks = [
-                (domain.offsets[src], b)
-                for src in domain.degrees
+                (domain.offsets[src], b.sparse)
+                for src in domain.degrees  # offsets ascend in this order
                 if src < dst and (b := self.block(src, dst)) is not None
             ]
             for r in range(self.model.dim(dst)):
-                row = [ZERO] * n
-                for o, b in blocks:
-                    row[o : o + b.cols] = b.data[r]
+                row: list = []
+                for o, rows in blocks:
+                    row.extend(((o + j, x) for j, x in rows[r]) if o else rows[r])
                 data.append(tuple(row))
-        return Mat._exact(tuple(data), n)
+        return Mat._exact(tuple(data), domain.total_dim)
 
     def apply(self, x: Form) -> Form:
         return apply_D(self.H, x)
@@ -298,10 +296,10 @@ class RelativeComplex:
             self._cohom[parity] = QuotientSpace(self.cocycles(parity), image(self.d(1 - parity)))
         return self._cohom[parity]
 
-    def pack(self, f: Form, parity: int) -> Vec:
+    def pack(self, f: Form, parity: int) -> SVec:
         return self.space(parity).pack(f)
 
-    def unpack(self, v: Vec, parity: int) -> Form:
+    def unpack(self, v: SVec, parity: int) -> Form:
         return self.space(parity).unpack(v)
 
     def __repr__(self):
@@ -332,7 +330,7 @@ class TwistedCohomology:
     def representatives(self, parity: int) -> list[Form]:
         q = self.h_even if parity % 2 == 0 else self.h_odd
         space = self.complex.space(parity)
-        return [space.unpack(r) for r in q.coset_reps]
+        return [space.unpack(r) for r in q.sparse_reps]
 
     def __repr__(self):
         return f"TwistedCohomology(even={self.h_even.dim}, odd={self.h_odd.dim})"

@@ -8,7 +8,7 @@ that omit zero components, so the tests can compare the two entry for entry.
 
 from fractions import Fraction
 
-from twistss.linalg import ZERO, vec, vec_is_zero
+from twistss.linalg import ZERO, vec
 
 
 def dense(model, parts):
@@ -17,7 +17,7 @@ def dense(model, parts):
     for p, v in sorted(parts.items()):
         v = vec(v)
         assert len(v) == model.dim(p)
-        if not vec_is_zero(v):
+        if any(v):
             out[p] = v
     return out
 
@@ -58,7 +58,11 @@ def wedge(model, u, v):
 
 
 def d(model, u):
-    return dense(model, {p + 1: model.d_mat(p).apply(v) for p, v in u.items() if p < model.top_degree})
+    out = {}
+    for p, v in u.items():
+        if p < model.top_degree:
+            out[p + 1] = [sum((a * b for a, b in zip(row, v)), ZERO) for row in model.d_mat(p).data]
+    return dense(model, out)
 
 
 def homogeneous_part(model, u, p):

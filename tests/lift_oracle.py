@@ -9,7 +9,6 @@ representative as a form, applies D to it and projects the degree-(p+r)
 component, one representative at a time.
 """
 
-from twistss.cdga import Form
 from twistss.linalg import Mat, solve_particular
 from twistss.twist import BlockSpace
 
@@ -26,10 +25,10 @@ def resolve_tail(ss, fixed, reach, free_degrees):
     if not conds:
         return fixed
     cod = BlockSpace(ss.model, conds)
-    rhs = tuple(-c for c in cod.pack(ss.op.apply(fixed)))
+    rhs = tuple((j, -c) for j, c in cod.pack(ss.op.apply(fixed)))
     free = [q for q in free_degrees if q <= ss.n]
     if not free:
-        return fixed if all(c == 0 for c in rhs) else None
+        return fixed if not rhs else None
     dom = BlockSpace(ss.model, free)
     sol = solve_particular(ss.op.matrix(dom, cod), rhs)
     if sol is None:
@@ -44,7 +43,7 @@ def lifted_differential_matrix(ss, r, p):
     if tgt.dim == 0:
         return Mat.zeros(0, src.dim)
     cols = []
-    for rep in src.coset_reps:
-        zz = ss.lift_zigzag(Form(ss.model, {p: rep}), r)
-        cols.append(tgt.project(ss.zigzag_dx(zz).component(p + r)))
-    return Mat.from_cols(cols, rows=tgt.dim)
+    for rep in src.sparse_reps:
+        zz = ss.lift_zigzag(ss.model.part_form(p, rep), r)
+        cols.append(tgt.project(ss.zigzag_dx(zz).part(p + r)))
+    return Mat.from_cols(cols, tgt.dim)

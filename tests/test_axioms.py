@@ -385,7 +385,7 @@ def _quotient_document(model, z, name):
     """
     n, k = model.top_degree, z.degree
     ideal = [
-        SubspaceBasis.span(model.dim(r), [z.wedge(model.basis_form(lab)).component(r) for lab in model.labels[r - k]])
+        SubspaceBasis.span(model.dim(r), [z.wedge(model.basis_form(lab)).part(r) for lab in model.labels[r - k]])
         if r >= k
         else SubspaceBasis.zero(model.dim(r))
         for r in range(n + 1)
@@ -393,8 +393,8 @@ def _quotient_document(model, z, name):
     kept = [lab for r in range(n + 1) for i, lab in enumerate(model.labels[r]) if i not in ideal[r].pivots]
 
     def combo(form, r):
-        w = ideal[r].reduce(form.component(r))
-        return " + ".join(f"{c}*{model.label_of(r, i)}" for i, c in enumerate(w) if c)
+        w = ideal[r].reduce(form.part(r))
+        return " + ".join(f"{c}*{model.label_of(r, i)}" for i, c in w)
 
     def degree(lab):
         return model.index_of(lab)[0]

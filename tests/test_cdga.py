@@ -20,7 +20,7 @@ from twistss.cdga import (
     model_from_dict,
     parse_linear_combination,
 )
-from twistss.linalg import Mat
+from twistss.linalg import Mat, sparse
 from twistss.models import bundled_model, model_names, model_path
 
 
@@ -230,7 +230,7 @@ def test_de_rham_heisenberg(heisenberg):
     assert [heisenberg.betti(p) for p in range(4)] == [1, 2, 2, 1]
     # c is not closed
     h1 = heisenberg.de_rham(1)
-    assert not h1.ambient.contains(heisenberg.basis_form("c").component(1))
+    assert not h1.ambient.contains(heisenberg.basis_form("c").part(1))
 
 
 def test_unit_class_everywhere():
@@ -253,8 +253,8 @@ def test_representatives_closed_and_distinct():
         m = bundled_model(name)
         for p in range(m.top_degree + 1):
             h = m.de_rham(p)
-            for rep in h.coset_reps:
-                f = m.form({p: rep})
+            for rep in h.sparse_reps:
+                f = m.part_form(p, rep)
                 assert f.d().is_zero
                 assert not h.is_zero_class(rep)
 
@@ -264,7 +264,7 @@ def test_wedge_descends_to_cohomology():
         m = bundled_model(name)
         closed = []
         for p in range(m.top_degree + 1):
-            closed.extend(m.form({p: r}) for r in m.de_rham(p).coset_reps)
+            closed.extend(m.part_form(p, r) for r in m.de_rham(p).sparse_reps)
         for u in closed:
             for v in closed:
                 w = u.wedge(v)
@@ -281,7 +281,7 @@ def test_wedge_descends_to_cohomology():
                             continue
                         deg = prod.degree
                         h = m.de_rham(deg)
-                        assert h.is_zero_class(prod.component(deg))
+                        assert h.is_zero_class(prod.part(deg))
 
 
 def test_basis_model_round_trip():
@@ -633,8 +633,8 @@ def sorted_expansion(gens, diffs, top_degree=None):
                     sign, sorted_mono = _sort_with_sign(mono[:t] + m + mono[t + 1 :])
                     if sign:
                         col[mono_pos[sorted_mono][1]] += Fraction(-1 if t % 2 else 1) * c * sign
-            cols.append(tuple(col))
-        diff_mats.append(Mat.from_cols(cols, rows=rows))
+            cols.append(sparse(col))
+        diff_mats.append(Mat.from_cols(cols, rows))
     return n, labels, mult, diff_mats
 
 

@@ -13,7 +13,7 @@ from twistss import (
     z_cell,
 )
 from twistss.cdga import Form
-from twistss.linalg import Mat, QuotientSpace, SubspaceBasis, image, kernel, span_in_quotient
+from twistss.linalg import Mat, QuotientSpace, SubspaceBasis, image, kernel, span_in_quotient, sparse
 from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model, standard_pairs
 from twistss.twist import BlockSpace, DOperator
@@ -117,10 +117,10 @@ def coset_delta_bar(m, H, p, r, parity):
         return Mat.zeros(rows, 0)
     src = RelativeComplex(op, a, p)
     cols = [
-        op.apply(src.unpack(rep, parity)).component(p) if rows else ()
-        for rep in src.cohomology(parity).coset_reps
+        op.apply(src.unpack(rep, parity)).part(p) if rows else ()
+        for rep in src.cohomology(parity).sparse_reps
     ]
-    return Mat.from_cols(cols, rows=rows)
+    return Mat.from_cols(cols, rows)
 
 
 def oracle_pairs():
@@ -206,7 +206,7 @@ def delta_bar_subgroup(m, H, p, r):
     """
     h = m.de_rham(p)
     im_delta = image(connecting_delta_bar(m, H, p, r, (p - 1) % 2))
-    return QuotientSpace(im_delta, h.sub), span_in_quotient(h, list(im_delta.rows))
+    return QuotientSpace(im_delta, h.sub), span_in_quotient(h, list(im_delta.sparse))
 
 
 @pytest.mark.parametrize("name,expr", standard_pairs(), ids=lambda v: str(v))
@@ -296,11 +296,11 @@ def test_representative_pairs_differ_inside_subgroup():
                 h = m.de_rham(p)
                 sub = indeterminacy_subgroup(m, H, p, 0, r)
                 for b in ss.boundaries(r, p).rows:
-                    if h.sub.contains(b):
+                    if h.sub.contains(sparse(b)):
                         continue
                     rep = cell.coset_reps[0]
                     x2 = Form(m, {p: tuple(u + v for u, v in zip(rep, b))})
-                    assert cell.project(x2.component(p)) == cell.project(rep)
+                    assert cell.project(x2.part(p)) == cell.project(sparse(rep))
                     assert sub.contains_class(x2 - Form(m, {p: rep}))
 
 
@@ -387,24 +387,34 @@ def test_page_agreement_checks_each_cycle_space_once(monkeypatch):
 
 
 def test_page_agreement_builds_delta_once_per_column(monkeypatch):
-    # delta applies D to each basis form of its column, and nothing else in
-    # the cohomological route applies D to a form
+    # delta is one matrix per column p < n, kept in the tower and reused by
+    # every page; the cohomological route applies D to no form
+    from twistss import indet
     from twistss.twist import DOperator
 
-    applied = []
+    applied, deltas = [], {}
 
     def counting(op, x):
-        applied.append((x.degree, x.component(x.degree)))
+        applied.append(x)
         return apply(op, x)
 
-    apply = DOperator.apply
+    def recording(model, H, r, p, tower=None):
+        out = z_cell(model, H, r, p, tower)
+        if ("delta", p) in tower:
+            deltas.setdefault(p, set()).add(id(tower[("delta", p)]))
+        return out
+
+    apply, z_cell = DOperator.apply, indet.z_cell
     m, H = make_pair("cascade7", "a")
     ss = SpectralSequence(m, H)
     ss.precompute()
     monkeypatch.setattr(DOperator, "apply", counting)
+    monkeypatch.setattr(indet, "z_cell", recording)
     checked, failure = page_agreement(ss)
     assert failure is None
-    assert len(applied) == len(set(applied)) == sum(m.dim(p) for p in range(m.top_degree))
+    assert applied == []
+    assert sorted(deltas) == list(range(m.top_degree))
+    assert all(len(ids) == 1 for ids in deltas.values())
 
 
 def test_page_agreement_names_every_cell_of_a_bad_cycle_space(monkeypatch):

@@ -108,7 +108,7 @@ def test_triple_indeterminacy_containment():
         delta = omega2 - tp.omega
         if delta.is_zero:
             continue
-        coords = tp.cohomology.project(delta.component(tp.degree))
+        coords = tp.cohomology.project(delta.part(tp.degree))
         assert tp.indeterminacy.contains(coords)
 
 
@@ -273,7 +273,7 @@ def dedicated_sparse_tail(ss, x_p, t, s):
         return {}
     dom = BlockSpace(ss.model, var_degs)
     cod = BlockSpace(ss.model, cond_degs)
-    rhs = tuple(-c for c in cod.pack(apply_D(ss.H, x_p)))
+    rhs = tuple((j, -c) for j, c in cod.pack(apply_D(ss.H, x_p)))
     sol = solve_particular(ss.op.matrix(dom, cod), rhs)
     assert sol is not None
     solved = dom.unpack(sol)
@@ -355,10 +355,10 @@ def test_perturbed_system_same_page_class_different_cocycle():
     assert c1 != c2
     # different in cohomology...
     h = m.de_rham(8)
-    assert h.project(c1.component(8)) != h.project(c2.component(8))
+    assert h.project(c1.part(8)) != h.project(c2.part(8))
     # ...but the same class on the page
     cell = ss.cell(5, 8)
-    assert cell.project(c1.component(8)) == cell.project(c2.component(8))
+    assert cell.project(c1.part(8)) == cell.project(c2.part(8))
 
 
 def fixed_head_perturbed_tail(ss, x_p, t):

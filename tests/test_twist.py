@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistss import (
     SpectralSequence,
@@ -11,8 +14,10 @@ from twistss import (
     parse_twist,
     twisted_cohomology,
 )
-from twistss.linalg import Mat, zero_vec
-from twistss.models import bundled_model, standard_pairs
+from twistss.cdga import Form
+from twistss.linalg import ZERO, Mat
+from twistss.modelgen import random_model
+from twistss.models import bundled_model, model_names, standard_pairs
 from twistss.report import run_analysis
 from twistss.twist import BlockSpace, DOperator
 
@@ -156,14 +161,20 @@ def dense_matrix(op, domain, codomain):
         for r in range(op.model.dim(dst)):
             row = []
             for src, b in blocks:
-                row.extend(zero_vec(op.model.dim(src)) if b is None else b.data[r])
+                row.extend((ZERO,) * op.model.dim(src) if b is None else b.data[r])
             data.append(row)
     return Mat(data, cols=domain.total_dim)
 
 
 @pytest.mark.parametrize(
     "name,expr",
-    [("cascade7", "a"), ("mixed5", "a + b"), ("torus5", "e1^e2^e3 + e1^e2^e3^e4^e5")],
+    [
+        ("cascade7", "a"),
+        ("cascade5", "a"),
+        ("mixed5", "a + b"),
+        ("torus5", "e1^e2^e3"),
+        ("torus5", "e1^e2^e3 + e1^e2^e3^e4^e5"),
+    ],
 )
 def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
     # every degree list an analysis assembles: the relative complexes, the
@@ -188,3 +199,34 @@ def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
         assert got == dense_matrix(op, dom, cod)
         assert (got.rows, got.cols) == (cod.total_dim, dom.total_dim)
         assert all(type(x) is Fraction for row in got.data for x in row)
+        for row in got.sparse:  # the stored rows: sorted, in range, exact and nonzero
+            assert [j for j, _ in row] == sorted({j for j, _ in row})
+            assert all(0 <= j < got.cols and type(x) is Fraction and x for j, x in row)
+
+
+# -- block packing of sparse forms --------------------------------------------------------
+
+PACK_MODELS = [bundled_model(name) for name in model_names()] + [random_model(seed) for seed in range(4)]
+
+
+@given(st.sampled_from(PACK_MODELS), st.sampled_from((0.0, 0.01, 0.1, 1.0)), st.randoms(use_true_random=False), st.data())
+@settings(max_examples=150, deadline=None)
+def test_unpack_inverts_pack_on_sparse_forms(m, density, rng, data):
+    # a random sparse form, packed into a block of degrees that holds all of
+    # its own (in a drawn order) and unpacked again, is the same form
+    parts = {
+        p: [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else 0 for _ in range(m.dim(p))]
+        for p in range(m.top_degree + 1)
+        if rng.random() < 0.5
+    }
+    f = Form(m, parts)
+    extra = data.draw(st.lists(st.integers(0, m.top_degree), unique=True))
+    degrees = sorted(set(f.degrees) | set(extra))
+    random.Random(rng.random()).shuffle(degrees)
+    space = BlockSpace(m, degrees)
+    packed = space.pack(f)
+    assert [j for j, _ in packed] == sorted({j for j, _ in packed})
+    assert all(0 <= j < space.total_dim and type(c) is Fraction and c for j, c in packed)
+    back = space.unpack(packed)
+    assert back == f and list(back.parts) == sorted(back.parts)
+    assert hash(back) == hash(f)
