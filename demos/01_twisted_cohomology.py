@@ -7,7 +7,7 @@ cohomology.  Here we twist the exterior algebra on three degree-1 generators
 by its top form and watch two of the eight dimensions cancel.
 """
 
-from twistss import apply_D, parse_twist, twisted_cohomology
+from twistss import parse_twist, twisted_cohomology
 from twistss.models import bundled_model
 
 model = bundled_model("torus3")
@@ -19,9 +19,10 @@ H = parse_twist(model, "e1^e2^e3")
 print(f"\ntwist H = {H.describe()}  (components in degrees {H.degrees})")
 
 # D sends the unit to the top form; every other generator is annihilated
+D = H.operator(model)
 one = model.unit_form()
-print(f"D(1)  = {apply_D(H, one)}")
-print(f"D(e1) = {apply_D(H, model.basis_form('e1'))}")
+print(f"D(1)  = {D.apply(one)}")
+print(f"D(e1) = {D.apply(model.basis_form('e1'))}")
 
 tc = twisted_cohomology(model, H)
 print(f"\ntwisted cohomology dims: even {tc.dims[0]}, odd {tc.dims[1]}")

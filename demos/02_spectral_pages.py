@@ -36,7 +36,7 @@ print(f"\nd_5[1] = [{ss.representative(ss.differential(5, one))}]  (cup with a)"
 x = model.basis_form("x")
 zz = ss.lift_zigzag(x, 9)
 print(f"zig-zag lift of x through page 9: {zz.form}")
-print(f"D of the lift: {ss.zigzag_dx(zz)}  (concentrated in degree 14)")
+print(f"D of the lift: {ss.op.apply(zz.form)}  (concentrated in degree 14)")
 
 d9 = ss.differential(9, x)
 print(f"d_9[x] = [{ss.representative(d9)}]  -- nonzero, so E_10 = 0")

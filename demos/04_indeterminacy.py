@@ -40,8 +40,8 @@ print(f"[x] inside it?                 {sub9.contains_class(model.basis_form('x'
 x, a = model.basis_form("x"), model.basis_form("a")
 cell = ss.cell(9, 5)
 assert cell.project(x.part(5)) == cell.project((x + a).part(5))
-y1 = ss.zigzag_dx(ss.lift_zigzag(x, 9)).component(14)
-y2 = ss.zigzag_dx(ss.lift_zigzag(x + a, 9)).component(14)
+y1 = ss.op.apply(ss.lift_zigzag(x, 9).form).component(14)
+y2 = ss.op.apply(ss.lift_zigzag(x + a, 9).form).component(14)
 print(f"\nd_9 value from x:     {Form(model, {14: y1})}")
 print(f"d_9 value from x + a: {Form(model, {14: y2})}")
 dsub = differential_indeterminacy(model, H, 5, 0, 3, ss)

@@ -31,7 +31,6 @@ from .twist import (
     TwistError,
     TwistForm,
     TwistedCohomology,
-    apply_D,
     make_twist,
     parse_twist,
     twisted_cohomology,
@@ -90,7 +89,6 @@ __all__ = [
     "TwistError",
     "TwistForm",
     "TwistedCohomology",
-    "apply_D",
     "make_twist",
     "parse_twist",
     "twisted_cohomology",

@@ -29,8 +29,8 @@ from .cdga import CdgaModel, ModelError, load_model
 from .massey import (
     MasseyError,
     banded_defining_system,
-    cocycle_class,
     diagonal_defining_system,
+    specific_element,
     triple_product,
     validate_defining_system,
 )
@@ -114,7 +114,7 @@ def _cmd_massey(args) -> int:
         system = banded_defining_system(ss, x, t)
         sign = (-1) ** t
     c = validate_defining_system(system)  # c(A), from the one validation
-    deg, cls = cocycle_class(system, c)
+    deg, cls = specific_element(system, c)
     print("defining system:")
     print(system.layout())
     print(f"related cocycle: {c}")

@@ -1,4 +1,4 @@
-"""Massey products: triple products, defining systems, related cocycles.
+"""Massey products: defining systems, their related cocycles and classes.
 
 Sign convention: for homogeneous x, ``bar(x) = (-1)^(1 + deg x) * x``.  A
 defining system for an n-fold product <x_1, ..., x_n> is an upper-triangular
@@ -9,7 +9,9 @@ array a_{i,j} (1 <= i <= j <= n, (i,j) != (1,n)) with
 * d(a_{i,j}) = sum over m of bar(a_{i,m}) wedge a_{m+1,j},
 
 and its related cocycle is c(A) = sum over m of bar(a_{1,m}) wedge a_{m+1,n},
-a closed form whose class is the Massey product element chosen by A.
+a closed form whose class is the Massey product element chosen by A
+(`specific_element`).  A triple product <x1, x2, x3> is the 3-fold system
+with v1 at (1, 2) and v2 at (2, 3), solved with zeroed free variables.
 
 Two constructive families are provided, matching the two shapes of page
 differentials of the twisted spectral sequence:
@@ -64,11 +66,12 @@ def bar(x: Form) -> Form:
 class TripleProduct:
     """A Massey triple product representative with its witnesses.
 
-    ``omega = bar(v1) ^ x3 + bar(x1) ^ v2`` where d v1 = bar(x1) ^ x2 and
-    d v2 = bar(x2) ^ x3, both solved with zeroed free variables.  ``coords``
-    is the class of omega in cohomology at ``degree``; ``indeterminacy``
-    spans the subgroup [x1] H + H [x3] inside that cohomology, so the product
-    as a set is coords + indeterminacy.  Class coordinates are sparse vectors.
+    ``omega = bar(v1) ^ x3 + bar(x1) ^ v2`` is the related cocycle of the
+    3-fold defining system with d v1 = bar(x1) ^ x2 and d v2 = bar(x2) ^ x3,
+    both solved with zeroed free variables.  ``coords`` is the class of
+    omega in cohomology at ``degree``; ``indeterminacy`` spans the subgroup
+    [x1] H + H [x3] inside that cohomology, so the product as a set is
+    coords + indeterminacy.  Class coordinates are sparse vectors.
     """
 
     omega: Form
@@ -108,15 +111,14 @@ def triple_product(x1: Form, x2: Form, x3: Form) -> TripleProduct:
     r1, r2, r3 = x1.degree, x2.degree, x3.degree
     v1 = _solve_primitive(model, bar(x1).wedge(x2), r1 + r2 - 1)
     v2 = _solve_primitive(model, bar(x2).wedge(x3), r2 + r3 - 1)
-    omega = bar(v1).wedge(x3) + bar(x1).wedge(v2)
-    assert omega.d().is_zero, "triple product representative is not closed"
-    degree = r1 + r2 + r3 - 1
+    entries = {(1, 1): x1, (2, 2): x2, (3, 3): x3, (1, 2): v1, (2, 3): v2}
+    system = DefiningSystem(model, (r1, r2, r3), entries)
+    omega = validate_defining_system(system)
+    degree, coords = specific_element(system, omega)
     if degree > model.top_degree:
-        assert omega.is_zero
         trivial = QuotientSpace(SubspaceBasis.zero(0), SubspaceBasis.zero(0))
-        return TripleProduct(omega, v1, v2, degree, trivial, (), SubspaceBasis.zero(0))
+        return TripleProduct(omega, v1, v2, degree, trivial, coords, SubspaceBasis.zero(0))
     h = model.de_rham(degree)
-    coords = h.project(omega.part(degree))
     shifts = []
     for z in _closed_basis(model, r2 + r3 - 1):
         w = x1.wedge(z)
@@ -277,17 +279,13 @@ def _class_cocycle(system: DefiningSystem, kind: str, checked: set) -> Form:
     return _closed_cocycle(system)
 
 
-def specific_element(system: DefiningSystem) -> tuple[int, SVec]:
-    """The cohomology class of the related cocycle: (degree, class coordinates).
+def specific_element(system: DefiningSystem, c: Form) -> tuple[int, SVec]:
+    """The cohomology class of c = c(A), which `validate_defining_system`
+    returned for the system: (degree, class coordinates).
 
     The degree is the nominal one, sum of input degrees minus size plus 2;
     beyond the model's top degree the class is trivially zero.
     """
-    return cocycle_class(system, validate_defining_system(system))
-
-
-def cocycle_class(system: DefiningSystem, c: Form) -> tuple[int, SVec]:
-    """`specific_element` from c = c(A), which `validate_defining_system` returned."""
     deg = sum(system.input_degrees) - system.size + 2
     model = system.model
     if deg > model.top_degree:
@@ -326,10 +324,8 @@ def _lift(ss: SpectralSequence, x_p: Form, reach: int) -> ZigZag:
     return zz
 
 
-def _assemble_banded(
-    ss: SpectralSequence, x_p: Form, t: int, tail: dict[int, Form]
-) -> DefiningSystem:
-    """Lay out the (t+2)-fold banded system from a per-index tail."""
+def _assemble_banded(ss: SpectralSequence, x_p: Form, t: int, zz_form: Form) -> DefiningSystem:
+    """Lay out the (t+2)-fold banded system from a zig-zag form of x_p."""
     size = t + 2
     bands = [ss.H.component_form(2 * k + 3) for k in range(size - 1)]
     bands = [h if k % 2 == 0 else -h for k, h in enumerate(bands)]
@@ -338,7 +334,8 @@ def _assemble_banded(
         for k in range(0, size - i):
             if (i, i + k) != (1, size):
                 entries[(i, i + k)] = bands[k]
-    _fill_last_column(entries, size, x_p, tail)  # tail index m at degree p + 2m
+    # tail index m at degree p + 2m
+    _fill_last_column(entries, size, x_p, _split_tail(zz_form, x_p.degree, 2, ss.n))
     return DefiningSystem(ss.model, [3] * (t + 1) + [x_p.degree], entries)
 
 
@@ -351,7 +348,7 @@ def banded_defining_system(ss: SpectralSequence, x_p: Form, t: int) -> DefiningS
     if t < 1:
         raise MasseyError("the banded system needs t >= 1")
     zz = _lift(ss, x_p, 2 * t + 3)
-    return _assemble_banded(ss, x_p, t, _split_tail(zz.form, x_p.degree, 2, ss.n))
+    return _assemble_banded(ss, x_p, t, zz.form)
 
 
 def diagonal_defining_system(
@@ -373,13 +370,13 @@ def diagonal_defining_system(
         raise MasseyError("the diagonal system needs l >= 2; t = s - 1 is plain cup product")
     if ss.H.single_degree() != 2 * s + 1:
         raise MasseyError(f"the twist is not a single component of degree {2 * s + 1}")
-    return _assemble_diagonal(ss, x_p, s, l, _lift(ss, x_p, 2 * t + 3))
+    return _assemble_diagonal(ss, x_p, s, l, _lift(ss, x_p, 2 * t + 3).form)
 
 
 def _assemble_diagonal(
-    ss: SpectralSequence, x_p: Form, s: int, l: int, zz: ZigZag
+    ss: SpectralSequence, x_p: Form, s: int, l: int, zz_form: Form
 ) -> DefiningSystem:
-    """Lay out the (l+1)-fold diagonal system from the zig-zag zz of x_p."""
+    """Lay out the (l+1)-fold diagonal system from a zig-zag form of x_p."""
     model = ss.model
     p = x_p.degree
     h = ss.H.component_form(2 * s + 1)
@@ -390,7 +387,7 @@ def _assemble_diagonal(
         for j in range(i + 1, l + 1):
             entries[(i, j)] = model.zero_form()
     # tail step m at degree p + 2ms
-    _fill_last_column(entries, size, x_p, _split_tail(zz.form, p, 2 * s, ss.n))
+    _fill_last_column(entries, size, x_p, _split_tail(zz_form, p, 2 * s, ss.n))
     return DefiningSystem(model, [2 * s + 1] * l + [p], entries)
 
 
@@ -407,25 +404,12 @@ class ClassCheck:
     routes_agree: Optional[bool]
     independence_ok: Optional[bool]
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.banded_ok
-            and self.case_ok is not False
-            and self.routes_agree is not False
-            and self.independence_ok is not False
-        )
-
 
 @dataclass
 class MasseyVerification:
     t: int
     r: int
     checks: list[ClassCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def _perturbing_shift(ss: SpectralSequence, p: int, t: int) -> Optional[ZigZag]:
@@ -461,7 +445,7 @@ def perturbed_banded_system(
     shifted = _perturbing_shift(ss, x_p.degree, t)
     if shifted is None:
         return None
-    return _assemble_banded(ss, x_p, t, _split_tail(base.form + shifted.form, x_p.degree, 2, ss.n))
+    return _assemble_banded(ss, x_p, t, base.form + shifted.form)
 
 
 def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
@@ -505,7 +489,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
             lhs = PageClass(r, p + r, d_rep)
             zz = _lift(ss, x, r)
 
-            banded = _assemble_banded(ss, x, t, _split_tail(zz.form, p, 2, ss.n))
+            banded = _assemble_banded(ss, x, t, zz.form)
             coords_a = page_class((-1) ** t, banded, "banded", p)
             banded_ok = lhs.coords == coords_a
 
@@ -517,7 +501,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
                     case_ok = lhs.coords == ss.page_coords(r, p + r, cup)
                 elif (t + 1) % s == 0 and (t + 1) // s >= 2:
                     l = (t + 1) // s
-                    diagonal = _assemble_diagonal(ss, x, s, l, zz)
+                    diagonal = _assemble_diagonal(ss, x, s, l, zz.form)
                     coords_b = page_class((-1) ** (l - 1), diagonal, "diagonal", p)
                     case_ok = lhs.coords == coords_b
                     routes_agree = coords_b == coords_a
@@ -526,8 +510,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
 
             independence_ok: Optional[bool] = None
             if shift is not None:
-                tail = _split_tail(zz.form + shift.form, p, 2, ss.n)
-                perturbed = _assemble_banded(ss, x, t, tail)
+                perturbed = _assemble_banded(ss, x, t, zz.form + shift.form)
                 independence_ok = page_class((-1) ** t, perturbed, "banded", p) == coords_a
 
             out.checks.append(

@@ -347,8 +347,8 @@ def _check_representative_pairs(ss: SpectralSequence) -> Check:
                 return samples, f"representative difference escapes on {model.name} (r={r}, p={p})"
             samples += 1
             if r % 2 == 1 and r >= 5 and p + r <= ss.n:
-                y1 = ss.zigzag_dx(ss.lift_zigzag(x1, r))
-                y2 = ss.zigzag_dx(ss.lift_zigzag(x2, r))
+                y1 = ss.op.apply(ss.lift_zigzag(x1, r).form)
+                y2 = ss.op.apply(ss.lift_zigzag(x2, r).form)
                 dsub = indeterminacy_subgroup(model, H, p + r, 0, r, ss)  # of d_r values
                 delta = (y1 - y2).homogeneous_part(p + r)
                 if not dsub.contains_class(delta):

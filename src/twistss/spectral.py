@@ -133,11 +133,6 @@ class SpectralSequence:
         self.indet_subgroups: dict[tuple[int, int], object] = {}
         self.massey_verifications: dict[int, object] = {}
 
-    # -- D on zig-zags -------------------------------------------------------
-
-    def zigzag_dx(self, z: ZigZag) -> Form:
-        return self.op.apply(z.form)
-
     # -- chain-level cell pieces ----------------------------------------------
 
     def check_page(self, r: int):

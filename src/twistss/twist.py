@@ -8,9 +8,10 @@ cohomology.
 
 Everything is built from the filtration K_p = forms of degree >= p:
 `BlockSpace` packs a range of degrees into one coordinate space, `DOperator`
-assembles D between degree ranges (each twist builds it once, in
-`TwistForm.operator`), and `RelativeComplex` is the quotient K_a/K_b with the
-induced D.  Twisted cohomology is that of the whole complex K_0/K_{n+1}.
+is the one D, applied to a form (`apply`) or assembled between degree ranges
+(`matrix`); each twist builds it once, in `TwistForm.operator`.
+`RelativeComplex` is the quotient K_a/K_b with the induced D.  Twisted
+cohomology is that of the whole complex K_0/K_{n+1}.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ class TwistForm:
     """A twist H stored per homogeneous odd degree, each a sparse vector.
 
     Every component must be closed, of odd degree between 3 and the model's
-    top degree.  Degree-1 components are rejected: the twisted theory starts
-    at H_3 and the first-page structure relies on that.
+    top degree, with indices inside its degree's basis; the constructor
+    raises `TwistError` otherwise.  Degree-1 components are rejected: the
+    twisted theory starts at H_3 and the first-page structure relies on that.
     """
 
     __slots__ = ("model", "components", "_form", "_component_forms", "_op")
@@ -49,6 +51,17 @@ class TwistForm:
         self._form: Optional[Form] = None
         self._component_forms: dict[int, Form] = {}
         self._op: Optional[DOperator] = None
+        for p, v in self.components.items():
+            if p % 2 == 0:
+                raise TwistError(f"twist component of even degree {p}")
+            if p < 3:
+                raise TwistError("twist components must have degree >= 3")
+            if p > model.top_degree:
+                raise TwistError(f"twist component of degree {p} is above the top degree {model.top_degree}")
+            if not all(0 <= i < model.dim(p) for i, _ in v):
+                raise TwistError(f"twist component of degree {p} has an index outside range({model.dim(p)})")
+            if not self.component_form(p).d().is_zero:
+                raise TwistError(f"twist component of degree {p} is not closed")
 
     @property
     def is_zero(self) -> bool:
@@ -104,20 +117,11 @@ class TwistForm:
 
 
 def make_twist(model: CdgaModel, parts: Sequence[Form]) -> TwistForm:
-    """Validate homogeneous odd closed forms of degree >= 3 into a twist."""
+    """Sum homogeneous forms into a twist, which `TwistForm` then checks."""
     total = model.zero_form()
     for part in parts:
-        if part.is_zero:
-            continue
-        if not part.is_homogeneous:
+        if not part.is_zero and not part.is_homogeneous:
             raise TwistError("twist parts must be homogeneous; split them by degree")
-        p = part.degree
-        if p % 2 == 0:
-            raise TwistError(f"twist component of even degree {p}")
-        if p < 3:
-            raise TwistError("twist components must have degree >= 3")
-        if not part.d().is_zero:
-            raise TwistError(f"twist component of degree {p} is not closed")
         total = total + part
     return TwistForm(model, dict(total.parts))
 
@@ -126,11 +130,6 @@ def parse_twist(model: CdgaModel, expr: str) -> TwistForm:
     """Build a twist from a wedge expression, split into homogeneous parts."""
     f = model.parse_form(expr)
     return make_twist(model, [f.homogeneous_part(p) for p in f.degrees])
-
-
-def apply_D(H: TwistForm, x: Form) -> Form:
-    """The twisted differential D x = d x + H wedge x; every use of D on a form calls this."""
-    return x.d() + H.form().wedge(x)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,8 @@ class DOperator:
         return Mat._exact(tuple(data), domain.total_dim)
 
     def apply(self, x: Form) -> Form:
-        return apply_D(self.H, x)
+        """D x = d x + H wedge x, the one route for D on a form."""
+        return x.d() + self.H.form().wedge(x)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +295,6 @@ class RelativeComplex:
         if parity not in self._cohom:
             self._cohom[parity] = QuotientSpace(self.cocycles(parity), image(self.d(1 - parity)))
         return self._cohom[parity]
-
-    def pack(self, f: Form, parity: int) -> SVec:
-        return self.space(parity).pack(f)
-
-    def unpack(self, v: SVec, parity: int) -> Form:
-        return self.space(parity).unpack(v)
 
     def __repr__(self):
         return f"RelativeComplex(K_{self.a}/K_{self.b})"

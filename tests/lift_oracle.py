@@ -45,5 +45,5 @@ def lifted_differential_matrix(ss, r, p):
     cols = []
     for rep in src.sparse_reps:
         zz = ss.lift_zigzag(ss.model.part_form(p, rep), r)
-        cols.append(tgt.project(ss.zigzag_dx(zz).part(p + r)))
+        cols.append(tgt.project(ss.op.apply(zz.form).part(p + r)))
     return Mat.from_cols(cols, tgt.dim)

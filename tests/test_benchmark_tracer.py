@@ -8,7 +8,9 @@ else.  This loads the tracer by path and checks that it counts calls.
 import importlib.util
 from pathlib import Path
 
-import twistss.cli  # noqa: F401  (the tracer wraps every twistss module)
+import pytest
+
+import twistss.cli  # the tracer wraps every twistss module
 import twistss.selftest  # noqa: F401
 from twistss import parse_twist
 from twistss.models import bundled_model
@@ -57,3 +59,35 @@ def test_tracer_counts_page_agreement_and_massey_classes():
     assert metrics["massey.classes_checked"]["value"] > 0
     assert tracer.calls["massey.validate"] > 0
     assert metrics["massey.validate_s"]["value"] > 0
+
+
+# each kind of `twistss massey` query and the massey spans it must fill; a
+# builder or validation inlined out of reach of the tracer reads 0 here
+MASSEY_QUERIES = {
+    "triple": (["heisenberg", "--triple", "a", "b", "b"], ("massey.triple", "massey.validate")),
+    "thm41": (
+        ["torus3", "--twist", "e1^e2^e3", "--thm41", "--class", "e1", "--t", "1"],
+        ("massey.system", "massey.validate"),
+    ),
+    "thm42": (
+        ["cascade5", "--twist", "a", "--thm42", "--class", "x", "--t", "3", "--s", "2"],
+        ("massey.system", "massey.validate"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MASSEY_QUERIES))
+def test_tracer_counts_the_massey_spans_of_each_query(capsys, kind):
+    query, keys = MASSEY_QUERIES[kind]
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert twistss.cli.main(["massey", *query]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert tracer.calls["cli.main"] == 1
+    metrics = tracer.metrics()
+    for key in keys:
+        assert tracer.calls[key] > 0, key
+        assert metrics[f"{key}_s"]["value"] > 0, key

@@ -84,6 +84,24 @@ def test_analyze_bad_twist_exits_2(capsys):
     assert "degree >= 3" in err
 
 
+@pytest.mark.parametrize(
+    "name,expr,message",
+    [
+        ("torus3", "e1", "degree >= 3"),
+        ("torus3", "e1^e2", "even degree 2"),
+        ("torus3", "e1 + e1^e2^e3", "degree >= 3"),
+        ("cascade3", "v", "degree 5 is not closed"),
+    ],
+)
+def test_invalid_twist_exits_2_with_its_message(capsys, name, expr, message):
+    # the twist checks sit in the TwistForm constructor; both commands that
+    # take a twist still reject these expressions with exit code 2
+    for command in (["analyze", name], ["massey", name, "--triple", "1", "1", "1"]):
+        code, _, err = run(capsys, *command, "--twist", expr)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
+
 def test_analyze_exponent_coefficient_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "torus3", "--twist", "1e1000000*e1^e2^e3")
     assert code == 2

@@ -117,7 +117,7 @@ def coset_delta_bar(m, H, p, r, parity):
         return Mat.zeros(rows, 0)
     src = RelativeComplex(op, a, p)
     cols = [
-        op.apply(src.unpack(rep, parity)).part(p) if rows else ()
+        op.apply(src.space(parity).unpack(rep)).part(p) if rows else ()
         for rep in src.cohomology(parity).sparse_reps
     ]
     return Mat.from_cols(cols, rows)
@@ -309,8 +309,8 @@ def test_d9_values_differ_within_differential_indeterminacy():
     ss = SpectralSequence(m, H)
     x = m.basis_form("x")
     a = m.basis_form("a")
-    y1 = ss.zigzag_dx(ss.lift_zigzag(x, 9)).component(14)
-    y2 = ss.zigzag_dx(ss.lift_zigzag(x + a, 9)).component(14)
+    y1 = ss.op.apply(ss.lift_zigzag(x, 9).form).component(14)
+    y2 = ss.op.apply(ss.lift_zigzag(x + a, 9).form).component(14)
     dsub = differential_indeterminacy(m, H, 5, 0, 3)
     delta = Form(m, {14: tuple(u - v for u, v in zip(y1, y2))})
     assert dsub.contains_class(delta)

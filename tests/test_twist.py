@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twistss import (
     SpectralSequence,
     TwistError,
-    apply_D,
+    TwistForm,
     indeterminacy_subgroup,
     make_twist,
     parse_twist,
@@ -16,7 +16,7 @@ from twistss import (
 )
 from twistss.cdga import Form
 from twistss.linalg import ZERO, Mat
-from twistss.modelgen import random_model
+from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model, model_names, standard_pairs
 from twistss.report import run_analysis
 from twistss.twist import BlockSpace, DOperator
@@ -56,23 +56,42 @@ def test_even_degree_part_rejected():
         make_twist(m, [m.basis_form("a").wedge(m.basis_form("x"))])
 
 
+@pytest.mark.parametrize(
+    "name,components,message",
+    [
+        ("torus3", {2: ((0, 1),)}, "even degree 2"),
+        ("torus3", {1: ((0, 1),)}, "degree >= 3"),
+        ("torus3", {3: ((0, 1),), 5: ((0, 1),)}, "degree 5 is above the top degree 3"),
+        ("torus3", {3: ((1, 1),)}, "index outside range\\(1\\)"),
+        ("torus3", {3: ((-1, 1),)}, "index outside range\\(1\\)"),
+        ("cascade3", {5: ((0, 1),)}, "degree 5 is not closed"),
+    ],
+)
+def test_constructor_rejects_invalid_components(name, components, message):
+    # each condition is checked once, in the constructor, before any analysis
+    m = bundled_model(name)
+    components = {p: tuple((i, Fraction(c)) for i, c in v) for p, v in components.items()}
+    with pytest.raises(TwistError, match=message):
+        TwistForm(m, components)
+
+
 def test_apply_D_unit(torus3):
     H = parse_twist(torus3, "e1^e2^e3")
-    assert apply_D(H, torus3.unit_form()) == torus3.parse_form("e1^e2^e3")
+    assert H.operator(torus3).apply(torus3.unit_form()) == torus3.parse_form("e1^e2^e3")
 
 
 def test_apply_D_untwisted_is_d():
     m = bundled_model("heisenberg")
     H = make_twist(m, [])
     c = m.basis_form("c")
-    assert apply_D(H, c) == c.d()
+    assert H.operator(m).apply(c) == c.d()
 
 
 def test_apply_D_su3():
     m = bundled_model("su3")
     H = parse_twist(m, "x3")
     x5 = m.basis_form("x5")
-    assert apply_D(H, x5) == m.parse_form("x3^x5")
+    assert H.operator(m).apply(x5) == m.parse_form("x3^x5")
 
 
 def test_parity_complex_d_squared(torus3):
@@ -122,7 +141,7 @@ def test_twisted_representatives_are_cocycles():
     tc = twisted_cohomology(m, H)
     for parity in (0, 1):
         for rep in tc.representatives(parity):
-            assert apply_D(H, rep).is_zero
+            assert H.operator(m).apply(rep).is_zero
 
 
 def test_euler_characteristic_invariant_under_twisting():
@@ -204,22 +223,52 @@ def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
             assert all(0 <= j < got.cols and type(x) is Fraction and x for j, x in row)
 
 
-# -- block packing of sparse forms --------------------------------------------------------
+def _operators():
+    for name, expr in standard_pairs():
+        m = bundled_model(name)
+        yield parse_twist(m, expr).operator(m)
+    for seed in range(8):
+        m = random_model(seed)
+        yield random_twist(m, seed).operator(m)
 
-PACK_MODELS = [bundled_model(name) for name in model_names()] + [random_model(seed) for seed in range(4)]
+
+OPERATORS = list(_operators())
+DENSITIES = (0.0, 0.01, 0.1, 1.0)
 
 
-@given(st.sampled_from(PACK_MODELS), st.sampled_from((0.0, 0.01, 0.1, 1.0)), st.randoms(use_true_random=False), st.data())
-@settings(max_examples=150, deadline=None)
-def test_unpack_inverts_pack_on_sparse_forms(m, density, rng, data):
-    # a random sparse form, packed into a block of degrees that holds all of
-    # its own (in a drawn order) and unpacked again, is the same form
+def random_form(m, density, rng):
+    """A form with random components in about half the degrees, each
+    coordinate nonzero with probability `density`."""
     parts = {
         p: [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density else 0 for _ in range(m.dim(p))]
         for p in range(m.top_degree + 1)
         if rng.random() < 0.5
     }
-    f = Form(m, parts)
+    return Form(m, parts)
+
+
+@given(st.sampled_from(OPERATORS), st.sampled_from(DENSITIES), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_apply_agrees_with_the_matrix_on_sparse_forms(op, density, rng):
+    # the two faces of the one D: on a form, and as the block matrix of the
+    # whole complex on its packed coordinates
+    m = op.model
+    x = random_form(m, density, rng)
+    whole = BlockSpace(m, range(m.top_degree + 1))
+    assert whole.pack(op.apply(x)) == op.matrix(whole, whole).apply(whole.pack(x))
+
+
+# -- block packing of sparse forms --------------------------------------------------------
+
+PACK_MODELS = [bundled_model(name) for name in model_names()] + [random_model(seed) for seed in range(4)]
+
+
+@given(st.sampled_from(PACK_MODELS), st.sampled_from(DENSITIES), st.randoms(use_true_random=False), st.data())
+@settings(max_examples=150, deadline=None)
+def test_unpack_inverts_pack_on_sparse_forms(m, density, rng, data):
+    # a random sparse form, packed into a block of degrees that holds all of
+    # its own (in a drawn order) and unpacked again, is the same form
+    f = random_form(m, density, rng)
     extra = data.draw(st.lists(st.integers(0, m.top_degree), unique=True))
     degrees = sorted(set(f.degrees) | set(extra))
     random.Random(rng.random()).shuffle(degrees)
