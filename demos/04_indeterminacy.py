@@ -16,7 +16,6 @@ from twistss import (
     parse_twist,
 )
 from twistss.models import bundled_model
-from twistss.cdga import Form
 
 model = bundled_model("cascade5")
 H = parse_twist(model, "a")
@@ -40,12 +39,12 @@ print(f"[x] inside it?                 {sub9.contains_class(model.basis_form('x'
 x, a = model.basis_form("x"), model.basis_form("a")
 cell = ss.cell(9, 5)
 assert cell.project(x.part(5)) == cell.project((x + a).part(5))
-y1 = ss.op.apply(ss.lift_zigzag(x, 9).form).component(14)
-y2 = ss.op.apply(ss.lift_zigzag(x + a, 9).form).component(14)
-print(f"\nd_9 value from x:     {Form(model, {14: y1})}")
-print(f"d_9 value from x + a: {Form(model, {14: y2})}")
+y1 = ss.op.apply(ss.lift_zigzag(x, 9).form).homogeneous_part(14)
+y2 = ss.op.apply(ss.lift_zigzag(x + a, 9).form).homogeneous_part(14)
+print(f"\nd_9 value from x:     {y1}")
+print(f"d_9 value from x + a: {y2}")
 dsub = differential_indeterminacy(model, H, 5, 0, 3, ss)
-delta = Form(model, {14: tuple(u - v for u, v in zip(y1, y2))})
+delta = y1 - y2
 print(f"difference {delta} lies in the d_9 indeterminacy: {dsub.contains_class(delta)}")
 
 # on the torus with its top-form twist the picture is smaller but the same

@@ -24,13 +24,12 @@ The differential is held the same way once more, as the sparse columns of
 its matrices, which `d`, the d o d check and the Leibniz check read; the
 matrices themselves are `linalg.Mat`s on sparse rows.
 
-A `Form` is sparse too: per degree, the sorted (index, coefficient) pairs
-of its nonzero coordinates, the vector layout of `linalg`.  `Form.part` is
-that vector, and `Form.component` is the dense view at the API.
-Values are coerced to `Fraction` and checked once, where they enter (the
-public `Form` constructor); the results of sums, scalings, `wedge` and `d`
-are built in the stored layout and not checked again, and `wedge` and `d`
-walk only the nonzero coordinates.
+A `Form` is sparse too, in and out of the API: per degree, the sorted
+(index, coefficient) pairs of its nonzero coordinates, the vector layout of
+`linalg` (`Form.part`).  Values are coerced to `Fraction` and checked once,
+where they enter (the public `Form` constructor); the results of sums,
+scalings, `wedge` and `d` are built in the stored layout and not checked
+again, and `wedge` and `d` walk only the nonzero coordinates.
 
 Two input layouts are accepted:
 
@@ -58,10 +57,10 @@ from .linalg import (
     QuotientSpace,
     SubspaceBasis,
     SVec,
-    Vec,
     ZERO,
+    checked,
+    collect,
     combine,
-    dense,
     image,
     kernel,
     solve_particular,
@@ -180,32 +179,23 @@ class Form:
     """A (possibly inhomogeneous) element of a model, stored sparsely per degree.
 
     ``parts`` maps each degree with a nonzero component, in increasing
-    order, to that component's nonzero coordinates as a tuple of
-    (index, Fraction) pairs sorted by index.  `component` is the dense view
-    at the API.  The public constructor takes dense components and coerces
-    and validates them once, where the values enter; sums, scalings, wedges
-    and differentials are built by `_exact` from parts that are already in
-    this layout.  Forms are immutable; arithmetic returns new values, or
-    an operand itself when that is the result.
+    order, to its nonzero coordinates as (index, Fraction) pairs sorted by
+    index.  The public constructor takes that layout with any numbers as
+    values and checks each degree once (`linalg.checked`); sums, scalings,
+    wedges and differentials are built by `_exact` from stored parts.  Forms
+    are immutable; arithmetic returns new values, or an operand itself when
+    that is the result.
     """
 
     __slots__ = ("model", "parts")
 
-    def __init__(self, model: "CdgaModel", parts: Mapping[int, Vec]):
-        cleaned = {}
-        for p, v in parts.items():
+    def __init__(self, model: "CdgaModel", parts: Mapping[int, Iterable]):
+        for p in parts:
             if not (0 <= p <= model.top_degree):
                 raise ValueError(f"degree {p} outside the model range")
-            v = tuple(v)
-            if len(v) != model.dim(p):
-                raise ValueError(
-                    f"component of degree {p} has length {len(v)}, expected {model.dim(p)}"
-                )
-            nz = sparse(v)
-            if nz:
-                cleaned[p] = nz
+        exact = ((p, checked(v, model.dim(p), f"component of degree {p}")) for p, v in sorted(parts.items()))
         self.model = model
-        self.parts = dict(sorted(cleaned.items()))
+        self.parts = {p: nz for p, nz in exact if nz}
 
     @staticmethod
     def _exact(model: "CdgaModel", parts: dict) -> "Form":
@@ -240,10 +230,6 @@ class Form:
         if len(self.parts) > 1:
             raise ValueError("inhomogeneous form has no single degree")
         return next(iter(self.parts))
-
-    def component(self, p: int) -> Vec:
-        """The degree-p component as a dense coordinate vector."""
-        return dense(self.parts.get(p, ()), self.model.dim(p))
 
     def part(self, p: int) -> SVec:
         """The degree-p component as a sparse vector, the layout of `linalg`."""
@@ -412,9 +398,6 @@ class CdgaModel:
         """The zero form, one per model (forms are immutable)."""
         return self._zero
 
-    def form(self, parts: Mapping[int, Iterable]) -> Form:
-        return Form(self, parts)
-
     def basis_form(self, label: str) -> Form:
         p, i = self.index_of(label)
         return Form._exact(self, {p: ((i, ONE),)})
@@ -424,7 +407,7 @@ class CdgaModel:
         return Form._exact(self, {p: v} if v else {})
 
     def unit_form(self) -> Form:
-        return Form(self, {0: self.unit})
+        return self.part_form(0, self.unit)
 
     # -- algebra operations ---------------------------------------------------
 
@@ -512,7 +495,7 @@ class CdgaModel:
 
     # -- validation -----------------------------------------------------------
 
-    def _find_unit(self) -> Vec:
+    def _find_unit(self) -> SVec:
         """Solve for a degree-0 unit acting as identity on every basis element."""
         if self.dim(0) == 0:
             raise AlgebraError("degree 0 is empty; no unit element")
@@ -532,7 +515,7 @@ class CdgaModel:
         sol = solve_particular(Mat._exact(tuple(rows), n0), tuple(rhs))
         if sol is None:
             raise AlgebraError("degree 0 contains no unit element with 1^x = x")
-        return dense(sol, n0)
+        return sol
 
     def _basis_elems(self) -> list[tuple[int, int]]:
         """Every basis element as (degree, index), in degree order."""
@@ -726,7 +709,7 @@ class _GeneratorModel(CdgaModel):
     """
 
     def _check_axioms(self):
-        self.unit = (ONE,)
+        self.unit = ((0, ONE),)
         self._check_d_squared()
 
 
@@ -837,7 +820,7 @@ def expand_generators(
                         if not m & rest:
                             k = pos[m | rest]
                             col[k] = col.get(k, ZERO) + _sign(bit, rest) * _sign(m, rest) * c
-            cols.append(tuple(sorted((k, x) for k, x in col.items() if x)))
+            cols.append(collect(col))
         diff_mats.append(Mat.from_cols(cols, len(monos[p + 1])))
 
     return n, labels, mult, diff_mats
@@ -855,6 +838,9 @@ def _check_top_degree(n: int):
 
 
 def _int_field(value, what: str) -> int:
+    # int() alone reads true as 1 and cuts 3.9 to 3; integer strings pass (basis degrees are JSON keys)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ModelSchemaError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError):
@@ -872,7 +858,11 @@ def _model_from_generator_doc(doc: dict) -> CdgaModel:
     for g in _typed_field(doc["generators"], list, "'generators'"):
         if not isinstance(g, dict) or "name" not in g or "degree" not in g:
             raise ModelSchemaError("each generator needs 'name' and 'degree'")
-        gens.append((str(g["name"]), _int_field(g["degree"], f"degree of generator {g['name']!r}")))
+        name = str(g["name"])  # an expression must be able to name it
+        bad = [ch for ch in name if ch in "+-*^" or ch.isspace()]
+        if bad or not name:
+            raise ModelSchemaError(f"generator name {name!r} " + (f"contains {bad[0]!r}" if bad else "is empty"))
+        gens.append((name, _int_field(g["degree"], f"degree of generator {g['name']!r}")))
     diffs = {}
     for gname, poly_s in _typed_field(doc.get("differentials", {}), dict, "'differentials'").items():
         terms = []

@@ -7,19 +7,17 @@ subspace always produce identical bases.  Particular solutions zero their
 free variables.
 
 Vectors are sparse: a vector is the tuple of (index, Fraction) pairs of its
-nonzero coordinates, sorted by index, the layout of a `Form`'s parts.  A
-`Mat` holds its rows and a `SubspaceBasis` its basis in that layout, and
-every routine here walks only the stored pairs: `rref` finds pivots by each
-row's leading column (its first pair) and eliminates by adding sparse rows,
-and `Mat.apply`, `@` and the subspace reductions touch only nonzeros.
-Matrices act on column vectors: a `Mat` with shape (rows, cols) is a linear
-map Q^cols -> Q^rows.  All values are immutable once built.
-
-Dense views (`Mat.data`, `SubspaceBasis.rows`, `QuotientSpace.coset_reps`,
-and `dense`) are built on demand for callers at the API boundary; nothing in
-this module reads them.  Values are coerced to `Fraction` once, where they
-enter through the dense constructors (`vec`, `sparse`, `Mat(...)`); the
-routines take sparse vectors that are already exact and do not coerce them.
+nonzero coordinates, sorted by index, the layout of a `Form`'s parts and the
+one vector layout in and out of the API (`sparse` and `dense` convert from
+and to dense tuples).  A `Mat` holds its rows and a `SubspaceBasis` its
+basis in that layout, and every routine here walks only the stored pairs:
+`rref` finds pivots by each row's leading column (its first pair) and
+eliminates by adding sparse rows, and `Mat.apply`, `@` and the subspace
+reductions touch only nonzeros.  Matrices act on column vectors: a `Mat`
+with shape (rows, cols) is a linear map Q^cols -> Q^rows.  All values are
+immutable once built.  Values are checked and coerced to `Fraction` once,
+where they enter (`checked`, run by `Mat(...)` and the `Form` constructor);
+the routines take exact sparse vectors and do not check them again.
 
 Each kernel costs one elimination.  Eliminating m with its columns reversed
 puts every null vector's leading 1 on its own free column with zeros at the
@@ -32,31 +30,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-Vec = tuple  # dense: tuple[Fraction, ...]
 SVec = tuple  # sparse: tuple[tuple[int, Fraction], ...], sorted by index, no zero value
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-_EXACT = {Fraction}
-
-
-def vec(entries: Iterable) -> Vec:
-    """Coerce an iterable of numbers into an exact dense coordinate vector.
-
-    Fractions are immutable, so one that is already exact is kept as is.
-    """
-    v = tuple(entries)
-    if set(map(type, v)) <= _EXACT:
-        return v
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in v)
 
 
 def sparse(entries: Iterable) -> SVec:
     """The sparse vector of a dense iterable of numbers, coerced to Fractions."""
-    return tuple((j, x) for j, x in enumerate(vec(entries)) if x)
+    v = tuple(entries)
+    return checked(enumerate(v), len(v), "a dense vector")
 
 
-def dense(v: SVec, n: int) -> Vec:
+def dense(v: SVec, n: int) -> tuple:
     """The dense view of a sparse vector of length n."""
     out = [ZERO] * n
     for j, x in v:
@@ -64,7 +50,27 @@ def dense(v: SVec, n: int) -> Vec:
     return tuple(out)
 
 
-def _collect(acc: dict) -> SVec:
+def checked(pairs: Iterable, n: int, what: str) -> SVec:
+    """The sparse vector of (index, number) pairs, values coerced to Fractions
+    and zeros dropped; ValueError, naming `what`, unless the indices are ints
+    strictly increasing in range(n)."""
+    out, last = [], -1
+    for j, x in pairs:
+        if type(j) is not int:
+            raise ValueError(f"{what} has a non-integer index {j!r}")
+        if not 0 <= j < n:
+            raise ValueError(f"{what} has an index outside range({n})")
+        if j <= last:
+            raise ValueError(f"{what} has indices that do not strictly increase")
+        last = j
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x:
+            out.append((j, x))
+    return tuple(out)
+
+
+def collect(acc: dict) -> SVec:
     """A sparse vector from an index -> value accumulator, dropping zeros."""
     return tuple(sorted((j, x) for j, x in acc.items() if x))
 
@@ -85,7 +91,7 @@ def combine(coeffs: SVec, vectors: Sequence[SVec]) -> SVec:
         for j, x in vectors[k]:
             y = c * x
             acc[j] = acc[j] + y if j in acc else y
-    return _collect(acc)
+    return collect(acc)
 
 
 def _transpose(rows: Sequence[SVec], ncols: int) -> tuple[SVec, ...]:
@@ -101,26 +107,15 @@ class Mat:
     """Matrix over Q on sparse rows.  Immutable after construction.
 
     ``sparse`` holds one sparse vector per row; ``rows`` and ``cols`` are the
-    shape.  `data` is the dense view at the API boundary.
+    shape, as integers.
     """
 
     __slots__ = ("rows", "cols", "sparse")
 
-    def __init__(self, rows_of_entries: Iterable[Iterable], cols: Optional[int] = None):
-        """The matrix of dense rows of numbers, coerced to Fractions."""
-        data = [vec(r) for r in rows_of_entries]
-        if data:
-            n = len(data[0])
-            if any(len(r) != n for r in data):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != n:
-                raise ValueError("explicit column count disagrees with rows")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        else:
-            n = cols
-        self.rows, self.cols = len(data), n
-        self.sparse = tuple(tuple((j, x) for j, x in enumerate(r) if x) for r in data)
+    def __init__(self, rows: Iterable[Iterable], cols: int):
+        """The cols-column matrix of rows of (index, number) pairs, `checked`."""
+        self.sparse = tuple(checked(row, cols, f"row {i}") for i, row in enumerate(rows))
+        self.rows, self.cols = len(self.sparse), cols
 
     @staticmethod
     def _exact(rows: tuple, cols: int) -> "Mat":
@@ -139,11 +134,6 @@ class Mat:
         if any(c and c[-1][0] >= rows for c in columns):
             raise ValueError("a column has an index past the row count")
         return Mat._exact(_transpose(columns, rows), len(columns))
-
-    @property
-    def data(self) -> tuple[Vec, ...]:
-        """The dense rows, built on demand."""
-        return tuple(dense(r, self.cols) for r in self.sparse)
 
     def columns(self) -> tuple[SVec, ...]:
         """The sparse columns, in one pass over the nonzeros."""
@@ -224,7 +214,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
                 break
             acc = dict(row[1:])  # the leading entries cancel
             _subtract(acc, f, prow[1:])
-            row = _collect(acc)
+            row = collect(acc)
     pivots = tuple(sorted(pivot_rows))
     out = []
     for c in reversed(pivots):
@@ -235,7 +225,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
             for prow, x in hits:
                 del acc[prow[0][0]]  # x times prow's leading 1 cancels it
                 _subtract(acc, x, prow[1:])
-            row = pivot_rows[c] = _collect(acc)
+            row = pivot_rows[c] = collect(acc)
         out.append(row)
     out.reverse()
     return Mat._exact(tuple(out) + ((),) * (m.rows - len(out)), m.cols), pivots
@@ -246,7 +236,7 @@ class SubspaceBasis:
 
     The basis rows are the nonzero rows of the RREF of any generating set,
     so equal subspaces compare equal structurally; each row's first pair is
-    the 1 at its pivot.  `rows` is the dense view.
+    the 1 at its pivot.
     """
 
     __slots__ = ("ambient_dim", "sparse", "pivots", "_index")
@@ -281,11 +271,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.pivots)
 
-    @property
-    def rows(self) -> tuple[Vec, ...]:
-        """The dense basis rows, built on demand."""
-        return tuple(dense(r, self.ambient_dim) for r in self.sparse)
-
     def reduce(self, v: SVec) -> SVec:
         """Residual of v after eliminating every pivot; empty iff v is a member.
 
@@ -302,7 +287,7 @@ class SubspaceBasis:
         for row, c in hits:
             del acc[row[0][0]]  # c times the row's leading 1 at its pivot cancels it
             _subtract(acc, c, row[1:])
-        return _collect(acc)
+        return collect(acc)
 
     def contains(self, v: SVec) -> bool:
         return not self.reduce(v)
@@ -422,8 +407,7 @@ class QuotientSpace:
     The representatives are the echelon basis vectors of Z whose pivot
     columns are not pivots of B; they form a complement of B inside Z, so
     project(lift(c)) == c for every class c and project(v) == 0 exactly when
-    v lies in B.  ``sparse_reps`` holds them as sparse vectors and
-    `coset_reps` is their dense view.
+    v lies in B.  ``sparse_reps`` holds them as sparse vectors.
     """
 
     __slots__ = ("ambient", "sub", "sparse_reps", "_rep_index")
@@ -447,11 +431,6 @@ class QuotientSpace:
     @property
     def ambient_dim(self) -> int:
         return self.ambient.ambient_dim
-
-    @property
-    def coset_reps(self) -> tuple[Vec, ...]:
-        """The dense coset representatives, built on demand."""
-        return tuple(dense(r, self.ambient_dim) for r in self.sparse_reps)
 
     def is_zero_class(self, v: SVec) -> bool:
         return self.sub.contains(v)

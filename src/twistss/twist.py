@@ -25,6 +25,7 @@ from .linalg import (
     SubspaceBasis,
     SVec,
     ZERO,
+    collect,
     image,
     kernel,
 )
@@ -35,32 +36,36 @@ class TwistError(Exception):
 
 
 class TwistForm:
-    """A twist H stored per homogeneous odd degree, each a sparse vector.
+    """A twist H: one `Form`, built by its constructor from the parts given.
 
-    Every component must be closed, of odd degree between 3 and the model's
-    top degree, with indices inside its degree's basis; the constructor
-    raises `TwistError` otherwise.  Degree-1 components are rejected: the
-    twisted theory starts at H_3 and the first-page structure relies on that.
+    ``components`` is that form's ``parts``.  Every component must be closed,
+    of odd degree between 3 and the model's top degree, with indices strictly
+    increasing inside its degree's basis; the constructor raises `TwistError`
+    otherwise.  Degree-1 components are rejected: the twisted theory starts
+    at H_3 and the first-page structure relies on that.
     """
 
-    __slots__ = ("model", "components", "_form", "_component_forms", "_op")
+    __slots__ = ("model", "components", "_h", "_parts", "_op")
 
     def __init__(self, model: CdgaModel, components: dict[int, SVec]):
-        self.model = model
-        self.components = {p: v for p, v in sorted(components.items()) if v}
-        self._form: Optional[Form] = None
-        self._component_forms: dict[int, Form] = {}
-        self._op: Optional[DOperator] = None
-        for p, v in self.components.items():
+        top = model.top_degree
+        components = {p: v for p, v in components.items() if v}
+        for p in sorted(components):
             if p % 2 == 0:
                 raise TwistError(f"twist component of even degree {p}")
             if p < 3:
                 raise TwistError("twist components must have degree >= 3")
-            if p > model.top_degree:
-                raise TwistError(f"twist component of degree {p} is above the top degree {model.top_degree}")
-            if not all(0 <= i < model.dim(p) for i, _ in v):
-                raise TwistError(f"twist component of degree {p} has an index outside range({model.dim(p)})")
-            if not self.component_form(p).d().is_zero:
+            if p > top:
+                raise TwistError(f"twist component of degree {p} is above the top degree {top}")
+        try:
+            h = Form(model, components)
+        except ValueError as e:
+            raise TwistError(f"twist {e}") from None
+        self.model, self.components, self._h = model, h.parts, h
+        self._parts = {p: h.homogeneous_part(p) for p in h.parts}  # H_p, one form per degree
+        self._op: Optional[DOperator] = None
+        for p, hp in self._parts.items():
+            if not hp.d().is_zero:
                 raise TwistError(f"twist component of degree {p} is not closed")
 
     @property
@@ -72,18 +77,12 @@ class TwistForm:
         return tuple(self.components)
 
     def component_form(self, p: int) -> Form:
-        """H_p as a form, built once per degree (forms are immutable)."""
-        if p not in self.components:
-            return self.model.zero_form()
-        if p not in self._component_forms:
-            self._component_forms[p] = self.model.part_form(p, self.components[p])
-        return self._component_forms[p]
+        """H_p as a form (the zero form outside H's degrees)."""
+        return self._parts.get(p, self.model.zero_form())
 
     def form(self) -> Form:
-        """H as one inhomogeneous form, built once (forms are immutable)."""
-        if self._form is None:
-            self._form = Form._exact(self.model, dict(self.components))
-        return self._form
+        """H as one inhomogeneous form."""
+        return self._h
 
     def operator(self, model: CdgaModel) -> DOperator:
         """D = d + H, built once (the twist is immutable); every (model, H)
@@ -96,21 +95,13 @@ class TwistForm:
 
     def single_degree(self) -> Optional[int]:
         """The degree 2s+1 when H has exactly one component, else None."""
-        if len(self.components) == 1:
-            return next(iter(self.components))
-        return None
+        return self._h.degree if len(self.components) == 1 else None
 
     def describe(self) -> str:
-        if self.is_zero:
-            return "0"
-        return str(self.form())
+        return str(self._h)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, TwistForm)
-            and self.model is other.model
-            and self.components == other.components
-        )
+        return isinstance(other, TwistForm) and self._h == other._h
 
     def __repr__(self):
         return f"TwistForm({self.describe()})"
@@ -127,9 +118,8 @@ def make_twist(model: CdgaModel, parts: Sequence[Form]) -> TwistForm:
 
 
 def parse_twist(model: CdgaModel, expr: str) -> TwistForm:
-    """Build a twist from a wedge expression, split into homogeneous parts."""
-    f = model.parse_form(expr)
-    return make_twist(model, [f.homogeneous_part(p) for p in f.degrees])
+    """Build a twist from a wedge expression, whose parts `TwistForm` checks."""
+    return TwistForm(model, model.parse_form(expr).parts)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +197,7 @@ class DOperator:
                     for m, c in h_terms:
                         for k, s in model.wedge_basis(h_deg, m, src, i):
                             col[k] = col.get(k, ZERO) + c * s
-                    cols.append(tuple(sorted((k, x) for k, x in col.items() if x)))
+                    cols.append(collect(col))
                 per_src[src] = Mat.from_cols(cols, model.dim(dst))
             self._wedge_mats[h_deg] = per_src
 

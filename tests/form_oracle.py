@@ -8,14 +8,15 @@ that omit zero components, so the tests can compare the two entry for entry.
 
 from fractions import Fraction
 
-from twistss.linalg import ZERO, vec
+from twistss.linalg import ZERO
+from twistss.linalg import dense as dense_vector
 
 
 def dense(model, parts):
     """A dense form: coerced, degree-sorted, without zero components."""
     out = {}
     for p, v in sorted(parts.items()):
-        v = vec(v)
+        v = tuple(Fraction(x) for x in v)
         assert len(v) == model.dim(p)
         if any(v):
             out[p] = v
@@ -23,8 +24,8 @@ def dense(model, parts):
 
 
 def of_form(f):
-    """The dense form of a `Form`, through its dense view `component`."""
-    return {p: f.component(p) for p in f.degrees}
+    """The dense form of a `Form`, through the dense view of each part."""
+    return {p: dense_vector(f.part(p), f.model.dim(p)) for p in f.degrees}
 
 
 def add(model, u, v):
@@ -61,7 +62,9 @@ def d(model, u):
     out = {}
     for p, v in u.items():
         if p < model.top_degree:
-            out[p + 1] = [sum((a * b for a, b in zip(row, v)), ZERO) for row in model.d_mat(p).data]
+            m = model.d_mat(p)
+            rows = [dense_vector(r, m.cols) for r in m.sparse]
+            out[p + 1] = [sum((a * b for a, b in zip(row, v)), ZERO) for row in rows]
     return dense(model, out)
 
 

@@ -11,7 +11,7 @@ detail line for the seed-0 workspace, so the counts in it cannot drift.
 
 import pytest
 
-from twistss.linalg import Mat
+from twistss.linalg import Mat, dense, sparse
 from twistss.selftest import CRITERIA, Workspace
 
 
@@ -83,6 +83,7 @@ def test_criterion_01_checks_d_squared_on_the_operator_blocks():
     ws = Workspace(seed=0)
     op = ws.ss("cascade5", "a").op
     block = op.block(9, 14)
-    assert op.model.labels[14] == ("a^v", "x^v") and block.data == ((1,), (0,))
-    op._wedge_mats[5][9] = Mat([block.data[0], (1 - block.data[1][0],)])
+    data = tuple(dense(r, block.cols) for r in block.sparse)
+    assert op.model.labels[14] == ("a^v", "x^v") and data == ((1,), (0,))
+    op._wedge_mats[5][9] = Mat([sparse(data[0]), sparse((1 - data[1][0],))], cols=1)
     assert CRITERIA[0][1](ws) == (False, "D^2 != 0 on cascade5")

@@ -27,8 +27,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistss import cdga
-from twistss.cdga import AlgebraError, CdgaModel, model_from_dict
-from twistss.linalg import SubspaceBasis, kernel
+from twistss.cdga import AlgebraError, CdgaModel, Form, model_from_dict
+from twistss.linalg import SubspaceBasis, dense, kernel, sparse
 from twistss.models import bundled_model, model_names
 from twistss.modelgen import random_model
 
@@ -70,7 +70,7 @@ def _over_builds(tori):
 @_over_builds((6, 7, 8, 9))
 def test_basis_form_route_accepts_every_generator_model(build):
     model = build()
-    assert model._find_unit() == model.unit == (1,)
+    assert model._find_unit() == model.unit == ((0, 1),)
     model._validate()
 
 
@@ -237,10 +237,10 @@ def _sheared_tables(model, rng):
         v[i] = Fraction(1)
         if shears.get(p, (None,))[0] == i:
             v[shears[p][1]] += shears[p][2]
-        return model.form({p: v})
+        return Form(model, {p: sparse(v)})
 
     def coords(form, r):
-        v = list(form.component(r))
+        v = list(dense(form.part(r), model.dim(r)))
         if r in shears:
             i, k, lam = shears[r]
             v[k] -= lam * v[i]
@@ -421,9 +421,9 @@ def _closed_form(model, rng):
         if any(coeffs):
             break
     v = [Fraction(0)] * model.dim(p)
-    for c, row in zip(coeffs, closed.rows):
-        v = [x + c * y for x, y in zip(v, row)]
-    return model.form({p: v})
+    for c, row in zip(coeffs, closed.sparse):
+        v = [x + c * y for x, y in zip(v, dense(row, closed.ambient_dim))]
+    return Form(model, {p: sparse(v)})
 
 
 QUOTIENTS = 60
@@ -495,7 +495,7 @@ def test_non_connected_model_validates_through_the_full_scan():
     model = model_from_dict(_product_doc())
     assert model.dims == (2, 3, 3, 1)
     assert model._first_factors() == model._basis_elems()
-    assert model.unit == (1, 1)
+    assert model.unit == ((0, 1), (1, 1))
 
 
 def test_non_connected_mutated_product_rejected_with_the_full_scan_message(monkeypatch):

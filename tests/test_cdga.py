@@ -20,7 +20,7 @@ from twistss.cdga import (
     model_from_dict,
     parse_linear_combination,
 )
-from twistss.linalg import Mat, sparse
+from twistss.linalg import Mat, dense, sparse
 from twistss.models import bundled_model, model_names, model_path
 
 
@@ -397,7 +397,7 @@ def test_torus9_loads_at_the_dimension_limit():
     model = model_from_dict(_torus_doc(9))
     assert model.total_dim == MAX_DIM
     assert model.dims == tuple(math.comb(9, p) for p in range(10))
-    assert model.unit == (1,) and model.unit_form() == model.basis_form("1")
+    assert model.unit == ((0, 1),) and model.unit_form() == model.basis_form("1")
 
 
 def test_top_degree_limit_checked_before_allocation():
@@ -646,9 +646,10 @@ def _expansion(build, args, kwargs):
     except ModelSchemaError as e:
         return str(e)
     coeffs = [c for t in mult.values() for row in t for prod in row for _, c in prod]
-    coeffs += [c for m in diff for row in m.data for c in row]
+    data = [tuple(dense(row, m.cols) for row in m.sparse) for m in diff]
+    coeffs += [c for rows in data for row in rows for c in row]
     assert all(type(c) is Fraction for c in coeffs)
-    return n, labels, mult, [(m.rows, m.cols, m.data) for m in diff]
+    return n, labels, mult, [(m.rows, m.cols, rows) for m, rows in zip(diff, data)]
 
 
 def _builds(make):
@@ -735,6 +736,12 @@ def _three_gens(**fields):
         (_three_gens(differentials={"c": "a^b^c"}), "differential of 'c' has a term of degree 3, expected 2"),
         # a dropped term (a repeated generator) skips the degree check
         (_three_gens(differentials={"c": "a^b^a"}), None),
+        # no expression could name these generators
+        *[
+            (_gen_doc(generators=[{"name": name, "degree": 1}]), f"generator name {name!r} contains {ch!r}")
+            for name, ch in [("a+b", "+"), ("a-b", "-"), ("2*a", "*"), ("a^b", "^"), ("a b", " "), ("a\tb", "\t"), ("a\nb", "\n")]
+        ],
+        (_gen_doc(generators=[{"name": "", "degree": 1}]), "generator name '' is empty"),
     ],
 )
 def test_generator_form_rejection_messages(doc, message):
@@ -744,6 +751,47 @@ def test_generator_form_rejection_messages(doc, message):
     with pytest.raises(ModelSchemaError) as err:
         model_from_dict(doc)
     assert str(err.value) == message
+
+
+NON_INTEGER_DOCS = [
+    (
+        {
+            "name": "g",
+            "top_degree": 3.9,
+            "generators": [{"name": "a", "degree": 1.5}, {"name": "b", "degree": True}],
+        },
+        "degree of generator 'a' must be an integer, got 1.5",
+    ),
+    (_gen_doc(generators=[{"name": "b", "degree": True}]), "degree of generator 'b' must be an integer, got True"),
+    (_gen_doc(top_degree=3.9), "top_degree must be an integer, got 3.9"),
+    (_gen_doc(top_degree=True), "top_degree must be an integer, got True"),
+    (_gen_doc(top_degree=float("nan")), "top_degree must be an integer, got nan"),
+    (_basis_doc(top_degree=1.5), "top_degree must be an integer, got 1.5"),
+    (_basis_doc(top_degree=False), "top_degree must be an integer, got False"),
+]
+
+
+@pytest.mark.parametrize("doc,message", NON_INTEGER_DOCS)
+def test_booleans_and_non_integral_numbers_rejected(doc, message):
+    # int() alone would read true as 1 and cut 3.9 down to 3
+    with pytest.raises(ModelSchemaError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_integers_and_integer_strings_accepted():
+    gens = [{"name": "x", "degree": "1"}, {"name": "y", "degree": 1.0}]
+    assert model_from_dict(_gen_doc(top_degree="2", generators=gens)).dims == (1, 2, 1)
+    assert model_from_dict(_basis_doc(top_degree=1.0)).dims == (1, 1)
+
+
+def test_every_basis_label_of_the_bundled_and_modelgen_models_parses():
+    models = [bundled_model(name) for name in model_names()]
+    models += [modelgen.random_model(seed) for seed in range(20)]
+    for m in models:
+        for p, labels in enumerate(m.labels):
+            for label in labels:
+                assert m.parse_form(label) == m.basis_form(label), (m.name, label)
 
 
 # -- the layout the loaders hand the constructor ---------------------------------
@@ -768,9 +816,10 @@ def _layout_failure(n, labels, mult, diff):
                 if not all(type(c) is Fraction and c for _, c in prod):
                     return f"product in ({p},{q}) with a zero or inexact coefficient"
     for p, m in enumerate(diff):
-        if (m.rows, m.cols) != (dims[p + 1], dims[p]) or len(m.data) != m.rows:
+        data = tuple(dense(row, m.cols) for row in m.sparse)
+        if (m.rows, m.cols) != (dims[p + 1], dims[p]) or len(data) != m.rows:
             return f"d at degree {p} shape"
-        if any(len(row) != m.cols for row in m.data):
+        if any(len(row) != m.cols for row in data):
             return f"d at degree {p} ragged"
     return None
 

@@ -251,6 +251,44 @@ def test_massey_t_past_the_last_page_exits_2_before_any_work(capsys):
     assert "page 803, past the last page 5" in err
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (
+            {
+                "name": "g",
+                "top_degree": 3.9,
+                "generators": [{"name": "a", "degree": 1.5}, {"name": "b", "degree": True}],
+            },
+            "degree of generator 'a' must be an integer, got 1.5",
+        ),
+        (
+            {"name": "g", "top_degree": 3.9, "generators": [{"name": "a", "degree": 1}]},
+            "top_degree must be an integer, got 3.9",
+        ),
+        (
+            {"name": "g", "top_degree": 1, "generators": [{"name": "b", "degree": True}]},
+            "degree of generator 'b' must be an integer, got True",
+        ),
+        (
+            {"name": "g", "top_degree": 2, "generators": [{"name": "a+b", "degree": 1}, {"name": "c", "degree": 1}]},
+            "generator name 'a+b' contains '+'",
+        ),
+        (
+            {"name": "g", "top_degree": 1, "generators": [{"name": "", "degree": 1}]},
+            "generator name '' is empty",
+        ),
+    ],
+)
+def test_analyze_bad_model_numbers_and_names_exit_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_analyze_deeply_nested_json_exits_2(capsys, tmp_path):
     path = tmp_path / "nested.json"
     path.write_text("[" * 100_000)

@@ -1,9 +1,11 @@
 """Sparse `Form`s against the dense form oracle, and the forms built once.
 
 Forms come from dense vectors with scattered zeros (ints and Fractions
-mixed, so the entry coercion is exercised) on the bundled models and on
-`modelgen` seeds.  Every operation must agree with `form_oracle` entry for
-entry, and its result must be in the stored layout.
+mixed), handed to the `Form` constructor as the pairs of every coordinate,
+zeros included, so the entry coercion and the dropping of zeros are
+exercised, on the bundled models and on `modelgen` seeds.  Every operation
+must agree with `form_oracle` entry for entry, and its result must be in the
+stored layout.
 """
 
 from fractions import Fraction
@@ -39,10 +41,15 @@ def dense_parts(draw, model):
     return parts
 
 
+def _pairs(parts):
+    """Every coordinate of each dense part as an (index, value) pair, zeros included."""
+    return {p: tuple(enumerate(v)) for p, v in parts.items()}
+
+
 def _draw_pair(data):
     m = data.draw(st.sampled_from(MODELS), label="model")
     a, b = data.draw(dense_parts(m)), data.draw(dense_parts(m))
-    return m, Form(m, a), Form(m, b), oracle.dense(m, a), oracle.dense(m, b)
+    return m, Form(m, _pairs(a)), Form(m, _pairs(b)), oracle.dense(m, a), oracle.dense(m, b)
 
 
 def _assert_layout(f):
@@ -61,8 +68,8 @@ def test_entry_and_component_match_the_oracle(data):
     _assert_layout(u)
     assert oracle.of_form(u) == du
     for p in range(-1, m.top_degree + 2):
-        assert u.component(p) == oracle.component(m, du, p)
-        assert all(type(c) is Fraction for c in u.component(p))
+        assert dense(u.part(p), m.dim(p)) == oracle.component(m, du, p)
+        assert all(type(c) is Fraction for _, c in u.part(p))
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,7 +120,7 @@ def test_wedge_d_and_homogeneous_parts_match_the_oracle(data):
 @given(st.data())
 def test_equality_hash_and_str_match_the_oracle(data):
     m, u, v, du, dv = _draw_pair(data)
-    again = Form(m, {p: list(x) for p, x in du.items()})
+    again = Form(m, {p: [(i, c) for i, c in enumerate(x) if c] for p, x in du.items()})
     assert u == again and hash(u) == hash(again)
     assert (u == v) == (du == dv)
     if u == v:
@@ -140,8 +147,33 @@ def test_entry_still_rejects_bad_components():
     m = bundled_model("torus3")
     with pytest.raises(ValueError, match="outside the model range"):
         Form(m, {4: ()})
-    with pytest.raises(ValueError, match="has length 2, expected 3"):
-        Form(m, {1: (1, 0)})
+    with pytest.raises(ValueError, match="component of degree 1 has an index outside range\\(3\\)"):
+        Form(m, {1: ((3, 1),)})
+
+
+@pytest.mark.parametrize(
+    "part,message",
+    [
+        (((1, 1), (0, 1)), "do not strictly increase"),
+        (((0, 1), (0, 1)), "do not strictly increase"),
+        (((0, 1), (0, 0)), "do not strictly increase"),
+        (((-1, 1),), "outside range\\(3\\)"),
+        (((3, 1),), "outside range\\(3\\)"),
+        (((0.0, 1),), "non-integer index"),
+    ],
+)
+def test_entry_rejects_unsorted_repeated_and_outside_indices(part, message):
+    m = bundled_model("torus3")
+    with pytest.raises(ValueError, match=message):
+        Form(m, {1: part})
+
+
+def test_entry_coerces_values_and_drops_zeros():
+    m = bundled_model("torus3")
+    f = Form(m, {1: ((0, 2), (1, 0), (2, Fraction(1, 2))), 2: ((0, 0),)})
+    assert f.parts == {1: ((0, Fraction(2)), (2, Fraction(1, 2)))}
+    assert all(type(c) is Fraction for _, c in f.part(1))
+    assert Form(m, {3: ((0, Fraction(0)),)}).is_zero
 
 
 # ---------------------------------------------------------------------------

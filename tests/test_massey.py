@@ -102,7 +102,7 @@ def test_triple_indeterminacy_containment():
     assert tp.v1 == m.basis_form("v")
     from twistss.linalg import kernel
 
-    for row in kernel(m.d_mat(5)).rows:
+    for row in kernel(m.d_mat(5)).sparse:
         z = Form(m, {5: row})
         omega2 = bar(tp.v1 + z).wedge(x) + bar(a).wedge(tp.v2)
         delta = omega2 - tp.omega
@@ -327,7 +327,7 @@ def test_diagonal_tail_matches_dedicated_sparse_solve(name, expr, s):
         for p in range(ss.n + 1):
             # the page classes, and a basis of Z_r so a page with no classes left
             # still checks its boundaries
-            for rep in ss.cell(r, p).coset_reps + ss.cycles(r, p).rows:
+            for rep in ss.cell(r, p).sparse_reps + ss.cycles(r, p).sparse:
                 x = Form(m, {p: rep})
                 system = diagonal_defining_system(ss, x, t, s)
                 tail = dedicated_sparse_tail(ss, x, t, s)
@@ -409,7 +409,7 @@ def fixed_head_perturbed_tail(ss, x_p, t):
         deg = p + 2 * i
         if deg > ss.n:
             break
-        for z_row in model.de_rham(deg).ambient.rows:
+        for z_row in model.de_rham(deg).ambient.sparse:
             fixed = Form(model, {deg: z_row})
             for j in range(0, i + 1):
                 fixed = fixed + base.form.homogeneous_part(p + 2 * j)
@@ -439,7 +439,7 @@ def test_perturbed_system_matches_fixed_head_solve(ss):
     for t in range(1, (ss.max_page - 3) // 2 + 1):
         r = 2 * t + 3
         for p in range(ss.n + 1):
-            for rep in ss.cell(r, p).coset_reps + ss.cycles(r, p).rows:
+            for rep in ss.cell(r, p).sparse_reps + ss.cycles(r, p).sparse:
                 x = Form(m, {p: rep})
                 system = perturbed_banded_system(ss, x, t)
                 want = fixed_head_perturbed_tail(ss, x, t)
@@ -493,7 +493,7 @@ def test_specific_element_lives_in_cohomology():
 def test_related_cocycle_closed_for_valid_systems():
     ss = make_ss("mixed5", "a + b")
     for p in range(ss.n + 1):
-        for rep in ss.cell(5, p).coset_reps:
+        for rep in ss.cell(5, p).sparse_reps:
             x = Form(ss.model, {p: rep})
             system = banded_defining_system(ss, x, 1)
             assert related_cocycle(system).d().is_zero
@@ -545,7 +545,7 @@ def per_class_verification(ss, t):
     single = ss.H.single_degree()
     s = (single - 1) // 2 if single is not None else None
     for p in range(ss.n + 1):
-        for rep in ss.cell(r, p).coset_reps:
+        for rep in ss.cell(r, p).sparse_reps:
             x = Form(ss.model, {p: rep})
             lhs = ss.differential(r, x)
             c_a = validate_defining_system(banded_defining_system(ss, x, t))
@@ -599,7 +599,7 @@ def _record_lifts(monkeypatch):
     lift = SpectralSequence.lift_zigzag
 
     def counting(ss, x_p, reach):
-        lifts.append((x_p.degree, x_p.component(x_p.degree), reach))
+        lifts.append((x_p.degree, x_p.part(x_p.degree), reach))
         return lift(ss, x_p, reach)
 
     monkeypatch.setattr(SpectralSequence, "lift_zigzag", counting)
@@ -622,7 +622,7 @@ def test_one_lift_per_class_and_one_shift_search_per_column(monkeypatch, name, e
     lifts = _record_lifts(monkeypatch)
     checks = verify_main_theorems(ss, t).checks
     assert checks
-    classes = [(p, rep, r) for p in range(ss.n + 1) for rep in ss.cell(r, p).coset_reps]
+    classes = [(p, rep, r) for p in range(ss.n + 1) for rep in ss.cell(r, p).sparse_reps]
     # each class is lifted once, for all three systems
     assert sorted(l for l in lifts if l[2] == r) == sorted(classes)
     # the shift candidates, lifted short of r, are searched once per column

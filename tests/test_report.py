@@ -131,7 +131,7 @@ def test_connecting_oracle_catches_a_dropped_boundary_row(monkeypatch):
 
     def dropping(self, r, p):
         b = boundaries(self, r, p)
-        return SubspaceBasis.span(b.ambient_dim, b.rows[1:]) if (r, p) == target else b
+        return SubspaceBasis.span(b.ambient_dim, b.sparse[1:]) if (r, p) == target else b
 
     monkeypatch.setattr(SpectralSequence, "boundaries", dropping)
     oracle, _ = report.check_indeterminacy(_cascade5())

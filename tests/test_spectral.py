@@ -4,11 +4,21 @@ from twistss import PageError, SpectralSequence, parse_twist, twisted_cohomology
 from twistss.cdga import Form
 from twistss.models import bundled_model, standard_pairs
 from twistss.modelgen import random_model, random_twist
-from twistss.linalg import SubspaceBasis, dense, image, kernel
+from twistss.linalg import SubspaceBasis, dense, image, kernel, sparse
 from twistss.report import check_even_vanishing
 from twistss.twist import BlockSpace
 
 from lift_oracle import lifted_differential_matrix, resolve_tail
+
+
+def dense_rows(s):
+    """The dense basis rows of a SubspaceBasis."""
+    return [dense(v, s.ambient_dim) for v in s.sparse]
+
+
+def dense_reps(q):
+    """The dense coset representatives of a QuotientSpace."""
+    return [dense(v, q.ambient_dim) for v in q.sparse_reps]
 
 
 def make_ss(name, expr):
@@ -60,7 +70,7 @@ def test_second_page_is_de_rham(t3):
         cell = t3.cell(2, p)
         h = t3.model.de_rham(p)
         assert cell.dim == h.dim
-        assert cell.coset_reps == h.coset_reps
+        assert dense_reps(cell) == dense_reps(h)
 
 
 def test_odd_q_cells_zero(t3):
@@ -110,9 +120,9 @@ def test_global_solve_handles_tail_corrections():
     zz = ss.lift_zigzag(xb, 5)
     assert zz is not None
     assert not zz.form.homogeneous_part(10).is_zero
-    assert ss.op.apply(zz.form).component(9) is not None  # reach holds below 13
+    assert ss.op.apply(zz.form).part(9) is not None  # reach holds below 13
     for deg in (9, 11):
-        assert all(c == 0 for c in ss.op.apply(zz.form).component(deg))
+        assert all(c == 0 for c in dense(ss.op.apply(zz.form).part(deg), m.dim(deg)))
 
 
 # -- differentials ------------------------------------------------------------------
@@ -124,9 +134,9 @@ def test_d1_is_d():
     for p in range(m.top_degree + 1):
         cell = ss.cell(1, p)
         mat = ss.differential_matrix(1, p)
-        for j, rep in enumerate(cell.coset_reps):
+        for j, rep in enumerate(cell.sparse_reps):
             x = Form(m, {p: rep})
-            expected = x.d().component(p + 1) if p + 1 <= m.top_degree else ()
+            expected = dense(x.d().part(p + 1), m.dim(p + 1)) if p + 1 <= m.top_degree else ()
             got = dense(ss.cell(1, p + 1).lift(mat.columns()[j]), m.dim(p + 1)) if mat.rows else ()
             assert got == expected
 
@@ -161,11 +171,11 @@ def test_differential_representative_independence():
 
 @pytest.mark.parametrize("ss", list(all_sequences()), ids=lambda s: f"{s.model.name}/{s.H.describe()}")
 def test_matrix_columns_are_the_differentials_of_the_coset_reps(ss):
-    # the verdicts read d_r of coset_reps[j] off column j of the page matrix
+    # the verdicts read d_r of sparse_reps[j] off column j of the page matrix
     for r in range(1, ss.max_page + 1):
         for p in range(ss.n + 1):
             d_r = ss.differential_matrix(r, p).columns()
-            for j, rep in enumerate(ss.cell(r, p).coset_reps):
+            for j, rep in enumerate(ss.cell(r, p).sparse_reps):
                 assert ss.differential(r, Form(ss.model, {p: rep})).coords == d_r[j]
 
 
@@ -193,7 +203,7 @@ def test_differential_tail_choice_independence():
             # still a valid zig-zag of reach r
             dalt = alt.d() + ss.H.form().wedge(alt)
             assert all(
-                all(c == 0 for c in dalt.component(q)) for q in conds
+                all(c == 0 for c in dense(dalt.part(q), m.dim(q))) for q in conds
             )
             assert tgt.project(dalt.part(p + r)) == base_cls
 
@@ -290,11 +300,11 @@ def test_lift_matches_the_stacked_solve(ss, step):
     m = ss.model
     for r in range(1, ss.max_page + 3):
         for p in range(ss.n + 1):
-            rows = list(ss.cycles(min(r, ss.max_page), p).rows)
+            rows = dense_rows(ss.cycles(min(r, ss.max_page), p))
             if len(rows) > 1:
                 rows.append(tuple(a - 3 * b for a, b in zip(rows[0], rows[-1])))
             for row in rows:
-                x = Form(m, {p: row})
+                x = Form(m, {p: sparse(row)})
                 want = resolve_tail(ss, x, r, range(p + step, ss.n + 1, step))
                 assert want is not None
                 assert ss.lift_zigzag(x, r).form == want
@@ -323,7 +333,7 @@ def test_pages_and_lifts_make_no_particular_solve(monkeypatch):
         for r in range(1, ss.max_page + 1):
             ss.page(r)
             for p in range(ss.n + 1):
-                for row in ss.cycles(r, p).rows:
+                for row in ss.cycles(r, p).sparse:
                     assert ss.lift_zigzag(Form(ss.model, {p: row}), r) is not None
     assert calls == []
 
@@ -349,7 +359,7 @@ def test_one_kernel_per_cycle_key_with_conditions(monkeypatch):
                 condition_lists.add((p, conds))
     for r in range(1, ss.max_page + 3):
         for p in range(ss.n + 1):
-            for row in ss.cycles(min(r, ss.max_page), p).rows:
+            for row in ss.cycles(min(r, ss.max_page), p).sparse:
                 ss.lift_zigzag(Form(ss.model, {p: row}), r)
     # pages 2k and 2k + 1 share the conditions p+1, p+3, ..., p+2k-1
     assert len(calls) == len(condition_lists) > 0
@@ -381,7 +391,7 @@ def test_boundaries_match_per_start_kernels(ss, step):
     for r in range(1, ss.max_page + 1):
         for p in range(ss.n + 1):
             b, b0 = ss.boundaries(r, p), per_start_boundaries(ss, p, max(0, p - r + 1))
-            assert b.rows == b0.rows and b.pivots == b0.pivots
+            assert dense_rows(b) == dense_rows(b0) and b.pivots == b0.pivots
 
 
 def test_one_boundary_kernel_per_column(monkeypatch):
@@ -414,13 +424,13 @@ def test_differential_is_constant_on_boundary_cosets():
         ss = make_ss(name, expr)
         for r in range(1, ss.max_page + 1):
             for p in range(ss.n + 1):
-                reps, bounds = ss.cell(r, p).coset_reps, ss.boundaries(r, p).rows
+                reps, bounds = dense_reps(ss.cell(r, p)), dense_rows(ss.boundaries(r, p))
                 if not (reps and bounds):
                     continue
                 for i, rep in enumerate(reps):
                     b = bounds[i % len(bounds)]
-                    shifted = Form(ss.model, {p: tuple(x + y for x, y in zip(rep, b))})
-                    assert ss.differential(r, shifted) == ss.differential(r, Form(ss.model, {p: rep}))
+                    shifted = Form(ss.model, {p: sparse(tuple(x + y for x, y in zip(rep, b)))})
+                    assert ss.differential(r, shifted) == ss.differential(r, Form(ss.model, {p: sparse(rep)}))
                     checked += 1
     assert checked > 50
 

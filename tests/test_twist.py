@@ -15,7 +15,7 @@ from twistss import (
     twisted_cohomology,
 )
 from twistss.cdga import Form
-from twistss.linalg import ZERO, Mat
+from twistss.linalg import ZERO, Mat, dense, sparse
 from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model, model_names, standard_pairs
 from twistss.report import run_analysis
@@ -65,6 +65,10 @@ def test_even_degree_part_rejected():
         ("torus3", {3: ((1, 1),)}, "index outside range\\(1\\)"),
         ("torus3", {3: ((-1, 1),)}, "index outside range\\(1\\)"),
         ("cascade3", {5: ((0, 1),)}, "degree 5 is not closed"),
+        ("torus5", {3: ((1, 1), (0, 1))}, "^twist component of degree 3 has indices that do not strictly increase$"),
+        ("torus5", {3: ((0, 1), (0, 1))}, "^twist component of degree 3 has indices that do not strictly increase$"),
+        ("torus5", {3: ((0, 1), (0, -1))}, "^twist component of degree 3 has indices that do not strictly increase$"),
+        ("torus5", {3: ((0.0, 1),)}, "^twist component of degree 3 has a non-integer index 0.0$"),
     ],
 )
 def test_constructor_rejects_invalid_components(name, components, message):
@@ -73,6 +77,23 @@ def test_constructor_rejects_invalid_components(name, components, message):
     components = {p: tuple((i, Fraction(c)) for i, c in v) for p, v in components.items()}
     with pytest.raises(TwistError, match=message):
         TwistForm(m, components)
+
+
+def test_zero_coefficients_make_the_zero_twist(torus3):
+    H = TwistForm(torus3, {3: ((0, Fraction(0)),)})
+    assert H.is_zero and H.degrees == () and H.describe() == "0"
+    assert H.single_degree() is None and H.components == {}
+    untwisted = make_twist(torus3, [])
+    assert H == untwisted
+    assert run_analysis(torus3, H).to_json() == run_analysis(torus3, untwisted).to_json()
+
+
+def test_int_coefficients_are_stored_as_fractions(torus3):
+    H = TwistForm(torus3, {3: ((0, 2),)})
+    assert H.components == {3: ((0, Fraction(2)),)}
+    assert type(H.components[3][0][1]) is Fraction
+    assert H.describe() == "2*e1^e2^e3"
+    assert H == parse_twist(torus3, "2*e1^e2^e3")
 
 
 def test_apply_D_unit(torus3):
@@ -180,8 +201,8 @@ def dense_matrix(op, domain, codomain):
         for r in range(op.model.dim(dst)):
             row = []
             for src, b in blocks:
-                row.extend((ZERO,) * op.model.dim(src) if b is None else b.data[r])
-            data.append(row)
+                row.extend((ZERO,) * op.model.dim(src) if b is None else dense(b.sparse[r], b.cols))
+            data.append(sparse(row))
     return Mat(data, cols=domain.total_dim)
 
 
@@ -217,7 +238,7 @@ def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
         got = op.matrix(dom, cod)
         assert got == dense_matrix(op, dom, cod)
         assert (got.rows, got.cols) == (cod.total_dim, dom.total_dim)
-        assert all(type(x) is Fraction for row in got.data for x in row)
+        assert all(type(x) is Fraction for row in got.sparse for x in dense(row, got.cols))
         for row in got.sparse:  # the stored rows: sorted, in range, exact and nonzero
             assert [j for j, _ in row] == sorted({j for j, _ in row})
             assert all(0 <= j < got.cols and type(x) is Fraction and x for j, x in row)
@@ -244,7 +265,7 @@ def random_form(m, density, rng):
         for p in range(m.top_degree + 1)
         if rng.random() < 0.5
     }
-    return Form(m, parts)
+    return Form(m, {p: sparse(v) for p, v in parts.items()})
 
 
 @given(st.sampled_from(OPERATORS), st.sampled_from(DENSITIES), st.randoms(use_true_random=False))
