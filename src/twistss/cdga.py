@@ -41,8 +41,9 @@ Two input layouts are accepted:
 * basis form -- explicit per-degree labels plus multiplication/differential
   tables; unspecified products and differentials are zero.
 
-Each loader checks its document and builds full tables in this layout; the
-constructor takes the layout as given and checks the axioms that can fail.
+Each loader checks its document and builds the tables in this layout, with a
+product block only for each pair of nonempty degrees; the constructor takes
+the layout as given and checks the axioms that can fail.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class AlgebraError(ModelError):
 # Size limits, checked before anything is allocated from a document's
 # numbers: a model has at most MAX_DIM basis elements (so the generator form,
 # which has 2^k of them, at most 9 generators) and top degree at most
-# MAX_TOP_DEGREE (the product table has (n+1)(n+2)/2 degree pairs).
+# MAX_TOP_DEGREE (the product table has at most (n+1)(n+2)/2 degree pairs).
 MAX_DIM = 512
 MAX_TOP_DEGREE = 256
 
@@ -191,6 +192,8 @@ class Form:
 
     def __init__(self, model: "CdgaModel", parts: Mapping[int, Iterable]):
         for p in parts:
+            if type(p) is not int:
+                raise ValueError(f"degree {p!r} is not an int")
             if not (0 <= p <= model.top_degree):
                 raise ValueError(f"degree {p} outside the model range")
         exact = ((p, checked(v, model.dim(p), f"component of degree {p}")) for p, v in sorted(parts.items()))
@@ -331,10 +334,12 @@ class CdgaModel:
     """A finite CDGA with explicit structure constants.  Immutable.
 
     The constructor takes its tables as the two loaders build them: labels
-    for every degree 0..top_degree (top_degree >= 0), a product table for
-    every pair (p, q) with p + q <= top_degree, each product sorted, nonzero
-    and in range, and a dim(p+1) x dim(p) matrix of d for every p.  It
-    finds the unit and checks every axiom, not that layout.
+    for every degree 0..top_degree (top_degree >= 0), a dim(p) x dim(q)
+    tuple of products for exactly the pairs (p, q) with p + q <= top_degree
+    and dim(p), dim(q) both > 0, each product sorted, nonzero and in range,
+    and a dim(p+1) x dim(p) matrix of d for every p.  It stores the tables
+    as handed in, finds the unit and checks every axiom, not that layout.
+    A pair without a block has only zero products.
     """
 
     def __init__(
@@ -348,7 +353,7 @@ class CdgaModel:
         self.name = name
         self.top_degree = top_degree
         self.labels = tuple(tuple(ls) for ls in labels)
-        self._mult = {k: tuple(tuple(row) for row in t) for k, t in mult.items()}
+        self._mult = mult
         self.diff = tuple(diff)
         self._label_index: dict[str, tuple[int, int]] = {}
         for p, ls in enumerate(self.labels):
@@ -413,9 +418,8 @@ class CdgaModel:
 
     def wedge_basis(self, p: int, i: int, q: int, j: int) -> Product:
         """e_i^p wedge e_j^q as sparse (index, coefficient) pairs in degree p+q."""
-        if p + q > self.top_degree:
-            return ()
-        return self._mult[(p, q)][i][j]
+        tab = self._mult.get((p, q))
+        return tab[i][j] if tab else ()
 
     def wedge(self, u: Form, v: Form) -> Form:
         """u ^ v, from the nonzero coordinates of u and v against the product table."""
@@ -503,7 +507,7 @@ class CdgaModel:
         rhs: list[tuple[int, Fraction]] = []
         n0 = self.dim(0)
         for q in range(self.top_degree + 1):
-            tab = self._mult[(0, q)]
+            tab = self._mult.get((0, q))
             for j in range(self.dim(q)):
                 # row k of this block: the coefficients of e_k in e_i^0 ^ e_j, by i
                 block: list[list] = [[] for _ in range(self.dim(q))]
@@ -536,7 +540,7 @@ class CdgaModel:
         for r in range(1, self.top_degree + 1):
             rows = set()
             for p in range(1, r // 2 + 1):
-                tab = self._mult[(p, r - p)]
+                tab = self._mult.get((p, r - p), ())
                 for i, row in enumerate(tab):
                     for prod in row[i if 2 * p == r else 0 :]:
                         if prod:
@@ -619,6 +623,8 @@ class CdgaModel:
         of (coefficient, product) terms without zero products, summed only
         when the two lists differ: most pairs and triples have no term left.
         With every basis element as a first factor this is the full scan.
+        A block that is missing (an empty degree) is read only under a
+        nonzero product or differential landing in that degree, so never.
         """
         n = self.top_degree
         mult = self._mult
@@ -633,10 +639,10 @@ class CdgaModel:
             for q, j in basis_elems:
                 if p + q + 1 > n:
                     break
-                tab_d, tab_da, row_a = dcols[p + q], mult[(p + 1, q)], mult[(p, q + 1)][i]
+                tab_d, tab_da, tab_a = dcols[p + q], mult.get((p + 1, q)), mult.get((p, q + 1))
                 lhs = [(c, t) for k, c in mult[(p, q)][i][j] if (t := tab_d[k])]
                 rhs = [(c, t) for k, c in da if (t := tab_da[k][j])] + [
-                    (sign * c, t) for k, c in dcols[q][j] if (t := row_a[k])
+                    (sign * c, t) for k, c in dcols[q][j] if (t := tab_a[i][k])
                 ]
                 if lhs != rhs and _combine(lhs) != _combine(rhs):
                     return f"Leibniz rule fails on {self.label_of(p, i)!r} ^ {self.label_of(q, j)!r}"
@@ -653,9 +659,9 @@ class CdgaModel:
                     bc = mult[(q, r)][j][k]
                     if not ab and not bc:
                         continue
-                    tab_ab, row_a = mult[(p + q, r)], mult[(p, q + r)][i]
+                    tab_ab, tab_a = mult.get((p + q, r)), mult.get((p, q + r))
                     lhs = [(c, t) for m, c in ab if (t := tab_ab[m][k])]
-                    rhs = [(c, t) for m, c in bc if (t := row_a[m])]
+                    rhs = [(c, t) for m, c in bc if (t := tab_a[i][m])]
                     if lhs != rhs and _combine(lhs) != _combine(rhs):
                         return (
                             "associativity fails on "
@@ -730,7 +736,9 @@ def expand_generators(
     top_degree: Optional[int] = None,
 ) -> tuple[int, list, dict, list]:
     """The `CdgaModel` tables (top degree, labels, products, d matrices) of an
-    exterior algebra on odd generators, unvalidated.
+    exterior algebra on odd generators, unvalidated.  The products are a
+    tuple block for each pair (p, q) of nonempty degrees with p + q <= top
+    degree, the layout `CdgaModel` takes.
 
     ``diffs`` maps a generator name to a polynomial, given as a list of
     (coefficient, monomial-of-generator-names) terms.  Disjoint monomials a, b
@@ -774,11 +782,14 @@ def expand_generators(
             pos[mask] = i
     labels = [["^".join(names[i] for i in seqs[mask]) or "1" for mask in ms] for ms in monos[: n + 1]]
 
-    # every product of two monomials is zero or one signed monomial
+    # every product of two monomials is zero or one signed monomial; a block
+    # for each pair of nonempty degrees
     mult = {
-        (p, q): [[() if a & b else ((pos[a | b], _sign(a, b)),) for b in monos[q]] for a in monos[p]]
+        (p, q): tuple(tuple(() if a & b else ((pos[a | b], _sign(a, b)),) for b in monos[q]) for a in monos[p])
         for p in range(n + 1)
+        if monos[p]
         for q in range(n + 1 - p)
+        if monos[q]
     }
 
     # differentials of generators, as (coefficient, monomial) lists
@@ -878,10 +889,14 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
     n = _int_field(doc["top_degree"], "top_degree")
     _check_top_degree(n)
     labels: list[list[str]] = [[] for _ in range(n + 1)]
+    listed = set()
     for deg_s, ls in _typed_field(doc["basis"], dict, "'basis'").items():
         deg = _int_field(deg_s, "basis degree")
         if not (0 <= deg <= n):
             raise ModelSchemaError(f"basis degree {deg} outside 0..{n}")
+        if deg in listed:
+            raise ModelSchemaError(f"basis degree {deg} is listed twice")
+        listed.add(deg)
         labels[deg] = [str(x) for x in _typed_field(ls, list, f"basis of degree {deg}")]
     total_dim = sum(map(len, labels))
     if total_dim > MAX_DIM:
@@ -916,21 +931,26 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
                 raise ModelSchemaError(f"each {field!r} entry needs {' and '.join(map(repr, keys))}")
         return out
 
-    mult: dict[tuple[int, int], list[list[Product]]] = {}
-    for p in range(n + 1):
-        for q in range(n + 1 - p):
-            mult[(p, q)] = [[() for _ in labels[q]] for _ in labels[p]]
+    products: dict[tuple[str, str], Product] = {}
     for entry in entries("mult", ("left", "right")):
         left, right = str(entry["left"]), str(entry["right"])
         if left not in index or right not in index:
             raise ModelSchemaError(f"mult entry references unknown labels: {entry}")
-        p, i = index[left]
-        q, j = index[right]
+        p, q = index[left][0], index[right][0]
         if p + q > n:
             raise ModelSchemaError(
                 f"product {left!r}^{right!r} exceeds top degree {n}"
             )
-        mult[(p, q)][i][j] = combo_vec(str(entry.get("result", "0")), p + q)
+        if (left, right) in products:
+            raise ModelSchemaError(f"product {left!r}^{right!r} is listed twice")
+        products[(left, right)] = combo_vec(str(entry.get("result", "0")), p + q)
+    mult = {
+        (p, q): tuple(tuple(products.get((a, b), ()) for b in labels[q]) for a in labels[p])
+        for p in range(n + 1)
+        if labels[p]
+        for q in range(n + 1 - p)
+        if labels[q]
+    }
 
     diff_mats = []
     dcols: dict[str, SVec] = {}
@@ -941,6 +961,8 @@ def _model_from_basis_doc(doc: dict) -> CdgaModel:
         p, _ = index[src]
         if p + 1 > n:
             raise ModelSchemaError(f"differential of {src!r} exceeds top degree {n}")
+        if src in dcols:
+            raise ModelSchemaError(f"differential of {src!r} is listed twice")
         dcols[src] = combo_vec(str(entry.get("result", "0")), p + 1)
     for p in range(n + 1):
         target_dim = len(labels[p + 1]) if p + 1 <= n else 0

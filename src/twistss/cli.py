@@ -17,11 +17,14 @@ The model argument is a path to a JSON model file; names of bundled models
 (``torus3``, ``heisenberg``, ...) are also accepted.  ``--t``, ``--s`` and
 ``--max-page`` must be at least 1, and the page 2t+3 of ``--t`` must exist:
 at most n + 2 for a model of top degree n.
+
+The argument parser is built once per process, on the first `main` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -142,6 +145,7 @@ def _cmd_selftest(args) -> int:
     return 0 if run_selftest(seed=args.seed) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistss",

@@ -52,10 +52,19 @@ def dense(v: SVec, n: int) -> tuple:
 
 def checked(pairs: Iterable, n: int, what: str) -> SVec:
     """The sparse vector of (index, number) pairs, values coerced to Fractions
-    and zeros dropped; ValueError, naming `what`, unless the indices are ints
-    strictly increasing in range(n)."""
+    and zeros dropped; ValueError, naming `what`, unless `pairs` is an
+    iterable of (index, value) pairs, the indices ints strictly increasing in
+    range(n) and every value a number that `Fraction` takes."""
+    try:
+        pairs = iter(pairs)
+    except TypeError:
+        raise ValueError(f"{what} is not an iterable of (index, value) pairs") from None
     out, last = [], -1
-    for j, x in pairs:
+    for pair in pairs:
+        try:
+            j, x = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"{what} has an entry {pair!r} that is not an (index, value) pair") from None
         if type(j) is not int:
             raise ValueError(f"{what} has a non-integer index {j!r}")
         if not 0 <= j < n:
@@ -64,7 +73,10 @@ def checked(pairs: Iterable, n: int, what: str) -> SVec:
             raise ValueError(f"{what} has indices that do not strictly increase")
         last = j
         if type(x) is not Fraction:
-            x = Fraction(x)
+            try:
+                x = Fraction(x)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise ValueError(f"{what} has a value {x!r} that is not a rational number") from None
         if x:
             out.append((j, x))
     return tuple(out)

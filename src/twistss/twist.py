@@ -49,6 +49,9 @@ class TwistForm:
 
     def __init__(self, model: CdgaModel, components: dict[int, SVec]):
         top = model.top_degree
+        for p in components:
+            if type(p) is not int:
+                raise TwistError(f"twist component degree {p!r} is not an int")
         components = {p: v for p, v in components.items() if v}
         for p in sorted(components):
             if p % 2 == 0:

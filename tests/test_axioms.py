@@ -17,6 +17,7 @@ documents come from modelgen models and from quotients A/zA by the
 d-stable ideal of a closed form z, which need not be free.
 """
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -368,6 +369,35 @@ def test_mutated_structure_constant_rejected_alike(monkeypatch):
     # induction, at another witness
     print(f"{rejected} of {SWEEP} mutations rejected; {outside} with a first factor outside {{e_0}} u G")
     assert rejected >= SWEEP // 4 and outside >= 1
+
+
+def _padded(model):
+    """A copy of model whose product table has a block for every pair (p, q)
+    with p + q <= top degree, the pairs with an empty degree included."""
+    n = model.top_degree
+    full = copy.copy(model)
+    full._mult = {
+        (p, q): model._mult.get((p, q), tuple(((),) * model.dim(q) for _ in range(model.dim(p))))
+        for p in range(n + 1)
+        for q in range(n + 1 - p)
+    }
+    return full
+
+
+def test_missing_product_blocks_read_as_zero_products(monkeypatch):
+    # the table holds blocks only for pairs of nonempty degrees; every check
+    # that can meet an empty degree names the same first witness on the full table
+    docs = [_mutated_document(seed) for seed in range(SWEEP)]
+    docs += [doc for _, doc in _quotients()]
+    missing = 0
+    for doc in docs:
+        raw = _unchecked_model(monkeypatch, doc)
+        full = _padded(raw)
+        missing += len(full._mult) - len(raw._mult)
+        assert raw._find_unit() == full._find_unit(), doc["name"]
+        assert raw._indecomposables() == full._indecomposables(), doc["name"]
+        assert _verdicts(raw) == _verdicts(full), doc["name"]
+    assert missing > 0
 
 
 # -- quotients by a d-stable ideal ---------------------------------------------------

@@ -638,6 +638,20 @@ def sorted_expansion(gens, diffs, top_degree=None):
     return n, labels, mult, diff_mats
 
 
+def oracle_expansion(gens, diffs, top_degree=None):
+    """The insertion-sort oracle on the `CdgaModel` layout: its blocks for the
+    pairs of nonempty degrees, as tuples.  Every block it drops holds only
+    zero products."""
+    n, labels, mult, diff = sorted_expansion(gens, diffs, top_degree)
+    kept = {}
+    for (p, q), t in mult.items():
+        if labels[p] and labels[q]:
+            kept[(p, q)] = tuple(map(tuple, t))
+        else:
+            assert not any(prod for row in t for prod in row)
+    return n, labels, kept, diff
+
+
 def _expansion(build, args, kwargs):
     """(top degree, labels, products, differential matrices) of one expansion,
     or the message of its ModelSchemaError."""
@@ -676,7 +690,7 @@ def _assert_expansions_agree(make):
     calls = _builds(make)
     for args, kwargs in calls:
         assert _expansion(cdga.expand_generators, args, kwargs) == _expansion(
-            sorted_expansion, args, kwargs
+            oracle_expansion, args, kwargs
         ), args
     return len(calls)
 
@@ -717,7 +731,7 @@ def test_unsorted_and_repeated_terms_expand_like_insertion_sort():
         "d": [(Fraction(3), ("c", "e", "a", "b")), (Fraction(-1), ("b", "a", "b", "c"))],
     }
     args = (gens, diffs)
-    want = _expansion(sorted_expansion, args, {})
+    want = _expansion(oracle_expansion, args, {})
     assert not isinstance(want, str) and any(any(row) for _, _, data in want[3] for row in data)
     assert _expansion(cdga.expand_generators, args, {}) == want
 
@@ -803,9 +817,11 @@ def _layout_failure(n, labels, mult, diff):
     if n < 0 or len(labels) != n + 1 or len(diff) != n + 1:
         return "degree count"
     dims = [len(ls) for ls in labels] + [0]
-    if set(mult) != {(p, q) for p in range(n + 1) for q in range(n + 1 - p)}:
+    if set(mult) != {(p, q) for p in range(n + 1) for q in range(n + 1 - p) if dims[p] and dims[q]}:
         return "product table keys"
     for (p, q), t in mult.items():
+        if type(t) is not tuple or any(type(row) is not tuple for row in t):
+            return f"product table ({p},{q}) not a tuple of tuples"
         if len(t) != dims[p] or any(len(row) != dims[q] for row in t):
             return f"product table ({p},{q}) shape"
         for row in t:
@@ -896,6 +912,79 @@ def test_sparse_basis_document_reaches_the_constructor_with_its_layout():
     (tables,) = _handed_tables(lambda: model_from_dict(doc))
     assert _layout_failure(*tables) is None
     assert tables[2][(2, 0)][1][0] == ((1, Fraction(1)),) and tables[2][(2, 2)][0][1] == ()
+    # degrees 1 and 3 are empty: no block names them
+    assert set(tables[2]) == {(0, 0), (0, 2), (0, 4), (2, 0), (2, 2), (4, 0)}
+
+
+def _oracle_products(make):
+    """(model, {(p, q): the products of every basis pair}) for a model built by
+    make(): the insertion-sort oracle's table for a generator-form model, the
+    document's listed products for a basis-form one."""
+    calls = _builds(make)
+    model = make()
+    if calls:
+        _, _, mult, _ = sorted_expansion(*calls[-1][0], **calls[-1][1])
+        return model, mult
+    with open(model_path(model.name), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    mult = {
+        (p, q): [[() for _ in model.labels[q]] for _ in model.labels[p]]
+        for p in range(model.top_degree + 1)
+        for q in range(model.top_degree + 1 - p)
+    }
+    for entry in doc["mult"]:
+        (p, i), (q, j) = model.index_of(entry["left"]), model.index_of(entry["right"])
+        mult[(p, q)][i][j] = model.parse_form(entry["result"]).part(p + q)
+    return model, mult
+
+
+_WEDGE_BUILDS = (
+    [(name, lambda name=name: bundled_model(name)) for name in model_names()]
+    + [("torus6", lambda: model_from_dict(_torus_doc(6)))]
+    + [(f"random{seed}", lambda seed=seed: modelgen.random_model(seed)) for seed in range(20)]
+)
+
+
+@pytest.mark.parametrize("make", [b for _, b in _WEDGE_BUILDS], ids=[i for i, _ in _WEDGE_BUILDS])
+def test_wedge_basis_matches_the_oracle_on_every_basis_pair(make):
+    model, mult = _oracle_products(make)
+    n, pairs = model.top_degree, 0
+    for p in range(n + 1):
+        for q in range(n + 1 - p):
+            for i in range(model.dim(p)):
+                for j in range(model.dim(q)):
+                    assert model.wedge_basis(p, i, q, j) == mult[(p, q)][i][j], (p, i, q, j)
+                    pairs += 1
+    assert pairs > 0 and model.wedge_basis(n, 0, 1, 0) == ()
+
+
+_ONE = {"left": "1", "right": "1", "result": "1"}
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        (_basis_doc(top_degree=3, basis={"0": ["1"], "3": ["a"], "03": ["b"]}), "basis degree 3 is listed twice"),
+        (_basis_doc(basis={0: ["1"], "0": []}), "basis degree 0 is listed twice"),
+        (_basis_doc(mult=[_ONE, _ONE]), "product '1'^'1' is listed twice"),
+        (
+            _basis_doc(
+                top_degree=3,
+                basis={"0": ["1"], "3": ["a"]},
+                mult=[_ONE, {"left": "1", "right": "a", "result": "a"}, {"left": "1", "right": "a", "result": "2*a"}],
+            ),
+            "product '1'^'a' is listed twice",
+        ),
+        (
+            _basis_doc(diff=[{"from": "1", "result": "0"}, {"from": "1", "result": "0"}]),
+            "differential of '1' is listed twice",
+        ),
+    ],
+)
+def test_basis_document_repeated_entries_rejected(doc, message):
+    with pytest.raises(ModelSchemaError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

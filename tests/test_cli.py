@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -7,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from twistss.cli import main
+from test_golden_massey import GOLDEN as GOLDEN_MASSEY
+from test_golden_massey import QUERIES as MASSEY_QUERIES
+from test_golden_massey import _digest as massey_digest
+from twistss.cli import build_parser, main
 from twistss.models import model_path
 
 
@@ -278,6 +283,30 @@ def test_massey_t_past_the_last_page_exits_2_before_any_work(capsys):
             {"name": "g", "top_degree": 1, "generators": [{"name": "", "degree": 1}]},
             "generator name '' is empty",
         ),
+        # a basis-form entry listed twice
+        (
+            {"name": "b", "top_degree": 3, "basis": {"0": ["1"], "3": ["a"], "03": ["b"]}},
+            "basis degree 3 is listed twice",
+        ),
+        (
+            {
+                "name": "b",
+                "top_degree": 0,
+                "basis": {"0": ["1"]},
+                "mult": [{"left": "1", "right": "1", "result": "1"}] * 2,
+            },
+            "product '1'^'1' is listed twice",
+        ),
+        (
+            {
+                "name": "b",
+                "top_degree": 1,
+                "basis": {"0": ["1"]},
+                "mult": [{"left": "1", "right": "1", "result": "1"}],
+                "diff": [{"from": "1", "result": "0"}] * 2,
+            },
+            "differential of '1' is listed twice",
+        ),
     ],
 )
 def test_analyze_bad_model_numbers_and_names_exit_2(capsys, tmp_path, doc, message):
@@ -343,3 +372,61 @@ def test_python_dash_m_from_a_checkout():
     )
     assert proc.returncode == 0, proc.stderr
     assert "overall: PASS" in proc.stdout
+
+
+# -- one argument parser per process --------------------------------------------------
+
+
+def _python(*args, code=None):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = [sys.executable, *(("-c", code) if code else args)]
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    # the parser is built by the first main() call and kept, not built at import
+    out = _python(
+        code="""
+import argparse, contextlib, io, json
+built = []
+real = argparse.ArgumentParser.__init__
+def init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    real(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = init
+import twistss.cli
+counts = [len(built)]
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        twistss.cli.main(["massey", "torus3", "--triple", "e1", "e1", "e1"])
+    counts.append(len(built))
+print(json.dumps(counts))
+"""
+    )
+    counts = json.loads(out)
+    assert counts[0] == 0 and counts[1] > 0 and counts[1:] == [counts[1]] * 3
+
+
+def test_errors_leave_the_kept_parser_as_it_was(capsys):
+    golden = json.loads(GOLDEN_MASSEY.read_text())
+    build_parser.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["massey", "torus3", "--t", "0"])
+    assert exc.value.code == 2
+    assert main(["massey", "torus3", "--twist", "e1^e2^e3", "--thm41", "--t", "1"]) == 2
+    capsys.readouterr()
+    for query in (MASSEY_QUERIES[0], MASSEY_QUERIES[13], MASSEY_QUERIES[-1]):
+        assert massey_digest(query) == golden[query]
+
+
+def test_python_dash_m_massey_prints_what_a_later_in_process_call_prints():
+    query = "cascade7 --twist a --thm41 --class x --t 2"
+    golden = json.loads(GOLDEN_MASSEY.read_text())[query]
+    for other in [q for q in MASSEY_QUERIES if q != query][:20]:
+        massey_digest(other)
+    assert massey_digest(query) == golden
+    stdout = _python("-m", "twistss", "massey", *shlex.split(query))
+    assert hashlib.sha256(stdout).hexdigest() == golden["stdout_sha256"]

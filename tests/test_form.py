@@ -143,12 +143,29 @@ def test_block_pack_and_unpack_match_the_dense_components(data):
     assert oracle.of_form(back) == {p: x for p, x in du.items() if p in degrees}
 
 
+MALFORMED_PARTS = [
+    ({"3": ((0, 1),)}, "^degree '3' is not an int$"),
+    ({3.0: ((0, 1),)}, "^degree 3.0 is not an int$"),
+    ({True: ((0, 1),)}, "^degree True is not an int$"),
+    ({3: 5}, "^component of degree 3 is not an iterable of \\(index, value\\) pairs$"),
+    ({3: ((0,),)}, "^component of degree 3 has an entry \\(0,\\) that is not an \\(index, value\\) pair$"),
+    ({3: ((0, "x"),)}, "^component of degree 3 has a value 'x' that is not a rational number$"),
+    ({3: ((0, None),)}, "^component of degree 3 has a value None that is not a rational number$"),
+    ({3: ((0, float("inf")),)}, "^component of degree 3 has a value inf that is not a rational number$"),
+    ({3: ((0, "1/0"),)}, "^component of degree 3 has a value '1/0' that is not a rational number$"),
+]
+
+
 def test_entry_still_rejects_bad_components():
     m = bundled_model("torus3")
     with pytest.raises(ValueError, match="outside the model range"):
         Form(m, {4: ()})
     with pytest.raises(ValueError, match="component of degree 1 has an index outside range\\(3\\)"):
         Form(m, {1: ((3, 1),)})
+    # malformed keys and values are named, not left to a TypeError
+    for parts, message in MALFORMED_PARTS:
+        with pytest.raises(ValueError, match=message):
+            Form(m, parts)
 
 
 @pytest.mark.parametrize(

@@ -441,6 +441,10 @@ def test_empty_matrix_needs_column_count():
         (((3, 1),), "row 1 has an index outside range\\(3\\)"),
         (((-1, 1),), "row 1 has an index outside range\\(3\\)"),
         ((("0", 1),), "row 1 has a non-integer index '0'"),
+        (((0, float("inf")),), "^row 1 has a value inf that is not a rational number$"),
+        (((0, None),), "^row 1 has a value None that is not a rational number$"),
+        (((0, 1, 2),), "^row 1 has an entry \\(0, 1, 2\\) that is not an \\(index, value\\) pair$"),
+        (5, "^row 1 is not an iterable of \\(index, value\\) pairs$"),
     ],
 )
 def test_constructor_rejects_unsorted_repeated_and_outside_indices(row, message):

@@ -69,12 +69,22 @@ def test_even_degree_part_rejected():
         ("torus5", {3: ((0, 1), (0, 1))}, "^twist component of degree 3 has indices that do not strictly increase$"),
         ("torus5", {3: ((0, 1), (0, -1))}, "^twist component of degree 3 has indices that do not strictly increase$"),
         ("torus5", {3: ((0.0, 1),)}, "^twist component of degree 3 has a non-integer index 0.0$"),
+        # malformed keys and values are named, not left to a TypeError
+        ("torus3", {"3": ((0, 1),)}, "^twist component degree '3' is not an int$"),
+        ("torus3", {3.0: ((0, 1),)}, "^twist component degree 3.0 is not an int$"),
+        ("torus3", {True: ((0, 1),)}, "^twist component degree True is not an int$"),
+        ("torus3", {3: 5}, "^twist component of degree 3 is not an iterable of \\(index, value\\) pairs$"),
+        ("torus3", {3: (5,)}, "^twist component of degree 3 has an entry 5 that is not an \\(index, value\\) pair$"),
+        ("torus3", {3: ((0, "x"),)}, "^twist component of degree 3 has a value 'x' that is not a rational number$"),
+        ("torus3", {3: ((0, None),)}, "^twist component of degree 3 has a value None that is not a rational number$"),
+        ("torus3", {3: ((0, float("inf")),)}, "^twist component of degree 3 has a value inf that is not a rational number$"),
+        ("torus3", {3: ((0, float("nan")),)}, "^twist component of degree 3 has a value nan that is not a rational number$"),
     ],
 )
 def test_constructor_rejects_invalid_components(name, components, message):
-    # each condition is checked once, in the constructor, before any analysis
+    # each condition is checked once, in the constructor, before any analysis;
+    # the values go in as given, which the constructor coerces to Fractions
     m = bundled_model(name)
-    components = {p: tuple((i, Fraction(c)) for i, c in v) for p, v in components.items()}
     with pytest.raises(TwistError, match=message):
         TwistForm(m, components)
 
