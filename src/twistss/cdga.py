@@ -64,6 +64,7 @@ from .linalg import (
     combine,
     image,
     kernel,
+    rational,
     solve_particular,
     sparse,
 )
@@ -118,11 +119,8 @@ def _combine(terms) -> dict:
 
 
 def _parse_rational(tok: str) -> Fraction:
-    # Fraction would expand exponent notation: "1e999999999" is a billion digits.
-    if any(c in "eE_" for c in tok):
-        raise ModelSchemaError(f"bad rational coefficient {tok!r}: write an integer, p/q or a decimal")
     try:
-        return Fraction(tok)
+        return rational(tok)
     except (ValueError, ZeroDivisionError) as e:
         raise ModelSchemaError(f"bad rational coefficient {tok!r}: {e}") from None
 

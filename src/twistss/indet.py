@@ -10,10 +10,9 @@ delta_bar lands in H(K_p/K_{p+1}) = Omega^p itself, and its image is the
 page's boundary space B_r.  `indeterminacy_subgroup` therefore reads the
 subgroup off the spectral sequence as B_r modulo exact forms;
 `connecting_delta_bar` is the independent oracle for B_r
-(`twistss.report.check_indeterminacy`).  It builds the source complex
-K_{p-r+1}/K_p for each (p, a), one relative complex each rather than the
-suffixes of one kernel the engine reads B_r off, and maps the cocycles of
-one parity: coboundaries map to zero, so the quotient is never formed.
+(`twistss.report.check_indeterminacy`).  It maps the cocycles of one parity
+of the source K_{p-r+1}/K_p: coboundaries map to zero, so the quotient is
+never formed.
 
 The cycles get their own independent route through the cohomological
 description
@@ -21,12 +20,20 @@ description
     Z_r = delta^{-1}( image of H(K_{p+r}) -> H(K_{p+1}) )
 
 inside E_1^{p,q} = Omega^p, which `page_agreement` compares with the
-zig-zag engine.  The complexes K_a/K_b are `twistss.twist.RelativeComplex`,
-on the operator the twist shares with the spectral sequence.
+zig-zag engine.
+
+Both oracles read every window K_a/K_b off the whole complex K_0/K_b
+(`_window_cocycles`): D raises degree, so the cocycles of K_a/K_b are the
+cocycles of K_0/K_b that vanish below degree a, a suffix of its canonical
+kernel.  What stays independent of the engine is that kernel: the oracles
+assemble their own D of K_0/K_b (a `twistss.twist.RelativeComplex`, on the
+operator the twist shares with the spectral sequence) and eliminate it
+themselves, and read nothing of the engine's zig-zag or boundary kernels.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,11 +47,39 @@ from .linalg import (
     span_in_quotient,
 )
 from .spectral import SpectralSequence
-from .twist import BlockSpace, RelativeComplex, TwistForm
+from .twist import BlockSpace, DOperator, RelativeComplex, TwistForm
+
+
+def _whole(op: DOperator, b: int, cache: dict) -> RelativeComplex:
+    """K_0/K_b, kept in `cache` by ("K", b); it keeps each parity's D and kernel."""
+    if ("K", b) not in cache:
+        cache[("K", b)] = RelativeComplex(op, 0, b)
+    return cache[("K", b)]
+
+
+def _window_cocycles(whole: RelativeComplex, a: int, parity: int) -> SubspaceBasis:
+    """The cocycles of K_a/K_b in one parity, in the coordinates of whole = K_0/K_b.
+
+    D raises degree, so a cocycle of K_a/K_b is a cocycle of K_0/K_b that
+    vanishes below degree a.  `kernel` returns the canonical RREF with the
+    degrees in ascending column order, so those are the rows pivoting at or
+    past the offset of degree a: a suffix of the rows, already in RREF.  So
+    each (b, parity) costs one elimination, whatever the windows.
+    """
+    z = whole.cocycles(parity)
+    k = bisect_left(z.pivots, _offset(whole, a, parity))
+    return SubspaceBasis(z.ambient_dim, z.sparse[k:], z.pivots[k:])
+
+
+def _offset(whole: RelativeComplex, a: int, parity: int) -> int:
+    """The first coordinate of degree >= a in the parity's block of K_0/K_b."""
+    space = whole.space(parity)
+    return space.offsets.get(a + (a - parity) % 2, space.total_dim)
 
 
 def connecting_delta_bar(
-    model: CdgaModel, H: TwistForm, p: int, r: int, parity: int
+    model: CdgaModel, H: TwistForm, p: int, r: int, parity: int,
+    sources: Optional[dict] = None,
 ) -> Mat:
     """The connecting map H^par(K_{p-r+1}/K_p) -> H^(par+1)(K_p/K_{p+1}).
 
@@ -58,9 +93,12 @@ def connecting_delta_bar(
     The columns are the images of a kernel basis of the relative cocycles,
     not of cohomology classes, which has the same image: a relative
     coboundary is D b + k with k in K_p, and (D(D b + k))_p = 0, since
-    D D = 0 and D k lies in K_{p+1}.  So only this parity's D and its
-    kernel are computed, and one product with the matrix of D into degree p
-    takes the cocycles to their images.
+    D D = 0 and D k lies in K_{p+1}.  That basis is a suffix of the cocycle
+    kernel of K_0/K_p (`_window_cocycles`), and one product with the matrix
+    of D into degree p takes it to its images.  `sources` keeps that kernel
+    and that matrix by (p, parity) for reuse across calls on the same
+    (model, H), so every start a = max(0, p - r + 1) of a column shares them;
+    the result is the same `Mat` with or without it.
     """
     if r < 2:
         raise ValueError("connecting_delta_bar needs r >= 2")
@@ -71,12 +109,14 @@ def connecting_delta_bar(
     a = max(0, p - r + 1)
     if a == p:  # the source complex K_p/K_p is zero
         return Mat.zeros(rows, 0)
-    src = RelativeComplex(op, a, p)
-    cocycles = src.cocycles(parity)
+    sources = {} if sources is None else sources
+    whole = _whole(op, p, sources)
+    cocycles = _window_cocycles(whole, a, parity)
     if not rows:
         return Mat.zeros(0, cocycles.dim)
-    to_p = op.matrix(src.space(parity), BlockSpace(model, [p]))
-    return to_p @ cocycles.basis_matrix()
+    if ("to", p, parity) not in sources:
+        sources[("to", p, parity)] = op.matrix(whole.space(parity), BlockSpace(model, [p]))
+    return sources[("to", p, parity)] @ cocycles.basis_matrix()
 
 
 @dataclass(frozen=True)
@@ -162,9 +202,12 @@ def z_cell(
     """Z_r at column p (even q) through the cohomological description.
 
     Z_r is the delta-preimage of the classes coming from H(K_{p+r}), inside
-    E_1^{p, even} = Omega^p.  `tower` caches, for reuse across calls on the
-    same (model, H), the complexes K_a/K_{n+1} by a and, since delta does not
-    depend on r, the matrix of delta by ("delta", p): once per column.
+    E_1^{p, even} = Omega^p.  Every K_a/K_{n+1} is read off the whole complex
+    K_0/K_{n+1} and written in its coordinates, so a class of K_{p+r} is
+    already a vector of K_{p+1}.  `tower` caches, for reuse across calls on
+    the same (model, H), the whole complex and its kernels (`_window_cocycles`),
+    the cohomology of K_a/K_{n+1} by ("H", a, parity) and, since delta does
+    not depend on r, the matrix of delta by ("delta", p): once per column.
     """
     if r < 2:
         raise ValueError("the cohomological description starts at r = 2")
@@ -173,36 +216,35 @@ def z_cell(
         raise ValueError(f"column {p} outside 0..{n}")
     op = H.operator(model)
     tower = {} if tower is None else tower
-
-    def k(a: int) -> RelativeComplex:  # K_a/K_{n+1}
-        if a not in tower:
-            tower[a] = RelativeComplex(op, a, n + 1)
-        return tower[a]
-
     dim_p = model.dim(p)
     if p + 1 > n:
         return SubspaceBasis.full(dim_p)
+    whole, parity = _whole(op, n + 1, tower), (p + 1) % 2
+
+    def h(a: int) -> QuotientSpace:  # H^parity(K_a/K_{n+1})
+        if ("H", a, parity) not in tower:
+            if ("cols", parity) not in tower:
+                tower[("cols", parity)] = whole.d(1 - parity).columns()
+            # the coboundaries of K_a/K_{n+1}: D of its other parity's columns
+            cols = tower[("cols", parity)][_offset(whole, a, 1 - parity) :]
+            cocycles = _window_cocycles(whole, a, parity)
+            tower[("H", a, parity)] = QuotientSpace(
+                cocycles, SubspaceBasis.span(cocycles.ambient_dim, cols)
+            )
+        return tower[("H", a, parity)]
+
     # delta: Omega^p -> H^(p parity + 1)(K_{p+1}) by x |-> class of D x
-    parity = (p + 1) % 2
-    k_next = k(p + 1)
-    h_next = k_next.cohomology(parity)
+    h_next = h(p + 1)
     if ("delta", p) not in tower:
-        # column i is D of the i-th basis form, in the coordinates of K_{p+1}
-        packed = op.matrix(BlockSpace(model, [p]), k_next.space(parity))
+        # column i is D of the i-th basis form, in the coordinates of K_0/K_{n+1}
+        packed = op.matrix(BlockSpace(model, [p]), whole.space(parity))
         cols = [h_next.project(c) for c in packed.columns()]
         tower[("delta", p)] = Mat.from_cols(cols, h_next.dim)
     delta = tower[("delta", p)]
     if p + r > n:
         return kernel(delta)
-    # the classes of K_{p+r}, restricted to K_{p+1}: in one parity the degrees
-    # of K_{p+r}/K_{n+1} are a suffix of those of K_{p+1}/K_{n+1}, so a
-    # representative's coordinates there are its own, shifted past the others
-    far = k(p + r)
-    o = k_next.space(parity).total_dim - far.space(parity).total_dim
-    incl = [
-        h_next.project(tuple((j + o, x) for j, x in rep))
-        for rep in far.cohomology(parity).sparse_reps
-    ]
+    # the classes of K_{p+r}, restricted to K_{p+1}
+    incl = [h_next.project(rep) for rep in h(p + r).sparse_reps]
     return preimage(delta, SubspaceBasis.span(h_next.dim, incl))
 
 
@@ -225,7 +267,7 @@ def page_agreement(
     """
     top_r = max_r if max_r is not None else ss.max_page
     ss.check_page(top_r)  # past the last page, the keys below still match real cells
-    tower: dict = {}  # K_a/K_{n+1} and each column's delta, reused across r
+    tower: dict = {}  # K_0/K_{n+1}, each window's cohomology and each column's delta
     cells = [(r, p) for r in range(2, top_r + 1) for p in range(ss.n + 1)]
     agree: dict[tuple[int, int], bool] = {}
     mismatches = []

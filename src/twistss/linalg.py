@@ -50,11 +50,23 @@ def dense(v: SVec, n: int) -> tuple:
     return tuple(out)
 
 
+def rational(s: str) -> Fraction:
+    """The Fraction of an integer, p/q or decimal string; ValueError otherwise.
+
+    `Fraction` would expand exponent notation: "1e999999999" is a billion
+    digits.  So a string with e, E or _ is refused before it gets there.
+    """
+    if any(c in "eE_" for c in s):
+        raise ValueError("write an integer, p/q or a decimal")
+    return Fraction(s)
+
+
 def checked(pairs: Iterable, n: int, what: str) -> SVec:
     """The sparse vector of (index, number) pairs, values coerced to Fractions
     and zeros dropped; ValueError, naming `what`, unless `pairs` is an
     iterable of (index, value) pairs, the indices ints strictly increasing in
-    range(n) and every value a number that `Fraction` takes."""
+    range(n) and every value a number that `Fraction` takes (a string
+    through `rational`)."""
     try:
         pairs = iter(pairs)
     except TypeError:
@@ -74,7 +86,7 @@ def checked(pairs: Iterable, n: int, what: str) -> SVec:
         last = j
         if type(x) is not Fraction:
             try:
-                x = Fraction(x)
+                x = rational(x) if isinstance(x, str) else Fraction(x)
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):
                 raise ValueError(f"{what} has a value {x!r} that is not a rational number") from None
         if x:

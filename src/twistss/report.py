@@ -312,15 +312,18 @@ def check_indeterminacy(ss: SpectralSequence) -> list[Check]:
 
     The oracle compares the image of the connecting map delta_bar with B_r
     at every cell with r >= 3, once per distinct a = max(0, p - r + 1), and
-    counts cells.  A sample is a cell's first representative and its shift
-    by a non-exact boundary: they must differ inside the subgroup, and from
-    page 5 on their d_r values inside the differential indeterminacy.
+    counts cells.  Its sources are its own: one cocycle kernel of K_0/K_p
+    and one matrix of D into degree p per column, shared by every a in a
+    dict that lives for this call only.  A sample is a cell's first
+    representative and its shift by a non-exact boundary: they must differ
+    inside the subgroup, and from page 5 on their d_r values inside the
+    differential indeterminacy.
     """
-    cells, mismatch, images = 0, None, {}
+    cells, mismatch, images, sources = 0, None, {}, {}
     for r, p in ((r, p) for r in range(3, ss.max_page + 1) for p in range(ss.n + 1)):
         key = (p, max(0, p - r + 1))
         if key not in images:
-            images[key] = image(connecting_delta_bar(ss.model, ss.H, p, r, (p - 1) % 2))
+            images[key] = image(connecting_delta_bar(ss.model, ss.H, p, r, (p - 1) % 2, sources))
         if images[key] != ss.boundaries(r, p):
             mismatch = f"connecting image differs from B_{r} on {ss.model.name} at p={p}"
             break

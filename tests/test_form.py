@@ -8,6 +8,7 @@ must agree with `form_oracle` entry for entry, and its result must be in the
 stored layout.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ import form_oracle as oracle
 from twistss import Form, SpectralSequence, parse_twist, verify_main_theorems
 from twistss.models import bundled_model, model_names
 from twistss.modelgen import random_model
-from twistss.linalg import dense
+from twistss.linalg import Mat, dense
 from twistss.twist import BlockSpace, TwistForm
 
 MODELS = [bundled_model(name) for name in model_names()] + [random_model(seed) for seed in range(8)]
@@ -183,6 +184,25 @@ def test_entry_rejects_unsorted_repeated_and_outside_indices(part, message):
     m = bundled_model("torus3")
     with pytest.raises(ValueError, match=message):
         Form(m, {1: part})
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "1E10000000", "2.5e10000000", "1_000"])
+def test_entry_rejects_exponent_strings_fast(value):
+    # Fraction("1e10000000") would build a ten-million-digit integer first
+    m = bundled_model("torus3")
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^component of degree 3 has a value '{value}' that is not a rational number$"):
+        Form(m, {3: ((0, value),)})
+    with pytest.raises(ValueError, match=f"^row 0 has a value '{value}' that is not a rational number$"):
+        Mat([((0, value),)], 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_entry_takes_integer_fraction_and_decimal_strings():
+    m = bundled_model("torus3")
+    for value, want in (("1/2", Fraction(1, 2)), ("0.5", Fraction(1, 2)), ("-3", Fraction(-3))):
+        assert Form(m, {3: ((0, value),)}).part(3) == ((0, want),)
+        assert Mat([((0, value),)], 1).sparse == (((0, want),),)
 
 
 def test_entry_coerces_values_and_drops_zeros():

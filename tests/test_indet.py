@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from twistss import (
@@ -146,29 +148,96 @@ def test_delta_bar_image_matches_coset_oracle(name, arg):
                 assert image(db) == image(want), (p, r, parity)
 
 
-def test_delta_bar_builds_one_matrix_of_the_source_complex(monkeypatch):
-    # the source K_a/K_p needs only the D of the given parity: D into the
-    # source's other parity once, never back
-    codomains = []
-    matrix = DOperator.matrix
+def test_delta_bar_shares_one_kernel_and_one_map_per_column(monkeypatch):
+    # with one `sources` dict, every start a of a column reads its cocycles
+    # off one kernel of K_0/K_p in each parity, and D into degree p is built
+    # at most once per (p, parity)
+    from twistss import twist
 
-    def counting(op, domain, codomain):
-        codomains.append(codomain.degrees)
-        return matrix(op, domain, codomain)
+    built, kernels = {}, []
+    matrix, kernel_of = DOperator.matrix, twist.kernel
 
-    monkeypatch.setattr(DOperator, "matrix", counting)
+    def recording_matrix(op, domain, codomain):
+        out = matrix(op, domain, codomain)
+        built[id(out)] = (domain.degrees, codomain.degrees)
+        return out
+
+    def recording_kernel(mat):
+        kernels.append(built.pop(id(mat)))
+        return kernel_of(mat)
+
+    monkeypatch.setattr(DOperator, "matrix", recording_matrix)
+    monkeypatch.setattr(twist, "kernel", recording_kernel)
     m, H = make_pair("mixed5", "a + b")
-    calls = 0
-    for p in range(1, m.top_degree + 1):
-        for r in range(2, p + 2):
-            a = p - r + 1
+    n, sources = m.top_degree, {}
+    for p in range(n + 1):
+        for r in range(2, n + 3):
             for parity in (0, 1):
-                codomains.clear()
-                connecting_delta_bar(m, H, p, r, parity)
-                into_source = [c for c in codomains if set(c) <= set(range(a, p))]
-                assert len(into_source) == 1, (p, r, parity)
-                calls += 1
-    assert calls > 0
+                connecting_delta_bar(m, H, p, r, parity, sources)
+    whole = [
+        (tuple(range(parity, p, 2)), tuple(range(1 - parity, p, 2)))
+        for p in range(1, n + 1)
+        for parity in (0, 1)
+    ]
+    assert sorted(kernels) == sorted(whole)
+    # every other matrix is D into one degree p from the source parity of K_0/K_p
+    into_p = sorted(built.values())
+    assert into_p and len(into_p) == len(set(into_p))
+    assert all(dom == tuple(range((p - 1) % 2, p, 2)) for dom, (p,) in into_p)
+
+
+def window_delta_bar(m, H, p, r, parity):
+    """Reference: the connecting map on the source complex K_a/K_p built alone."""
+    op = H.operator(m)
+    rows = m.dim(p) if (parity + 1) % 2 == p % 2 else 0
+    a = max(0, p - r + 1)
+    if a == p:
+        return Mat.zeros(rows, 0)
+    src = RelativeComplex(op, a, p)
+    cocycles = src.cocycles(parity)
+    if not rows:
+        return Mat.zeros(0, cocycles.dim)
+    return op.matrix(src.space(parity), BlockSpace(m, [p])) @ cocycles.basis_matrix()
+
+
+@pytest.mark.parametrize("name,arg", list(oracle_pairs()))
+def test_shared_sources_and_tower_give_the_uncached_results(name, arg):
+    if name == "modelgen":
+        m = random_model(arg)
+        H = random_twist(m, arg)
+    else:
+        m, H = make_pair(name, arg)
+    n = m.top_degree
+    rng = random.Random(f"{name}/{arg}")
+    calls = [(p, r, parity) for p in range(n + 1) for r in range(2, n + 3) for parity in (0, 1)]
+    rng.shuffle(calls)
+    sources = {}
+    for p, r, parity in calls:
+        shared = connecting_delta_bar(m, H, p, r, parity, sources)
+        assert shared == connecting_delta_bar(m, H, p, r, parity), (p, r, parity)
+        assert shared == window_delta_bar(m, H, p, r, parity), (p, r, parity)
+    cells = [(r, p) for p in range(n + 1) for r in range(2, n + 3)]
+    rng.shuffle(cells)
+    tower = {}
+    for r, p in cells:
+        assert z_cell(m, H, r, p, tower) == z_cell(m, H, r, p, {}), (r, p)
+
+
+def test_connecting_oracle_reads_no_engine_boundary(monkeypatch):
+    m, H = make_pair("cascade5", "a")
+    ss = SpectralSequence(m, H)
+
+    def engine(*args):
+        raise AssertionError("the oracle read the engine's boundary kernel")
+
+    monkeypatch.setattr(SpectralSequence, "_boundary_images", engine)
+    monkeypatch.setattr(SpectralSequence, "_compute_boundaries", engine)
+    sources, images = {}, {}
+    for r in range(3, ss.max_page + 1):
+        for p in range(ss.n + 1):
+            images[r, p] = image(connecting_delta_bar(m, H, p, r, (p - 1) % 2, sources))
+    monkeypatch.undo()
+    assert all(b == ss.boundaries(r, p) for (r, p), b in images.items())
 
 
 # -- indeterminacy subgroups ------------------------------------------------------------

@@ -92,9 +92,9 @@ def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
         built.append(1)
         return span(h, rows)
 
-    def counting_delta_bar(model, H, p, r, parity):
+    def counting_delta_bar(model, H, p, r, parity, sources=None):
         delta_bars.append((p, max(0, p - r + 1)))
-        return delta_bar(model, H, p, r, parity)
+        return delta_bar(model, H, p, r, parity, sources)
 
     monkeypatch.setattr(indet, "indeterminacy_subgroup", counting_subgroup)
     monkeypatch.setattr(report, "indeterminacy_subgroup", counting_subgroup)
@@ -141,8 +141,8 @@ def test_connecting_oracle_catches_a_dropped_boundary_row(monkeypatch):
 def test_connecting_oracle_catches_a_shifted_start(monkeypatch):
     delta_bar = report.connecting_delta_bar
 
-    def shifted(model, H, p, r, parity):  # a = max(0, p - r + 1) moves down by one
-        return delta_bar(model, H, p, r + 1, parity)
+    def shifted(model, H, p, r, parity, sources=None):  # a = max(0, p - r + 1) moves down by one
+        return delta_bar(model, H, p, r + 1, parity, sources)
 
     monkeypatch.setattr(report, "connecting_delta_bar", shifted)
     oracle, _ = report.check_indeterminacy(_cascade5())
