@@ -133,10 +133,7 @@ def _in_h(model, ss, page_class):
     cell = ss.cell(page_class.r, page_class.p)
     if cell.dim == 0 or not page_class.coords:
         return ()
-    rep = cell.lift(page_class.coords)
-    if page_class.p > model.top_degree:
-        return ()
-    return model.de_rham(page_class.p).project(rep)
+    return model.de_rham(page_class.p).project(cell.lift(page_class.coords))
 
 
 def _cmd_selftest(args) -> int:

@@ -22,18 +22,17 @@ description
 inside E_1^{p,q} = Omega^p, which `page_agreement` compares with the
 zig-zag engine.
 
-Both oracles read every window K_a/K_b off the whole complex K_0/K_b
-(`_window_cocycles`): D raises degree, so the cocycles of K_a/K_b are the
-cocycles of K_0/K_b that vanish below degree a, a suffix of its canonical
-kernel.  What stays independent of the engine is that kernel: the oracles
-assemble their own D of K_0/K_b (a `twistss.twist.RelativeComplex`, on the
-operator the twist shares with the spectral sequence) and eliminate it
-themselves, and read nothing of the engine's zig-zag or boundary kernels.
+Both oracles read every window K_w/K_b off the whole complex K_0/K_b,
+through `twistss.twist.RelativeComplex.cocycles` and `.cohomology` with
+start = w: a suffix of one canonical kernel per (b, parity).  What stays
+independent of the engine is that kernel: the oracles assemble their own D
+of K_0/K_b (a `RelativeComplex`, on the operator the twist shares with the
+spectral sequence) and eliminate it themselves, and read nothing of the
+engine's zig-zag or boundary kernels.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,26 +56,6 @@ def _whole(op: DOperator, b: int, cache: dict) -> RelativeComplex:
     return cache[("K", b)]
 
 
-def _window_cocycles(whole: RelativeComplex, a: int, parity: int) -> SubspaceBasis:
-    """The cocycles of K_a/K_b in one parity, in the coordinates of whole = K_0/K_b.
-
-    D raises degree, so a cocycle of K_a/K_b is a cocycle of K_0/K_b that
-    vanishes below degree a.  `kernel` returns the canonical RREF with the
-    degrees in ascending column order, so those are the rows pivoting at or
-    past the offset of degree a: a suffix of the rows, already in RREF.  So
-    each (b, parity) costs one elimination, whatever the windows.
-    """
-    z = whole.cocycles(parity)
-    k = bisect_left(z.pivots, _offset(whole, a, parity))
-    return SubspaceBasis(z.ambient_dim, z.sparse[k:], z.pivots[k:])
-
-
-def _offset(whole: RelativeComplex, a: int, parity: int) -> int:
-    """The first coordinate of degree >= a in the parity's block of K_0/K_b."""
-    space = whole.space(parity)
-    return space.offsets.get(a + (a - parity) % 2, space.total_dim)
-
-
 def connecting_delta_bar(
     model: CdgaModel, H: TwistForm, p: int, r: int, parity: int,
     sources: Optional[dict] = None,
@@ -93,12 +72,12 @@ def connecting_delta_bar(
     The columns are the images of a kernel basis of the relative cocycles,
     not of cohomology classes, which has the same image: a relative
     coboundary is D b + k with k in K_p, and (D(D b + k))_p = 0, since
-    D D = 0 and D k lies in K_{p+1}.  That basis is a suffix of the cocycle
-    kernel of K_0/K_p (`_window_cocycles`), and one product with the matrix
-    of D into degree p takes it to its images.  `sources` keeps that kernel
-    and that matrix by (p, parity) for reuse across calls on the same
-    (model, H), so every start a = max(0, p - r + 1) of a column shares them;
-    the result is the same `Mat` with or without it.
+    D D = 0 and D k lies in K_{p+1}.  That basis is the window
+    `whole.cocycles(parity, a)` of whole = K_0/K_p, and one product with the
+    matrix of D into degree p takes it to its images.  `sources` keeps whole
+    by ("K", p) and that matrix by ("to", p, parity) for reuse across calls
+    on the same (model, H), so every start a = max(0, p - r + 1) of a column
+    shares one kernel; the result is the same `Mat` with or without it.
     """
     if r < 2:
         raise ValueError("connecting_delta_bar needs r >= 2")
@@ -111,7 +90,7 @@ def connecting_delta_bar(
         return Mat.zeros(rows, 0)
     sources = {} if sources is None else sources
     whole = _whole(op, p, sources)
-    cocycles = _window_cocycles(whole, a, parity)
+    cocycles = whole.cocycles(parity, a)
     if not rows:
         return Mat.zeros(0, cocycles.dim)
     if ("to", p, parity) not in sources:
@@ -202,12 +181,13 @@ def z_cell(
     """Z_r at column p (even q) through the cohomological description.
 
     Z_r is the delta-preimage of the classes coming from H(K_{p+r}), inside
-    E_1^{p, even} = Omega^p.  Every K_a/K_{n+1} is read off the whole complex
-    K_0/K_{n+1} and written in its coordinates, so a class of K_{p+r} is
-    already a vector of K_{p+1}.  `tower` caches, for reuse across calls on
-    the same (model, H), the whole complex and its kernels (`_window_cocycles`),
-    the cohomology of K_a/K_{n+1} by ("H", a, parity) and, since delta does
-    not depend on r, the matrix of delta by ("delta", p): once per column.
+    E_1^{p, even} = Omega^p.  Every K_w/K_{n+1} is a window of the whole
+    complex whole = K_0/K_{n+1} (`whole.cohomology(parity, w)`), written in
+    its coordinates, so a class of K_{p+r} is already a vector of K_{p+1}.
+    `tower` keeps, for reuse across calls on the same (model, H), whole by
+    ("K", n + 1), which keeps its kernels and each window's cohomology, and,
+    since delta does not depend on r, the matrix of delta by ("delta", p):
+    once per column.
     """
     if r < 2:
         raise ValueError("the cohomological description starts at r = 2")
@@ -221,20 +201,8 @@ def z_cell(
         return SubspaceBasis.full(dim_p)
     whole, parity = _whole(op, n + 1, tower), (p + 1) % 2
 
-    def h(a: int) -> QuotientSpace:  # H^parity(K_a/K_{n+1})
-        if ("H", a, parity) not in tower:
-            if ("cols", parity) not in tower:
-                tower[("cols", parity)] = whole.d(1 - parity).columns()
-            # the coboundaries of K_a/K_{n+1}: D of its other parity's columns
-            cols = tower[("cols", parity)][_offset(whole, a, 1 - parity) :]
-            cocycles = _window_cocycles(whole, a, parity)
-            tower[("H", a, parity)] = QuotientSpace(
-                cocycles, SubspaceBasis.span(cocycles.ambient_dim, cols)
-            )
-        return tower[("H", a, parity)]
-
     # delta: Omega^p -> H^(p parity + 1)(K_{p+1}) by x |-> class of D x
-    h_next = h(p + 1)
+    h_next = whole.cohomology(parity, p + 1)
     if ("delta", p) not in tower:
         # column i is D of the i-th basis form, in the coordinates of K_0/K_{n+1}
         packed = op.matrix(BlockSpace(model, [p]), whole.space(parity))
@@ -244,7 +212,7 @@ def z_cell(
     if p + r > n:
         return kernel(delta)
     # the classes of K_{p+r}, restricted to K_{p+1}
-    incl = [h_next.project(rep) for rep in h(p + r).sparse_reps]
+    incl = [h_next.project(rep) for rep in whole.cohomology(parity, p + r).sparse_reps]
     return preimage(delta, SubspaceBasis.span(h_next.dim, incl))
 
 

@@ -27,6 +27,7 @@ the kernel (the proof is in `kernel`); `preimage` keeps a prefix of them.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -65,8 +66,9 @@ def checked(pairs: Iterable, n: int, what: str) -> SVec:
     """The sparse vector of (index, number) pairs, values coerced to Fractions
     and zeros dropped; ValueError, naming `what`, unless `pairs` is an
     iterable of (index, value) pairs, the indices ints strictly increasing in
-    range(n) and every value a number that `Fraction` takes (a string
-    through `rational`)."""
+    range(n) and every value a number that `Fraction` takes without expanding
+    an exponent (a string through `rational`; a Decimal's exponent at most
+    4300 in magnitude, the digit limit `Fraction` puts on a string)."""
     try:
         pairs = iter(pairs)
     except TypeError:
@@ -86,6 +88,8 @@ def checked(pairs: Iterable, n: int, what: str) -> SVec:
         last = j
         if type(x) is not Fraction:
             try:
+                if isinstance(x, Decimal) and x.is_finite() and abs(x.as_tuple().exponent) > 4300:
+                    raise ValueError  # Fraction(x) would build 10**exponent
                 x = rational(x) if isinstance(x, str) else Fraction(x)
             except (TypeError, ValueError, OverflowError, ZeroDivisionError):
                 raise ValueError(f"{what} has a value {x!r} that is not a rational number") from None

@@ -10,12 +10,14 @@ Everything is built from the filtration K_p = forms of degree >= p:
 `BlockSpace` packs a range of degrees into one coordinate space, `DOperator`
 is the one D, applied to a form (`apply`) or assembled between degree ranges
 (`matrix`); each twist builds it once, in `TwistForm.operator`.
-`RelativeComplex` is the quotient K_a/K_b with the induced D.  Twisted
-cohomology is that of the whole complex K_0/K_{n+1}.
+`RelativeComplex` is the quotient K_a/K_b with the induced D, and the one
+owner of the cocycles and cohomology of every window K_w/K_b of it.
+Twisted cohomology is that of the whole complex K_0/K_{n+1}.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from .cdga import CdgaModel, Form
@@ -26,7 +28,6 @@ from .linalg import (
     SVec,
     ZERO,
     collect,
-    image,
     kernel,
 )
 
@@ -245,9 +246,16 @@ class RelativeComplex:
     D is induced by dropping output components of degree >= b; it is
     well-defined since D raises degree.  K_0/K_{n+1} is the whole twisted
     complex; for b = a+1 the induced D is zero.  Cohomology is parity-graded
-    (the parity of the total degree).  Each parity's D matrix and cocycle
-    kernel are built on first use and kept, so a caller that needs one
-    parity's cocycles pays for that parity's D alone.
+    (the parity of the total degree).  Each parity's D, its columns and its
+    cocycle kernel are built on first use and kept.
+
+    Every window K_w/K_b (a <= w < b, `start` = w) is read off that kernel,
+    in these coordinates.  D raises degree, so the window's cocycles are the
+    cocycles that vanish below degree w, and its coboundaries are D of the
+    columns from degree w on.  `kernel` returns canonical RREF with the
+    degrees in ascending column order, where the vectors vanishing on the
+    first c columns are spanned by the rows pivoting at or past c: a suffix
+    of the rows, so a window costs no elimination.
     """
 
     def __init__(self, op: DOperator, a: int, b: int):
@@ -263,8 +271,9 @@ class RelativeComplex:
             BlockSpace(op.model, [p for p in degs if p % 2 == 1]),
         )
         self._d: dict[int, Mat] = {}
+        self._cols: dict[int, tuple[SVec, ...]] = {}
         self._cocycles: dict[int, SubspaceBasis] = {}
-        self._cohom: dict[int, QuotientSpace] = {}
+        self._cohom: dict[tuple[int, int], QuotientSpace] = {}
 
     def space(self, parity: int) -> BlockSpace:
         return self.spaces[parity % 2]
@@ -276,18 +285,32 @@ class RelativeComplex:
             self._d[parity] = self.op.matrix(self.spaces[parity], self.spaces[1 - parity])
         return self._d[parity]
 
-    def cocycles(self, parity: int) -> SubspaceBasis:
-        """The kernel of D on the parity's space."""
+    def _offset(self, parity: int, start: int) -> int:
+        """The first coordinate of degree >= start in the parity's space."""
+        if not (self.a <= start < self.b):
+            raise ValueError(f"window start {start} outside {self.a}..{self.b - 1}")
+        space = self.spaces[parity]
+        return space.offsets.get(start + (start - parity) % 2, space.total_dim)
+
+    def cocycles(self, parity: int, start: Optional[int] = None) -> SubspaceBasis:
+        """The kernel of D on the parity's space of the window K_start/K_b."""
         parity %= 2
         if parity not in self._cocycles:
             self._cocycles[parity] = kernel(self.d(parity))
-        return self._cocycles[parity]
+        z = self._cocycles[parity]
+        k = bisect_left(z.pivots, self._offset(parity, self.a if start is None else start))
+        return SubspaceBasis(z.ambient_dim, z.sparse[k:], z.pivots[k:]) if k else z
 
-    def cohomology(self, parity: int) -> QuotientSpace:
-        parity %= 2
-        if parity not in self._cohom:
-            self._cohom[parity] = QuotientSpace(self.cocycles(parity), image(self.d(1 - parity)))
-        return self._cohom[parity]
+    def cohomology(self, parity: int, start: Optional[int] = None) -> QuotientSpace:
+        """H^parity(K_start/K_b): the window's cocycles modulo D of its columns."""
+        parity, start = parity % 2, self.a if start is None else start
+        if (parity, start) not in self._cohom:
+            z = self.cocycles(parity, start)
+            if 1 - parity not in self._cols:
+                self._cols[1 - parity] = self.d(1 - parity).columns()
+            cols = self._cols[1 - parity][self._offset(1 - parity, start) :]
+            self._cohom[parity, start] = QuotientSpace(z, SubspaceBasis.span(z.ambient_dim, cols))
+        return self._cohom[parity, start]
 
     def __repr__(self):
         return f"RelativeComplex(K_{self.a}/K_{self.b})"

@@ -8,7 +8,9 @@ must agree with `form_oracle` entry for entry, and its result must be in the
 stored layout.
 """
 
+import re
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -196,6 +198,28 @@ def test_entry_rejects_exponent_strings_fast(value):
     with pytest.raises(ValueError, match=f"^row 0 has a value '{value}' that is not a rational number$"):
         Mat([((0, value),)], 1)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("value", ["1e10000000", "-1e-10000000"])
+def test_entry_rejects_decimals_with_huge_exponents_fast(value):
+    # Fraction(Decimal("1e10000000")) would build 10**10000000 first
+    m = bundled_model("torus3")
+    x = Decimal(value)
+    shown = re.escape(repr(x))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^component of degree 3 has a value {shown} that is not a rational number$"):
+        Form(m, {3: ((0, x),)})
+    with pytest.raises(ValueError, match=f"^row 0 has a value {shown} that is not a rational number$"):
+        Mat([((0, x),)], 1)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_entry_takes_decimals_up_to_the_digit_limit():
+    # 4300 is the digit limit Fraction already applies to a string
+    m = bundled_model("torus3")
+    for value, want in (("0.5", Fraction(1, 2)), ("1E+2", Fraction(100)), ("-1e-4300", Fraction(-1, 10**4300))):
+        assert Form(m, {3: ((0, Decimal(value)),)}).part(3) == ((0, want),)
+        assert Mat([((0, Decimal(value)),)], 1).sparse == (((0, want),),)
 
 
 def test_entry_takes_integer_fraction_and_decimal_strings():

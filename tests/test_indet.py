@@ -56,6 +56,54 @@ def test_index_violations():
         RelativeComplex(H.operator(m), 0, 99).cohomology(0)
 
 
+def shifted(basis, off, ambient_dim):
+    """The subspace with every coordinate moved up by off, in Q^ambient_dim."""
+    rows = tuple(tuple((j + off, x) for j, x in row) for row in basis.sparse)
+    return SubspaceBasis(ambient_dim, rows, tuple(c + off for c in basis.pivots))
+
+
+def window_pairs():
+    for name, expr in standard_pairs():
+        m = bundled_model(name)
+        yield pytest.param(m, parse_twist(m, expr), id=f"{name}/{expr}")
+    for seed in range(20):
+        m = random_model(seed)
+        yield pytest.param(m, random_twist(m, seed), id=f"modelgen{seed}")
+
+
+@pytest.mark.parametrize("m,H", list(window_pairs()))
+def test_every_window_is_read_off_the_whole_complex(m, H):
+    # the cocycles and cohomology of K_w/K_b, read off K_0/K_b with start w,
+    # are the kernel and image of the D of K_w/K_b built alone, moved up by
+    # the degrees below w
+    op, n = H.operator(m), m.top_degree
+    for b in range(1, n + 2):
+        whole = RelativeComplex(op, 0, b)
+        for w in range(b):
+            alone = RelativeComplex(op, w, b)
+            for par in (0, 1):
+                off = sum(m.dim(q) for q in range(par, w, 2))
+                dim = whole.space(par).total_dim
+                cocycles = shifted(kernel(alone.d(par)), off, dim)
+                assert whole.cocycles(par, w) == cocycles, (b, w, par)
+                h = whole.cohomology(par, w)
+                assert h.ambient == cocycles, (b, w, par)
+                assert h.sub == shifted(image(alone.d(1 - par)), off, dim), (b, w, par)
+
+
+def test_window_start_defaults_to_a_and_stays_inside_the_complex():
+    m, H = make_pair("cascade5", "a")
+    k = RelativeComplex(H.operator(m), 2, 7)
+    for par in (0, 1):
+        assert k.cocycles(par) is k.cocycles(par, 2)
+        assert k.cohomology(par) is k.cohomology(par, 2)
+        for start in (1, 7):
+            with pytest.raises(ValueError, match=rf"window start {start} outside 2\.\.6"):
+                k.cocycles(par, start)
+            with pytest.raises(ValueError, match=rf"window start {start} outside 2\.\.6"):
+                k.cohomology(par, start)
+
+
 # -- connecting map ------------------------------------------------------------------
 
 

@@ -10,14 +10,16 @@ d_r = 0.  A copy with |S| odd swaps the twisted parities, so each twisted
 parity of the product is 2^(k-1) times M's total.
 """
 
+import json
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from twistss import TwistForm, parse_twist
 from twistss.cdga import build_generator_model
 from twistss.modelgen import random_model, random_twist
-from twistss.models import bundled_model
+from twistss.models import bundled_model, model_path, standard_pairs
 from twistss.report import run_analysis
 
 
@@ -44,16 +46,26 @@ def shifted_sum(values, p, k):
     return sum(comb(k, j) * values.get(p - j, 0) for j in range(k + 1))
 
 
+def generator_form(name):
+    """Whether the bundled model is written in generator form."""
+    return "generators" in json.loads(Path(model_path(name)).read_text())
+
+
 def pairs():
-    for name, expr in [("cascade3", "a"), ("heisenberg", "a^b^c"), ("torus3", "e1^e2^e3"), ("cascade5", "a")]:
-        m = bundled_model(name)
-        yield pytest.param(m, parse_twist(m, expr), id=name)
+    named = set()  # a model's first twisted pair is named by the model alone
+    for name, expr in standard_pairs():
+        if generator_form(name):  # every bundled model but sphere3
+            m = bundled_model(name)
+            label = name if expr and name not in named else f"{name}/{expr or 'untwisted'}"
+            if expr:
+                named.add(name)
+            yield pytest.param(m, parse_twist(m, expr), id=label)
     for seed in range(5):
         m = random_model(seed)
         yield pytest.param(m, random_twist(m, seed), id=f"modelgen{seed}")
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("m,H", list(pairs()))
 def test_product_with_a_torus_has_the_shifted_sums(m, H, k):
     base = run_analysis(m, H)
