@@ -84,9 +84,9 @@ class AlgebraError(ModelError):
 
 # Size limits, checked before anything is allocated from a document's
 # numbers: a model has at most MAX_DIM basis elements (so the generator form,
-# which has 2^k of them, at most 9 generators) and top degree at most
+# which has 2^k of them, at most 10 generators) and top degree at most
 # MAX_TOP_DEGREE (the product table has at most (n+1)(n+2)/2 degree pairs).
-MAX_DIM = 512
+MAX_DIM = 1024
 MAX_TOP_DEGREE = 256
 
 # The product of two basis elements: (index, coefficient) pairs in the
@@ -444,6 +444,11 @@ class CdgaModel:
         if 0 <= p <= self.top_degree:
             return self.diff[p]
         return Mat.zeros(self.dim(p + 1), 0)
+
+    def d_columns(self, p: int) -> tuple[SVec, ...]:
+        """d of each basis element of degree p (0 <= p <= top_degree), as
+        sparse vectors in degree p + 1: the sparse columns of d_mat(p)."""
+        return self._dcols[p]
 
     def d(self, u: Form) -> Form:
         """d u, from the nonzero coordinates of u against the sparse columns of d."""

@@ -23,6 +23,34 @@ differentials of the twisted spectral sequence:
   t = l s - 1 (l >= 2): constant diagonal, zero strict upper triangle away
   from the last column, tail components supported at degree steps of 2s;
   realizes d_{2t+3} as (-1)^(l-1) [c(B)].
+
+`verify_main_theorems` checks these systems on every class of a cell as
+matrix identities over the classes' stored zig-zags.  Write T_k for a
+zig-zag's component of degree p + 2k, T_0 = x_p.  Every entry off the last
+column is a fixed +-H_k (or 0), and bar(+-H_k) = +-H_k since H_k has odd
+degree; the last column holds (-1)^k T_k at row n - k.  Substituting into
+d a_{i,n} = sum_m bar(a_{i,m}) a_{m+1,n} and c(A), the signs collect: at
+(n - k, n) of the banded system the term m = n - k + j is
+(-1)^j H_{2j+3} ^ (-1)^(k-1-j) T_{k-1-j}, so every term carries (-1)^(k-1)
+against (-1)^k on the left, and every term of c(A) carries (-1)^(n-2).
+That gives
+
+* banded (n = t + 2): the condition at (n - k, n), k = 1..t, is
+  d T_k + sum_{j<k} H_{2j+3} ^ T_{k-1-j} = 0, and
+  (-1)^t c(A) = sum_{j=0..t} H_{2j+3} ^ T_{t-j};
+* diagonal (h = H_{2s+1}, n = l + 1, T'_k = T_{ks}): the condition at
+  (n - k, n), k = 1..l-1, is d T'_k + h ^ T'_{k-1} = 0, and
+  (-1)^(l-1) c(B) = h ^ T'_{l-1}.
+
+So no system has to be assembled per class: each term is one product of
+a zig-zag's part with the rows of a piece of D = d + H (`piece_rows`), and
+the entries off the last column, which do not depend on the class, are
+checked once per kind on a system assembled in full.  Every last-column
+entry is read from one degree of the zig-zag, so the degree conditions
+hold by construction.  Both sides are linear in the zig-zag: on zz + w,
+with zz passing, a condition fails exactly where it fails on w, and c(A)
+is the sum of the two; the perturbed system (w the column's shift) is
+checked that way.
 """
 
 from __future__ import annotations
@@ -32,13 +60,17 @@ from typing import Optional, Sequence
 
 from .cdga import CdgaModel, Form
 from .linalg import (
+    ONE,
     QuotientSpace,
     SubspaceBasis,
     SVec,
+    collect,
+    combine,
     solve_particular,
     span_in_quotient,
 )
 from .spectral import PageClass, PageError, SpectralSequence, ZigZag
+from .twist import TwistForm
 
 
 class MasseyError(Exception):
@@ -257,28 +289,6 @@ def validate_defining_system(system: DefiningSystem) -> Form:
     return _closed_cocycle(system)
 
 
-def _class_cocycle(system: DefiningSystem, kind: str, checked: set) -> Form:
-    """`validate_defining_system(system)`, with the full scan run once per kind.
-
-    `checked` holds the kinds of system that passed the full scan.  The
-    entries (i, j) with j < size involve neither the last input nor its
-    tail, so they are the same for every class of one t and one kind; once
-    they have held, only the last column and c(A) are checked.  The full
-    scan's first failure then lies in the last column, which is scanned in
-    the same order (the degrees of (2, n), ..., (n, n), then the
-    differential conditions), so the error is the same.
-    """
-    if kind not in checked:
-        c = validate_defining_system(system)
-        checked.add(kind)
-        return c
-    n = system.size
-    failure = _entry_failure(system, [(i, n) for i in range(2, n + 1)])
-    if failure:
-        raise DefiningSystemError(failure)
-    return _closed_cocycle(system)
-
-
 def specific_element(system: DefiningSystem, c: Form) -> tuple[int, SVec]:
     """The cohomology class of c = c(A), which `validate_defining_system`
     returned for the system: (degree, class coordinates).
@@ -395,6 +405,90 @@ def _assemble_diagonal(
 # verification of the differential formulas
 
 
+def piece_rows(model: CdgaModel, H: TwistForm, h: int, q: int) -> tuple[SVec, ...]:
+    """The degree-h piece of D = d + H on the degree-q basis, one row per basis element.
+
+    Row i is d e_i for h = 1 and H_h ^ e_i otherwise, a sparse vector in
+    degree q + h.  d is read from the model's sparse columns and H_h ^ .
+    from the product table (`wedge_basis`), not from `DOperator`, so the
+    Massey checks share only the tables with the engine.
+    """
+    if h == 1:
+        return model.d_columns(q)
+    terms = H.components.get(h, ())
+    if not terms or q + h > model.top_degree:
+        return ((),) * model.dim(q)
+    rows = []
+    for i in range(model.dim(q)):
+        acc: dict = {}
+        for m, c in terms:
+            for k, x in model.wedge_basis(h, m, q, i):
+                y = c * x
+                acc[k] = acc[k] + y if k in acc else y
+        rows.append(collect(acc))
+    return tuple(rows)
+
+
+class _Pieces:
+    """The pieces of D = d + H as `piece_rows`, each built on first use and
+    kept for one `verify_main_theorems` call, and the Massey identities on them."""
+
+    def __init__(self, model: CdgaModel, H: TwistForm):
+        self.model, self.H, self.top = model, H, model.top_degree
+        self._rows: dict[tuple[int, int], tuple[SVec, ...]] = {}
+
+    def apply(self, terms) -> SVec:
+        """The sum over (h, q, v) of the degree-h piece of D on v (degree q;
+        None or () is zero): one sparse product of v with the piece's rows."""
+        return collect(self._sum(terms))
+
+    def _sum(self, terms) -> dict:
+        """`apply` as an index -> value accumulator, with zeros kept."""
+        acc: dict = {}
+        for h, q, v in terms:
+            if not v:
+                continue
+            rows = self._rows.get((h, q))
+            if rows is None:
+                rows = piece_rows(self.model, self.H, h, q)
+                rows = self._rows[(h, q)] = rows if any(rows) else ()  # () for a zero piece
+            if not rows:
+                continue
+            for i, c in v:
+                for k, x in rows[i]:
+                    y = c * x
+                    acc[k] = acc[k] + y if k in acc else y
+        return acc
+
+    def last_column(self, parts: dict, p: int, r: int, step: int, size: int) -> tuple[Optional[str], SVec]:
+        """A banded (step 2) or diagonal (step 2s) system's last column on the
+        zig-zag with these `parts`, by the identities of the module docstring:
+        (the first failure as `validate_defining_system` names it, or None;
+        the signed related cocycle, of degree p + r).
+
+        T_k is the part of degree e = p + step k, and the condition at
+        (size - k, size) is d T_k + sum over the twist's degrees h of
+        H_h ^ (the part of degree e + 1 - h) = 0; only the parts T_{k-1-j}
+        (banded) or T_{k-1} (diagonal) lie in those degrees.  The entries are
+        scanned from (2, size) down, as the full scan does; a condition past
+        the top degree reads 0 = 0.
+        """
+        hs = self.H.degrees
+        for k in range(size - 2, 0, -1):
+            e = p + step * k
+            if e >= self.top:
+                continue
+            terms = [(1, e, parts.get(e))] + [(h, e + 1 - h, parts.get(e + 1 - h)) for h in hs]
+            if any(self._sum(terms).values()):
+                return f"differential condition fails at entry ({size - k},{size})", ()
+        if p + r > self.top:
+            return None, ()
+        c = self.apply([(h, p + r - h, parts.get(p + r - h)) for h in hs])
+        if any(self._sum([(1, p + r, c)]).values()):
+            return "related cocycle is not closed", c
+        return None, c
+
+
 @dataclass
 class ClassCheck:
     p: int
@@ -458,12 +552,16 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
     perturbed defining system, when one is found, must give the same page
     class.  Requires t >= 1.
 
-    Each system is the one its public builder gives, and its c(A) the one
-    `validate_defining_system` returns or the error it raises.  What does
-    not depend on the class is done once: each class is lifted once for
-    all three systems, the perturbing shift is searched once per column,
-    and each kind of system is fully validated once.  The result is kept
-    in `ss.massey_verifications`.
+    The first system of each kind (banded, diagonal) is the one
+    `banded_defining_system` or `diagonal_defining_system` gives, validated
+    in full by `validate_defining_system`.  Every other system is checked
+    on its last column and c(A) only, by the identities of the module
+    docstring on the class's stored zig-zag (`SpectralSequence.class_lifts`),
+    and the perturbed one by linearity from the column's perturbing shift,
+    which is searched and checked once per column.  A failure raises the
+    `DefiningSystemError` the full scan would: the first in class order,
+    then kind (banded, diagonal, perturbed), then entry.  The result is
+    kept in `ss.massey_verifications`.
     """
     if t < 1:
         raise MasseyError("the banded system needs t >= 1")
@@ -471,38 +569,53 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
         return ss.massey_verifications[t]
     r = 2 * t + 3
     out = MasseyVerification(t=t, r=r)
+    model = ss.model
     single = ss.H.single_degree()
     s = (single - 1) // 2 if single is not None else None
+    l = (t + 1) // s if s is not None and (t + 1) % s == 0 else 0
+    pieces = _Pieces(model, ss.H)
     checked: set = set()
 
-    def page_class(sign: int, system: DefiningSystem, kind: str, p: int) -> SVec:
-        return ss.page_coords(r, p + r, sign * _class_cocycle(system, kind, checked))
+    def cocycle(kind: str, assemble, parts: dict, p: int, step: int, size: int) -> SVec:
+        if kind not in checked:
+            validate_defining_system(assemble())
+            checked.add(kind)
+        failure, c = pieces.last_column(parts, p, r, step, size)
+        if failure:
+            raise DefiningSystemError(failure)
+        return c
 
     for p in range(ss.n + 1):
         reps = ss.cell(r, p).sparse_reps
         if not reps:
             continue
-        shift = _perturbing_shift(ss, p, t)
-        d_r = ss.differential_matrix(r, p).columns()  # column j is d_r of reps[j]
-        for rep, d_rep in zip(reps, d_r):
-            x = ss.model.part_form(p, rep)
-            lhs = PageClass(r, p + r, d_rep)
-            zz = _lift(ss, x, r)
+        target = ss.cell(r, p + r)  # as `ss.page_coords` projects
+        project = target.project if target.dim else None
 
-            banded = _assemble_banded(ss, x, t, zz.form)
-            coords_a = page_class((-1) ** t, banded, "banded", p)
+        def page_class(c: SVec) -> SVec:
+            return project(c) if project else ()
+
+        shift = _perturbing_shift(ss, p, t)
+        if shift is not None:
+            shift_failure, shift_c = pieces.last_column(shift.form.parts, p, r, 2, t + 2)
+        d_r = ss.differential_matrix(r, p).columns()  # column j is d_r of reps[j]
+        for rep, zz, d_rep in zip(reps, ss.class_lifts(r, p), d_r):
+            x = model.part_form(p, rep)
+            lhs = PageClass(r, p + r, d_rep)
+
+            c_a = cocycle("banded", lambda: _assemble_banded(ss, x, t, zz), zz.parts, p, 2, t + 2)
+            coords_a = page_class(c_a)
             banded_ok = lhs.coords == coords_a
 
             case_ok: Optional[bool] = None
             routes_agree: Optional[bool] = None
             if s is not None:
                 if t == s - 1:
-                    cup = ss.H.component_form(2 * s + 1).wedge(x)
-                    case_ok = lhs.coords == ss.page_coords(r, p + r, cup)
-                elif (t + 1) % s == 0 and (t + 1) // s >= 2:
-                    l = (t + 1) // s
-                    diagonal = _assemble_diagonal(ss, x, s, l, zz.form)
-                    coords_b = page_class((-1) ** (l - 1), diagonal, "diagonal", p)
+                    case_ok = lhs.coords == page_class(pieces.apply([(single, p, rep)]))
+                elif l >= 2:
+                    coords_b = page_class(cocycle(
+                        "diagonal", lambda: _assemble_diagonal(ss, x, s, l, zz), zz.parts, p, 2 * s, l + 1
+                    ))
                     case_ok = lhs.coords == coords_b
                     routes_agree = coords_b == coords_a
                 else:
@@ -510,8 +623,11 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
 
             independence_ok: Optional[bool] = None
             if shift is not None:
-                perturbed = _assemble_banded(ss, x, t, zz.form + shift.form)
-                independence_ok = page_class((-1) ** t, perturbed, "banded", p) == coords_a
+                # zz passed, so zz + shift fails where the shift does
+                if shift_failure:
+                    raise DefiningSystemError(shift_failure)
+                c_pert = combine(((0, ONE), (1, ONE)), (c_a, shift_c))
+                independence_ok = page_class(c_pert) == coords_a
 
             out.checks.append(
                 ClassCheck(p, lhs, banded_ok, case_ok, routes_agree, independence_ok)

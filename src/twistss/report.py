@@ -21,8 +21,8 @@ from typing import Optional
 
 from .cdga import CdgaModel
 from .indet import connecting_delta_bar, indeterminacy_subgroup, page_agreement
-from .linalg import image
-from .massey import ClassCheck, verify_main_theorems
+from .linalg import combine, image
+from .massey import ClassCheck, piece_rows, verify_main_theorems
 from .spectral import SpectralSequence
 from .twist import TwistForm, twisted_cohomology
 
@@ -239,17 +239,23 @@ def check_even_vanishing(ss: SpectralSequence) -> Check:
 
 
 def check_d3_cup(ss: SpectralSequence) -> Check:
-    """The zig-zag d_3 of every E_3 class is cup product with H_3 (none without page 3)."""
+    """The zig-zag d_3 of every E_3 class is cup product with H_3 (none without page 3).
+
+    The cups of a column's representatives are one product of them with the
+    rows of H_3 ^ . on their degree (`massey.piece_rows`).
+    """
     if ss.max_page < 3:
         return 0, None
-    h3 = ss.H.component_form(3)
-    checked = 0
+    model, checked = ss.model, 0
     for p in range(ss.n + 1):
         reps = ss.cell(3, p).sparse_reps
-        d_3 = ss.differential_matrix(3, p).columns() if reps else ()  # column j is d_3 of reps[j]
+        if not reps:
+            continue
+        d_3 = ss.differential_matrix(3, p).columns()  # column j is d_3 of reps[j]
+        h3 = piece_rows(model, ss.H, 3, p)  # row i is H_3 ^ e_i
         for rep, d_rep in zip(reps, d_3):
-            if d_rep != ss.page_coords(3, p + 3, h3.wedge(ss.model.part_form(p, rep))):
-                return checked, f"d_3 != cup on {ss.model.name} at p={p}"
+            if d_rep != ss.page_coords(3, p + 3, model.part_form(p + 3, combine(rep, h3))):
+                return checked, f"d_3 != cup on {model.name} at p={p}"
             checked += 1
     return checked, None
 

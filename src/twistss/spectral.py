@@ -25,7 +25,7 @@ zero-free-variable tail as one sparse lift, so lifting succeeds exactly when
 the class survives and the result is deterministic.  A coset representative
 of a cell is a row of Z_r's basis, so its lift is stored, and the matrix of
 d_r is one product of the matrix of D into degree p+r with those lifts.
-The Massey defining systems read their tails off the same lifts;
+The Massey checks read their zig-zags off the same lifts (`class_lifts`);
 the tests' `lift_oracle` solves the same systems and recomputes d_r from
 per-representative lifts.
 
@@ -288,6 +288,21 @@ class SpectralSequence:
             return None
         return ZigZag(p, self._lift_space(p).unpack(combine(coords, lifts)), reach)
 
+    def _rep_lifts(self, r: int, p: int, cell: QuotientSpace) -> list[SVec]:
+        """The stored lift of each coset representative of `cell` = E_r^p, in
+        the order of its representatives and the coordinates of
+        `_lift_space(p)`: the rows of Z_r whose pivots are not B_r's."""
+        z, lifts = self._zigzags(self._cycle_key(p, r))
+        bpiv = set(cell.sub.pivots)
+        return [lift for lift, piv in zip(lifts, z.pivots) if piv not in bpiv]
+
+    def class_lifts(self, r: int, p: int) -> list[Form]:
+        """The stored zig-zag of each coset representative of E_r^p, in the
+        cell's order: the form whose degree-p part is the representative and
+        whose tail has free variables zeroed, as `lift_zigzag` gives it."""
+        space = self._lift_space(p)
+        return [space.unpack(lift) for lift in self._rep_lifts(r, p, self.cell(r, p))]
+
     # -- differentials ---------------------------------------------------------
 
     def differential_matrix(self, r: int, p: int) -> Mat:
@@ -305,10 +320,8 @@ class SpectralSequence:
             if tgt.dim == 0 or src.dim == 0:
                 self._dmats[key] = Mat.zeros(tgt.dim, src.dim)
             else:
-                z, lifts = self._zigzags(self._cycle_key(p, r))
                 to_target = self.op.matrix(self._lift_space(p), BlockSpace(self.model, [p + r]))
-                bpiv = set(src.sub.pivots)
-                reps = [lift for lift, piv in zip(lifts, z.pivots) if piv not in bpiv]
+                reps = self._rep_lifts(r, p, src)
                 images = (to_target @ Mat.from_cols(reps, to_target.cols)).columns()
                 self._dmats[key] = Mat.from_cols([tgt.project(y) for y in images], tgt.dim)
         return self._dmats[key]

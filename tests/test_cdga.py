@@ -381,22 +381,23 @@ def test_generator_differential_with_dangling_operator_rejected():
 def test_generator_count_limit_checked_before_expansion():
     # 40 generators would expand to 2^40 monomials
     gens = [{"name": f"g{i}", "degree": 1} for i in range(40)]
-    with pytest.raises(ModelSchemaError, match="MAX_DIM = 512"):
+    with pytest.raises(ModelSchemaError, match="MAX_DIM = 1024"):
         model_from_dict(_gen_doc(generators=gens, top_degree=40))
-    assert MAX_DIM == 512
-    # 9 generators (torus9) pass the limit and reach the next check
-    gens9 = [{"name": f"g{i}", "degree": 1} for i in range(9)]
+    assert MAX_DIM == 1024
+    # 10 generators (torus10) pass the limit and reach the next check
+    gens10 = [{"name": f"g{i}", "degree": 1} for i in range(10)]
     with pytest.raises(ModelSchemaError, match="truncate"):
-        model_from_dict(_gen_doc(generators=gens9, top_degree=8))
+        model_from_dict(_gen_doc(generators=gens10, top_degree=9))
     with pytest.raises(ModelSchemaError) as err:
-        model_from_dict(_gen_doc(generators=gens9 + [{"name": "g9", "degree": 1}], top_degree=10))
-    assert str(err.value) == "10 generators span 2^10 basis elements; the limit is MAX_DIM = 512 (9 generators)"
+        model_from_dict(_gen_doc(generators=gens10 + [{"name": "g10", "degree": 1}], top_degree=11))
+    assert str(err.value) == "11 generators span 2^11 basis elements; the limit is MAX_DIM = 1024 (10 generators)"
 
 
-def test_torus9_loads_at_the_dimension_limit():
-    model = model_from_dict(_torus_doc(9))
+def test_torus10_loads_at_the_dimension_limit():
+    # loaded, not analysed: an analysis of torus10 takes about a second
+    model = model_from_dict(_torus_doc(10))
     assert model.total_dim == MAX_DIM
-    assert model.dims == tuple(math.comb(9, p) for p in range(10))
+    assert model.dims == tuple(math.comb(10, p) for p in range(11))
     assert model.unit == ((0, 1),) and model.unit_form() == model.basis_form("1")
 
 
@@ -422,7 +423,7 @@ def test_basis_dimension_limit_checked_before_allocation():
     labels = [f"t{i}" for i in range(MAX_DIM)]
     with pytest.raises(ModelSchemaError) as err:
         model_from_dict(_basis_doc(basis={"0": ["1"], "1": labels}))
-    assert str(err.value) == "513 basis elements exceed the limit MAX_DIM = 512"
+    assert str(err.value) == "1025 basis elements exceed the limit MAX_DIM = 1024"
 
 
 # -- fuzzing: a value or a ModelError, nothing else ------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import twistss.cdga
 import twistss.indet
+import twistss.linalg
 import twistss.massey
 import twistss.spectral
 import twistss.twist
@@ -530,6 +531,20 @@ def test_closed_forms_come_from_the_cached_de_rham_space(monkeypatch, name, expr
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == golden[f"{name}/{expr}"]["json"]
 
 
+@pytest.mark.parametrize("name,expr", standard_pairs())
+def test_piece_rows_are_the_columns_of_the_engines_blocks(name, expr):
+    # the Massey checks build d and each H_h ^ . from the model's tables;
+    # row i is column i of the engine's block of D from degree q
+    m = bundled_model(name)
+    twist = parse_twist(m, expr)
+    op = twist.operator(m)
+    for q in range(m.top_degree + 1):
+        for h in (1, *twist.degrees):
+            block = op.block(q, q + h) if q + h <= m.top_degree else None
+            want = block.columns() if block is not None else ((),) * m.dim(q)
+            assert twistss.massey.piece_rows(m, twist, h, q) == want, (q, h)
+
+
 # -- the hoisted verification against the per-class oracle ------------------------------
 
 
@@ -538,7 +553,8 @@ def per_class_verification(ss, t):
 
     This is how `verify_main_theorems` ran before it shared one lift per
     class, one shift search per column and one band check per kind of
-    system; it is kept as the oracle for those shortcuts.
+    system, and before it checked last columns as identities on the stored
+    zig-zags; it is kept as the oracle for those shortcuts.
     """
     r = 2 * t + 3
     out = twistss.massey.MasseyVerification(t=t, r=r)
@@ -573,17 +589,33 @@ def per_class_verification(ss, t):
     return out
 
 
+def torus_model(k):
+    """The exterior algebra on k degree-1 generators e1..ek with d = 0."""
+    doc = {
+        "name": f"torus{k}",
+        "top_degree": k,
+        "generators": [{"name": f"e{i}", "degree": 1} for i in range(1, k + 1)],
+    }
+    return twistss.cdga.model_from_dict(doc)
+
+
 def oracle_sequences():
     for name, expr in standard_pairs():
         yield pytest.param(name, expr, id=f"{name}/{expr}")
     for seed in range(20):
         yield pytest.param("modelgen", seed, id=f"modelgen{seed}")
+    # wide models: many classes per column, and a perturbing shift in most
+    for k in (6, 7):
+        yield pytest.param(f"torus{k}", "e1^e2^e3", id=f"torus{k}/e1^e2^e3")
 
 
 def oracle_ss(name, arg):
     if name == "modelgen":
         m = random_model(arg)
         return SpectralSequence(m, random_twist(m, arg))
+    if name in ("torus6", "torus7"):
+        m = torus_model(int(name[5:]))
+        return SpectralSequence(m, parse_twist(m, arg))
     return make_ss(name, arg)
 
 
@@ -618,13 +650,22 @@ def _record_lifts(monkeypatch):
 def test_one_lift_per_class_and_one_shift_search_per_column(monkeypatch, name, expr, t, shifted):
     ss = make_ss(name, expr)
     r = 2 * t + 3
-    ss.page(r)  # the d_r matrices lift their own representatives
+    ss.page(r)  # the d_r matrices read the same stored lifts
     lifts = _record_lifts(monkeypatch)
+    read = []
+    class_lifts = SpectralSequence.class_lifts
+
+    def recording(ss, r, p):
+        read.append((r, p))
+        return class_lifts(ss, r, p)
+
+    monkeypatch.setattr(SpectralSequence, "class_lifts", recording)
     checks = verify_main_theorems(ss, t).checks
     assert checks
-    classes = [(p, rep, r) for p in range(ss.n + 1) for rep in ss.cell(r, p).sparse_reps]
-    # each class is lifted once, for all three systems
-    assert sorted(l for l in lifts if l[2] == r) == sorted(classes)
+    # each class's lift is read from storage, once per column, for all three
+    # systems; no class is lifted again
+    assert read == [(r, p) for p in range(ss.n + 1) if ss.cell(r, p).dim]
+    assert [l for l in lifts if l[2] == r] == []
     # the shift candidates, lifted short of r, are searched once per column
     shifts = [l for l in lifts if l[2] < r]
     assert bool(shifts) == shifted
@@ -706,6 +747,90 @@ def test_hoisted_checks_name_the_full_scans_first_entry(monkeypatch, corrupt, en
     assert str(full.value).startswith(entry)
 
 
+def _corrupt_stored_lift(ss, r, p, j, degree, i):
+    """Add the basis vector e_i of `degree` to the stored lift of class j of E_r^p."""
+    key = ss._cycle_key(p, r)
+    z, lifts = ss._cycles[key]
+    row = lifts.index(ss._rep_lifts(r, p, ss.cell(r, p))[j])
+    e = ((ss._lift_space(p).offsets[degree] + i, Fraction(1)),)
+    lifts = list(lifts)
+    lifts[row] = twistss.linalg.combine(((0, Fraction(1)), (1, Fraction(1))), (lifts[row], e))
+    ss._cycles[key] = (z, tuple(lifts))
+
+
+def _same_error_as_the_oracle(make, t):
+    """Run the oracle and `verify_main_theorems` on fresh corrupted sequences;
+    both must raise the same `DefiningSystemError`, whose text is returned."""
+    with pytest.raises(DefiningSystemError) as full:
+        per_class_verification(make(), t)
+    with pytest.raises(DefiningSystemError) as batched:
+        verify_main_theorems(make(), t)
+    assert str(batched.value) == str(full.value)
+    return str(full.value)
+
+
+@pytest.mark.parametrize(
+    "name,arg,t,p,j,degree,i,entry",
+    [
+        # d T_1 + H_3 ^ x_p = 0 at (2,3) fails for the second class of column 8
+        ("mixed5", "a + b", 1, 8, 1, 10, 0, "(2,3)"),
+        # a non-closed T_1 breaks the conditions at (4,5) and (2,5); the full
+        # scan names (2,5), the first in its order
+        ("modelgen", 0, 3, 4, 1, 6, 1, "(2,5)"),
+    ],
+)
+def test_corrupted_lift_of_a_later_class_names_the_oracles_entry(name, arg, t, p, j, degree, i, entry):
+    # a non-closed basis vector is added to the tail of a class after the
+    # first, whose system was validated in full and passes
+    def make():
+        ss = oracle_ss(name, arg)
+        ss.page(2 * t + 3)
+        assert ss.model.d_columns(degree)[i]
+        _corrupt_stored_lift(ss, 2 * t + 3, p, j, degree, i)
+        return ss
+
+    assert _same_error_as_the_oracle(make, t) == f"differential condition fails at entry {entry}"
+
+
+def test_corrupted_shift_names_the_oracles_entry(monkeypatch):
+    # the perturbed systems are checked once per column, on the shift: a
+    # non-closed vector in each shift's degree p + 2 breaks d T_1 + ... = 0
+    # at (2,3) for every class with a shift, first for a class after the first
+    shift = twistss.massey._perturbing_shift
+
+    def corrupted(ss, p, t):
+        zz = shift(ss, p, t)
+        m = ss.model
+        bad = [i for i, col in enumerate(m.d_columns(p + 2)) if col] if zz is not None else []
+        if not bad:
+            return zz
+        e = m.part_form(p + 2, ((bad[0], Fraction(1)),))
+        return twistss.spectral.ZigZag(zz.p, zz.form + e, zz.reach)
+
+    monkeypatch.setattr(twistss.massey, "_perturbing_shift", corrupted)
+    error = _same_error_as_the_oracle(lambda: make_ss("mixed5", "a + b"), 1)
+    assert error == "differential condition fails at entry (2,3)"
+
+
+def test_unclosed_cocycle_of_a_later_class_names_the_oracles_error():
+    # In a CDGA the last-column conditions imply d c(A) = 0, so a corrupted
+    # lift that keeps them keeps c(A) closed.  d itself is corrupted instead,
+    # on degree 10, where only the c(A) of the second class of column 5 has
+    # a component: every condition holds and only that cocycle is not
+    # closed.  Both routes read d from the model's sparse columns.
+    def make():
+        ss = make_ss("su3xsu3", "x5")
+        ss.page(5)
+        m = ss.model
+        cols = list(m._dcols)
+        assert not any(cols[10]) and m.dim(11)
+        cols[10] = (((0, Fraction(1)),),) + cols[10][1:]
+        m._dcols = tuple(cols)
+        return ss
+
+    assert _same_error_as_the_oracle(make, 1) == "related cocycle is not closed"
+
+
 # -- the defining-system sums walk only the stored nonzero entries ----------------
 
 
@@ -720,12 +845,7 @@ def _dense_bar_products(system, i, j):
 def _torus6_checks_and_wedges(monkeypatch, bar_products):
     """Every t's Massey checks of torus6 twisted by e1^e2^e3, and the number
     of `wedge` calls they make, with the given defining-system sums."""
-    doc = {
-        "name": "torus6",
-        "top_degree": 6,
-        "generators": [{"name": f"e{i}", "degree": 1} for i in range(1, 7)],
-    }
-    model = twistss.cdga.model_from_dict(doc)
+    model = torus_model(6)
     ss = SpectralSequence(model, parse_twist(model, "e1^e2^e3"))
     ss.page(ss.max_page)
     wedges = []
@@ -747,3 +867,36 @@ def test_defining_system_sums_skip_zero_entries(monkeypatch):
     dense_checks, dense_wedges = _torus6_checks_and_wedges(monkeypatch, _dense_bar_products)
     assert checks == dense_checks and any(checks)
     assert wedges < dense_wedges
+
+
+def test_massey_wedges_only_in_the_first_system_of_each_kind(monkeypatch):
+    # the per-class `Form` route must not come back: on torus6 every wedge
+    # the Massey checks make is made inside the full validation of the first
+    # banded and the first diagonal system of each t (s = 1, so every t is
+    # l s - 1 with l = t + 1)
+    model = torus_model(6)
+    ss = SpectralSequence(model, parse_twist(model, "e1^e2^e3"))
+    ss.page(ss.max_page)
+    validating, inside, outside, validated = [], [], [], []
+    wedge = twistss.cdga.CdgaModel.wedge
+    validate = twistss.massey.validate_defining_system
+
+    def counting_wedge(model, u, v):
+        (inside if validating else outside).append(1)
+        return wedge(model, u, v)
+
+    def counting_validate(system):
+        validated.append(system)
+        validating.append(system)
+        try:
+            return validate(system)
+        finally:
+            validating.pop()
+
+    monkeypatch.setattr(twistss.cdga.CdgaModel, "wedge", counting_wedge)
+    monkeypatch.setattr(twistss.massey, "validate_defining_system", counting_validate)
+    ts = range(1, (ss.max_page - 3) // 2 + 1)
+    checks = [verify_main_theorems(ss, t).checks for t in ts]
+    assert all(len(c) > 2 for c in checks)
+    assert outside == [] and inside
+    assert len(validated) == 2 * len(ts)
