@@ -28,7 +28,8 @@ start = w: a suffix of one canonical kernel per (b, parity).  What stays
 independent of the engine is that kernel: the oracles assemble their own D
 of K_0/K_b (a `RelativeComplex`, on the operator the twist shares with the
 spectral sequence) and eliminate it themselves, and read nothing of the
-engine's zig-zag or boundary kernels.
+engine: neither its zig-zag kernels nor the stored lifts whose images span
+its B_r.
 """
 
 from __future__ import annotations

@@ -7,9 +7,11 @@ are realized directly at chain level:
 * cycles  Z_r at (p, even q) are the degree-p forms x_p that extend to a
   zig-zag x = x_p + x_{p+2} + ... with D x in K_{p+r};
 * boundaries B_r are the degree-p components of D w for w in K_{p-r+1} with
-  D w in K_p.  D raises degree, so the lifts from K_a are the lifts from K_0
-  (or K_1) that vanish below a: in RREF, a suffix of the rows.  Each column
-  runs one boundary kernel, and each B_r spans the images of a suffix;
+  D w in K_p.  With a the start of the lifts (max(0, p - r + 1) or one
+  above, by parity), such a w is a combination of the stored lifts of Z at
+  column a with conditions below p, up to an element of K_{a+2}; so B_r
+  spans D of those lifts for a, a + 2, ... below p, and the engine
+  eliminates only in its Z kernels;
 * the cell E_r^{p,q} is Z_r / B_r with canonical echelon representatives.
 
 D = d + H^ has only odd-degree pieces, so the pages pair up: Z_r's
@@ -26,8 +28,8 @@ the class survives and the result is deterministic.  A coset representative
 of a cell is a row of Z_r's basis, so its lift is stored, and the matrix of
 d_r is one product of the matrix of D into degree p+r with those lifts.
 The Massey checks read their zig-zags off the same lifts (`class_lifts`);
-the tests' `lift_oracle` solves the same systems and recomputes d_r from
-per-representative lifts.
+the tests' `lift_oracle` solves the same systems, recomputes d_r from
+per-representative lifts and B_r from one boundary kernel per column.
 
 Everything is a pure function of (model, twist); results are cached in the
 `SpectralSequence` object.
@@ -125,7 +127,6 @@ class SpectralSequence:
         self.max_page = self.n + 2
         self._cycles: dict[tuple[int, int], tuple[SubspaceBasis, tuple[SVec, ...]]] = {}
         self._bounds: dict[tuple[int, int], SubspaceBasis] = {}
-        self._bound_images: dict[int, tuple[BlockSpace, tuple[int, ...], tuple[SVec, ...]]] = {}
         self._cells: dict[tuple[int, int, int], QuotientSpace] = {}
         self._zero_cells: dict[int, QuotientSpace] = {}
         self._dmats: dict[tuple[int, int], Mat] = {}
@@ -190,22 +191,6 @@ class SpectralSequence:
             self._cycles[key] = self._compute_cycles(*key)
         return self._cycles[key]
 
-    def _boundary_images(self, p: int) -> tuple[BlockSpace, tuple[int, ...], tuple[SVec, ...]]:
-        """Column p's one boundary kernel: the lifts w from the lowest start with
-        D w in K_p, in RREF, as (their domain, their pivots, their degree-p images)."""
-        if p not in self._bound_images:
-            low = (p + 1) % 2  # parity of D w landing in degree p
-            dom = BlockSpace(self.model, range(low, self.n + 1, 2))
-            conds = list(range(low + 1, p, 2))
-            if conds:
-                lifts = kernel(self.op.matrix(dom, BlockSpace(self.model, conds)))
-            else:
-                lifts = SubspaceBasis.full(dom.total_dim)
-            proj = self.op.matrix(dom, BlockSpace(self.model, [p]))
-            images = (proj @ lifts.basis_matrix()).columns()
-            self._bound_images[p] = (dom, lifts.pivots, images)
-        return self._bound_images[p]
-
     @staticmethod
     def _boundary_start(p: int, r: int) -> int:
         """The lowest degree of B_r's lifts at column p: a = max(0, p - r + 1),
@@ -214,18 +199,27 @@ class SpectralSequence:
         return a if (p + 1 - a) % 2 == 0 else a + 1
 
     def _compute_boundaries(self, p: int, start: int) -> SubspaceBasis:
-        """B at column p of the lifts from K_start: the span of a suffix of the
-        column's kernel images.
+        """B at column p of the lifts from K_start (start of p + 1's parity): the
+        span of B from K_{start+2} and of (D lam)_p for the stored lift lam of
+        each row z_i of Z at column start with conditions below p, a cycle key
+        the pages already use.
 
-        D raises degree, so a lift from K_start meets the conditions below start.
-        The lifts from K_start are the kernel vectors that vanish before start's
-        offset: in RREF, the rows pivoting at or after it (a suffix of the rows).
+        This is all of B.  Each lam lies in K_start with D lam in K_p, so
+        (D lam)_p lies in B.  Conversely, if w in K_start has D w in K_p, its
+        degree-start part x lies in that Z, so x = sum c_i z_i, and
+        w - sum c_i lam_i lies in K_{start+2} with D of it in K_p.  A column
+        whose Z is zero, an empty column among them, adds nothing.
         """
         dim_p = self.model.dim(p)
-        if dim_p == 0 or start > self.n:
+        if dim_p == 0 or start >= p:
             return SubspaceBasis.zero(dim_p)
-        dom, pivots, images = self._boundary_images(p)
-        return SubspaceBasis.span(dim_p, images[bisect_left(pivots, dom.offsets[start]) :])
+        rest = self._boundaries(p, start + 2)
+        lifts = self._zigzags(self._cycle_key(start, p - start))[1]
+        if not lifts:
+            return rest
+        to_p = self.op.matrix(self._lift_space(start), BlockSpace(self.model, [p]))
+        images = (to_p @ Mat.from_cols(lifts, to_p.cols)).columns()
+        return SubspaceBasis.span(dim_p, [*rest.sparse, *images])
 
     def cycles(self, r: int, p: int) -> SubspaceBasis:
         """Z_r at column p: leading terms of zig-zags of reach r."""

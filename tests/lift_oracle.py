@@ -1,15 +1,19 @@
-"""The lift oracles: zig-zag tails by one stacked particular solve, and d_r
-by lifting each coset representative.
+"""The lift oracles: zig-zag tails by one stacked particular solve, d_r by
+lifting each coset representative, and B_r by one boundary kernel per column.
 
 `SpectralSequence.lift_zigzag` reads its tails off the stored cycle kernels;
 `resolve_tail` solves the same systems directly, so the tests compare the two.
 `SpectralSequence.differential_matrix` maps the stored zig-zags of Z_r's basis
 rows through one matrix of D; `lifted_differential_matrix` lifts each coset
 representative as a form, applies D to it and projects the degree-(p+r)
-component, one representative at a time.
+component, one representative at a time.  `SpectralSequence.boundaries`
+spans D of the stored lifts of Z, start by start; `boundaries_by_kernel`
+eliminates the boundary condition itself, once per column.
 """
 
-from twistss.linalg import Mat, solve_particular
+from bisect import bisect_left
+
+from twistss.linalg import Mat, SubspaceBasis, kernel, solve_particular
 from twistss.twist import BlockSpace
 
 
@@ -47,3 +51,27 @@ def lifted_differential_matrix(ss, r, p):
         zz = ss.lift_zigzag(ss.model.part_form(p, rep), r)
         cols.append(tgt.project(ss.op.apply(zz.form).part(p + r)))
     return Mat.from_cols(cols, tgt.dim)
+
+
+def boundaries_by_kernel(ss, p, start):
+    """B at column p of the lifts from K_start, read off one kernel of the column.
+
+    D is odd, so the lifts w with D w reaching degree p live in the degrees
+    of p + 1's parity; the kernel of D into the degrees of p's parity below p
+    holds those with D w in K_p.  D raises degree, so in RREF the lifts from
+    K_start are the suffix of rows pivoting at or after start's offset; one
+    product maps it into degree p.
+    """
+    dim_p = ss.model.dim(p)
+    if dim_p == 0 or start > ss.n:
+        return SubspaceBasis.zero(dim_p)
+    low = (p + 1) % 2
+    dom = BlockSpace(ss.model, range(low, ss.n + 1, 2))
+    conds = list(range(low + 1, p, 2))
+    if conds:
+        lifts = kernel(ss.op.matrix(dom, BlockSpace(ss.model, conds)))
+    else:
+        lifts = SubspaceBasis.full(dom.total_dim)
+    suffix = lifts.sparse[bisect_left(lifts.pivots, dom.offsets[start]) :]
+    to_p = ss.op.matrix(dom, BlockSpace(ss.model, [p]))
+    return SubspaceBasis.span(dim_p, (to_p @ Mat.from_cols(suffix, to_p.cols)).columns())

@@ -276,9 +276,8 @@ def test_connecting_oracle_reads_no_engine_boundary(monkeypatch):
     ss = SpectralSequence(m, H)
 
     def engine(*args):
-        raise AssertionError("the oracle read the engine's boundary kernel")
+        raise AssertionError("the oracle read the engine's boundaries")
 
-    monkeypatch.setattr(SpectralSequence, "_boundary_images", engine)
     monkeypatch.setattr(SpectralSequence, "_compute_boundaries", engine)
     sources, images = {}, {}
     for r in range(3, ss.max_page + 1):

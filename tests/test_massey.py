@@ -812,6 +812,46 @@ def test_corrupted_shift_names_the_oracles_entry(monkeypatch):
     assert error == "differential condition fails at entry (2,3)"
 
 
+def test_a_standard_shift_moves_the_cocycle_within_its_class():
+    # independence is one fact per column, that the shift's c(A) projects
+    # to 0; on mixed5 a + b that c(A) is a nonzero cocycle, so the fact is
+    # not vacuous at chain level
+    ss = make_ss("mixed5", "a + b")
+    shift = twistss.massey._perturbing_shift(ss, 3, 1)
+    failure, c = twistss.massey._Pieces(ss.model, ss.H).last_column(shift.form.parts, 3, 5, 2, 3)
+    target = ss.cell(5, 8)
+    assert failure is None and c and target.dim
+    assert target.project(c) == ()
+    assert all(check.independence_ok for check in verify_main_theorems(ss, 1).checks if check.p == 3)
+
+
+def test_a_shift_with_a_nonzero_class_fails_the_massey_verdict(monkeypatch):
+    # make each shift's c(A) a nonzero class of the target cell: every class
+    # of that column must fail defining-system independence
+    shift, last_column = twistss.massey._perturbing_shift, twistss.massey._Pieces.last_column
+    shifts, moved = [], []
+
+    def recording(ss, p, t):
+        zz = shift(ss, p, t)
+        shifts.append((ss, zz))
+        return zz
+
+    def nonzero(self, parts, p, r, step, size):
+        failure, c = last_column(self, parts, p, r, step, size)
+        for ss, zz in shifts:
+            if zz is not None and parts is zz.form.parts and ss.cell(r, p + r).dim:
+                moved.append((p, r))
+                return failure, ss.cell(r, p + r).sparse_reps[0]
+        return failure, c
+
+    monkeypatch.setattr(twistss.massey, "_perturbing_shift", recording)
+    monkeypatch.setattr(twistss.massey._Pieces, "last_column", nonzero)
+    m = bundled_model("mixed5")
+    report = run_analysis(m, parse_twist(m, "a + b"))
+    assert moved == [(3, 5)]
+    assert report.verdicts["massey_differentials"].status == "fail"
+
+
 def test_unclosed_cocycle_of_a_later_class_names_the_oracles_error():
     # In a CDGA the last-column conditions imply d c(A) = 0, so a corrupted
     # lift that keeps them keeps c(A) closed.  d itself is corrupted instead,

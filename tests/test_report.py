@@ -138,6 +138,20 @@ def test_connecting_oracle_catches_a_dropped_boundary_row(monkeypatch):
     assert oracle[1] == "connecting image differs from B_6 on cascade5 at p=5"
 
 
+def test_connecting_oracle_catches_a_corrupted_stored_lift():
+    # B_r spans D of the stored zig-zag lifts, so a lift that loses its tail
+    # moves B_10 at column 14; the oracle eliminates its own D and objects
+    ss = _cascade5()
+    key = ss._cycle_key(5, 14 - 5)  # Z at column 5 with conditions below 14
+    z, lifts = ss._zigzags(key)
+    head = tuple((j, x) for j, x in lifts[1] if j < ss.model.dim(5))
+    assert head != lifts[1]
+    ss._cycles[key] = (z, lifts[:1] + (head,) + lifts[2:])
+    assert ss.boundaries(10, 14) != _cascade5().boundaries(10, 14)
+    oracle, _ = report.check_indeterminacy(ss)
+    assert oracle[1] == "connecting image differs from B_10 on cascade5 at p=14"
+
+
 def test_connecting_oracle_catches_a_shifted_start(monkeypatch):
     delta_bar = report.connecting_delta_bar
 

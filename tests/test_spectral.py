@@ -1,14 +1,14 @@
 import pytest
 
 from twistss import PageError, SpectralSequence, parse_twist, twisted_cohomology
-from twistss.cdga import Form
+from twistss.cdga import Form, model_from_dict
 from twistss.models import bundled_model, standard_pairs
 from twistss.modelgen import random_model, random_twist
 from twistss.linalg import SubspaceBasis, dense, image, kernel, sparse
 from twistss.report import check_even_vanishing
 from twistss.twist import BlockSpace
 
-from lift_oracle import lifted_differential_matrix, resolve_tail
+from lift_oracle import boundaries_by_kernel, lifted_differential_matrix, resolve_tail
 
 
 def dense_rows(s):
@@ -394,26 +394,74 @@ def test_boundaries_match_per_start_kernels(ss, step):
             assert dense_rows(b) == dense_rows(b0) and b.pivots == b0.pivots
 
 
-def test_one_boundary_kernel_per_column(monkeypatch):
+def odd_model(k):
+    """The exterior algebra on g1..gk, deg g_i = 2i - 1, with d = 0: top degree
+    k^2 and k^2 + 2 pages."""
+    gens = [{"name": f"g{i}", "degree": 2 * i - 1} for i in range(1, k + 1)]
+    return model_from_dict({"name": f"odd{k}", "top_degree": k * k, "generators": gens})
+
+
+def boundary_oracle_sequences():
+    for name, expr in standard_pairs():
+        yield pytest.param(make_ss(name, expr), id=f"{name}/{expr}")
+    for seed in range(20):
+        m = random_model(seed)
+        yield pytest.param(SpectralSequence(m, random_twist(m, seed)), id=f"modelgen{seed}")
+    m = odd_model(7)
+    yield pytest.param(SpectralSequence(m, parse_twist(m, "g2 + g3")), id="odd7/g2 + g3")
+
+
+@pytest.mark.parametrize("ss", list(boundary_oracle_sequences()))
+def test_boundaries_match_one_kernel_per_column(ss):
+    # B_r spans D of the stored lifts of Z, start by start; the oracle reads
+    # every start off one boundary kernel of the column
+    oracle = {}
+    for r in range(1, ss.max_page + 1):
+        for p in range(ss.n + 1):
+            start = ss._boundary_start(p, r)
+            if (p, start) not in oracle:
+                oracle[p, start] = boundaries_by_kernel(ss, p, start)
+            b, b0 = ss.boundaries(r, p), oracle[p, start]
+            assert dense_rows(b) == dense_rows(b0) and b.pivots == b0.pivots, (r, p)
+
+
+def _record_inside(monkeypatch, method):
+    """Patch SpectralSequence.method to keep its arguments on a stack while it
+    runs; return the stack."""
+    stack = []
+    run = getattr(SpectralSequence, method)
+
+    def recording(self, *args):
+        stack.append(args)
+        try:
+            return run(self, *args)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(SpectralSequence, method, recording)
+    return stack
+
+
+def test_boundaries_eliminate_only_in_the_cycle_kernels(monkeypatch):
+    # every kernel behind B_r is the Z kernel of a cycle key, built once
     import twistss.spectral as spectral
 
-    calls = []
+    inside, keys = _record_inside(monkeypatch, "_compute_cycles"), []
 
     def counting(m):
-        calls.append(m.cols)
+        assert inside, "a kernel outside _compute_cycles"
+        keys.append(inside[-1])
         return kern(m)
 
     kern = spectral.kernel
     monkeypatch.setattr(spectral, "kernel", counting)
     for name, expr in (("cascade7", "a"), ("mixed5", "a + b")):
-        calls.clear()
+        keys.clear()
         ss = make_ss(name, expr)
         for r in range(1, ss.max_page + 1):
             for p in range(ss.n + 1):
                 ss.boundaries(r, p)
-        # columns whose lifts meet a condition: D w lands below p from (p + 1) % 2 + 1
-        columns = [p for p in range(ss.n + 1) if ss.model.dim(p) and (p + 1) % 2 + 1 < p]
-        assert len(calls) == len(columns) > 0
+        assert len(keys) == len(set(keys)) > 0
 
 
 def test_differential_is_constant_on_boundary_cosets():
@@ -450,22 +498,23 @@ def cell_keys(ss):
 
 def test_one_boundary_span_per_start(monkeypatch):
     # B_r depends on r only through where its lifts start: a or a + 1 by parity
+    inside, keys = _record_inside(monkeypatch, "_compute_boundaries"), []
     span = SubspaceBasis.span
-    calls = []
 
     def counting(*args):
-        calls.append(args)
+        assert inside, "a span outside _compute_boundaries"
+        keys.append(inside[-1])
         return span(*args)
 
     monkeypatch.setattr(SubspaceBasis, "span", staticmethod(counting))
     for name, expr in (("cascade7", "a"), ("mixed5", "a + b")):
         ss = make_ss(name, expr)
-        calls.clear()
+        keys.clear()
         for r in range(1, ss.max_page + 1):
             for p in range(ss.n + 1):
                 ss.boundaries(r, p)
         starts = {(p, start) for p, _, start in cell_keys(ss) if ss.model.dim(p) and start <= ss.n}
-        assert len(calls) == len(starts) > 0
+        assert len(keys) == len(set(keys)) > 0 and set(keys) <= starts
 
 
 def test_one_quotient_space_per_distinct_cell(monkeypatch):

@@ -228,7 +228,8 @@ def dense_matrix(op, domain, codomain):
 )
 def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
     # every degree list an analysis assembles: the relative complexes, the
-    # cycle and boundary kernels, the lifts; cascade7 has many empty degrees
+    # cycle kernels, and D of the stored lifts into one degree (for d_r and
+    # B_r); cascade7 has many empty degrees
     m = bundled_model(name)
     H = parse_twist(m, expr)
     shapes = set()
