@@ -24,12 +24,12 @@ zig-zag engine.
 
 Both oracles read every window K_w/K_b off the whole complex K_0/K_b,
 through `twistss.twist.RelativeComplex.cocycles` and `.cohomology` with
-start = w: a suffix of one canonical kernel per (b, parity).  What stays
-independent of the engine is that kernel: the oracles assemble their own D
-of K_0/K_b (a `RelativeComplex`, on the operator the twist shares with the
-spectral sequence) and eliminate it themselves, and read nothing of the
-engine: neither its zig-zag kernels nor the stored lifts whose images span
-its B_r.
+start = w: a suffix of one canonical kernel per (b, parity).  The Z_r
+oracle's K_0/K_{n+1} is the sequence's twisted complex
+(`SpectralSequence.twisted_cohomology`), whose kernels check the page totals.
+No kernel is the engine's: the oracles eliminate their own D of K_0/K_b,
+on the twist's operator, and read neither the engine's zig-zag kernels nor
+the stored lifts whose images span its B_r.
 """
 
 from __future__ import annotations
@@ -223,20 +223,20 @@ def page_agreement(
     """Check that the cohomological Z_r route reproduces the zig-zag cycles.
 
     Compares canonical subspace bases, not just dimensions, for every page
-    from 2 on and every column.  Returns (cells compared, None) or, on a
-    mismatch, the first three mismatched (r, p) in its description.  B_r has
-    its own oracle, the connecting map (`report.check_indeterminacy`).  Each
-    Z_r is compared once per raw key (p, min(p + r, n + 1)), the subcomplex
-    K_{p+r} it is built from here.  The engine shares one Z between pages 2k
-    and 2k+1, since their conditions agree; keying this check the same way
-    would build only one of them and leave that sharing unchecked, so both
-    members of each pair come from their own complex and are compared with
-    the shared engine object.  A `max_r` outside the pages 1..ss.max_page
-    raises `PageError`.
+    from 2 on and every column, reading each K_{p+r} off the sequence's own
+    K_0/K_{n+1} (ss.twisted_cohomology().complex).  Returns (cells compared,
+    None) or, on a mismatch, the first three mismatched (r, p) in its
+    description.  B_r has its own oracle (`report.check_indeterminacy`).
+    Each Z_r is compared once per raw key (p, min(p + r, n + 1)), its K_{p+r}.
+    The engine shares one Z between pages 2k and 2k+1, since their conditions
+    agree; keying this check the same way would build only one of them and
+    leave that sharing unchecked, so both members of each pair come from
+    their own complex and are compared with the shared engine object.  A
+    `max_r` outside the pages 1..ss.max_page raises `PageError`.
     """
     top_r = max_r if max_r is not None else ss.max_page
     ss.check_page(top_r)  # past the last page, the keys below still match real cells
-    tower: dict = {}  # K_0/K_{n+1}, each window's cohomology and each column's delta
+    tower: dict = {("K", ss.n + 1): ss.twisted_cohomology().complex}  # and each column's delta
     cells = [(r, p) for r in range(2, top_r + 1) for p in range(ss.n + 1)]
     agree: dict[tuple[int, int], bool] = {}
     mismatches = []

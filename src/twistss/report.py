@@ -1,12 +1,13 @@
 """The full analysis pipeline and its report.
 
-`run_analysis` validates a model/twist pair, computes twisted cohomology and
-every page with differentials, then runs the verification battery: even
-differentials vanish, d_3 is cup product with the degree-3 twist component,
-the Massey defining-system formulas for every higher differential, the case
-table and route compatibility for single-component twists, convergence of
-the page totals to the twisted cohomology, agreement of the two page
-constructions, and coherence of the indeterminacy subgroups.
+`run_analysis` validates a model/twist pair, computes every page with
+differentials and the sequence's twisted cohomology, then runs the
+verification battery: even differentials vanish, d_3 is cup product with
+the degree-3 twist component, the Massey defining-system formulas for every
+higher differential, the case table and route compatibility for
+single-component twists, convergence of the page totals to the twisted
+cohomology, agreement of the two page constructions, and coherence of the
+indeterminacy subgroups.
 
 Reports render as human-readable text or as deterministic JSON (sorted keys,
 fixed separators), so re-emitting a parsed report is byte-identical.  The
@@ -24,7 +25,7 @@ from .indet import connecting_delta_bar, indeterminacy_subgroup, page_agreement
 from .linalg import combine, image
 from .massey import ClassCheck, piece_rows, verify_main_theorems
 from .spectral import SpectralSequence
-from .twist import TwistForm, twisted_cohomology
+from .twist import TwistForm
 
 SCHEMA_VERSION = 1
 
@@ -113,7 +114,7 @@ def run_analysis(
 ) -> AnalysisReport:
     ss = SpectralSequence(model, H)
     top_r = ss.precompute(max_page)
-    tc = twisted_cohomology(model, H)
+    tc = ss.twisted_cohomology()
 
     pages = []
     for r in range(1, top_r + 1):
@@ -145,7 +146,7 @@ def run_analysis(
         pages=pages,
         indeterminacy=indet_entries,
     )
-    _run_verdicts(report, ss, tc, top_r)
+    _run_verdicts(report, ss, top_r)
     return report
 
 
@@ -166,7 +167,7 @@ def _unchecked(ss: SpectralSequence, top_r: int, full: str, cut: str) -> str:
     return f"{cut} on pages 5 to {top_r}; --max-page {top_r} cuts the rest"
 
 
-def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, tc, top_r: int):
+def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, top_r: int):
     v = report.verdicts
     v["page_identifications"] = Verdict(
         _status(check_page_identifications(ss)),
@@ -195,8 +196,8 @@ def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, tc, top_r: int):
     )
 
     v["convergence"] = Verdict(
-        _status(check_convergence(ss, tc)),
-        f"stable totals {stable_totals(ss)} vs twisted {tc.dims}",
+        _status(check_convergence(ss)),
+        f"stable totals {stable_totals(ss)} vs twisted {ss.twisted_cohomology().dims}",
     )
     v["page_construction_agreement"] = Verdict(_status(page_agreement(ss, max_r=top_r)))
     (cells, mismatch), (samples, escape) = check_indeterminacy(ss)
@@ -268,9 +269,9 @@ def stable_totals(ss: SpectralSequence) -> tuple[int, int]:
     return even, odd
 
 
-def check_convergence(ss: SpectralSequence, tc) -> Check:
-    """The stable page totals equal the twisted cohomology `tc` of (model, H)."""
-    totals = stable_totals(ss)
+def check_convergence(ss: SpectralSequence) -> Check:
+    """The stable page totals equal the sequence's twisted cohomology."""
+    totals, tc = stable_totals(ss), ss.twisted_cohomology()
     if totals != tc.dims:
         return 0, f"convergence fails on {ss.model.name}: {totals} vs {tc.dims}"
     return 1, None

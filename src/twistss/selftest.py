@@ -7,9 +7,9 @@ cohomological Z_r construction and the connecting map delta_bar cross-check
 the zig-zag cycles and boundaries, and the hand-checkable small models pin
 concrete values; criteria that `analyze` shares fold the `report` checks.
 D o D = 0 is checked once per sequence, on the block matrices of the
-operator the engine uses, when the sequence's twisted cohomology is built
-(criterion 1; criteria 4 and 9 reuse it).  `run_selftest` prints one
-pass/fail line per criterion and is what `twistss selftest` invokes.
+operator the engine uses, when `ss.twisted_cohomology()` first builds it
+(criterion 1; criteria 4, 9 and 12 read the same one).  `run_selftest` prints
+one pass/fail line per criterion and is what `twistss selftest` invokes.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .report import (
     route_rule,
 )
 from .spectral import SpectralSequence
-from .twist import TwistedCohomology, TwistError, parse_twist, twisted_cohomology
+from .twist import TwistError, parse_twist
 
 RANDOM_MODELS = 50
 RANDOM_DIM_CAP = 64
@@ -47,7 +47,6 @@ class Workspace:
         self._models = {}
         self._ss = {}
         self._random = {}
-        self._twisted = {}
 
     def model(self, name):
         if name not in self._models:
@@ -72,13 +71,6 @@ class Workspace:
 
     def random_pairs(self, count=RANDOM_MODELS):
         return [self.random_pair(i) for i in range(count)]
-
-    def twisted(self, ss: SpectralSequence) -> TwistedCohomology:
-        """The twisted cohomology of one sequence, built once; raises `TwistError`
-        when D o D != 0 on the block matrices of `ss.op`."""
-        if ss not in self._twisted:
-            self._twisted[ss] = twisted_cohomology(ss.model, ss.H)
-        return self._twisted[ss]
 
 
 def _all_sequences(ws: Workspace, random_count=RANDOM_MODELS):
@@ -113,7 +105,7 @@ def crit_structural(ws: Workspace):
         if ss.model.total_dim > RANDOM_DIM_CAP:
             return False, f"{ss.model.name} exceeds the ambient cap"
         try:
-            ws.twisted(ss)
+            ss.twisted_cohomology()
         except TwistError:
             return False, f"D^2 != 0 on {ss.model.name}"
         if not _d_squared_zero(ss):
@@ -147,12 +139,10 @@ def crit_even_vanishing(ws: Workspace):
 
 def crit_convergence(ws: Workspace):
     """Stable page totals equal the twisted cohomology, in exact arithmetic."""
-    _, failure = _fold(
-        _all_sequences(ws), lambda ss: check_convergence(ss, ws.twisted(ss))
-    )
+    _, failure = _fold(_all_sequences(ws), check_convergence)
     if failure:
         return False, failure
-    tc3 = ws.twisted(ws.ss("torus3", "e1^e2^e3"))
+    tc3 = ws.ss("torus3", "e1^e2^e3").twisted_cohomology()
     if tc3.dims != (3, 3):
         return False, f"torus3 twisted dims {tc3.dims} != (3, 3)"
     return True, "page totals match kernel/image twisted cohomology everywhere"
@@ -216,7 +206,7 @@ def _d9_witness_rule(c):
 def crit_formality(ws: Workspace):
     """The free model on degrees 3 and 5 with its degree-3 twist collapses."""
     ss = ws.ss("su3", "x3")
-    tc = ws.twisted(ss)
+    tc = ss.twisted_cohomology()
     if tc.dims != (0, 0):
         return False, f"twisted dims {tc.dims} != (0, 0)"
     for p in range(ss.n + 1):

@@ -50,7 +50,7 @@ from .linalg import (
     combine,
     kernel,
 )
-from .twist import BlockSpace, TwistForm
+from .twist import BlockSpace, TwistedCohomology, TwistForm, twisted_cohomology
 
 
 def _flip_tail(row: SVec, h: int, n: int) -> SVec:
@@ -133,6 +133,14 @@ class SpectralSequence:
         self._pages: dict[int, SpectralPage] = {}
         self.indet_subgroups: dict[tuple[int, int], object] = {}
         self.massey_verifications: dict[int, object] = {}
+        self._twisted: Optional[TwistedCohomology] = None
+
+    def twisted_cohomology(self) -> TwistedCohomology:
+        """H(M, H) of K_0/K_{n+1}, which the pages converge to; built once
+        (`TwistError` when D o D != 0)."""
+        if self._twisted is None:
+            self._twisted = twisted_cohomology(self.model, self.H)
+        return self._twisted
 
     # -- chain-level cell pieces ----------------------------------------------
 

@@ -8,7 +8,8 @@ from twistss.linalg import SubspaceBasis
 from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model, standard_pairs
 from twistss.report import run_analysis
-from twistss.twist import DOperator
+from twistss.selftest import run_selftest
+from twistss.twist import DOperator, RelativeComplex
 
 
 def test_report_reproducible_bit_for_bit():
@@ -74,6 +75,29 @@ def test_one_operator_per_analysis(monkeypatch):
     m = bundled_model("cascade5")
     assert run_analysis(m, parse_twist(m, "a")).all_pass
     assert len(builds) == 1
+
+
+def test_one_whole_twisted_complex_per_sequence(monkeypatch):
+    # K_0/K_{n+1} has one owner, the sequence's twisted cohomology: convergence,
+    # the Z_r oracle and the selftest criteria read it, none builds its own
+    wholes = []
+    init = RelativeComplex.__init__
+
+    def spying_init(self, op, a, b):
+        if (a, b) == (0, op.model.top_degree + 1):
+            wholes.append(op)
+        init(self, op, a, b)
+
+    monkeypatch.setattr(RelativeComplex, "__init__", spying_init)
+    gens = [{"name": f"e{i}", "degree": 1} for i in range(1, 7)]
+    torus6 = model_from_dict({"name": "torus6", "top_degree": 6, "generators": gens})
+    for m, expr in [(torus6, "e1^e2^e3"), (bundled_model("cascade7"), "a")]:
+        wholes.clear()
+        assert run_analysis(m, parse_twist(m, expr)).all_pass
+        assert len(wholes) == 1, m.name
+    wholes.clear()
+    assert run_selftest(seed=0, emit=lambda line: None)
+    assert wholes and len(set(wholes)) == len(wholes)  # each op is one sequence's
 
 
 def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
