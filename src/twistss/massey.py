@@ -43,7 +43,7 @@ That gives
   (-1)^(l-1) c(B) = h ^ T'_{l-1}.
 
 So no system has to be assembled per class: each term is one product of
-a zig-zag's part with the rows of a piece of D = d + H (`piece_rows`), and
+a zig-zag's part with a piece of D = d + H (`DOperator.piece`), and
 the entries off the last column, which do not depend on the class, are
 checked once per kind on a system assembled in full.  Every last-column
 entry is read from one degree of the zig-zag, so the degree conditions
@@ -65,12 +65,11 @@ from .linalg import (
     QuotientSpace,
     SubspaceBasis,
     SVec,
-    collect,
     solve_particular,
     span_in_quotient,
 )
 from .spectral import PageClass, PageError, SpectralSequence, ZigZag
-from .twist import TwistForm
+from .twist import DOperator
 
 
 class MasseyError(Exception):
@@ -405,88 +404,31 @@ def _assemble_diagonal(
 # verification of the differential formulas
 
 
-def piece_rows(model: CdgaModel, H: TwistForm, h: int, q: int) -> tuple[SVec, ...]:
-    """The degree-h piece of D = d + H on the degree-q basis, one row per basis element.
+def _last_column(op: DOperator, parts: dict, p: int, r: int, step: int, size: int) -> tuple[Optional[str], SVec]:
+    """A banded (step 2) or diagonal (step 2s) system's last column on the
+    zig-zag with these `parts`, by the identities of the module docstring:
+    (the first failure as `validate_defining_system` names it, or None;
+    the signed related cocycle, of degree p + r).
 
-    Row i is d e_i for h = 1 and H_h ^ e_i otherwise, a sparse vector in
-    degree q + h.  d is read from the model's sparse columns and H_h ^ .
-    from the product table (`wedge_basis`), not from `DOperator`, so the
-    Massey checks share only the tables with the engine.
+    T_k is the part of degree e = p + step k, and the condition at
+    (size - k, size) is the degree-(e + 1) part of D on the zig-zag, d T_k
+    + sum over the twist's degrees h of H_h ^ (the part of degree e + 1 - h)
+    = 0; only the parts T_{k-1-j} (banded) or T_{k-1} (diagonal) lie in
+    those degrees.  The entries are scanned from (2, size) down, as the full
+    scan does; a condition past the top degree reads 0 = 0.  c(A) reads the
+    parts of degree p + r - h only, not the d of the part below p + r.
     """
-    if h == 1:
-        return model.d_columns(q)
-    terms = H.components.get(h, ())
-    if not terms or q + h > model.top_degree:
-        return ((),) * model.dim(q)
-    rows = []
-    for i in range(model.dim(q)):
-        acc: dict = {}
-        for m, c in terms:
-            for k, x in model.wedge_basis(h, m, q, i):
-                y = c * x
-                acc[k] = acc[k] + y if k in acc else y
-        rows.append(collect(acc))
-    return tuple(rows)
-
-
-class _Pieces:
-    """The pieces of D = d + H as `piece_rows`, each built on first use and
-    kept for one `verify_main_theorems` call, and the Massey identities on them."""
-
-    def __init__(self, model: CdgaModel, H: TwistForm):
-        self.model, self.H, self.top = model, H, model.top_degree
-        self._rows: dict[tuple[int, int], tuple[SVec, ...]] = {}
-
-    def apply(self, terms) -> SVec:
-        """The sum over (h, q, v) of the degree-h piece of D on v (degree q;
-        None or () is zero): one sparse product of v with the piece's rows."""
-        return collect(self._sum(terms))
-
-    def _sum(self, terms) -> dict:
-        """`apply` as an index -> value accumulator, with zeros kept."""
-        acc: dict = {}
-        for h, q, v in terms:
-            if not v:
-                continue
-            rows = self._rows.get((h, q))
-            if rows is None:
-                rows = piece_rows(self.model, self.H, h, q)
-                rows = self._rows[(h, q)] = rows if any(rows) else ()  # () for a zero piece
-            if not rows:
-                continue
-            for i, c in v:
-                for k, x in rows[i]:
-                    y = c * x
-                    acc[k] = acc[k] + y if k in acc else y
-        return acc
-
-    def last_column(self, parts: dict, p: int, r: int, step: int, size: int) -> tuple[Optional[str], SVec]:
-        """A banded (step 2) or diagonal (step 2s) system's last column on the
-        zig-zag with these `parts`, by the identities of the module docstring:
-        (the first failure as `validate_defining_system` names it, or None;
-        the signed related cocycle, of degree p + r).
-
-        T_k is the part of degree e = p + step k, and the condition at
-        (size - k, size) is d T_k + sum over the twist's degrees h of
-        H_h ^ (the part of degree e + 1 - h) = 0; only the parts T_{k-1-j}
-        (banded) or T_{k-1} (diagonal) lie in those degrees.  The entries are
-        scanned from (2, size) down, as the full scan does; a condition past
-        the top degree reads 0 = 0.
-        """
-        hs = self.H.degrees
-        for k in range(size - 2, 0, -1):
-            e = p + step * k
-            if e >= self.top:
-                continue
-            terms = [(1, e, parts.get(e))] + [(h, e + 1 - h, parts.get(e + 1 - h)) for h in hs]
-            if any(self._sum(terms).values()):
-                return f"differential condition fails at entry ({size - k},{size})", ()
-        if p + r > self.top:
-            return None, ()
-        c = self.apply([(h, p + r - h, parts.get(p + r - h)) for h in hs])
-        if any(self._sum([(1, p + r, c)]).values()):
-            return "related cocycle is not closed", c
-        return None, c
+    top = op.model.top_degree
+    for k in range(size - 2, 0, -1):
+        e = p + step * k
+        if e < top and op.image(e + 1, parts):
+            return f"differential condition fails at entry ({size - k},{size})", ()
+    if p + r > top:
+        return None, ()
+    c = op.image(p + r, {p + r - h: parts.get(p + r - h) for h in op.H.degrees})
+    if op.image(p + r + 1, {p + r: c}):
+        return "related cocycle is not closed", c
+    return None, c
 
 
 @dataclass
@@ -573,14 +515,14 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
     single = ss.H.single_degree()
     s = (single - 1) // 2 if single is not None else None
     l = (t + 1) // s if s is not None and (t + 1) % s == 0 else 0
-    pieces = _Pieces(model, ss.H)
+    op = ss.op
     checked: set = set()
 
     def cocycle(kind: str, assemble, parts: dict, p: int, step: int, size: int) -> SVec:
         if kind not in checked:
             validate_defining_system(assemble())
             checked.add(kind)
-        failure, c = pieces.last_column(parts, p, r, step, size)
+        failure, c = _last_column(op, parts, p, r, step, size)
         if failure:
             raise DefiningSystemError(failure)
         return c
@@ -597,7 +539,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
 
         shift = _perturbing_shift(ss, p, t)
         if shift is not None:
-            shift_failure, shift_c = pieces.last_column(shift.form.parts, p, r, 2, t + 2)
+            shift_failure, shift_c = _last_column(op, shift.form.parts, p, r, 2, t + 2)
         shift_ok: Optional[bool] = None  # one fact per column, read at its first class
         d_r = ss.differential_matrix(r, p).columns()  # column j is d_r of reps[j]
         for rep, zz, d_rep in zip(reps, ss.class_lifts(r, p), d_r):
@@ -612,7 +554,7 @@ def verify_main_theorems(ss: SpectralSequence, t: int) -> MasseyVerification:
             routes_agree: Optional[bool] = None
             if s is not None:
                 if t == s - 1:
-                    case_ok = lhs.coords == page_class(pieces.apply([(single, p, rep)]))
+                    case_ok = lhs.coords == page_class(op.image(p + single, {p: rep}))
                 elif l >= 2:
                     coords_b = page_class(cocycle(
                         "diagonal", lambda: _assemble_diagonal(ss, x, s, l, zz), zz.parts, p, 2 * s, l + 1

@@ -22,8 +22,8 @@ from typing import Optional
 
 from .cdga import CdgaModel
 from .indet import connecting_delta_bar, indeterminacy_subgroup, page_agreement
-from .linalg import combine, image
-from .massey import ClassCheck, piece_rows, verify_main_theorems
+from .linalg import image
+from .massey import ClassCheck, verify_main_theorems
 from .spectral import SpectralSequence
 from .twist import TwistForm
 
@@ -242,8 +242,8 @@ def check_even_vanishing(ss: SpectralSequence) -> Check:
 def check_d3_cup(ss: SpectralSequence) -> Check:
     """The zig-zag d_3 of every E_3 class is cup product with H_3 (none without page 3).
 
-    The cups of a column's representatives are one product of them with the
-    rows of H_3 ^ . on their degree (`massey.piece_rows`).
+    Each cup is one product of the representative with the piece H_3 ^ . of
+    D on its degree (`DOperator.image` over `DOperator.piece`).
     """
     if ss.max_page < 3:
         return 0, None
@@ -253,9 +253,9 @@ def check_d3_cup(ss: SpectralSequence) -> Check:
         if not reps:
             continue
         d_3 = ss.differential_matrix(3, p).columns()  # column j is d_3 of reps[j]
-        h3 = piece_rows(model, ss.H, 3, p)  # row i is H_3 ^ e_i
         for rep, d_rep in zip(reps, d_3):
-            if d_rep != ss.page_coords(3, p + 3, model.part_form(p + 3, combine(rep, h3))):
+            cup = model.part_form(p + 3, ss.op.image(p + 3, {p: rep}))  # H_3 ^ rep
+            if d_rep != ss.page_coords(3, p + 3, cup):
                 return checked, f"d_3 != cup on {model.name} at p={p}"
             checked += 1
     return checked, None

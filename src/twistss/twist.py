@@ -8,8 +8,9 @@ cohomology.
 
 Everything is built from the filtration K_p = forms of degree >= p:
 `BlockSpace` packs a range of degrees into one coordinate space, `DOperator`
-is the one D, applied to a form (`apply`) or assembled between degree ranges
-(`matrix`); each twist builds it once, in `TwistForm.operator`.
+is the one D: its pieces d and H_h ^ . (`piece`), applied to a form
+(`apply`) or assembled between degree ranges (`matrix`); each twist builds
+it once, in `TwistForm.operator`.
 `RelativeComplex` is the quotient K_a/K_b with the induced D, and the one
 owner of the cocycles and cohomology of every window K_w/K_b of it.
 Twisted cohomology is that of the whole complex K_0/K_{n+1}.
@@ -26,7 +27,6 @@ from .linalg import (
     QuotientSpace,
     SubspaceBasis,
     SVec,
-    ZERO,
     collect,
     kernel,
 )
@@ -174,45 +174,60 @@ class BlockSpace:
 
 
 class DOperator:
-    """The twisted differential assembled from graded blocks.
+    """The twisted differential D = d + H, by its pieces.
 
-    ``block(src, dst)`` is the matrix of the degree-(dst-src) piece of
-    D = d + H: the differential for dst == src+1 and wedging by the
-    degree-(dst-src) twist component otherwise.  ``matrix`` stacks the blocks
-    between two degree lists, which silently truncates whatever falls
-    outside the codomain; that is exactly the induced operator on a quotient
-    complex of the degree filtration.  Build it through `TwistForm.operator`.
+    ``piece(h, q)`` is the degree-h piece of D on the degree-q basis, one
+    sparse column per basis element: d for h = 1, read from the model, and
+    wedging by the twist component H_h otherwise, summed from the product
+    table (`wedge_basis`) on first use and kept; it is the one assembly of
+    D's pieces.  ``block(src, dst)`` is the matrix of the piece from src to
+    dst: the model's ``d_mat`` for d, and the piece's columns otherwise,
+    built on first use and kept.  ``matrix`` stacks the blocks between
+    two degree lists, which silently truncates whatever falls outside the
+    codomain; that is exactly the induced operator on a quotient complex of
+    the degree filtration.  ``image`` is one degree of D on a form given by
+    its parts.  Build it through `TwistForm.operator`.
     """
 
     def __init__(self, H: TwistForm):
-        model = H.model
-        self.model = model
+        self.model = H.model
         self.H = H
-        self._wedge_mats: dict[int, dict[int, Mat]] = {}
-        for h_deg, h_terms in H.components.items():
-            per_src = {}
-            for src in range(model.top_degree + 1):
-                dst = src + h_deg
-                if dst > model.top_degree or model.dim(src) == 0:
-                    continue
-                cols = []
-                for i in range(model.dim(src)):
-                    col: dict = {}
-                    for m, c in h_terms:
-                        for k, s in model.wedge_basis(h_deg, m, src, i):
-                            col[k] = col.get(k, ZERO) + c * s
-                    cols.append(collect(col))
-                per_src[src] = Mat.from_cols(cols, model.dim(dst))
-            self._wedge_mats[h_deg] = per_src
+        self._pieces: dict[tuple[int, int], tuple[SVec, ...]] = {}
+        # H_h's blocks by source degree, for each h of H, as they are built
+        self._blocks: dict[int, dict[int, Optional[Mat]]] = {h: {} for h in H.components}
+
+    def piece(self, h: int, q: int) -> tuple[SVec, ...]:
+        """Column i is the degree-h piece of D on the i-th basis element of
+        degree q, in degree q + h; () when the piece is structurally zero."""
+        if h == 1:
+            return self.model.d_columns(q)
+        cols = self._pieces.get((h, q))
+        if cols is None:
+            model, terms = self.model, self.H.components.get(h, ())
+            out = []
+            for i in range(model.dim(q) if terms and q + h <= model.top_degree else 0):
+                acc: dict = {}
+                for m, c in terms:
+                    for k, x in model.wedge_basis(h, m, q, i):
+                        y = c * x
+                        acc[k] = acc[k] + y if k in acc else y
+                out.append(collect(acc))
+            cols = self._pieces[h, q] = tuple(out)
+        return cols
 
     def block(self, src: int, dst: int) -> Optional[Mat]:
         """The (dst, src) block of D, or None when it is structurally zero."""
         if dst == src + 1:
             return self.model.d_mat(src)
-        shift = dst - src
-        if shift in self._wedge_mats:
-            return self._wedge_mats[shift].get(src)
-        return None
+        blocks = self._blocks.get(dst - src)
+        if blocks is None:
+            return None
+        try:
+            return blocks[src]
+        except KeyError:
+            cols = self.piece(dst - src, src)
+            b = blocks[src] = Mat.from_cols(cols, self.model.dim(dst)) if cols else None
+            return b
 
     def matrix(self, domain: BlockSpace, codomain: BlockSpace) -> Mat:
         """D from `domain` to `codomain`: each row joins the rows of the blocks
@@ -232,8 +247,22 @@ class DOperator:
         return Mat._exact(tuple(data), domain.total_dim)
 
     def apply(self, x: Form) -> Form:
-        """D x = d x + H wedge x, the one route for D on a form."""
+        """D x = d x + H wedge x, the one route for D on a `Form`."""
         return x.d() + self.H.form().wedge(x)
+
+    def image(self, q: int, parts: dict) -> SVec:
+        """The degree-q part of D on the form with these parts (degree ->
+        sparse vector): one sparse product of each part with its piece."""
+        acc: dict = {}
+        for h in (1, *self.H.degrees):
+            v = parts.get(q - h)
+            cols = self.piece(h, q - h) if v else ()
+            if cols:
+                for i, c in v:
+                    for k, x in cols[i]:
+                        y = c * x
+                        acc[k] = acc[k] + y if k in acc else y
+        return collect(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -85,5 +85,5 @@ def test_criterion_01_checks_d_squared_on_the_operator_blocks():
     block = op.block(9, 14)
     data = tuple(dense(r, block.cols) for r in block.sparse)
     assert op.model.labels[14] == ("a^v", "x^v") and data == ((1,), (0,))
-    op._wedge_mats[5][9] = Mat([sparse(data[0]), sparse((1 - data[1][0],))], cols=1)
+    op._blocks[5][9] = Mat([sparse(data[0]), sparse((1 - data[1][0],))], cols=1)
     assert CRITERIA[0][1](ws) == (False, "D^2 != 0 on cascade5")

@@ -4,6 +4,7 @@ from functools import partial
 
 import pytest
 from barcode_oracle import mismatches
+from test_massey import torus_model
 from test_spectral import odd_model
 
 from twistss import SpectralSequence, parse_twist
@@ -30,6 +31,8 @@ def barcode_cases():
         yield pytest.param(partial(_random_pair, seed), id=f"modelgen{seed}")
     yield pytest.param(partial(_pair, odd_model, 7, "g2 + g3"), id="odd7/g2 + g3")
     yield pytest.param(partial(_pair, odd_model, 8, "g3"), id="odd8/g3")
+    yield pytest.param(partial(_pair, odd_model, 8, "g2 + g3"), id="odd8/g2 + g3")
+    yield pytest.param(partial(_pair, torus_model, 10, "e1^e2^e3"), id="torus10/e1^e2^e3")
 
 
 @pytest.mark.parametrize("build", list(barcode_cases()))

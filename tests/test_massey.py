@@ -531,18 +531,35 @@ def test_closed_forms_come_from_the_cached_de_rham_space(monkeypatch, name, expr
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == golden[f"{name}/{expr}"]["json"]
 
 
-@pytest.mark.parametrize("name,expr", standard_pairs())
-def test_piece_rows_are_the_columns_of_the_engines_blocks(name, expr):
-    # the Massey checks build d and each H_h ^ . from the model's tables;
-    # row i is column i of the engine's block of D from degree q
-    m = bundled_model(name)
-    twist = parse_twist(m, expr)
+def piece_cases():
+    for name, expr in standard_pairs():
+        yield pytest.param(name, expr, id=f"{name}-{expr}")
+    for seed in range(10):
+        yield pytest.param("modelgen", seed, id=f"modelgen{seed}")
+
+
+@pytest.mark.parametrize("name,arg", list(piece_cases()))
+def test_piece_rows_are_the_columns_of_the_engines_blocks(name, arg):
+    # entry i of piece (h, q) is e_i.d() for h = 1 and H_h ^ e_i through
+    # CdgaModel.wedge otherwise, and block (q, q + h) has exactly those columns
+    if name == "modelgen":
+        m = random_model(arg)
+        twist = random_twist(m, arg)
+    else:
+        m = bundled_model(name)
+        twist = parse_twist(m, arg)
     op = twist.operator(m)
     for q in range(m.top_degree + 1):
+        unit = [m.part_form(q, ((i, Fraction(1)),)) for i in range(m.dim(q))]
         for h in (1, *twist.degrees):
-            block = op.block(q, q + h) if q + h <= m.top_degree else None
-            want = block.columns() if block is not None else ((),) * m.dim(q)
-            assert twistss.massey.piece_rows(m, twist, h, q) == want, (q, h)
+            if q + h > m.top_degree:
+                assert h == 1 or op.piece(h, q) == (), (q, h)
+                continue
+            H_h = twist.component_form(h)
+            want = tuple((e.d() if h == 1 else H_h.wedge(e)).part(q + h) for e in unit)
+            assert op.piece(h, q) == want, (q, h)
+            block = op.block(q, q + h)
+            assert (block.columns() if block is not None else ()) == want, (q, h)
 
 
 # -- the hoisted verification against the per-class oracle ------------------------------
@@ -818,7 +835,7 @@ def test_a_standard_shift_moves_the_cocycle_within_its_class():
     # not vacuous at chain level
     ss = make_ss("mixed5", "a + b")
     shift = twistss.massey._perturbing_shift(ss, 3, 1)
-    failure, c = twistss.massey._Pieces(ss.model, ss.H).last_column(shift.form.parts, 3, 5, 2, 3)
+    failure, c = twistss.massey._last_column(ss.op, shift.form.parts, 3, 5, 2, 3)
     target = ss.cell(5, 8)
     assert failure is None and c and target.dim
     assert target.project(c) == ()
@@ -828,7 +845,7 @@ def test_a_standard_shift_moves_the_cocycle_within_its_class():
 def test_a_shift_with_a_nonzero_class_fails_the_massey_verdict(monkeypatch):
     # make each shift's c(A) a nonzero class of the target cell: every class
     # of that column must fail defining-system independence
-    shift, last_column = twistss.massey._perturbing_shift, twistss.massey._Pieces.last_column
+    shift, last_column = twistss.massey._perturbing_shift, twistss.massey._last_column
     shifts, moved = [], []
 
     def recording(ss, p, t):
@@ -836,8 +853,8 @@ def test_a_shift_with_a_nonzero_class_fails_the_massey_verdict(monkeypatch):
         shifts.append((ss, zz))
         return zz
 
-    def nonzero(self, parts, p, r, step, size):
-        failure, c = last_column(self, parts, p, r, step, size)
+    def nonzero(op, parts, p, r, step, size):
+        failure, c = last_column(op, parts, p, r, step, size)
         for ss, zz in shifts:
             if zz is not None and parts is zz.form.parts and ss.cell(r, p + r).dim:
                 moved.append((p, r))
@@ -845,7 +862,7 @@ def test_a_shift_with_a_nonzero_class_fails_the_massey_verdict(monkeypatch):
         return failure, c
 
     monkeypatch.setattr(twistss.massey, "_perturbing_shift", recording)
-    monkeypatch.setattr(twistss.massey._Pieces, "last_column", nonzero)
+    monkeypatch.setattr(twistss.massey, "_last_column", nonzero)
     m = bundled_model("mixed5")
     report = run_analysis(m, parse_twist(m, "a + b"))
     assert moved == [(3, 5)]

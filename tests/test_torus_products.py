@@ -15,6 +15,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from barcode_oracle import mismatches
 
 from twistss import TwistForm, parse_twist
 from twistss.cdga import build_generator_model
@@ -72,6 +73,7 @@ def test_product_with_a_torus_has_the_shifted_sums(m, H, k):
     prod, HP = times_torus(m, H, k)
     rep = run_analysis(prod, HP)
     assert rep.all_pass
+    assert mismatches(rep, prod, HP) == []
     total = base.twisted_even + base.twisted_odd
     assert (rep.twisted_even, rep.twisted_odd) == (2 ** (k - 1) * total,) * 2
 
