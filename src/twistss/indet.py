@@ -27,6 +27,10 @@ through `twistss.twist.RelativeComplex.cocycles` and `.cohomology` with
 start = w: a suffix of one canonical kernel per (b, parity).  The Z_r
 oracle's K_0/K_{n+1} is the sequence's twisted complex
 (`SpectralSequence.twisted_cohomology`), whose kernels check the page totals.
+Each oracle maps vectors by combining columns of D, never by a matrix
+product: the connecting map combines D into degree p (`DOperator.columns`)
+by each cocycle row, once per column, and delta reads its columns off the
+whole complex (`RelativeComplex.columns`).
 No kernel is the engine's: the oracles eliminate their own D of K_0/K_b,
 on the twist's operator, and read neither the engine's zig-zag kernels nor
 the stored lifts whose images span its B_r.
@@ -42,12 +46,13 @@ from .linalg import (
     Mat,
     QuotientSpace,
     SubspaceBasis,
+    combine,
     kernel,
     preimage,
     span_in_quotient,
 )
 from .spectral import SpectralSequence
-from .twist import BlockSpace, DOperator, RelativeComplex, TwistForm
+from .twist import DOperator, RelativeComplex, TwistForm
 
 
 def _whole(op: DOperator, b: int, cache: dict) -> RelativeComplex:
@@ -74,11 +79,13 @@ def connecting_delta_bar(
     not of cohomology classes, which has the same image: a relative
     coboundary is D b + k with k in K_p, and (D(D b + k))_p = 0, since
     D D = 0 and D k lies in K_{p+1}.  That basis is the window
-    `whole.cocycles(parity, a)` of whole = K_0/K_p, and one product with the
-    matrix of D into degree p takes it to its images.  `sources` keeps whole
-    by ("K", p) and that matrix by ("to", p, parity) for reuse across calls
-    on the same (model, H), so every start a = max(0, p - r + 1) of a column
-    shares one kernel; the result is the same `Mat` with or without it.
+    `whole.cocycles(parity, a)` of whole = K_0/K_p, a suffix of the rows of
+    its kernel, so its images are the last `cocycles.dim` of the images of
+    all those rows: each row combines the columns of D into degree p.
+    `sources` keeps whole by ("K", p) and those images by ("images", p,
+    parity) for reuse across calls on the same (model, H), so every start
+    a = max(0, p - r + 1) of a column shares one kernel and one image list;
+    the result is the same `Mat` with or without it.
     """
     if r < 2:
         raise ValueError("connecting_delta_bar needs r >= 2")
@@ -94,9 +101,11 @@ def connecting_delta_bar(
     cocycles = whole.cocycles(parity, a)
     if not rows:
         return Mat.zeros(0, cocycles.dim)
-    if ("to", p, parity) not in sources:
-        sources[("to", p, parity)] = op.matrix(whole.space(parity), BlockSpace(model, [p]))
-    return sources[("to", p, parity)] @ cocycles.basis_matrix()
+    if ("images", p, parity) not in sources:
+        to_p = op.columns(whole.space(parity), p)
+        sources[("images", p, parity)] = [combine(z, to_p) for z in whole.cocycles(parity).sparse]
+    images = sources[("images", p, parity)]
+    return Mat.from_cols(images[len(images) - cocycles.dim :], rows)
 
 
 @dataclass(frozen=True)
@@ -186,9 +195,10 @@ def z_cell(
     complex whole = K_0/K_{n+1} (`whole.cohomology(parity, w)`), written in
     its coordinates, so a class of K_{p+r} is already a vector of K_{p+1}.
     `tower` keeps, for reuse across calls on the same (model, H), whole by
-    ("K", n + 1), which keeps its kernels and each window's cohomology, and,
-    since delta does not depend on r, the matrix of delta by ("delta", p):
-    once per column.
+    ("K", n + 1), which keeps its kernels, its columns of D and each
+    window's cohomology, and, since delta does not depend on r, the matrix
+    of delta by ("delta", p): once per column, projected from the degree-p
+    columns of whole's D.
     """
     if r < 2:
         raise ValueError("the cohomological description starts at r = 2")
@@ -206,8 +216,8 @@ def z_cell(
     h_next = whole.cohomology(parity, p + 1)
     if ("delta", p) not in tower:
         # column i is D of the i-th basis form, in the coordinates of K_0/K_{n+1}
-        packed = op.matrix(BlockSpace(model, [p]), whole.space(parity))
-        cols = [h_next.project(c) for c in packed.columns()]
+        o = whole.space(p).offsets[p]
+        cols = [h_next.project(c) for c in whole.columns(p)[o : o + dim_p]]
         tower[("delta", p)] = Mat.from_cols(cols, h_next.dim)
     delta = tower[("delta", p)]
     if p + r > n:

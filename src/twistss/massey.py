@@ -249,43 +249,27 @@ def related_cocycle(system: DefiningSystem) -> Form:
     return _bar_products(system, 1, system.size)
 
 
-def _entry_failure(system: DefiningSystem, cells: Sequence[tuple[int, int]]) -> Optional[str]:
-    """The first violated condition among `cells`, as `validate_defining_system` names it.
+def validate_defining_system(system: DefiningSystem) -> Form:
+    """Check the degree, diagonal and differential conditions; return c(A).
 
-    Every degree condition comes first, in the order of `cells`, then every
-    differential condition (off the diagonal) in the same order.
+    Raises `DefiningSystemError` naming the first violated entry: every
+    degree condition comes first, row by row, then every differential
+    condition (off the diagonal) in the same order, then c(A)'s closedness.
     """
+    n = system.size
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1) if (i, j) != (1, n)]
     for (i, j) in cells:
         a = system.entry(i, j)
         want = system.slot_degree(i, j)
         if not a.is_zero and (not a.is_homogeneous or a.degree != want):
-            return f"entry ({i},{j}) has degree {a.degrees}, expected {want}"
+            raise DefiningSystemError(f"entry ({i},{j}) has degree {a.degrees}, expected {want}")
     for (i, j) in cells:
-        if i == j:
-            continue
-        if system.entry(i, j).d() != _bar_products(system, i, j):
-            return f"differential condition fails at entry ({i},{j})"
-    return None
-
-
-def _closed_cocycle(system: DefiningSystem) -> Form:
+        if i != j and system.entry(i, j).d() != _bar_products(system, i, j):
+            raise DefiningSystemError(f"differential condition fails at entry ({i},{j})")
     c = related_cocycle(system)
     if not c.d().is_zero:
         raise DefiningSystemError("related cocycle is not closed")
     return c
-
-
-def validate_defining_system(system: DefiningSystem) -> Form:
-    """Check the degree, diagonal and differential conditions; return c(A).
-
-    Raises `DefiningSystemError` naming the first violated entry.
-    """
-    n = system.size
-    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1) if (i, j) != (1, n)]
-    failure = _entry_failure(system, cells)
-    if failure:
-        raise DefiningSystemError(failure)
-    return _closed_cocycle(system)
 
 
 def specific_element(system: DefiningSystem, c: Form) -> tuple[int, SVec]:

@@ -25,8 +25,9 @@ of the lifts) and built once.
 Lifts are read off the Z_r kernel, which stores each basis vector with its
 zero-free-variable tail as one sparse lift, so lifting succeeds exactly when
 the class survives and the result is deterministic.  A coset representative
-of a cell is a row of Z_r's basis, so its lift is stored, and the matrix of
-d_r is one product of the matrix of D into degree p+r with those lifts.
+of a cell is a row of Z_r's basis, so its lift is stored, and d_r maps it
+by combining the columns of D into degree p+r (`DOperator.columns`) by that
+lift, as B_r does with the lifts that span it; no matrix is transposed.
 The Massey checks read their zig-zags off the same lifts (`class_lifts`);
 the tests' `lift_oracle` solves the same systems, recomputes d_r from
 per-representative lifts and B_r from one boundary kernel per column.
@@ -225,9 +226,8 @@ class SpectralSequence:
         lifts = self._zigzags(self._cycle_key(start, p - start))[1]
         if not lifts:
             return rest
-        to_p = self.op.matrix(self._lift_space(start), BlockSpace(self.model, [p]))
-        images = (to_p @ Mat.from_cols(lifts, to_p.cols)).columns()
-        return SubspaceBasis.span(dim_p, [*rest.sparse, *images])
+        to_p = self.op.columns(self._lift_space(start), p)
+        return SubspaceBasis.span(dim_p, [*rest.sparse, *(combine(lam, to_p) for lam in lifts)])
 
     def cycles(self, r: int, p: int) -> SubspaceBasis:
         """Z_r at column p: leading terms of zig-zags of reach r."""
@@ -311,8 +311,8 @@ class SpectralSequence:
         """d_r as a matrix from the cell at p to the cell at p+r (even q).
 
         Each coset representative is a row of Z_r's basis, whose lift is
-        stored with it; one product with the matrix of D into degree p + r
-        maps those lifts, and the target cell projects the images.
+        stored with it; the columns of D into degree p + r, combined by each
+        lift, map it, and the target cell projects the images.
         """
         self.check_page(r)
         key = (r, p)
@@ -322,10 +322,9 @@ class SpectralSequence:
             if tgt.dim == 0 or src.dim == 0:
                 self._dmats[key] = Mat.zeros(tgt.dim, src.dim)
             else:
-                to_target = self.op.matrix(self._lift_space(p), BlockSpace(self.model, [p + r]))
-                reps = self._rep_lifts(r, p, src)
-                images = (to_target @ Mat.from_cols(reps, to_target.cols)).columns()
-                self._dmats[key] = Mat.from_cols([tgt.project(y) for y in images], tgt.dim)
+                to_target = self.op.columns(self._lift_space(p), p + r)
+                images = [tgt.project(combine(lam, to_target)) for lam in self._rep_lifts(r, p, src)]
+                self._dmats[key] = Mat.from_cols(images, tgt.dim)
         return self._dmats[key]
 
     def differential(self, r: int, x_p: Form) -> PageClass:

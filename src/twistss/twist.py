@@ -8,9 +8,10 @@ cohomology.
 
 Everything is built from the filtration K_p = forms of degree >= p:
 `BlockSpace` packs a range of degrees into one coordinate space, `DOperator`
-is the one D: its pieces d and H_h ^ . (`piece`), applied to a form
-(`apply`) or assembled between degree ranges (`matrix`); each twist builds
-it once, in `TwistForm.operator`.
+is the one D, held once as the columns of its pieces d and H_h ^ .
+(`piece`): applied to a form (`apply`), read into one degree (`columns`) or
+laid out as rows between degree ranges (`matrix`); each twist builds it
+once, in `TwistForm.operator`.
 `RelativeComplex` is the quotient K_a/K_b with the induced D, and the one
 owner of the cocycles and cohomology of every window K_w/K_b of it.
 Twisted cohomology is that of the whole complex K_0/K_{n+1}.
@@ -174,27 +175,25 @@ class BlockSpace:
 
 
 class DOperator:
-    """The twisted differential D = d + H, by its pieces.
+    """The twisted differential D = d + H, held once as its pieces' columns.
 
     ``piece(h, q)`` is the degree-h piece of D on the degree-q basis, one
     sparse column per basis element: d for h = 1, read from the model, and
     wedging by the twist component H_h otherwise, summed from the product
     table (`wedge_basis`) on first use and kept; it is the one assembly of
-    D's pieces.  ``block(src, dst)`` is the matrix of the piece from src to
-    dst: the model's ``d_mat`` for d, and the piece's columns otherwise,
-    built on first use and kept.  ``matrix`` stacks the blocks between
-    two degree lists, which silently truncates whatever falls outside the
-    codomain; that is exactly the induced operator on a quotient complex of
-    the degree filtration.  ``image`` is one degree of D on a form given by
-    its parts.  Build it through `TwistForm.operator`.
+    D's pieces and `_pieces` its one cache.  ``columns(domain, q)`` is D
+    from a degree list into degree q, column by column; ``matrix`` lays the
+    columns between two degree lists out as rows, which silently truncates
+    whatever falls outside the codomain; that is exactly the induced
+    operator on a quotient complex of the degree filtration.  ``image`` is
+    one degree of D on a form given by its parts.  Build it through
+    `TwistForm.operator`.
     """
 
     def __init__(self, H: TwistForm):
         self.model = H.model
         self.H = H
         self._pieces: dict[tuple[int, int], tuple[SVec, ...]] = {}
-        # H_h's blocks by source degree, for each h of H, as they are built
-        self._blocks: dict[int, dict[int, Optional[Mat]]] = {h: {} for h in H.components}
 
     def piece(self, h: int, q: int) -> tuple[SVec, ...]:
         """Column i is the degree-h piece of D on the i-th basis element of
@@ -215,36 +214,31 @@ class DOperator:
             cols = self._pieces[h, q] = tuple(out)
         return cols
 
-    def block(self, src: int, dst: int) -> Optional[Mat]:
-        """The (dst, src) block of D, or None when it is structurally zero."""
-        if dst == src + 1:
-            return self.model.d_mat(src)
-        blocks = self._blocks.get(dst - src)
-        if blocks is None:
-            return None
-        try:
-            return blocks[src]
-        except KeyError:
-            cols = self.piece(dst - src, src)
-            b = blocks[src] = Mat.from_cols(cols, self.model.dim(dst)) if cols else None
-            return b
+    def columns(self, domain: BlockSpace, q: int) -> tuple[SVec, ...]:
+        """Column j is the degree-q part of D on the j-th coordinate of
+        `domain`: each degree's piece into q, zero columns where it has none."""
+        shifts = (1, *self.H.degrees)
+        out: list = []
+        for src in domain.degrees:  # offsets ascend in this order
+            cols = self.piece(q - src, src) if q - src in shifts else ()
+            out.extend(cols or ((),) * self.model.dim(src))
+        return tuple(out)
 
     def matrix(self, domain: BlockSpace, codomain: BlockSpace) -> Mat:
-        """D from `domain` to `codomain`: each row joins the rows of the blocks
-        that exist, shifted to their offsets."""
-        data = []
-        for dst in codomain.degrees:
-            blocks = [
-                (domain.offsets[src], b.sparse)
-                for src in domain.degrees  # offsets ascend in this order
-                if src < dst and (b := self.block(src, dst)) is not None
-            ]
-            for r in range(self.model.dim(dst)):
-                row: list = []
-                for o, rows in blocks:
-                    row.extend(((o + j, x) for j, x in rows[r]) if o else rows[r])
-                data.append(tuple(row))
-        return Mat._exact(tuple(data), domain.total_dim)
+        """D from `domain` to `codomain`, its pieces' columns laid out as
+        rows in one pass over their nonzeros."""
+        rows = {q: [[] for _ in range(self.model.dim(q))] for q in codomain.degrees}
+        for src in domain.degrees:  # offsets ascend, so every row stays sorted
+            o = domain.offsets[src]
+            for h in (1, *self.H.degrees):
+                into = rows.get(src + h)
+                if into is not None:
+                    for i, col in enumerate(self.piece(h, src), o):
+                        for k, x in col:
+                            into[k].append((i, x))
+        return Mat._exact(
+            tuple(tuple(row) for q in codomain.degrees for row in rows[q]), domain.total_dim
+        )
 
     def apply(self, x: Form) -> Form:
         """D x = d x + H wedge x, the one route for D on a `Form`."""
@@ -314,6 +308,13 @@ class RelativeComplex:
             self._d[parity] = self.op.matrix(self.spaces[parity], self.spaces[1 - parity])
         return self._d[parity]
 
+    def columns(self, parity: int) -> tuple[SVec, ...]:
+        """D of each coordinate of the parity's space, in the other parity's."""
+        parity %= 2
+        if parity not in self._cols:
+            self._cols[parity] = self.d(parity).columns()
+        return self._cols[parity]
+
     def _offset(self, parity: int, start: int) -> int:
         """The first coordinate of degree >= start in the parity's space."""
         if not (self.a <= start < self.b):
@@ -335,9 +336,7 @@ class RelativeComplex:
         parity, start = parity % 2, self.a if start is None else start
         if (parity, start) not in self._cohom:
             z = self.cocycles(parity, start)
-            if 1 - parity not in self._cols:
-                self._cols[1 - parity] = self.d(1 - parity).columns()
-            cols = self._cols[1 - parity][self._offset(1 - parity, start) :]
+            cols = self.columns(1 - parity)[self._offset(1 - parity, start) :]
             self._cohom[parity, start] = QuotientSpace(z, SubspaceBasis.span(z.ambient_dim, cols))
         return self._cohom[parity, start]
 

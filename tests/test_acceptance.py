@@ -11,7 +11,7 @@ detail line for the seed-0 workspace, so the counts in it cannot drift.
 
 import pytest
 
-from twistss.linalg import Mat, dense, sparse
+from twistss.linalg import dense, sparse
 from twistss.selftest import CRITERIA, Workspace
 
 
@@ -77,13 +77,13 @@ def test_criterion_12_page_construction_agreement(workspace):
 
 
 def test_criterion_01_checks_d_squared_on_the_operator_blocks():
-    # Flip the x^v entry of D's wedge-by-a block on v (degree 9 to 14) in
-    # cascade5: then a ^ (a^v + x^v) = a^x^v, so D o D != 0 on the block
-    # matrices the engine uses, while D applied to forms is unchanged.
+    # Flip the x^v entry of D's wedge-by-a piece on v (degree 9 to 14) in
+    # cascade5: then a ^ (a^v + x^v) = a^x^v, so D o D != 0 on the piece
+    # columns the engine uses, while D applied to forms is unchanged.
     ws = Workspace(seed=0)
     op = ws.ss("cascade5", "a").op
-    block = op.block(9, 14)
-    data = tuple(dense(r, block.cols) for r in block.sparse)
-    assert op.model.labels[14] == ("a^v", "x^v") and data == ((1,), (0,))
-    op._blocks[5][9] = Mat([sparse(data[0]), sparse((1 - data[1][0],))], cols=1)
+    (col,) = op.piece(5, 9)
+    data = dense(col, op.model.dim(14))
+    assert op.model.labels[14] == ("a^v", "x^v") and data == (1, 0)
+    op._pieces[5, 9] = (sparse((data[0], 1 - data[1])),)
     assert CRITERIA[0][1](ws) == (False, "D^2 != 0 on cascade5")

@@ -37,6 +37,7 @@ def test_tracer_counts_indeterminacy_and_operator_layers():
     assert tracer.calls["indet.subgroup"] > 0
     assert tracer.calls["indet.relcomplex"] > 0
     assert tracer.calls["twist.doperator"] > 0
+    assert tracer.calls["twist.matrix"] > 0
     # the spectral spans: lifts, d_r matrices, the page precompute and cells
     for key in ("spectral.lift", "spectral.dmat", "spectral.precompute", "spectral.cell"):
         assert tracer.calls[key] > 0, key

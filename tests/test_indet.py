@@ -202,19 +202,24 @@ def test_delta_bar_shares_one_kernel_and_one_map_per_column(monkeypatch):
     # at most once per (p, parity)
     from twistss import twist
 
-    built, kernels = {}, []
-    matrix, kernel_of = DOperator.matrix, twist.kernel
+    built, kernels, into_p = {}, [], []
+    matrix, columns, kernel_of = DOperator.matrix, DOperator.columns, twist.kernel
 
     def recording_matrix(op, domain, codomain):
         out = matrix(op, domain, codomain)
         built[id(out)] = (domain.degrees, codomain.degrees)
         return out
 
+    def recording_columns(op, domain, q):
+        into_p.append((domain.degrees, q))
+        return columns(op, domain, q)
+
     def recording_kernel(mat):
         kernels.append(built.pop(id(mat)))
         return kernel_of(mat)
 
     monkeypatch.setattr(DOperator, "matrix", recording_matrix)
+    monkeypatch.setattr(DOperator, "columns", recording_columns)
     monkeypatch.setattr(twist, "kernel", recording_kernel)
     m, H = make_pair("mixed5", "a + b")
     n, sources = m.top_degree, {}
@@ -228,10 +233,11 @@ def test_delta_bar_shares_one_kernel_and_one_map_per_column(monkeypatch):
         for parity in (0, 1)
     ]
     assert sorted(kernels) == sorted(whole)
-    # every other matrix is D into one degree p from the source parity of K_0/K_p
-    into_p = sorted(built.values())
+    # every matrix is a whole D, and every other read of D is its columns
+    # into one degree p from the source parity of K_0/K_p
+    assert not built
     assert into_p and len(into_p) == len(set(into_p))
-    assert all(dom == tuple(range((p - 1) % 2, p, 2)) for dom, (p,) in into_p)
+    assert all(dom == tuple(range((p - 1) % 2, p, 2)) for dom, p in into_p)
 
 
 def window_delta_bar(m, H, p, r, parity):

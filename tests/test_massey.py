@@ -541,7 +541,8 @@ def piece_cases():
 @pytest.mark.parametrize("name,arg", list(piece_cases()))
 def test_piece_rows_are_the_columns_of_the_engines_blocks(name, arg):
     # entry i of piece (h, q) is e_i.d() for h = 1 and H_h ^ e_i through
-    # CdgaModel.wedge otherwise, and block (q, q + h) has exactly those columns
+    # CdgaModel.wedge otherwise, and D from degree q into q + h has exactly
+    # those columns, read as columns and as the matrix's columns
     if name == "modelgen":
         m = random_model(arg)
         twist = random_twist(m, arg)
@@ -558,8 +559,9 @@ def test_piece_rows_are_the_columns_of_the_engines_blocks(name, arg):
             H_h = twist.component_form(h)
             want = tuple((e.d() if h == 1 else H_h.wedge(e)).part(q + h) for e in unit)
             assert op.piece(h, q) == want, (q, h)
-            block = op.block(q, q + h)
-            assert (block.columns() if block is not None else ()) == want, (q, h)
+            space = BlockSpace(m, [q])
+            assert op.columns(space, q + h) == want, (q, h)
+            assert op.matrix(space, BlockSpace(m, [q + h])).columns() == want, (q, h)
 
 
 # -- the hoisted verification against the per-class oracle ------------------------------

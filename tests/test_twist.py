@@ -15,7 +15,7 @@ from twistss import (
     twisted_cohomology,
 )
 from twistss.cdga import Form
-from twistss.linalg import ZERO, Mat, dense, sparse
+from twistss.linalg import Mat, dense, sparse
 from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model, model_names, standard_pairs
 from twistss.report import run_analysis
@@ -204,16 +204,15 @@ def test_cohomologous_twists_same_dims():
 
 
 def dense_matrix(op, domain, codomain):
-    """D between two degree lists, every block visited and the missing ones padded."""
-    data = []
-    for dst in codomain.degrees:
-        blocks = [(src, op.block(src, dst)) for src in domain.degrees]
-        for r in range(op.model.dim(dst)):
-            row = []
-            for src, b in blocks:
-                row.extend((ZERO,) * op.model.dim(src) if b is None else dense(b.sparse[r], b.cols))
-            data.append(sparse(row))
-    return Mat(data, cols=domain.total_dim)
+    """D between two degree lists by the `Form` route: column j is `op.apply`
+    on the j-th basis form of `domain`, packed into `codomain`."""
+    m = op.model
+    cols = [
+        dense(codomain.pack(op.apply(m.part_form(p, ((i, Fraction(1)),)))), codomain.total_dim)
+        for p in domain.degrees
+        for i in range(m.dim(p))
+    ]
+    return Mat([sparse(tuple(c[k] for c in cols)) for k in range(codomain.total_dim)], cols=domain.total_dim)
 
 
 @pytest.mark.parametrize(
@@ -227,9 +226,9 @@ def dense_matrix(op, domain, codomain):
     ],
 )
 def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
-    # every degree list an analysis assembles: the relative complexes, the
-    # cycle kernels, and D of the stored lifts into one degree (for d_r and
-    # B_r); cascade7 has many empty degrees
+    # every degree list an analysis assembles: the relative complexes and the
+    # cycle kernels as matrices, and D of the stored lifts into one degree
+    # (for d_r and B_r) as columns; cascade7 has many empty degrees
     m = bundled_model(name)
     H = parse_twist(m, expr)
     shapes = set()
@@ -238,8 +237,13 @@ def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
         shapes.add((domain.degrees, codomain.degrees))
         return assemble(op, domain, codomain)
 
-    assemble = DOperator.matrix
+    def recording_columns(op, domain, q):
+        shapes.add((domain.degrees, (q,)))
+        return columns(op, domain, q)
+
+    assemble, columns = DOperator.matrix, DOperator.columns
     monkeypatch.setattr(DOperator, "matrix", recording)
+    monkeypatch.setattr(DOperator, "columns", recording_columns)
     run_analysis(m, H)
     monkeypatch.undo()
     op = H.operator(m)
@@ -248,6 +252,8 @@ def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
         dom, cod = BlockSpace(m, dom_degs), BlockSpace(m, cod_degs)
         got = op.matrix(dom, cod)
         assert got == dense_matrix(op, dom, cod)
+        if len(cod_degs) == 1:
+            assert op.columns(dom, cod_degs[0]) == got.columns()
         assert (got.rows, got.cols) == (cod.total_dim, dom.total_dim)
         assert all(type(x) is Fraction for row in got.sparse for x in dense(row, got.cols))
         for row in got.sparse:  # the stored rows: sorted, in range, exact and nonzero
