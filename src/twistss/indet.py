@@ -87,6 +87,12 @@ def connecting_delta_bar(
     a = max(0, p - r + 1) of a column shares one kernel and one image list;
     the result is the same `Mat` with or without it.
     """
+    rows, columns = _delta_bar_columns(model, H, p, r, parity, sources)
+    return Mat.from_cols(columns, rows)
+
+
+def _delta_bar_columns(model: CdgaModel, H: TwistForm, p: int, r: int, parity: int, sources: Optional[dict]) -> tuple:
+    """The row count of `connecting_delta_bar` and its sparse columns."""
     if r < 2:
         raise ValueError("connecting_delta_bar needs r >= 2")
     if not (0 <= p <= model.top_degree):
@@ -95,17 +101,17 @@ def connecting_delta_bar(
     rows = model.dim(p) if (parity + 1) % 2 == p % 2 else 0
     a = max(0, p - r + 1)
     if a == p:  # the source complex K_p/K_p is zero
-        return Mat.zeros(rows, 0)
+        return rows, []
     sources = {} if sources is None else sources
     whole = _whole(op, p, sources)
     cocycles = whole.cocycles(parity, a)
     if not rows:
-        return Mat.zeros(0, cocycles.dim)
+        return 0, [()] * cocycles.dim
     if ("images", p, parity) not in sources:
         to_p = op.columns(whole.space(parity), p)
         sources[("images", p, parity)] = [combine(z, to_p) for z in whole.cocycles(parity).sparse]
     images = sources[("images", p, parity)]
-    return Mat.from_cols(images[len(images) - cocycles.dim :], rows)
+    return rows, images[len(images) - cocycles.dim :]
 
 
 @dataclass(frozen=True)

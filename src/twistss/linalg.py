@@ -11,7 +11,7 @@ nonzero coordinates, sorted by index, the layout of a `Form`'s parts and the
 one vector layout in and out of the API (`sparse` and `dense` convert from
 and to dense tuples).  A `Mat` holds its rows and a `SubspaceBasis` its
 basis in that layout, and every routine here walks only the stored pairs:
-`rref` finds pivots by each row's leading column (its first pair) and
+`Echelon` finds pivots by each row's leading column (its first pair) and
 eliminates by adding sparse rows, and `Mat.apply`, `@` and the subspace
 reductions touch only nonzeros.  Matrices act on column vectors: a `Mat`
 with shape (rows, cols) is a linear map Q^cols -> Q^rows.  All values are
@@ -19,14 +19,17 @@ immutable once built.  Values are checked and coerced to `Fraction` once,
 where they enter (`checked`, run by `Mat(...)` and the `Form` constructor);
 the routines take exact sparse vectors and do not check them again.
 
-Each kernel costs one elimination.  Eliminating m with its columns reversed
-puts every null vector's leading 1 on its own free column with zeros at the
-other free columns, so the null vectors come out as the canonical RREF of
-the kernel (the proof is in `kernel`); `preimage` keeps a prefix of them.
+There is one elimination, `Echelon`, which grows by rows and reads its RREF
+and kernel at any point; `rref` and `kernel` are its one-shot uses.
+Eliminating m with its columns reversed puts every null vector's leading 1
+on its own free column with zeros at the other free columns, so the null
+vectors come out as the canonical RREF of the kernel (the proof is in
+`Echelon.kernel`); `preimage` keeps a prefix of them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -206,7 +209,7 @@ class Mat:
         return not any(self.sparse)
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        return 0 if self.is_zero() else len(rref(self)[1])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat) and self.cols == other.cols and self.sparse == other.sparse
@@ -218,45 +221,91 @@ class Mat:
         return f"Mat({self.rows}x{self.cols})"
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row-echelon form and the pivot columns, fully canonical.
+class Echelon:
+    """A row space grown by forward elimination and read in canonical form.
 
-    A row's leading column is its first pair.  Each row in turn loses its
-    leading entry against the pivot row of that column, until it leads in a
-    new column, is scaled to a leading 1 and becomes that column's pivot
-    row.  Then, from the last pivot back, each pivot row subtracts the
-    already reduced pivot rows at its other pivot columns; those add
-    entries only at non-pivot columns, so one pass leaves every pivot
-    column zero outside its own row.  The RREF of a row space is unique, so
-    this is the matrix the column-by-column elimination gives.
+    `add` reduces each row's leading entry (its first pair) against the pivot
+    row of that column until it is zero or leads in a new column, where it
+    becomes the pivot row, scaled to a leading 1.  `rref` back-substitutes
+    from the last pivot: each pivot row subtracts the reduced pivot rows at
+    its other pivots, adding entries only at non-pivot columns.  The reduced
+    rows stay as the pivot rows, so rows can be added after a read; the RREF
+    is unique, so a read does not depend on how the rows arrived.
     """
-    pivot_rows: dict[int, SVec] = {}
-    for row in m.sparse:
-        while row:
-            c, f = row[0]
-            prow = pivot_rows.get(c)
-            if prow is None:
-                if f != 1:
-                    row = tuple((j, x / f) for j, x in row)
-                pivot_rows[c] = row
-                break
-            acc = dict(row[1:])  # the leading entries cancel
-            _subtract(acc, f, prow[1:])
-            row = collect(acc)
-    pivots = tuple(sorted(pivot_rows))
-    out = []
-    for c in reversed(pivots):
-        row = pivot_rows[c]
-        hits = [(pivot_rows[j], x) for j, x in row[1:] if j in pivot_rows]
-        if hits:
-            acc = dict(row)
-            for prow, x in hits:
-                del acc[prow[0][0]]  # x times prow's leading 1 cancels it
-                _subtract(acc, x, prow[1:])
-            row = pivot_rows[c] = collect(acc)
-        out.append(row)
-    out.reverse()
-    return Mat._exact(tuple(out) + ((),) * (m.rows - len(out)), m.cols), pivots
+
+    __slots__ = ("cols", "_pivot_rows")
+
+    def __init__(self, cols: int):
+        self.cols = cols
+        self._pivot_rows: dict[int, SVec] = {}
+
+    def add(self, rows: Iterable[SVec]) -> bool:
+        """Eliminate exact sparse rows forward; True if one of them made a new pivot."""
+        pivot_rows = self._pivot_rows
+        before = len(pivot_rows)
+        for row in rows:
+            while row:
+                c, f = row[0]
+                prow = pivot_rows.get(c)
+                if prow is None:
+                    if f != 1:
+                        row = tuple((j, x / f) for j, x in row)
+                    pivot_rows[c] = row
+                    break
+                acc = dict(row[1:])  # the leading entries cancel
+                _subtract(acc, f, prow[1:])
+                row = collect(acc)
+        return len(pivot_rows) > before
+
+    def rref(self) -> tuple[tuple[SVec, ...], tuple[int, ...]]:
+        """The nonzero rows of the RREF and their pivot columns, ascending."""
+        pivot_rows = self._pivot_rows
+        pivots = tuple(sorted(pivot_rows))
+        for c in reversed(pivots):
+            row = pivot_rows[c]
+            hits = [(pivot_rows[j], x) for j, x in row[1:] if j in pivot_rows]
+            if hits:
+                acc = dict(row)
+                for prow, x in hits:
+                    del acc[prow[0][0]]  # x times prow's leading 1 cancels it
+                    _subtract(acc, x, prow[1:])
+                pivot_rows[c] = collect(acc)
+        return tuple(map(pivot_rows.__getitem__, pivots)), pivots
+
+    def kernel(self, below: Optional[int] = None) -> "SubspaceBasis":
+        """Null space of the rows with column c put back at n-1-c, canonicalized;
+        with `below`, only the prefix of its basis rows that pivot below it.
+
+        The null vector of a free column c is 1 at c, minus the RREF's
+        column c at the pivots left of c, and 0 elsewhere.  Mapped back, its
+        first nonzero entry is that 1, at its own free column f = n-1-c, and
+        it is 0 at every other free column, since its other nonzero entries
+        sit at pivots right of f.  Sorted by f, the null vectors are
+        therefore already the RREF of the null space, which is unique, so no
+        second elimination is needed.
+        """
+        n = self.cols
+        low = n - (n if below is None else below)  # f < below is c >= low
+        rows, pivots = self.rref()
+        at: dict[int, list] = {}  # the RREF's column c >= low at the pivots, by c
+        for row, p in zip(rows, pivots):
+            for c, x in row[max(1, bisect_left(row, (low,))) if low else 1 :]:
+                at.setdefault(c, []).append((n - 1 - p, -x))
+        out, free = [], []
+        for c in range(n - 1, low - 1, -1):  # ascending f = n-1-c
+            if c not in self._pivot_rows:
+                out.append(((n - 1 - c, ONE),) + tuple(reversed(at.get(c, ()))))
+                free.append(n - 1 - c)
+        return SubspaceBasis(n, tuple(out), tuple(free))
+
+
+def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row-echelon form and the pivot columns, fully canonical: one
+    `Echelon` fed every row of m."""
+    e = Echelon(m.cols)
+    e.add(m.sparse)
+    rows, pivots = e.rref()
+    return Mat._exact(rows + ((),) * (m.rows - len(rows)), m.cols), pivots
 
 
 class SubspaceBasis:
@@ -348,38 +397,12 @@ class SubspaceBasis:
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient_dim})"
 
 
-def _reversed_row(row: SVec, n: int) -> SVec:
-    """The row with column c moved to n - 1 - c."""
-    return tuple((n - 1 - j, x) for j, x in reversed(row))
-
-
 def kernel(m: Mat) -> SubspaceBasis:
-    """Null space of m, canonicalized, from one elimination.
-
-    m is eliminated with its columns reversed, so column f of m becomes
-    column c = n-1-f.  The null vector of a free column c is 1 at c, minus
-    the RREF's column c at the pivots left of c, and 0 elsewhere.  Mapped
-    back, its first nonzero entry is that 1, at its own free column f, and
-    it is 0 at every other free column, since its other nonzero entries sit
-    at pivots right of f.  Sorted by f, the null vectors are therefore
-    already the RREF of ker m (each leads with a 1 where every other row is
-    0), which is unique, so no second elimination is needed.
-    """
-    n = m.cols
-    r, pivots = rref(Mat._exact(tuple(_reversed_row(row, n) for row in m.sparse), n))
-    # the RREF's column c at the pivots, by c; a pivot row holds only columns past its pivot
-    at: dict[int, list] = {}
-    for row, p in zip(r.sparse, pivots):
-        for c, x in row[1:]:
-            at.setdefault(c, []).append((n - 1 - p, -x))
-    pivset = set(pivots)
-    rows, free = [], []
-    for c in range(n - 1, -1, -1):  # ascending f = n-1-c
-        if c not in pivset:
-            f = n - 1 - c
-            rows.append(((f, ONE),) + tuple(reversed(at.get(c, ()))))
-            free.append(f)
-    return SubspaceBasis(n, tuple(rows), tuple(free))
+    """Null space of m, canonicalized, from one elimination: an `Echelon`
+    fed m's rows with their columns reversed."""
+    e, n = Echelon(m.cols), m.cols
+    e.add(tuple((n - 1 - j, x) for j, x in reversed(row)) for row in m.sparse)
+    return e.kernel()
 
 
 def image(m: Mat) -> SubspaceBasis:
@@ -438,7 +461,7 @@ class QuotientSpace:
     v lies in B.  ``sparse_reps`` holds them as sparse vectors.
     """
 
-    __slots__ = ("ambient", "sub", "sparse_reps", "_rep_index")
+    __slots__ = ("ambient", "sub", "sparse_reps", "_rep_index", "dim")
 
     def __init__(self, ambient: SubspaceBasis, sub: SubspaceBasis):
         if ambient.ambient_dim != sub.ambient_dim:
@@ -451,10 +474,7 @@ class QuotientSpace:
         reps = [(row, p) for row, p in zip(ambient.sparse, ambient.pivots) if p not in subpiv]
         self.sparse_reps = tuple(row for row, _ in reps)
         self._rep_index = {p: k for k, (_, p) in enumerate(reps)}  # rep pivot -> class coordinate
-
-    @property
-    def dim(self) -> int:
-        return self.ambient.dim - self.sub.dim
+        self.dim = ambient.dim - sub.dim
 
     @property
     def ambient_dim(self) -> int:

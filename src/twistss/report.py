@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cdga import CdgaModel
-from .indet import connecting_delta_bar, indeterminacy_subgroup, page_agreement
-from .linalg import image
+from .indet import _delta_bar_columns, indeterminacy_subgroup, page_agreement
+from .linalg import SubspaceBasis
 from .massey import ClassCheck, verify_main_theorems
 from .spectral import SpectralSequence
 from .twist import TwistForm
@@ -330,7 +330,7 @@ def check_indeterminacy(ss: SpectralSequence) -> list[Check]:
     for r, p in ((r, p) for r in range(3, ss.max_page + 1) for p in range(ss.n + 1)):
         key = (p, max(0, p - r + 1))
         if key not in images:
-            images[key] = image(connecting_delta_bar(ss.model, ss.H, p, r, (p - 1) % 2, sources))
+            images[key] = SubspaceBasis.span(*_delta_bar_columns(ss.model, ss.H, p, r, (p - 1) % 2, sources))
         if images[key] != ss.boundaries(r, p):
             mismatch = f"connecting image differs from B_{r} on {ss.model.name} at p={p}"
             break

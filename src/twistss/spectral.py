@@ -11,7 +11,7 @@ are realized directly at chain level:
   above, by parity), such a w is a combination of the stored lifts of Z at
   column a with conditions below p, up to an element of K_{a+2}; so B_r
   spans D of those lifts for a, a + 2, ... below p, and the engine
-  eliminates only in its Z kernels;
+  eliminates only for its Z kernels;
 * the cell E_r^{p,q} is Z_r / B_r with canonical echelon representatives.
 
 D = d + H^ has only odd-degree pieces, so the pages pair up: Z_r's
@@ -20,7 +20,9 @@ at a = max(0, p-r+1) or a+1, whichever parity lands in degree p.  Pages 2k
 and 2k+1 therefore have the same Z, the same B and the same cell (d_{2k} = 0,
 E_{2k+1} = E_{2k}), and so does every page past a column's stable point.
 Each object is cached by what it depends on (the condition list, the start
-of the lifts) and built once.
+of the lifts) and built once, and a cell is read through its page's list.  The
+Z kernels of a column share one growing elimination: each key adds one
+condition degree's rows to the column's `Echelon`.
 
 Lifts are read off the Z_r kernel, which stores each basis vector with its
 zero-free-variable tail as one sparse lift, so lifting succeeds exactly when
@@ -43,14 +45,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cdga import CdgaModel, Form
-from .linalg import (
-    Mat,
-    QuotientSpace,
-    SubspaceBasis,
-    SVec,
-    combine,
-    kernel,
-)
+from .linalg import Echelon, Mat, QuotientSpace, SubspaceBasis, SVec, combine
 from .twist import BlockSpace, TwistedCohomology, TwistForm, twisted_cohomology
 
 
@@ -58,6 +53,12 @@ def _flip_tail(row: SVec, h: int, n: int) -> SVec:
     """The row with its columns from h on reversed: c -> n - 1 - c + h."""
     i = bisect_left(row, (h,))  # (h,) sorts before every pair (h, x)
     return row[:i] + tuple((n - 1 - c + h, x) for c, x in reversed(row[i:]))
+
+
+def _elimination_order(row: SVec, h: int, n: int) -> SVec:
+    """`_flip_tail`, then every column reversed: columns from h on, then h-1 down to 0."""
+    i = bisect_left(row, (h,))
+    return tuple((c - h, x) for c, x in row[i:]) + tuple((n - 1 - c, x) for c, x in reversed(row[:i]))
 
 
 class PageError(Exception):
@@ -127,8 +128,10 @@ class SpectralSequence:
         self.n = model.top_degree
         self.max_page = self.n + 2
         self._cycles: dict[tuple[int, int], tuple[SubspaceBasis, tuple[SVec, ...]]] = {}
+        self._columns: dict[int, list] = {}  # p -> [Echelon, lift space, end reached, result]
         self._bounds: dict[tuple[int, int], SubspaceBasis] = {}
         self._cells: dict[tuple[int, int, int], QuotientSpace] = {}
+        self._page_cells = [[None] * (self.n + 1) for _ in range(self.max_page + 1)]
         self._zero_cells: dict[int, QuotientSpace] = {}
         self._dmats: dict[tuple[int, int], Mat] = {}
         self._pages: dict[int, SpectralPage] = {}
@@ -150,20 +153,17 @@ class SpectralSequence:
         if not (1 <= r <= self.max_page):
             raise PageError(f"page index {r} outside 1..{self.max_page}")
 
-    def _tail_degrees(self, p: int) -> list[int]:
-        return [q for q in range(p + 2, self.n + 1, 2)]
-
     def _condition_degrees(self, p: int, reach: int) -> list[int]:
         return [q for q in range(p + 1, min(p + reach, self.n + 1), 2)]
 
     def _lift_space(self, p: int) -> BlockSpace:
         """The degrees of a zig-zag from column p: p, then its tail."""
-        return BlockSpace(self.model, [p, *self._tail_degrees(p)])
+        return BlockSpace(self.model, range(p, self.n + 1, 2))
 
     def _compute_cycles(self, p: int, end: int) -> tuple[SubspaceBasis, tuple[SVec, ...]]:
         """Z_r at column p (conditions below `end`) and the lift of each of its rows.
 
-        One kernel of [A | T] (D on x_p, D on the tail) with T's columns
+        The kernel of [A | T] (D on x_p, D on the tail) with T's columns
         reversed gives both.  The null vector of a free column f of T is
         nonzero only at f and at pivots left of f, so reversed, T's echelon
         kernel has its pivots on T's free columns.  The kernel rows pivoting
@@ -171,19 +171,34 @@ class SpectralSequence:
         variables zeroed (the tests' `lift_oracle.resolve_tail`), and their
         p-parts are Z_r's RREF.  With T's columns put back, each such row is
         the lift of its Z_r row, in the coordinates of `_lift_space(p)`.
+
+        Every key of a column has that domain, and the next key only adds the
+        rows into one more condition degree.  So `_columns[p]` keeps one
+        `Echelon` in that kernel's column order (`_elimination_order`), fed
+        the rows of each degree once, those of the degrees a key adds in one
+        matrix; the canonical kernel is unique, so its read is the one-shot
+        kernel of the stacked matrix, and degrees that make no pivot leave
+        the result as it was.  A lower key starts the column over;
+        `_zigzags` drops it once its last key is read.
         """
         dim_p = self.model.dim(p)
-        conds = self._condition_degrees(p, end - p)
-        if dim_p == 0 or not conds:
+        if dim_p == 0 or end == p:
             z = SubspaceBasis.full(dim_p)
             return z, z.sparse
-        phi = self.op.matrix(self._lift_space(p), BlockSpace(self.model, conds))
-        n = phi.cols
-        k = kernel(Mat._exact(tuple(_flip_tail(row, dim_p, n) for row in phi.sparse), n))
-        rank = sum(1 for c in k.pivots if c < dim_p)  # pivots ascend: a prefix of the rows
-        lifts = tuple(_flip_tail(row, dim_p, n) for row in k.sparse[:rank])
-        heads = tuple(row[: bisect_left(row, (dim_p,))] for row in lifts)
-        return SubspaceBasis(dim_p, heads, k.pivots[:rank]), lifts
+        column = self._columns.get(p)
+        if column is None or column[2] > end:
+            space = self._lift_space(p)
+            column = self._columns[p] = [Echelon(space.total_dim), space, p, self._compute_cycles(p, p)]
+        echelon, space, reached, result = column
+        n = space.total_dim
+        phi = self.op.matrix(space, BlockSpace(self.model, range(reached + 1, end, 2)))
+        if echelon.add(_elimination_order(row, dim_p, n) for row in phi.sparse):
+            k = echelon.kernel(below=dim_p)
+            lifts = tuple(_flip_tail(row, dim_p, n) for row in k.sparse)
+            heads = tuple(row[: bisect_left(row, (dim_p,))] for row in lifts)
+            result = SubspaceBasis(dim_p, heads, k.pivots), lifts
+        column[2:] = end, result
+        return result
 
     def _cycle_key(self, p: int, reach: int) -> tuple[int, int]:
         """(p, e) for zig-zags of reach `reach`: e fixes the conditions range(p+1, e, 2).
@@ -198,6 +213,8 @@ class SpectralSequence:
     def _zigzags(self, key: tuple[int, int]) -> tuple[SubspaceBasis, tuple[SVec, ...]]:
         if key not in self._cycles:
             self._cycles[key] = self._compute_cycles(*key)
+            if self._cycle_key(key[0], self.max_page) in self._cycles:
+                self._columns.pop(key[0], None)
         return self._cycles[key]
 
     @staticmethod
@@ -256,19 +273,22 @@ class SpectralSequence:
         return top
 
     def cell(self, r: int, p: int, q: int = 0) -> QuotientSpace:
-        """The cell E_r^{p,q}; cells with odd q are zero."""
+        """The cell E_r^{p,q}; cells with odd q are zero, the others kept by page and column."""
+        if 1 <= r <= self.max_page and 0 <= p <= self.n and not q % 2:
+            cell = self._page_cells[r][p]
+            if cell is None:
+                zkey, start = self._cycle_key(p, r), self._boundary_start(p, r)
+                key = (*zkey, start)
+                if key not in self._cells:
+                    self._cells[key] = QuotientSpace(self._zigzags(zkey)[0], self._boundaries(p, start))
+                cell = self._page_cells[r][p] = self._cells[key]
+            return cell
         self.check_page(r)
-        if q % 2 == 1 or not (0 <= p <= self.n):
-            dim_p = self.model.dim(p) if 0 <= p <= self.n else 0
-            if dim_p not in self._zero_cells:
-                zero = SubspaceBasis.zero(dim_p)
-                self._zero_cells[dim_p] = QuotientSpace(zero, zero)
-            return self._zero_cells[dim_p]
-        zkey, start = self._cycle_key(p, r), self._boundary_start(p, r)
-        key = (*zkey, start)
-        if key not in self._cells:
-            self._cells[key] = QuotientSpace(self._zigzags(zkey)[0], self._boundaries(p, start))
-        return self._cells[key]
+        dim_p = self.model.dim(p) if 0 <= p <= self.n else 0
+        if dim_p not in self._zero_cells:
+            zero = SubspaceBasis.zero(dim_p)
+            self._zero_cells[dim_p] = QuotientSpace(zero, zero)
+        return self._zero_cells[dim_p]
 
     # -- zig-zag lifting -------------------------------------------------------
 

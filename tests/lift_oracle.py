@@ -8,13 +8,40 @@ rows through one matrix of D; `lifted_differential_matrix` lifts each coset
 representative as a form, applies D to it and projects the degree-(p+r)
 component, one representative at a time.  `SpectralSequence.boundaries`
 spans D of the stored lifts of Z, start by start; `boundaries_by_kernel`
-eliminates the boundary condition itself, once per column.
+eliminates the boundary condition itself, once per column.  The engine grows
+one elimination per column, a condition degree at a time; `stacked_cycles`
+eliminates each cycle key's stacked conditions at once, as one kernel.
 """
 
 from bisect import bisect_left
 
 from twistss.linalg import Mat, SubspaceBasis, kernel, solve_particular
 from twistss.twist import BlockSpace
+
+
+def stacked_cycles(ss, p, end):
+    """Z at column p with conditions below `end`, and the lift of each of its
+    rows, from one kernel of D from the lift space into every condition
+    degree at once, with the tail's columns reversed: the rows pivoting in
+    degree p, their tails put back, are the lifts, and their heads Z's RREF."""
+    dim_p = ss.model.dim(p)
+    conds = ss._condition_degrees(p, end - p)
+    if dim_p == 0 or not conds:
+        z = SubspaceBasis.full(dim_p)
+        return z, z.sparse
+    phi = ss.op.matrix(ss._lift_space(p), BlockSpace(ss.model, conds))
+    n = phi.cols
+
+    def flip(row):  # columns from dim_p on reversed: c -> n - 1 - c + dim_p
+        return tuple(e for e in row if e[0] < dim_p) + tuple(
+            (n - 1 - c + dim_p, x) for c, x in reversed(row) if c >= dim_p
+        )
+
+    k = kernel(Mat([flip(row) for row in phi.sparse], n))
+    rank = sum(1 for c in k.pivots if c < dim_p)
+    lifts = tuple(flip(row) for row in k.sparse[:rank])
+    heads = tuple(tuple(e for e in row if e[0] < dim_p) for row in lifts)
+    return SubspaceBasis(dim_p, heads, k.pivots[:rank]), lifts
 
 
 def resolve_tail(ss, fixed, reach, free_degrees):

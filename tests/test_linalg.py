@@ -544,36 +544,39 @@ def test_preimage_matches_two_pass_oracle(m, data):
 
 
 @pytest.fixture
-def rref_calls(monkeypatch):
-    import twistss.linalg as linalg
+def eliminations(monkeypatch):
+    """The column count of every `Echelon` built from now on: every rref,
+    kernel and growing elimination goes through one."""
+    from twistss.linalg import Echelon
 
     calls = []
 
-    def counting(m):
-        calls.append(m.cols)
-        return eliminate(m)
+    def counting(self, cols):
+        calls.append(cols)
+        start(self, cols)
 
-    eliminate = linalg.rref
-    monkeypatch.setattr(linalg, "rref", counting)
+    start = Echelon.__init__
+    monkeypatch.setattr(Echelon, "__init__", counting)
     return calls
 
 
-def test_kernel_eliminates_once(rref_calls):
+def test_kernel_eliminates_once(eliminations):
     assert kernel(dense_mat([[1, 2, 0, 3], [2, 4, 1, 1]])).dim == 2
-    assert rref_calls == [4]
+    assert eliminations == [4]
 
 
-def test_preimage_eliminates_once(rref_calls):
+def test_preimage_eliminates_once(eliminations):
     w = SubspaceBasis(2, (sparse([1, 1]),), (0,))
     assert preimage(dense_mat([[1, 2, 0, 3], [2, 4, 1, 1]]), w).dim == 3
-    assert rref_calls == [5]
+    assert eliminations == [5]
 
 
-def test_torus6_analysis_eliminates_171_times(rref_calls):
+def test_torus6_analysis_eliminates_113_times(eliminations):
     # one elimination per subspace: every kernel, image, span and rank of one
-    # analysis of torus6 twisted by e1^e2^e3; B_r spans D of the stored
-    # zig-zag lifts, so the pages run no kernel besides the cycle kernels, and
-    # the twisted cohomology and the Z_r oracle share the sequence's K_0/K_7
+    # analysis of torus6 twisted by e1^e2^e3, and one growing elimination per
+    # column for its cycle kernels; B_r spans D of the stored zig-zag lifts,
+    # so the pages run no kernel besides the column eliminations, and the
+    # twisted cohomology and the Z_r oracle share the sequence's K_0/K_7
     from twistss.cdga import model_from_dict
     from twistss.report import run_analysis
     from twistss.twist import parse_twist
@@ -581,9 +584,9 @@ def test_torus6_analysis_eliminates_171_times(rref_calls):
     gens = [{"name": f"e{i}", "degree": 1} for i in range(1, 7)]
     model = model_from_dict({"name": "torus6", "top_degree": 6, "generators": gens})
     H = parse_twist(model, "e1^e2^e3")
-    assert rref_calls == []
+    assert eliminations == []
     assert run_analysis(model, H).all_pass
-    assert len(rref_calls) == 171
+    assert len(eliminations) == 113
 
 
 # -- canonicality --------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
     # B_r oracle, runs once per distinct (p, a) of the pages r >= 3
     requested, built, delta_bars = set(), [], []
     subgroup, span, delta_bar = (
-        indet.indeterminacy_subgroup, indet.span_in_quotient, report.connecting_delta_bar
+        indet.indeterminacy_subgroup, indet.span_in_quotient, report._delta_bar_columns
     )
 
     def counting_subgroup(model, H, p, q, r, ss=None):
@@ -123,7 +123,7 @@ def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
     monkeypatch.setattr(indet, "indeterminacy_subgroup", counting_subgroup)
     monkeypatch.setattr(report, "indeterminacy_subgroup", counting_subgroup)
     monkeypatch.setattr(indet, "span_in_quotient", counting_span)
-    monkeypatch.setattr(report, "connecting_delta_bar", counting_delta_bar)
+    monkeypatch.setattr(report, "_delta_bar_columns", counting_delta_bar)
     m = bundled_model("cascade5")
     assert run_analysis(m, parse_twist(m, "a")).all_pass
     n = m.top_degree
@@ -177,12 +177,12 @@ def test_connecting_oracle_catches_a_corrupted_stored_lift():
 
 
 def test_connecting_oracle_catches_a_shifted_start(monkeypatch):
-    delta_bar = report.connecting_delta_bar
+    delta_bar = report._delta_bar_columns
 
     def shifted(model, H, p, r, parity, sources=None):  # a = max(0, p - r + 1) moves down by one
         return delta_bar(model, H, p, r + 1, parity, sources)
 
-    monkeypatch.setattr(report, "connecting_delta_bar", shifted)
+    monkeypatch.setattr(report, "_delta_bar_columns", shifted)
     oracle, _ = report.check_indeterminacy(_cascade5())
     assert oracle[1] is not None
 

@@ -338,17 +338,39 @@ def test_pages_and_lifts_make_no_particular_solve(monkeypatch):
     assert calls == []
 
 
-def test_one_kernel_per_cycle_key_with_conditions(monkeypatch):
+def _record_eliminations(monkeypatch, inside):
+    """Record, under the `_compute_cycles` arguments on top of `inside` (None
+    outside it), every `Echelon` the engine builds, every batch it adds with
+    whether it made a pivot, and every kernel it reads."""
     import twistss.spectral as spectral
 
-    calls = []
+    built, added, reads = [], [], []
 
-    def counting(m):
-        calls.append(m.cols)
-        return kern(m)
+    class Recording(spectral.Echelon):
+        __slots__ = ()
 
-    kern = spectral.kernel
-    monkeypatch.setattr(spectral, "kernel", counting)
+        def __init__(self, cols):
+            built.append(inside[-1] if inside else None)
+            super().__init__(cols)
+
+        def add(self, rows):
+            grew = super().add(rows)
+            added.append((inside[-1] if inside else None, grew))
+            return grew
+
+        def kernel(self, below=None):
+            reads.append(inside[-1] if inside else None)
+            return super().kernel(below)
+
+    monkeypatch.setattr(spectral, "Echelon", Recording)
+    return built, added, reads
+
+
+def test_one_kernel_per_cycle_key_with_conditions(monkeypatch):
+    # one growing elimination per column, and one kernel read per cycle key
+    # whose new condition degrees made a pivot
+    inside = _record_inside(monkeypatch, "_compute_cycles")
+    built, added, reads = _record_eliminations(monkeypatch, inside)
     ss = make_ss("mixed5", "a + b")
     condition_lists = set()
     for r in range(1, ss.max_page + 1):
@@ -356,13 +378,18 @@ def test_one_kernel_per_cycle_key_with_conditions(monkeypatch):
             ss.cycles(r, p)
             conds = tuple(range(p + 1, min(p + r, ss.n + 1), 2))
             if ss.model.dim(p) and conds:
-                condition_lists.add((p, conds))
+                condition_lists.add(ss._cycle_key(p, r))
     for r in range(1, ss.max_page + 3):
         for p in range(ss.n + 1):
             for row in ss.cycles(min(r, ss.max_page), p).sparse:
                 ss.lift_zigzag(Form(ss.model, {p: row}), r)
-    # pages 2k and 2k + 1 share the conditions p+1, p+3, ..., p+2k-1
-    assert len(calls) == len(condition_lists) > 0
+    columns = [key[0] for key in built]
+    assert len(columns) == len(set(columns)) > 0
+    assert set(columns) == {p for p, _ in condition_lists}
+    grew = sorted({key for key, made_pivot in added if made_pivot})
+    assert sorted(reads) == grew and len(reads) == len(set(reads)) > 0
+    assert set(reads) <= condition_lists
+    assert None not in reads and not ss._columns
 
 
 def per_start_boundaries(ss, p, a):
@@ -443,25 +470,21 @@ def _record_inside(monkeypatch, method):
 
 
 def test_boundaries_eliminate_only_in_the_cycle_kernels(monkeypatch):
-    # every kernel behind B_r is the Z kernel of a cycle key, built once
-    import twistss.spectral as spectral
-
-    inside, keys = _record_inside(monkeypatch, "_compute_cycles"), []
-
-    def counting(m):
-        assert inside, "a kernel outside _compute_cycles"
-        keys.append(inside[-1])
-        return kern(m)
-
-    kern = spectral.kernel
-    monkeypatch.setattr(spectral, "kernel", counting)
+    # every kernel behind B_r is read off a column's growing Z elimination,
+    # built, fed and read inside _compute_cycles, each cycle key at most once;
+    # B_r itself only spans D of the stored lifts
+    inside = _record_inside(monkeypatch, "_compute_cycles")
+    built, added, reads = _record_eliminations(monkeypatch, inside)
     for name, expr in (("cascade7", "a"), ("mixed5", "a + b")):
-        keys.clear()
+        for found in (built, added, reads):
+            found.clear()
         ss = make_ss(name, expr)
         for r in range(1, ss.max_page + 1):
             for p in range(ss.n + 1):
                 ss.boundaries(r, p)
-        assert len(keys) == len(set(keys)) > 0
+        assert None not in built and all(key is not None for key, _ in added)
+        assert None not in reads, "a kernel outside _compute_cycles"
+        assert len(reads) == len(set(reads)) > 0
 
 
 def test_differential_is_constant_on_boundary_cosets():

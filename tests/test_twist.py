@@ -227,8 +227,9 @@ def dense_matrix(op, domain, codomain):
 )
 def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
     # every degree list an analysis assembles: the relative complexes and the
-    # cycle kernels as matrices, and D of the stored lifts into one degree
-    # (for d_r and B_r) as columns; cascade7 has many empty degrees
+    # cycle kernels as matrices, one condition degree at a time, and D of the
+    # stored lifts into one degree (for d_r and B_r) as columns; cascade7 has
+    # many empty degrees
     m = bundled_model(name)
     H = parse_twist(m, expr)
     shapes = set()
@@ -246,6 +247,14 @@ def test_matrix_matches_dense_assembly(monkeypatch, name, expr):
     monkeypatch.setattr(DOperator, "columns", recording_columns)
     run_analysis(m, H)
     monkeypatch.undo()
+    # and the stacked condition lists that the cycle kernels of the pages
+    # were once assembled for, one per cycle key, now fed one degree at a time
+    ss = SpectralSequence(m, H)
+    for p in range(ss.n + 1):
+        for reach in range(2, ss.max_page + 1):
+            conds = ss._condition_degrees(p, reach)
+            if m.dim(p) and conds:
+                shapes.add((ss._lift_space(p).degrees, tuple(conds)))
     op = H.operator(m)
     assert len(shapes) > 20
     for dom_degs, cod_degs in shapes:
