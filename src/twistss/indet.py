@@ -1,4 +1,4 @@
-"""Indeterminacy of page classes, and the cohomological cycle construction.
+"""Indeterminacy of page classes, and the two independent page oracles.
 
 A class on page r at column p is only defined up to a subgroup of the
 ordinary cohomology H^p: the image of the connecting homomorphism of
@@ -9,18 +9,19 @@ modulo exact forms.  D induces zero on K_p/K_{p+1}, so the connecting map
 delta_bar lands in H(K_p/K_{p+1}) = Omega^p itself, and its image is the
 page's boundary space B_r.  `indeterminacy_subgroup` therefore reads the
 subgroup off the spectral sequence as B_r modulo exact forms;
-`connecting_delta_bar` is the independent oracle for B_r
-(`twistss.report.check_indeterminacy`).  It maps the cocycles of one parity
-of the source K_{p-r+1}/K_p: coboundaries map to zero, so the quotient is
-never formed.
+`connecting_delta_bar` is the independent oracle for B_r.  It maps the
+cocycles of one parity of the source K_{p-r+1}/K_p: coboundaries map to
+zero, so the quotient is never formed.
 
 The cycles get their own independent route through the cohomological
 description
 
     Z_r = delta^{-1}( image of H(K_{p+r}) -> H(K_{p+1}) )
 
-inside E_1^{p,q} = Omega^p, which `page_agreement` compares with the
-zig-zag engine.
+inside E_1^{p,q} = Omega^p (`z_cell`).  Both are facts about one column p,
+so each oracle is a sweep over the columns that keeps only its column's
+objects (`boundary_agreement`, `page_agreement`); the per-cell forms build
+their own complex and run the same per-column helpers.
 
 Both oracles read every window K_w/K_b off the whole complex K_0/K_b,
 through `twistss.twist.RelativeComplex.cocycles` and `.cohomology` with
@@ -46,6 +47,7 @@ from .linalg import (
     Mat,
     QuotientSpace,
     SubspaceBasis,
+    SVec,
     combine,
     kernel,
     preimage,
@@ -53,65 +55,6 @@ from .linalg import (
 )
 from .spectral import SpectralSequence
 from .twist import DOperator, RelativeComplex, TwistForm
-
-
-def _whole(op: DOperator, b: int, cache: dict) -> RelativeComplex:
-    """K_0/K_b, kept in `cache` by ("K", b); it keeps each parity's D and kernel."""
-    if ("K", b) not in cache:
-        cache[("K", b)] = RelativeComplex(op, 0, b)
-    return cache[("K", b)]
-
-
-def connecting_delta_bar(
-    model: CdgaModel, H: TwistForm, p: int, r: int, parity: int,
-    sources: Optional[dict] = None,
-) -> Mat:
-    """The connecting map H^par(K_{p-r+1}/K_p) -> H^(par+1)(K_p/K_{p+1}).
-
-    The target of the short exact sequence used for indeterminacy; its
-    image, modulo exact forms, is the indeterminacy subgroup at (p, r).
-    For r = 2 it coincides with the first-page differential d.  D is zero
-    on K_p/K_{p+1}, so its cohomology is Omega^p in parity p with identity
-    coordinates, and zero in the other parity: a relative cocycle's class
-    is read off as the degree-p component of D applied to it.
-
-    The columns are the images of a kernel basis of the relative cocycles,
-    not of cohomology classes, which has the same image: a relative
-    coboundary is D b + k with k in K_p, and (D(D b + k))_p = 0, since
-    D D = 0 and D k lies in K_{p+1}.  That basis is the window
-    `whole.cocycles(parity, a)` of whole = K_0/K_p, a suffix of the rows of
-    its kernel, so its images are the last `cocycles.dim` of the images of
-    all those rows: each row combines the columns of D into degree p.
-    `sources` keeps whole by ("K", p) and those images by ("images", p,
-    parity) for reuse across calls on the same (model, H), so every start
-    a = max(0, p - r + 1) of a column shares one kernel and one image list;
-    the result is the same `Mat` with or without it.
-    """
-    rows, columns = _delta_bar_columns(model, H, p, r, parity, sources)
-    return Mat.from_cols(columns, rows)
-
-
-def _delta_bar_columns(model: CdgaModel, H: TwistForm, p: int, r: int, parity: int, sources: Optional[dict]) -> tuple:
-    """The row count of `connecting_delta_bar` and its sparse columns."""
-    if r < 2:
-        raise ValueError("connecting_delta_bar needs r >= 2")
-    if not (0 <= p <= model.top_degree):
-        raise ValueError(f"column {p} outside 0..{model.top_degree}")
-    op = H.operator(model)
-    rows = model.dim(p) if (parity + 1) % 2 == p % 2 else 0
-    a = max(0, p - r + 1)
-    if a == p:  # the source complex K_p/K_p is zero
-        return rows, []
-    sources = {} if sources is None else sources
-    whole = _whole(op, p, sources)
-    cocycles = whole.cocycles(parity, a)
-    if not rows:
-        return 0, [()] * cocycles.dim
-    if ("images", p, parity) not in sources:
-        to_p = op.columns(whole.space(parity), p)
-        sources[("images", p, parity)] = [combine(z, to_p) for z in whole.cocycles(parity).sparse]
-    images = sources[("images", p, parity)]
-    return rows, images[len(images) - cocycles.dim :]
 
 
 @dataclass(frozen=True)
@@ -187,81 +130,147 @@ def differential_indeterminacy(
 
 
 # ---------------------------------------------------------------------------
-# the cohomological cycle construction, for cross-checking the zig-zag route
+# the two independent page oracles, for cross-checking the zig-zag engine
 
 
-def z_cell(
-    model: CdgaModel, H: TwistForm, r: int, p: int,
-    tower: Optional[dict] = None,
-) -> SubspaceBasis:
+def connecting_delta_bar(model: CdgaModel, H: TwistForm, p: int, r: int, parity: int) -> Mat:
+    """The connecting map H^par(K_{p-r+1}/K_p) -> H^(par+1)(K_p/K_{p+1}).
+
+    The target of the short exact sequence used for indeterminacy; its
+    image, modulo exact forms, is the indeterminacy subgroup at (p, r).
+    For r = 2 it coincides with the first-page differential d.  D is zero
+    on K_p/K_{p+1}, so its cohomology is Omega^p in parity p with identity
+    coordinates, and zero in the other parity: a relative cocycle's class
+    is read off as the degree-p component of D applied to it.
+
+    The columns are the images of a kernel basis of the relative cocycles,
+    not of cohomology classes, which has the same image: a relative
+    coboundary is D b + k with k in K_p, and (D(D b + k))_p = 0, since
+    D D = 0 and D k lies in K_{p+1}.  That basis is the window
+    `whole.cocycles(parity, a)` of whole = K_0/K_p, a suffix of the rows of
+    its kernel, so its images are the last `cocycles.dim` of the images of
+    all those rows: each row combines the columns of D into degree p.
+    """
+    if r < 2:
+        raise ValueError("connecting_delta_bar needs r >= 2")
+    if not (0 <= p <= model.top_degree):
+        raise ValueError(f"column {p} outside 0..{model.top_degree}")
+    whole, images = _connecting_column(H.operator(model), p, parity)
+    rows = model.dim(p) if (parity + 1) % 2 == p % 2 else 0
+    return Mat.from_cols(_connecting_images(whole, images, parity, max(0, p - r + 1)), rows)
+
+
+def _connecting_column(op: DOperator, p: int, parity: int) -> tuple[Optional[RelativeComplex], list[SVec]]:
+    """whole = K_0/K_p (None at p = 0, where every source is zero) and D
+    into degree p of each row of its cocycle kernel in `parity`; from p's
+    own parity, D has no degree-p part and every image is zero."""
+    if p == 0:
+        return None, []
+    whole = RelativeComplex(op, 0, p)
+    to_p = op.columns(whole.space(parity), p)
+    return whole, [combine(z, to_p) for z in whole.cocycles(parity).sparse]
+
+
+def _connecting_images(whole: Optional[RelativeComplex], images: list[SVec], parity: int, a: int) -> list[SVec]:
+    """The connecting map's columns from K_a/K_p: the images of the window's
+    cocycles, which are the last rows of whole's kernel."""
+    return images[len(images) - whole.cocycles(parity, a).dim :] if images else []
+
+
+def boundary_agreement(ss: SpectralSequence) -> tuple[int, Optional[str]]:
+    """Check that the connecting map's image is B_r at every cell with r >= 3.
+
+    Each column maps its cocycle rows of parity p - 1 into degree p once;
+    each page's start a = max(0, p - r + 1) spans a suffix of those images,
+    spanned again only when a moves.  Returns ((ss.max_page - 2)(n + 1)
+    cells, None) or, on a mismatch, a description naming the least (r, p).
+    """
+    mismatches = []
+    for p in range(ss.n + 1):
+        parity, a = (p - 1) % 2, None
+        whole, images = _connecting_column(ss.op, p, parity)
+        for r in range(3, ss.max_page + 1):
+            if a != max(0, p - r + 1):
+                a = max(0, p - r + 1)
+                span = SubspaceBasis.span(ss.model.dim(p), _connecting_images(whole, images, parity, a))
+            if span != ss.boundaries(r, p):
+                mismatches.append((r, p))
+                break
+    cells = (ss.max_page - 2) * (ss.n + 1)
+    if mismatches:
+        r, p = min(mismatches)
+        return cells, f"connecting image differs from B_{r} on {ss.model.name} at p={p}"
+    return cells, None
+
+
+def z_cell(model: CdgaModel, H: TwistForm, r: int, p: int) -> SubspaceBasis:
     """Z_r at column p (even q) through the cohomological description.
 
     Z_r is the delta-preimage of the classes coming from H(K_{p+r}), inside
     E_1^{p, even} = Omega^p.  Every K_w/K_{n+1} is a window of the whole
     complex whole = K_0/K_{n+1} (`whole.cohomology(parity, w)`), written in
     its coordinates, so a class of K_{p+r} is already a vector of K_{p+1}.
-    `tower` keeps, for reuse across calls on the same (model, H), whole by
-    ("K", n + 1), which keeps its kernels, its columns of D and each
-    window's cohomology, and, since delta does not depend on r, the matrix
-    of delta by ("delta", p): once per column, projected from the degree-p
-    columns of whole's D.
     """
     if r < 2:
         raise ValueError("the cohomological description starts at r = 2")
     n = model.top_degree
     if not (0 <= p <= n):
         raise ValueError(f"column {p} outside 0..{n}")
-    op = H.operator(model)
-    tower = {} if tower is None else tower
-    dim_p = model.dim(p)
-    if p + 1 > n:
-        return SubspaceBasis.full(dim_p)
-    whole, parity = _whole(op, n + 1, tower), (p + 1) % 2
+    whole = RelativeComplex(H.operator(model), 0, n + 1)
+    return _cycles(whole, _delta(whole, p), p, min(p + r, n + 1))
 
-    # delta: Omega^p -> H^(p parity + 1)(K_{p+1}) by x |-> class of D x
-    h_next = whole.cohomology(parity, p + 1)
-    if ("delta", p) not in tower:
-        # column i is D of the i-th basis form, in the coordinates of K_0/K_{n+1}
-        o = whole.space(p).offsets[p]
-        cols = [h_next.project(c) for c in whole.columns(p)[o : o + dim_p]]
-        tower[("delta", p)] = Mat.from_cols(cols, h_next.dim)
-    delta = tower[("delta", p)]
-    if p + r > n:
+
+def _delta(whole: RelativeComplex, p: int) -> Optional[Mat]:
+    """delta: Omega^p -> H^(p+1)(K_{p+1}), x |-> the class of D x, with
+    whole = K_0/K_{n+1}; None at the top column, whose K_{p+1} is zero.
+    Column i is D of the i-th basis form, projected from the degree-p
+    columns of whole's D."""
+    if p + 1 == whole.b:
+        return None
+    h_next, dim_p = whole.cohomology((p + 1) % 2, p + 1), whole.op.model.dim(p)
+    o = whole.space(p).offsets[p]
+    return Mat.from_cols([h_next.project(c) for c in whole.columns(p)[o : o + dim_p]], h_next.dim)
+
+
+def _cycles(whole: RelativeComplex, delta: Optional[Mat], p: int, end: int) -> SubspaceBasis:
+    """Z at column p from the classes of K_end, end = min(p + r, n + 1):
+    the delta-preimage of their image in H(K_{p+1})."""
+    if delta is None:
+        return SubspaceBasis.full(whole.op.model.dim(p))
+    if end == whole.b:  # K_{n+1} is zero
         return kernel(delta)
-    # the classes of K_{p+r}, restricted to K_{p+1}
-    incl = [h_next.project(rep) for rep in whole.cohomology(parity, p + r).sparse_reps]
+    h_next = whole.cohomology((p + 1) % 2, p + 1)
+    incl = [h_next.project(rep) for rep in whole.cohomology((p + 1) % 2, end).sparse_reps]
     return preimage(delta, SubspaceBasis.span(h_next.dim, incl))
 
 
-def page_agreement(
-    ss: SpectralSequence, max_r: Optional[int] = None
-) -> tuple[int, Optional[str]]:
+def page_agreement(ss: SpectralSequence, max_r: Optional[int] = None) -> tuple[int, Optional[str]]:
     """Check that the cohomological Z_r route reproduces the zig-zag cycles.
 
-    Compares canonical subspace bases, not just dimensions, for every page
-    from 2 on and every column, reading each K_{p+r} off the sequence's own
-    K_0/K_{n+1} (ss.twisted_cohomology().complex).  Returns (cells compared,
-    None) or, on a mismatch, the first three mismatched (r, p) in its
-    description.  B_r has its own oracle (`report.check_indeterminacy`).
-    Each Z_r is compared once per raw key (p, min(p + r, n + 1)), its K_{p+r}.
-    The engine shares one Z between pages 2k and 2k+1, since their conditions
-    agree; keying this check the same way would build only one of them and
-    leave that sharing unchecked, so both members of each pair come from
-    their own complex and are compared with the shared engine object.  A
-    `max_r` outside the pages 1..ss.max_page raises `PageError`.
+    Compares canonical bases, not just dimensions, at every page from 2 on
+    and every column, reading each K_{p+r} off the sequence's own K_0/K_{n+1}
+    (ss.twisted_cohomology().complex).  Each column builds one delta, and
+    one Z per raw key (p, min(p + r, n + 1)): the engine shares one Z
+    between pages 2k and 2k+1, since their conditions agree, and keying this
+    check the same way would leave that sharing unchecked.  Returns (cells
+    compared, None) or, on a mismatch, the first three mismatched (r, p) in
+    its description.  A `max_r` outside the pages 1..ss.max_page raises
+    `PageError`.
     """
     top_r = max_r if max_r is not None else ss.max_page
     ss.check_page(top_r)  # past the last page, the keys below still match real cells
-    tower: dict = {("K", ss.n + 1): ss.twisted_cohomology().complex}  # and each column's delta
-    cells = [(r, p) for r in range(2, top_r + 1) for p in range(ss.n + 1)]
-    agree: dict[tuple[int, int], bool] = {}
-    mismatches = []
-    for r, p in cells:
-        key = (p, min(p + r, ss.n + 1))
-        if key not in agree:
-            agree[key] = z_cell(ss.model, ss.H, r, p, tower) == ss.cycles(r, p)
-        if not agree[key]:
-            mismatches.append((r, p))
+    if top_r < 2:
+        return 0, None
+    whole, mismatches = ss.twisted_cohomology().complex, []
+    for p in range(ss.n + 1):
+        delta, end = _delta(whole, p), None
+        for r in range(2, top_r + 1):
+            if end != min(p + r, ss.n + 1):
+                end = min(p + r, ss.n + 1)
+                agree = _cycles(whole, delta, p, end) == ss.cycles(r, p)
+            if not agree:
+                mismatches.append((r, p))
+    cells = (top_r - 1) * (ss.n + 1)
     if mismatches:
-        return len(cells), f"disagreement on {ss.model.name} at {mismatches[:3]}"
-    return len(cells), None
+        return cells, f"disagreement on {ss.model.name} at {sorted(mismatches)[:3]}"
+    return cells, None

@@ -11,7 +11,11 @@ indeterminacy subgroups.
 
 Reports render as human-readable text or as deterministic JSON (sorted keys,
 fixed separators), so re-emitting a parsed report is byte-identical.  The
-`check_*` functions behind the verdicts are shared with `selftest`.
+`check_*` functions behind the verdicts are shared with `selftest`, and each
+takes only the `SpectralSequence` (the Massey check also its last page).
+The two independent page oracles are column sweeps in `twistss.indet`:
+`page_agreement` for Z_r and `boundary_agreement` for B_r, which
+`check_indeterminacy` runs.
 """
 
 from __future__ import annotations
@@ -21,9 +25,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cdga import CdgaModel
-from .indet import _delta_bar_columns, indeterminacy_subgroup, page_agreement
-from .linalg import SubspaceBasis
-from .massey import ClassCheck, verify_main_theorems
+from .indet import boundary_agreement, indeterminacy_subgroup, page_agreement
+from .massey import verify_main_theorems
 from .spectral import SpectralSequence
 from .twist import TwistForm
 
@@ -177,7 +180,7 @@ def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, top_r: int):
     v["d3_cup_rule"] = Verdict(_status(check_d3_cup(ss)))
 
     # higher differentials through defining systems
-    massey, case, compat = check_massey(ss, top_r, (banded_rule, case_rule, route_rule))
+    massey, case, compat = check_massey(ss, top_r)
     no_classes = _unchecked(ss, top_r, "no classes on pages 5 and up", "no classes")
     v["massey_differentials"] = Verdict(
         _status(massey, NA), f"{massey[0]} classes checked" if massey[0] else no_classes
@@ -277,65 +280,38 @@ def check_convergence(ss: SpectralSequence) -> Check:
     return 1, None
 
 
-# A Massey rule maps a class check to None when the rule does not apply, to
-# "" when it holds, and otherwise to the name of the broken rule.
-
-
-def banded_rule(c: ClassCheck) -> Optional[str]:
-    """d_{2t+3} = (-1)^t [c(A)], whichever banded defining system is used."""
-    if not c.banded_ok:
-        return "banded rule"
-    return "defining-system independence" if c.independence_ok is False else ""
-
-
-def case_rule(c: ClassCheck) -> Optional[str]:
-    """The single-twist case table; applies only to single-component twists."""
-    return None if c.case_ok is None else "" if c.case_ok else "case table"
-
-
-def route_rule(c: ClassCheck) -> Optional[str]:
-    """Banded and diagonal systems agree wherever both exist."""
-    return None if c.routes_agree is None else "" if c.routes_agree else "route compatibility"
-
-
-def check_massey(ss: SpectralSequence, top_r: int, rules: tuple) -> list[Check]:
-    """One check per rule over the classes of pages 5..top_r (t = 1..(top_r-3)//2)."""
-    checked = [0] * len(rules)
-    failures: list[Optional[str]] = [None] * len(rules)
+def check_massey(ss: SpectralSequence, top_r: int) -> tuple[Check, Check, Check]:
+    """(banded with independence, case table, route compatibility) over the
+    classes of pages 5..top_r (t = 1..(top_r-3)//2).  The case table applies
+    only to single-component twists, route compatibility only where both
+    the banded and the diagonal system exist."""
+    checked, failures = [0, 0, 0], [None, None, None]
     for t in range(1, (top_r - 3) // 2 + 1):
         for c in verify_main_theorems(ss, t).checks:
-            for i, rule in enumerate(rules):
-                broken = rule(c)
-                if broken is None:
-                    continue
-                checked[i] += 1
-                if broken and failures[i] is None:
-                    failures[i] = f"{broken} fails on {ss.model.name} t={t} p={c.p}"
-    return list(zip(checked, failures))
+            banded = "banded rule" if not c.banded_ok else "defining-system independence"
+            verdicts = [
+                (c.banded_ok and c.independence_ok is not False, banded),
+                (c.case_ok, "case table"),
+                (c.routes_agree, "route compatibility"),
+            ]
+            for i, (ok, name) in enumerate(verdicts):
+                if ok is not None:
+                    checked[i] += 1
+                    if not ok and failures[i] is None:
+                        failures[i] = f"{name} fails on {ss.model.name} t={t} p={c.p}"
+    return tuple(zip(checked, failures))
 
 
 def check_indeterminacy(ss: SpectralSequence) -> list[Check]:
     """[oracle, samples] for the indeterminacy subgroups, which are B_r mod exact forms.
 
-    The oracle compares the image of the connecting map delta_bar with B_r
-    at every cell with r >= 3, once per distinct a = max(0, p - r + 1), and
-    counts cells.  Its sources are its own: one cocycle kernel of K_0/K_p
-    and one matrix of D into degree p per column, shared by every a in a
-    dict that lives for this call only.  A sample is a cell's first
-    representative and its shift by a non-exact boundary: they must differ
-    inside the subgroup, and from page 5 on their d_r values inside the
-    differential indeterminacy.
+    The oracle is `indet.boundary_agreement`: a sweep over the columns that
+    compares the connecting map's image with B_r at every cell with r >= 3
+    and counts cells.  A sample is a cell's first representative and its
+    shift by a non-exact boundary: they must differ inside the subgroup, and
+    from page 5 on their d_r values inside the differential indeterminacy.
     """
-    cells, mismatch, images, sources = 0, None, {}, {}
-    for r, p in ((r, p) for r in range(3, ss.max_page + 1) for p in range(ss.n + 1)):
-        key = (p, max(0, p - r + 1))
-        if key not in images:
-            images[key] = SubspaceBasis.span(*_delta_bar_columns(ss.model, ss.H, p, r, (p - 1) % 2, sources))
-        if images[key] != ss.boundaries(r, p):
-            mismatch = f"connecting image differs from B_{r} on {ss.model.name} at p={p}"
-            break
-        cells += 1
-    return [(cells, mismatch), _check_representative_pairs(ss)]
+    return [boundary_agreement(ss), _check_representative_pairs(ss)]
 
 
 def _check_representative_pairs(ss: SpectralSequence) -> Check:

@@ -17,20 +17,17 @@ from __future__ import annotations
 from typing import Callable
 
 from .indet import page_agreement
-from .massey import bar, triple_product
+from .massey import bar, triple_product, verify_main_theorems
 from .models import bundled_model, standard_pairs
 from .modelgen import random_model, random_twist
 from .report import (
     Check,
-    banded_rule,
-    case_rule,
     check_convergence,
     check_d3_cup,
     check_even_vanishing,
     check_indeterminacy,
     check_massey,
     check_page_identifications,
-    route_rule,
 )
 from .spectral import SpectralSequence
 from .twist import TwistError, parse_twist
@@ -160,7 +157,7 @@ def crit_massey_banded(ws: Workspace):
     """d_{2t+3} = (-1)^t [c(A)] for the banded systems, with independence."""
     total, failure = _fold(
         _all_sequences(ws, random_count=10),
-        lambda ss: check_massey(ss, ss.max_page, (banded_rule,))[0],
+        lambda ss: check_massey(ss, ss.max_page)[0],
     )
     return (False, failure) if failure else (True, f"{total} page classes checked")
 
@@ -174,7 +171,7 @@ def crit_case_table(ws: Workspace):
         ss = ws.ss(name, tw)
         if ss.H.single_degree() != 2 * s + 1:
             return False, f"{name} twist is not a single degree-{2*s+1} component"
-        checked, failure = check_massey(ss, ss.max_page, (case_rule,))[0]
+        checked, failure = check_massey(ss, ss.max_page)[1]
         if failure:
             return False, failure
         total += checked
@@ -186,21 +183,16 @@ def crit_route_compatibility(ws: Workspace):
     ss = ws.ss("cascade5", "a")
     if sum(ss.cell(9, p).dim for p in range(ss.n + 1)) == 0:
         return False, "cascade5 has trivial E_9; nothing to compare"
-    (routes, disagree), (_, zero_witness) = check_massey(ss, 9, (route_rule, _d9_witness_rule))
+    routes, disagree = check_massey(ss, 9)[2]
     if not routes:
         return False, "no classes hit the l >= 2 case"
     if disagree:
         return False, "routes disagree"
-    if zero_witness:
+    # a class at p = 5 where both routes exist must have a nonzero d_9
+    checks = (c for t in (1, 2, 3) for c in verify_main_theorems(ss, t).checks)
+    if any(c.p == 5 and c.routes_agree is not None and c.zigzag.is_zero for c in checks):
         return False, "expected a nonzero d_9 witness"
     return True, f"{routes} classes, nonzero d_9 witnessed"
-
-
-def _d9_witness_rule(c):
-    """A class at p = 5 where both routes exist must have a nonzero d_9."""
-    if c.routes_agree is None or c.p != 5:
-        return None
-    return "zero d_9 witness" if c.zigzag.is_zero else ""
 
 
 def crit_formality(ws: Workspace):

@@ -153,9 +153,6 @@ class SpectralSequence:
         if not (1 <= r <= self.max_page):
             raise PageError(f"page index {r} outside 1..{self.max_page}")
 
-    def _condition_degrees(self, p: int, reach: int) -> list[int]:
-        return [q for q in range(p + 1, min(p + reach, self.n + 1), 2)]
-
     def _lift_space(self, p: int) -> BlockSpace:
         """The degrees of a zig-zag from column p: p, then its tail."""
         return BlockSpace(self.model, range(p, self.n + 1, 2))

@@ -25,7 +25,7 @@ def stacked_cycles(ss, p, end):
     degree at once, with the tail's columns reversed: the rows pivoting in
     degree p, their tails put back, are the lifts, and their heads Z's RREF."""
     dim_p = ss.model.dim(p)
-    conds = ss._condition_degrees(p, end - p)
+    conds = list(range(p + 1, min(end, ss.n + 1), 2))
     if dim_p == 0 or not conds:
         z = SubspaceBasis.full(dim_p)
         return z, z.sparse
@@ -52,7 +52,7 @@ def resolve_tail(ss, fixed, reach, free_degrees):
     None when no completion exists.
     """
     p = min(fixed.degrees)
-    conds = ss._condition_degrees(p, reach)
+    conds = list(range(p + 1, min(p + reach, ss.n + 1), 2))
     if not conds:
         return fixed
     cod = BlockSpace(ss.model, conds)

@@ -15,6 +15,7 @@ from twistss import (
     z_cell,
 )
 from twistss.cdga import Form
+from twistss.indet import boundary_agreement
 from twistss.linalg import Mat, QuotientSpace, SubspaceBasis, dense, image, kernel, span_in_quotient
 from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model, standard_pairs
@@ -197,13 +198,17 @@ def test_delta_bar_image_matches_coset_oracle(name, arg):
 
 
 def test_delta_bar_shares_one_kernel_and_one_map_per_column(monkeypatch):
-    # with one `sources` dict, every start a of a column reads its cocycles
-    # off one kernel of K_0/K_p in each parity, and D into degree p is built
-    # at most once per (p, parity)
-    from twistss import twist
+    # the B_r sweep reads every start a of a column off one kernel of K_0/K_p
+    # in the source parity (p - 1) % 2, and maps its rows into degree p once:
+    # per column one kernel, one read of D into degree p and one image list
+    from twistss import indet, twist
 
-    built, kernels, into_p = {}, [], []
+    m, H = make_pair("mixed5", "a + b")
+    ss = SpectralSequence(m, H)
+    ss.precompute()
+    built, kernels, into_p, image_lists = {}, [], [], []
     matrix, columns, kernel_of = DOperator.matrix, DOperator.columns, twist.kernel
+    column = indet._connecting_column
 
     def recording_matrix(op, domain, codomain):
         out = matrix(op, domain, codomain)
@@ -218,26 +223,22 @@ def test_delta_bar_shares_one_kernel_and_one_map_per_column(monkeypatch):
         kernels.append(built.pop(id(mat)))
         return kernel_of(mat)
 
+    def recording_column(op, p, parity):
+        image_lists.append(p)
+        return column(op, p, parity)
+
     monkeypatch.setattr(DOperator, "matrix", recording_matrix)
     monkeypatch.setattr(DOperator, "columns", recording_columns)
     monkeypatch.setattr(twist, "kernel", recording_kernel)
-    m, H = make_pair("mixed5", "a + b")
-    n, sources = m.top_degree, {}
-    for p in range(n + 1):
-        for r in range(2, n + 3):
-            for parity in (0, 1):
-                connecting_delta_bar(m, H, p, r, parity, sources)
-    whole = [
-        (tuple(range(parity, p, 2)), tuple(range(1 - parity, p, 2)))
-        for p in range(1, n + 1)
-        for parity in (0, 1)
-    ]
-    assert sorted(kernels) == sorted(whole)
+    monkeypatch.setattr(indet, "_connecting_column", recording_column)
+    n = m.top_degree
+    assert boundary_agreement(ss) == ((ss.max_page - 2) * (n + 1), None)
+    assert image_lists == list(range(n + 1))
+    assert kernels == [(tuple(range((p - 1) % 2, p, 2)), tuple(range(p % 2, p, 2))) for p in range(1, n + 1)]
     # every matrix is a whole D, and every other read of D is its columns
     # into one degree p from the source parity of K_0/K_p
     assert not built
-    assert into_p and len(into_p) == len(set(into_p))
-    assert all(dom == tuple(range((p - 1) % 2, p, 2)) for dom, p in into_p)
+    assert into_p == [(tuple(range((p - 1) % 2, p, 2)), p) for p in range(1, n + 1)]
 
 
 def window_delta_bar(m, H, p, r, parity):
@@ -255,26 +256,26 @@ def window_delta_bar(m, H, p, r, parity):
 
 
 @pytest.mark.parametrize("name,arg", list(oracle_pairs()))
-def test_shared_sources_and_tower_give_the_uncached_results(name, arg):
+def test_shared_sources_and_tower_give_the_uncached_results(monkeypatch, name, arg):
+    # each per-cell connecting map is the one of K_a/K_p built alone, and the
+    # sweeps, which share a column's complex, images and delta across its
+    # pages, agree with the per-cell functions at every cell: with the
+    # engine's B_r and Z_r replaced by the per-cell results, both pass
     if name == "modelgen":
         m = random_model(arg)
         H = random_twist(m, arg)
     else:
         m, H = make_pair(name, arg)
     n = m.top_degree
-    rng = random.Random(f"{name}/{arg}")
-    calls = [(p, r, parity) for p in range(n + 1) for r in range(2, n + 3) for parity in (0, 1)]
-    rng.shuffle(calls)
-    sources = {}
-    for p, r, parity in calls:
-        shared = connecting_delta_bar(m, H, p, r, parity, sources)
-        assert shared == connecting_delta_bar(m, H, p, r, parity), (p, r, parity)
-        assert shared == window_delta_bar(m, H, p, r, parity), (p, r, parity)
-    cells = [(r, p) for p in range(n + 1) for r in range(2, n + 3)]
-    rng.shuffle(cells)
-    tower = {}
-    for r, p in cells:
-        assert z_cell(m, H, r, p, tower) == z_cell(m, H, r, p, {}), (r, p)
+    for p in range(n + 1):
+        for r in range(2, n + 3):
+            for parity in (0, 1):
+                assert connecting_delta_bar(m, H, p, r, parity) == window_delta_bar(m, H, p, r, parity), (p, r, parity)
+    ss = SpectralSequence(m, H)
+    monkeypatch.setattr(ss, "boundaries", lambda r, p: image(connecting_delta_bar(m, H, p, r, (p - 1) % 2)))
+    monkeypatch.setattr(ss, "cycles", lambda r, p: z_cell(m, H, r, p))
+    assert boundary_agreement(ss) == ((ss.max_page - 2) * (n + 1), None)
+    assert page_agreement(ss) == ((ss.max_page - 1) * (n + 1), None)
 
 
 def test_connecting_oracle_reads_no_engine_boundary(monkeypatch):
@@ -285,10 +286,10 @@ def test_connecting_oracle_reads_no_engine_boundary(monkeypatch):
         raise AssertionError("the oracle read the engine's boundaries")
 
     monkeypatch.setattr(SpectralSequence, "_compute_boundaries", engine)
-    sources, images = {}, {}
+    images = {}
     for r in range(3, ss.max_page + 1):
         for p in range(ss.n + 1):
-            images[r, p] = image(connecting_delta_bar(m, H, p, r, (p - 1) % 2, sources))
+            images[r, p] = image(connecting_delta_bar(m, H, p, r, (p - 1) % 2))
     monkeypatch.undo()
     assert all(b == ss.boundaries(r, p) for (r, p), b in images.items())
 
@@ -492,53 +493,65 @@ def test_page_agreement_everywhere(name, expr):
 
 
 def test_page_agreement_checks_each_cycle_space_once(monkeypatch):
+    # one Z per raw key (p, min(p + r, n + 1)), and every raw key is built
     import twistss.indet as indet
 
     calls = []
 
-    def counting(model, H, r, p, tower=None):
-        calls.append((p, min(p + r, model.top_degree + 1)))
-        return z_cell_route(model, H, r, p, tower)
+    def counting(whole, delta, p, end):
+        calls.append((p, end))
+        return cycles(whole, delta, p, end)
 
-    z_cell_route = indet.z_cell
-    monkeypatch.setattr(indet, "z_cell", counting)
+    cycles = indet._cycles
+    monkeypatch.setattr(indet, "_cycles", counting)
     m, H = make_pair("cascade7", "a")
     ss = SpectralSequence(m, H)
     checked, failure = page_agreement(ss)
     assert failure is None
     assert checked == (ss.max_page - 1) * (ss.n + 1)
+    keys = {(p, min(p + r, ss.n + 1)) for r in range(2, ss.max_page + 1) for p in range(ss.n + 1)}
+    assert sorted(calls) == sorted(keys)
     assert len(calls) == len(set(calls)) < checked
 
 
 def test_page_agreement_builds_delta_once_per_column(monkeypatch):
-    # delta is one matrix per column p < n, kept in the tower and reused by
-    # every page; the cohomological route applies D to no form
+    # delta is one matrix per column p < n (None at the top column), built
+    # off the sequence's own K_0/K_{n+1} and read by every page of the
+    # column; the cohomological route applies D to no form
     from twistss import indet
     from twistss.twist import DOperator
 
-    applied, deltas = [], {}
+    applied, deltas, reads = [], {}, []
 
     def counting(op, x):
         applied.append(x)
         return apply(op, x)
 
-    def recording(model, H, r, p, tower=None):
-        out = z_cell(model, H, r, p, tower)
-        if ("delta", p) in tower:
-            deltas.setdefault(p, set()).add(id(tower[("delta", p)]))
-        return out
+    def recording_delta(whole, p):
+        assert whole is ss.twisted_cohomology().complex
+        assert p not in deltas
+        deltas[p] = delta(whole, p)
+        return deltas[p]
 
-    apply, z_cell = DOperator.apply, indet.z_cell
+    def recording_cycles(whole, d, p, end):
+        reads.append((p, d))
+        return cycles(whole, d, p, end)
+
+    apply, delta, cycles = DOperator.apply, indet._delta, indet._cycles
     m, H = make_pair("cascade7", "a")
     ss = SpectralSequence(m, H)
     ss.precompute()
     monkeypatch.setattr(DOperator, "apply", counting)
-    monkeypatch.setattr(indet, "z_cell", recording)
+    monkeypatch.setattr(indet, "_delta", recording_delta)
+    monkeypatch.setattr(indet, "_cycles", recording_cycles)
     checked, failure = page_agreement(ss)
     assert failure is None
     assert applied == []
-    assert sorted(deltas) == list(range(m.top_degree))
-    assert all(len(ids) == 1 for ids in deltas.values())
+    n = m.top_degree
+    assert list(deltas) == list(range(n + 1))
+    assert deltas[n] is None and all(isinstance(deltas[p], Mat) for p in range(n))
+    assert {p for p, _ in reads} == set(range(n + 1))
+    assert all(d is deltas[p] for p, d in reads)
 
 
 def test_page_agreement_names_every_cell_of_a_bad_cycle_space(monkeypatch):

@@ -32,7 +32,7 @@ from twistss.cdga import Form
 from twistss.linalg import solve_particular
 from twistss.modelgen import random_model, random_twist
 from twistss.models import bundled_model, standard_pairs
-from twistss.report import banded_rule, case_rule, route_rule, run_analysis
+from twistss.report import check_massey, run_analysis
 from twistss.twist import BlockSpace
 
 from lift_oracle import resolve_tail
@@ -374,9 +374,11 @@ def test_diagonal_system_rejects_multi_component_twist():
 )
 def test_verify_main_theorems(name, expr, t):
     ss = make_ss(name, expr)
-    ver = verify_main_theorems(ss, t)
-    # a class passes when no rule of the report names a broken one
-    assert not any(rule(c) for c in ver.checks for rule in (banded_rule, case_rule, route_rule))
+    # a class passes when no verdict of the report names a broken rule, and
+    # the banded verdict checks every class of pages 5..2t+3
+    banded, case, routes = check_massey(ss, 2 * t + 3)
+    assert banded == (sum(len(verify_main_theorems(ss, u).checks) for u in range(1, t + 1)), None)
+    assert case[1] is None and routes[1] is None
 
 
 def test_perturbed_system_same_page_class_different_cocycle():

@@ -101,11 +101,12 @@ def test_one_whole_twisted_complex_per_sequence(monkeypatch):
 
 
 def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
-    # every subgroup is built once per distinct (p, a), and delta_bar, the
-    # B_r oracle, runs once per distinct (p, a) of the pages r >= 3
-    requested, built, delta_bars = set(), [], []
-    subgroup, span, delta_bar = (
-        indet.indeterminacy_subgroup, indet.span_in_quotient, report._delta_bar_columns
+    # every subgroup is built once per distinct (p, a), and the B_r oracle
+    # spans the connecting map's columns once per distinct (p, a) of the
+    # pages r >= 3
+    requested, built, spans = set(), [], []
+    subgroup, span, images_from = (
+        indet.indeterminacy_subgroup, indet.span_in_quotient, indet._connecting_images
     )
 
     def counting_subgroup(model, H, p, q, r, ss=None):
@@ -116,20 +117,20 @@ def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
         built.append(1)
         return span(h, rows)
 
-    def counting_delta_bar(model, H, p, r, parity, sources=None):
-        delta_bars.append((p, max(0, p - r + 1)))
-        return delta_bar(model, H, p, r, parity, sources)
+    def counting_images(whole, images, parity, a):
+        spans.append((whole.b if whole else 0, a))
+        return images_from(whole, images, parity, a)
 
     monkeypatch.setattr(indet, "indeterminacy_subgroup", counting_subgroup)
     monkeypatch.setattr(report, "indeterminacy_subgroup", counting_subgroup)
     monkeypatch.setattr(indet, "span_in_quotient", counting_span)
-    monkeypatch.setattr(report, "_delta_bar_columns", counting_delta_bar)
+    monkeypatch.setattr(indet, "_connecting_images", counting_images)
     m = bundled_model("cascade5")
     assert run_analysis(m, parse_twist(m, "a")).all_pass
     n = m.top_degree
     assert requested and len(built) == len(requested)
-    assert len(delta_bars) == len(set(delta_bars))
-    assert set(delta_bars) == {(p, max(0, p - r + 1)) for r in range(3, n + 3) for p in range(n + 1)}
+    assert len(spans) == len(set(spans))
+    assert set(spans) == {(p, max(0, p - r + 1)) for r in range(3, n + 3) for p in range(n + 1)}
 
 
 @pytest.mark.parametrize("name,expr", standard_pairs(), ids=lambda v: str(v))
@@ -177,14 +178,40 @@ def test_connecting_oracle_catches_a_corrupted_stored_lift():
 
 
 def test_connecting_oracle_catches_a_shifted_start(monkeypatch):
-    delta_bar = report._delta_bar_columns
+    images_from = indet._connecting_images
 
-    def shifted(model, H, p, r, parity, sources=None):  # a = max(0, p - r + 1) moves down by one
-        return delta_bar(model, H, p, r + 1, parity, sources)
+    def shifted(whole, images, parity, a):  # a = max(0, p - r + 1) moves down by one
+        return images_from(whole, images, parity, max(0, a - 1))
 
-    monkeypatch.setattr(report, "_delta_bar_columns", shifted)
+    monkeypatch.setattr(indet, "_connecting_images", shifted)
     oracle, _ = report.check_indeterminacy(_cascade5())
     assert oracle[1] is not None
+
+
+def test_connecting_oracle_catches_a_span_kept_after_the_start_moves(monkeypatch):
+    # the sweep spans each start a of a column anew; columns that kept the
+    # first start's span for every page must fail the oracle
+    images_from, first = indet._connecting_images, {}
+
+    def stale(whole, images, parity, a):  # keyed by the column's image list, kept alive
+        return first.setdefault(id(images), (images, images_from(whole, images, parity, a)))[1]
+
+    monkeypatch.setattr(indet, "_connecting_images", stale)
+    oracle, _ = report.check_indeterminacy(_cascade5())
+    assert oracle[1] == "connecting image differs from B_6 on cascade5 at p=5"
+
+
+def test_page_agreement_catches_a_cycle_space_kept_after_the_key_moves(monkeypatch):
+    # the sweep builds one Z per raw key (p, min(p + r, n + 1)); columns that
+    # kept their first key's Z for every page must fail the Z_r oracle
+    cycles, first = indet._cycles, {}
+
+    def stale(whole, delta, p, end):
+        return first.setdefault(p, cycles(whole, delta, p, end))
+
+    monkeypatch.setattr(indet, "_cycles", stale)
+    checked, failure = indet.page_agreement(_cascade5())
+    assert failure == "disagreement on cascade5 at [(6, 0), (6, 14), (7, 0)]"
 
 
 def test_unchecked_verdict_is_not_applicable():
