@@ -19,7 +19,7 @@ The structure constants are held once, sparsely: the product of two basis
 elements is a tuple of (index, coefficient) pairs, sorted by index, with no
 zero coefficient (in generator form it is at most one signed monomial).
 This table is the one representation of the product; `wedge`, the axiom
-checks and the wedge-by-H blocks of the twisted differential all read it.
+checks and the pieces of D, the twisted differential, all read it.
 The differential is held the same way once more, as the sparse columns of
 its matrices, which `d`, the d o d check and the Leibniz check read; the
 matrices themselves are `linalg.Mat`s on sparse rows.
@@ -29,7 +29,7 @@ A `Form` is sparse too, in and out of the API: per degree, the sorted
 `linalg` (`Form.part`).  Values are coerced to `Fraction` and checked once,
 where they enter (the public `Form` constructor); the results of sums,
 scalings, `wedge` and `d` are built in the stored layout and not checked
-again, and `wedge` and `d` walk only the nonzero coordinates.
+again; sums, `wedge` and `d` go through `linalg.combine`, per degree.
 
 Two input layouts are accepted:
 
@@ -94,24 +94,12 @@ MAX_TOP_DEGREE = 256
 Product = tuple  # tuple[tuple[int, Fraction], ...]
 
 
-def _sparse_parts(acc: Mapping[int, Mapping[int, Fraction]]) -> dict:
-    """Per-degree coordinate sums as stored `Form` parts: degree-sorted,
-    index-sorted, without zero coordinates or empty degrees."""
-    out = {}
-    for p, coords in sorted(acc.items()):
-        nz = tuple(sorted((k, x) for k, x in coords.items() if x))
-        if nz:
-            out[p] = nz
-    return out
+_SIGNS = (ONE, -ONE)
 
 
-def _combine(terms) -> dict:
-    """The sum of c * product over (c, product) pairs, without zero entries."""
-    out: dict = {}
-    for c, prod in terms:
-        for k, s in prod:
-            out[k] = out.get(k, ZERO) + c * s
-    return {k: x for k, x in out.items() if x}
+def _combine(terms: Sequence[tuple[Fraction, Product]]) -> SVec:
+    """The sum of c * product over (c, product) pairs, a sparse vector."""
+    return combine(tuple((k, c) for k, (c, _) in enumerate(terms)), [prod for _, prod in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +242,10 @@ class Form:
             return self
         if not self.parts:
             return other if sign == 1 else -other
-        acc = {p: dict(v) for p, v in self.parts.items()}
-        for p, v in other.parts.items():
-            coords = acc.setdefault(p, {})
-            for k, c in v:
-                if k in coords:
-                    coords[k] = coords[k] + c if sign == 1 else coords[k] - c
-                else:
-                    coords[k] = c if sign == 1 else -c
-        return Form._exact(self.model, _sparse_parts(acc))
+        coeffs = ((0, ONE), (1, _SIGNS[sign < 0]))
+        degrees = sorted(self.parts.keys() | other.parts.keys())
+        sums = ((p, combine(coeffs, (self.part(p), other.part(p)))) for p in degrees)
+        return Form._exact(self.model, {p: v for p, v in sums if v})
 
     def __add__(self, other: "Form") -> "Form":
         return self._plus(other, 1)
@@ -420,24 +403,19 @@ class CdgaModel:
         return tab[i][j] if tab else ()
 
     def wedge(self, u: Form, v: Form) -> Form:
-        """u ^ v, from the nonzero coordinates of u and v against the product table."""
-        out: dict[int, dict] = {}
+        """u ^ v: per degree, the terms (a * b, e_i ^ e_j) of the nonzero
+        coordinates of u and v, read from the product table and combined."""
+        terms: dict[int, list] = {}
         for p, up in u.parts.items():
             for q, vq in v.parts.items():
                 if p + q > self.top_degree:
                     break  # v's degrees increase
-                acc = out.setdefault(p + q, {})
                 tab = self._mult[(p, q)]
-                for i, a in up:
-                    row = tab[i]
-                    for j, b in vq:
-                        prod = row[j]
-                        if prod:
-                            c = a * b
-                            for k, s in prod:
-                                x = c * s
-                                acc[k] = acc[k] + x if k in acc else x
-        return Form._exact(self, _sparse_parts(out))
+                terms.setdefault(p + q, []).extend(
+                    (a * b, prod) for i, a in up for j, b in vq if (prod := tab[i][j])
+                )
+        sums = ((r, _combine(t)) for r, t in sorted(terms.items()))
+        return Form._exact(self, {r: w for r, w in sums if w})
 
     def d_mat(self, p: int) -> Mat:
         """The differential on the degree-p piece, as a dim(p+1) x dim(p) matrix."""
@@ -451,16 +429,10 @@ class CdgaModel:
         return self._dcols[p]
 
     def d(self, u: Form) -> Form:
-        """d u, from the nonzero coordinates of u against the sparse columns of d."""
-        out: dict[int, dict] = {}
-        for p, up in u.parts.items():
-            cols = self._dcols[p]
-            acc = out[p + 1] = {}
-            for i, a in up:
-                for k, c in cols[i]:
-                    x = a * c
-                    acc[k] = acc[k] + x if k in acc else x
-        return Form._exact(self, _sparse_parts(out))
+        """d u: per degree, the nonzero coordinates of u combined with the
+        sparse columns of d."""
+        sums = ((p + 1, combine(up, self._dcols[p])) for p, up in u.parts.items())
+        return Form._exact(self, {p: w for p, w in sums if w})
 
     def de_rham(self, p: int) -> QuotientSpace:
         """Ordinary cohomology ker(d_p)/im(d_{p-1}) with canonical representatives."""
@@ -678,9 +650,6 @@ class CdgaModel:
 
 # ---------------------------------------------------------------------------
 # generator-form construction (exterior algebras on odd generators)
-
-
-_SIGNS = (ONE, -ONE)
 
 
 def _sign(a: int, b: int) -> Fraction:

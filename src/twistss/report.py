@@ -153,11 +153,11 @@ def run_analysis(
     return report
 
 
-def _status(check: Check, unchecked: str = NA) -> str:
+def _status(check: Check) -> str:
     checked, failure = check
     if failure:
         return FAIL
-    return PASS if checked else unchecked
+    return PASS if checked else NA
 
 
 def _unchecked(ss: SpectralSequence, top_r: int, full: str, cut: str) -> str:
@@ -183,7 +183,7 @@ def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, top_r: int):
     massey, case, compat = check_massey(ss, top_r)
     no_classes = _unchecked(ss, top_r, "no classes on pages 5 and up", "no classes")
     v["massey_differentials"] = Verdict(
-        _status(massey, NA), f"{massey[0]} classes checked" if massey[0] else no_classes
+        _status(massey), f"{massey[0]} classes checked" if massey[0] else no_classes
     )
     if case[0]:
         case_detail = f"{case[0]} classes checked"
@@ -191,10 +191,10 @@ def _run_verdicts(report: AnalysisReport, ss: SpectralSequence, top_r: int):
         case_detail = "twist is not a single component"
     else:
         case_detail = no_classes
-    v["single_twist_case_table"] = Verdict(_status(case, NA), case_detail)
+    v["single_twist_case_table"] = Verdict(_status(case), case_detail)
     no_hit = "no classes hit the iterated case"
     v["route_compatibility"] = Verdict(
-        _status(compat, NA),
+        _status(compat),
         f"{compat[0]} classes checked" if compat[0] else _unchecked(ss, top_r, no_hit, no_hit),
     )
 

@@ -6,8 +6,8 @@ the parity-complex kernel/image computation cross-checks page totals, the
 cohomological Z_r construction and the connecting map delta_bar cross-check
 the zig-zag cycles and boundaries, and the hand-checkable small models pin
 concrete values; criteria that `analyze` shares fold the `report` checks.
-D o D = 0 is checked once per sequence, on the block matrices of the
-operator the engine uses, when `ss.twisted_cohomology()` first builds it
+D o D = 0 is checked once per sequence, on `RelativeComplex.d` (the rows
+`DOperator.matrix` lays out), when `ss.twisted_cohomology()` first builds it
 (criterion 1; criteria 4, 9 and 12 read the same one).  `run_selftest` prints
 one pass/fail line per criterion and is what `twistss selftest` invokes.
 """

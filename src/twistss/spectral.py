@@ -134,7 +134,6 @@ class SpectralSequence:
         self._page_cells = [[None] * (self.n + 1) for _ in range(self.max_page + 1)]
         self._zero_cells: dict[int, QuotientSpace] = {}
         self._dmats: dict[tuple[int, int], Mat] = {}
-        self._pages: dict[int, SpectralPage] = {}
         self.indet_subgroups: dict[tuple[int, int], object] = {}
         self.massey_verifications: dict[int, object] = {}
         self._twisted: Optional[TwistedCohomology] = None
@@ -370,11 +369,9 @@ class SpectralSequence:
     def page(self, r: int) -> SpectralPage:
         """The full page E_r with its differentials; r must be in 1..n+2."""
         self.check_page(r)
-        if r not in self._pages:
-            cells = {p: self.cell(r, p) for p in range(self.n + 1)}
-            d = {p: self.differential_matrix(r, p) for p in range(self.n + 1)}
-            self._pages[r] = SpectralPage(r, cells, d, stable=(r >= self.max_page))
-        return self._pages[r]
+        cells = {p: self.cell(r, p) for p in range(self.n + 1)}
+        d = {p: self.differential_matrix(r, p) for p in range(self.n + 1)}
+        return SpectralPage(r, cells, d, stable=(r >= self.max_page))
 
     def e_infinity(self) -> SpectralPage:
         """The stable page: the filtration is exhausted at r = n + 2."""

@@ -29,6 +29,7 @@ from .linalg import (
     SubspaceBasis,
     SVec,
     collect,
+    combine,
     kernel,
 )
 
@@ -179,7 +180,7 @@ class DOperator:
 
     ``piece(h, q)`` is the degree-h piece of D on the degree-q basis, one
     sparse column per basis element: d for h = 1, read from the model, and
-    wedging by the twist component H_h otherwise, summed from the product
+    wedging by the twist component H_h otherwise, combined from the product
     table (`wedge_basis`) on first use and kept; it is the one assembly of
     D's pieces and `_pieces` its one cache.  ``columns(domain, q)`` is D
     from a degree list into degree q, column by column; ``matrix`` lays the
@@ -203,15 +204,10 @@ class DOperator:
         cols = self._pieces.get((h, q))
         if cols is None:
             model, terms = self.model, self.H.components.get(h, ())
-            out = []
-            for i in range(model.dim(q) if terms and q + h <= model.top_degree else 0):
-                acc: dict = {}
-                for m, c in terms:
-                    for k, x in model.wedge_basis(h, m, q, i):
-                        y = c * x
-                        acc[k] = acc[k] + y if k in acc else y
-                out.append(collect(acc))
-            cols = self._pieces[h, q] = tuple(out)
+            cols = self._pieces[h, q] = tuple(
+                combine(terms, {m: model.wedge_basis(h, m, q, i) for m, _ in terms})
+                for i in range(model.dim(q) if terms and q + h <= model.top_degree else 0)
+            )
         return cols
 
     def columns(self, domain: BlockSpace, q: int) -> tuple[SVec, ...]:
