@@ -13,7 +13,6 @@ from .linalg import (
     SubspaceBasis,
     image,
     kernel,
-    preimage,
     rref,
     solve_particular,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "SubspaceBasis",
     "image",
     "kernel",
-    "preimage",
     "rref",
     "solve_particular",
     "AlgebraError",

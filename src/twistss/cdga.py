@@ -236,16 +236,18 @@ class Form:
             raise ValueError("forms belong to different models")
 
     def _plus(self, other: "Form", sign: int) -> "Form":
-        """self + sign * other, for sign = 1 or -1."""
+        """self + sign * other, for sign = 1 or -1.  Only shared degrees are
+        combined; the others keep their part (negated for -other)."""
         self._check_same_model(other)
         if not other.parts:
             return self
         if not self.parts:
             return other if sign == 1 else -other
-        coeffs = ((0, ONE), (1, _SIGNS[sign < 0]))
-        degrees = sorted(self.parts.keys() | other.parts.keys())
-        sums = ((p, combine(coeffs, (self.part(p), other.part(p)))) for p in degrees)
-        return Form._exact(self.model, {p: v for p, v in sums if v})
+        coeffs, mine, theirs = ((0, ONE), (1, _SIGNS[sign < 0])), self.parts, other.parts
+        parts = {p: combine(coeffs, (v, theirs[p])) if p in theirs else v for p, v in mine.items()}
+        for p in theirs.keys() - mine.keys():
+            parts[p] = theirs[p] if sign == 1 else tuple((k, -c) for k, c in theirs[p])
+        return Form._exact(self.model, {p: parts[p] for p in sorted(parts) if parts[p]})
 
     def __add__(self, other: "Form") -> "Form":
         return self._plus(other, 1)

@@ -24,14 +24,14 @@ objects (`boundary_agreement`, `page_agreement`); the per-cell forms build
 their own complex and run the same per-column helpers.
 
 Both oracles read every window K_w/K_b off the whole complex K_0/K_b,
-through `twistss.twist.RelativeComplex.cocycles` and `.cohomology` with
-start = w: a suffix of one canonical kernel per (b, parity).  The Z_r
-oracle's K_0/K_{n+1} is the sequence's twisted complex
-(`SpectralSequence.twisted_cohomology`), whose kernels check the page totals.
-Each oracle maps vectors by combining columns of D, never by a matrix
-product: the connecting map combines D into degree p (`DOperator.columns`)
-by each cocycle row, once per column, and delta reads its columns off the
-whole complex (`RelativeComplex.columns`).
+through `twistss.twist.RelativeComplex.cocycles` with start = w: a suffix
+of one canonical kernel per (b, parity).  So each maps one list per column
+once and spans a suffix of it per key: D into degree p of K_0/K_p's cocycle
+rows for the connecting map, and the classes of K_{p+1}'s cocycle rows in
+H(K_{p+1}) for Z_r, whose K_0/K_{n+1} is the sequence's twisted complex
+(`SpectralSequence.twisted_cohomology`).  Neither multiplies a matrix: D
+into degree p combines `DOperator.columns`, and delta reads its columns
+off the whole complex (`RelativeComplex.columns`).
 No kernel is the engine's: the oracles eliminate their own D of K_0/K_b,
 on the twist's operator, and read neither the engine's zig-zag kernels nor
 the stored lifts whose images span its B_r.
@@ -50,7 +50,6 @@ from .linalg import (
     SVec,
     combine,
     kernel,
-    preimage,
     span_in_quotient,
 )
 from .spectral import SpectralSequence
@@ -208,8 +207,8 @@ def z_cell(model: CdgaModel, H: TwistForm, r: int, p: int) -> SubspaceBasis:
 
     Z_r is the delta-preimage of the classes coming from H(K_{p+r}), inside
     E_1^{p, even} = Omega^p.  Every K_w/K_{n+1} is a window of the whole
-    complex whole = K_0/K_{n+1} (`whole.cohomology(parity, w)`), written in
-    its coordinates, so a class of K_{p+r} is already a vector of K_{p+1}.
+    complex whole = K_0/K_{n+1} (`whole.cocycles(parity, w)`), written in
+    its coordinates, so a cocycle of K_{p+r} is already a vector of K_{p+1}.
     """
     if r < 2:
         raise ValueError("the cohomological description starts at r = 2")
@@ -220,28 +219,37 @@ def z_cell(model: CdgaModel, H: TwistForm, r: int, p: int) -> SubspaceBasis:
     return _cycles(whole, _delta(whole, p), p, min(p + r, n + 1))
 
 
-def _delta(whole: RelativeComplex, p: int) -> Optional[Mat]:
-    """delta: Omega^p -> H^(p+1)(K_{p+1}), x |-> the class of D x, with
-    whole = K_0/K_{n+1}; None at the top column, whose K_{p+1} is zero.
-    Column i is D of the i-th basis form, projected from the degree-p
-    columns of whole's D."""
+def _delta(whole: RelativeComplex, p: int) -> Optional[tuple]:
+    """Column p's share of the Z_r oracle, with whole = K_0/K_{n+1} and
+    H = H^(p+1)(K_{p+1}); None at the top column, whose K_{p+1} is zero.
+    Else delta: Omega^p -> H, x |-> the class of D x, as its columns; the
+    class in H of each cocycle row of K_{p+1}; and dim H."""
     if p + 1 == whole.b:
         return None
-    h_next, dim_p = whole.cohomology((p + 1) % 2, p + 1), whole.op.model.dim(p)
+    parity, dim_p = (p + 1) % 2, whole.op.model.dim(p)
+    h = whole.cohomology(parity, p + 1)
     o = whole.space(p).offsets[p]
-    return Mat.from_cols([h_next.project(c) for c in whole.columns(p)[o : o + dim_p]], h_next.dim)
+    delta = tuple(h.project(c) for c in whole.columns(p)[o : o + dim_p])
+    return delta, [h.project(z) for z in whole.cocycles(parity, p + 1).sparse], h.dim
 
 
-def _cycles(whole: RelativeComplex, delta: Optional[Mat], p: int, end: int) -> SubspaceBasis:
-    """Z at column p from the classes of K_end, end = min(p + r, n + 1):
-    the delta-preimage of their image in H(K_{p+1})."""
+def _cycles(whole: RelativeComplex, delta: Optional[tuple], p: int, end: int) -> SubspaceBasis:
+    """Z at column p from the classes of K_end, end = min(p + r, n + 1): the
+    delta-preimage of W, their image in H = H(K_{p+1}), spanned by the last k
+    classes of the column, k = dim of K_end's cocycles (0 at end = n + 1).
+    K_end's cocycle rows are the last rows of K_{p+1}'s (`RelativeComplex`'s
+    window rule); besides H(K_end)'s representatives they span D of forms of
+    degree >= end > p, exact in K_{p+1}, so their classes span W.  `reduce`
+    is linear and vanishes exactly on W, so the kernel of delta's reduced
+    columns is delta^{-1}(W); `kernel` is canonical, so the basis is that of
+    any other route.  Zero classes are dropped first: a suffix of
+    coboundaries costs no elimination."""
     if delta is None:
         return SubspaceBasis.full(whole.op.model.dim(p))
-    if end == whole.b:  # K_{n+1} is zero
-        return kernel(delta)
-    h_next = whole.cohomology((p + 1) % 2, p + 1)
-    incl = [h_next.project(rep) for rep in whole.cohomology((p + 1) % 2, end).sparse_reps]
-    return preimage(delta, SubspaceBasis.span(h_next.dim, incl))
+    columns, classes, dim_h = delta
+    k = whole.cocycles((p + 1) % 2, end).dim if end < whole.b else 0
+    w = SubspaceBasis.span(dim_h, [c for c in classes[len(classes) - k :] if c])
+    return kernel(Mat.from_cols([w.reduce(c) for c in columns], dim_h))
 
 
 def page_agreement(ss: SpectralSequence, max_r: Optional[int] = None) -> tuple[int, Optional[str]]:

@@ -24,7 +24,7 @@ and kernel at any point; `rref` and `kernel` are its one-shot uses.
 Eliminating m with its columns reversed puts every null vector's leading 1
 on its own free column with zeros at the other free columns, so the null
 vectors come out as the canonical RREF of the kernel (the proof is in
-`Echelon.kernel`); `preimage` keeps a prefix of them.
+`Echelon.kernel`).
 """
 
 from __future__ import annotations
@@ -194,16 +194,6 @@ class Mat:
             raise ValueError("dimension mismatch in matrix product")
         b = other.sparse
         return Mat._exact(tuple(combine(r, b) if r else () for r in self.sparse), other.cols)
-
-    def augment(self, other: "Mat") -> "Mat":
-        """Stack side by side: [self | other]."""
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        n = self.cols
-        return Mat._exact(
-            tuple(a + tuple((j + n, x) for j, x in b) for a, b in zip(self.sparse, other.sparse)),
-            n + other.cols,
-        )
 
     def is_zero(self) -> bool:
         return not any(self.sparse)
@@ -379,10 +369,6 @@ class SubspaceBasis:
         index = self._index
         return tuple((k, c) for j, c in v if (k := index.get(j)) is not None)
 
-    def basis_matrix(self) -> Mat:
-        """Basis vectors as columns (ambient_dim x dim)."""
-        return Mat.from_cols(self.sparse, self.ambient_dim)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubspaceBasis)
@@ -427,28 +413,6 @@ def solve_particular(m: Mat, b: SVec) -> Optional[SVec]:
         return None
     return tuple(
         (p, row[-1][1]) for row, p in zip(r.sparse, pivots) if row[-1][0] == n
-    )
-
-
-def preimage(m: Mat, w: SubspaceBasis) -> SubspaceBasis:
-    """The subspace {v : m v lies in w}, canonicalized.
-
-    Computed as the domain projection of the kernel of [m | W] where the
-    columns of W span w: m v = -W u lies in w, and the projection is the
-    same as that of [m | -W].  The kernel rows pivoting in the first m.cols
-    columns, truncated there, are already that projection's RREF (they keep
-    their leading 1s and the zeros at each other's pivots), and every other
-    row projects to zero.
-    """
-    if w.ambient_dim != m.rows:
-        raise ValueError("subspace does not live in the codomain")
-    if w.dim == 0:
-        return kernel(m)
-    k = kernel(m.augment(w.basis_matrix()))
-    n = m.cols
-    rank = sum(1 for c in k.pivots if c < n)  # pivots ascend: a prefix of the rows
-    return SubspaceBasis(
-        n, tuple(tuple(e for e in row if e[0] < n) for row in k.sparse[:rank]), k.pivots[:rank]
     )
 
 

@@ -265,11 +265,9 @@ def check_d3_cup(ss: SpectralSequence) -> Check:
 
 
 def stable_totals(ss: SpectralSequence) -> tuple[int, int]:
-    """The even and odd total dimensions of the stable page."""
-    cells = ss.e_infinity().cells
-    even = sum(c.dim for p, c in cells.items() if p % 2 == 0)
-    odd = sum(c.dim for p, c in cells.items() if p % 2 == 1)
-    return even, odd
+    """The even and odd total dimensions of the stable page, from its cells."""
+    dims = [ss.cell(ss.max_page, p).dim for p in range(ss.n + 1)]
+    return sum(dims[0::2]), sum(dims[1::2])
 
 
 def check_convergence(ss: SpectralSequence) -> Check:

@@ -190,6 +190,20 @@ def test_wedge_unit_and_alternation(torus3):
     assert e1.wedge(e2) == -1 * e2.wedge(e1)
 
 
+def test_sums_copy_the_degrees_only_one_operand_has(torus3):
+    # only shared degrees are combined; a degree of one operand keeps its
+    # stored part, or its negation for a difference
+    f = torus3.parse_form("1 + 2*e1 + e1^e2")
+    g = torus3.parse_form("e1 - 1/3*e2^e3 + 5*e1^e2^e3")
+    for h, sign in ((f + g, 1), (f - g, -1)):
+        assert list(h.parts) == [0, 1, 2, 3]
+        assert h.parts[0] is f.parts[0]
+        assert h.parts[1] == ((0, Fraction(2 + sign)),)
+        assert dict(h.parts[2]) == {**dict(f.parts[2]), **{j: sign * x for j, x in g.parts[2]}}
+        assert h.parts[3] is g.parts[3] if sign == 1 else h.parts[3] == ((0, Fraction(-5)),)
+    assert (f - f).is_zero and list((g + f).parts) == [0, 1, 2, 3]
+
+
 def test_form_parsing(torus3):
     f = torus3.parse_form("1/2*e1^e2 + e3^e1")
     comp = dict(f.parts)

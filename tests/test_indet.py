@@ -144,7 +144,7 @@ def test_delta_bar_chain_level_oracle(name, expr):
             else:
                 lifts = SubspaceBasis.full(dom.total_dim)
             proj = op.matrix(dom, BlockSpace(m, [p]))
-            brute = image(proj @ lifts.basis_matrix())
+            brute = image(proj @ Mat.from_cols(lifts.sparse, lifts.ambient_dim))
             db = connecting_delta_bar(m, H, p, r, (p - 1) % 2)
             assert db.rows == m.dim(p)
             assert image(db) == brute, (p, r)
@@ -252,7 +252,7 @@ def window_delta_bar(m, H, p, r, parity):
     cocycles = src.cocycles(parity)
     if not rows:
         return Mat.zeros(0, cocycles.dim)
-    return op.matrix(src.space(parity), BlockSpace(m, [p])) @ cocycles.basis_matrix()
+    return op.matrix(src.space(parity), BlockSpace(m, [p])) @ Mat.from_cols(cocycles.sparse, cocycles.ambient_dim)
 
 
 @pytest.mark.parametrize("name,arg", list(oracle_pairs()))
@@ -515,9 +515,9 @@ def test_page_agreement_checks_each_cycle_space_once(monkeypatch):
 
 
 def test_page_agreement_builds_delta_once_per_column(monkeypatch):
-    # delta is one matrix per column p < n (None at the top column), built
-    # off the sequence's own K_0/K_{n+1} and read by every page of the
-    # column; the cohomological route applies D to no form
+    # delta is built once per column p < n (None at the top column), off the
+    # sequence's own K_0/K_{n+1}, and read by every page of the column; the
+    # cohomological route applies D to no form
     from twistss import indet
     from twistss.twist import DOperator
 
@@ -549,7 +549,12 @@ def test_page_agreement_builds_delta_once_per_column(monkeypatch):
     assert applied == []
     n = m.top_degree
     assert list(deltas) == list(range(n + 1))
-    assert deltas[n] is None and all(isinstance(deltas[p], Mat) for p in range(n))
+    assert deltas[n] is None
+    for p in range(n):  # delta's class columns, the classes of K_{p+1}'s cocycle rows, dim H
+        columns, classes, dim_h = deltas[p]
+        assert type(columns) is tuple and len(columns) == m.dim(p)
+        assert len(classes) == ss.twisted_cohomology().complex.cocycles((p + 1) % 2, p + 1).dim
+        assert all(not v or v[-1][0] < dim_h for v in columns + tuple(classes))
     assert {p for p, _ in reads} == set(range(n + 1))
     assert all(d is deltas[p] for p, d in reads)
 

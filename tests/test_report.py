@@ -214,6 +214,20 @@ def test_page_agreement_catches_a_cycle_space_kept_after_the_key_moves(monkeypat
     assert failure == "disagreement on cascade5 at [(6, 0), (6, 14), (7, 0)]"
 
 
+def test_stable_totals_read_only_the_stable_cells(monkeypatch):
+    # the totals are the stable page's cell dimensions, read without
+    # building the page's d_r matrices
+    ss = _cascade5()
+    cells = ss.e_infinity().cells
+    want = tuple(sum(c.dim for p, c in cells.items() if p % 2 == parity) for parity in (0, 1))
+
+    def refused(self, r, p):
+        raise AssertionError("stable_totals built a d_r matrix")
+
+    monkeypatch.setattr(SpectralSequence, "differential_matrix", refused)
+    assert report.stable_totals(ss) == want == ss.twisted_cohomology().dims
+
+
 def test_unchecked_verdict_is_not_applicable():
     assert report._status((0, None)) == "n/a"
     assert report._status((3, None)) == "pass"

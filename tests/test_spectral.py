@@ -4,7 +4,7 @@ from twistss import PageError, SpectralSequence, parse_twist, twisted_cohomology
 from twistss.cdga import Form, model_from_dict
 from twistss.models import bundled_model, standard_pairs
 from twistss.modelgen import random_model, random_twist
-from twistss.linalg import SubspaceBasis, dense, image, kernel, sparse
+from twistss.linalg import Mat, SubspaceBasis, dense, image, kernel, sparse
 from twistss.report import check_even_vanishing
 from twistss.twist import BlockSpace
 
@@ -410,7 +410,7 @@ def per_start_boundaries(ss, p, a):
     proj = ss.op.matrix(dom, BlockSpace(m, [p]))
     if not lifts.dim:
         return SubspaceBasis.zero(dim_p)
-    return image(proj @ lifts.basis_matrix())
+    return image(proj @ Mat.from_cols(lifts.sparse, lifts.ambient_dim))
 
 
 @pytest.mark.parametrize("ss,step", [s for s in oracle_sequences() if s.values[1] == 2])
