@@ -60,19 +60,18 @@ from .twist import DOperator, RelativeComplex, TwistForm
 class IndeterminacySubgroup:
     """The subgroup of H^p in which representatives of a page class move.
 
-    ``group`` is B_r/(im d); ``in_h`` spans it in the class coordinates of H^p,
-    for membership tests.  It depends on r only through a = max(0, p - r + 1).
+    ``in_h`` spans B_r/(im d) in the class coordinates of H^p, for membership
+    tests.  It depends on r only through a = max(0, p - r + 1).
     """
 
     p: int
     a: int
-    group: QuotientSpace
     in_h: SubspaceBasis
     h: QuotientSpace
 
     @property
     def dim(self) -> int:
-        return self.group.dim
+        return self.in_h.dim
 
     def contains_class(self, f: Form) -> bool:
         """Whether a closed degree-p form's cohomology class is in the subgroup."""
@@ -89,8 +88,8 @@ def indeterminacy_subgroup(
 
     This is im(delta_bar)/im(d), and im(delta_bar) is B_r, so the subgroup is
     read off the page of `ss`, the spectral sequence of (model, H) (a fresh
-    one when None), and kept in `ss.indet_subgroups` by (p, a).  Requires
-    r >= 3 (delta_bar = d at r = 2); r past the last page gives its subgroup.
+    one when None).  Requires r >= 3 (delta_bar = d at r = 2); r past the
+    last page gives its subgroup.
     """
     if r < 3:
         raise ValueError("indeterminacy_subgroup needs r >= 3")
@@ -100,20 +99,13 @@ def indeterminacy_subgroup(
         raise ValueError("spectral sequence belongs to a different model or twist")
     a = max(0, p - r + 1)
     if p > model.top_degree:
-        trivial = QuotientSpace(SubspaceBasis.zero(0), SubspaceBasis.zero(0))
-        return IndeterminacySubgroup(p, a, trivial, SubspaceBasis.zero(0), trivial)
+        zero = SubspaceBasis.zero(0)
+        return IndeterminacySubgroup(p, a, zero, QuotientSpace(zero, zero))
     h = model.de_rham(p)
     if q % 2 == 1:
-        return IndeterminacySubgroup(
-            p, a, QuotientSpace(h.sub, h.sub), SubspaceBasis.zero(h.dim), h
-        )
-    key = (p, a)
-    if key not in ss.indet_subgroups:
-        b = ss.boundaries(min(r, ss.max_page), p)  # every page from n + 2 on has a = 0
-        ss.indet_subgroups[key] = IndeterminacySubgroup(
-            p, a, QuotientSpace(b, h.sub), span_in_quotient(h, b.sparse), h
-        )
-    return ss.indet_subgroups[key]
+        return IndeterminacySubgroup(p, a, SubspaceBasis.zero(h.dim), h)
+    b = ss.boundaries(min(r, ss.max_page), p)  # every page from n + 2 on has a = 0
+    return IndeterminacySubgroup(p, a, span_in_quotient(h, b.sparse), h)
 
 
 def differential_indeterminacy(

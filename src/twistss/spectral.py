@@ -114,11 +114,8 @@ class SpectralPage:
 class SpectralSequence:
     """All pages, cycles/boundaries, lifts and differentials for (model, H).
 
-    ``indet_subgroups`` holds the indeterminacy subgroups of its cells by
-    (p, a) with a = max(0, p - r + 1), filled by
-    `twistss.indet.indeterminacy_subgroup`, so an analysis computes each one
-    once; ``massey_verifications`` likewise holds the result of
-    `twistss.massey.verify_main_theorems` by t.
+    ``massey_verifications`` holds the result of
+    `twistss.massey.verify_main_theorems` by t, computed once per t.
     """
 
     def __init__(self, model: CdgaModel, H: TwistForm):
@@ -134,7 +131,6 @@ class SpectralSequence:
         self._page_cells = [[None] * (self.n + 1) for _ in range(self.max_page + 1)]
         self._zero_cells: dict[int, QuotientSpace] = {}
         self._dmats: dict[tuple[int, int], Mat] = {}
-        self.indet_subgroups: dict[tuple[int, int], object] = {}
         self.massey_verifications: dict[int, object] = {}
         self._twisted: Optional[TwistedCohomology] = None
 

@@ -266,7 +266,7 @@ class RelativeComplex:
     well-defined since D raises degree.  K_0/K_{n+1} is the whole twisted
     complex; for b = a+1 the induced D is zero.  Cohomology is parity-graded
     (the parity of the total degree).  Each parity's D, its columns and its
-    cocycle kernel are built on first use and kept.
+    cocycle kernel are built on first use and kept; cohomology is not.
 
     Every window K_w/K_b (a <= w < b, `start` = w) is read off that kernel,
     in these coordinates.  D raises degree, so the window's cocycles are the
@@ -292,7 +292,6 @@ class RelativeComplex:
         self._d: dict[int, Mat] = {}
         self._cols: dict[int, tuple[SVec, ...]] = {}
         self._cocycles: dict[int, SubspaceBasis] = {}
-        self._cohom: dict[tuple[int, int], QuotientSpace] = {}
 
     def space(self, parity: int) -> BlockSpace:
         return self.spaces[parity % 2]
@@ -330,11 +329,9 @@ class RelativeComplex:
     def cohomology(self, parity: int, start: Optional[int] = None) -> QuotientSpace:
         """H^parity(K_start/K_b): the window's cocycles modulo D of its columns."""
         parity, start = parity % 2, self.a if start is None else start
-        if (parity, start) not in self._cohom:
-            z = self.cocycles(parity, start)
-            cols = self.columns(1 - parity)[self._offset(1 - parity, start) :]
-            self._cohom[parity, start] = QuotientSpace(z, SubspaceBasis.span(z.ambient_dim, cols))
-        return self._cohom[parity, start]
+        z = self.cocycles(parity, start)
+        cols = self.columns(1 - parity)[self._offset(1 - parity, start) :]
+        return QuotientSpace(z, SubspaceBasis.span(z.ambient_dim, cols))
 
     def __repr__(self):
         return f"RelativeComplex(K_{self.a}/K_{self.b})"

@@ -12,7 +12,7 @@ import pytest
 
 import twistss.cli  # the tracer wraps every twistss module
 import twistss.selftest  # noqa: F401
-from twistss import parse_twist
+from twistss import indet, parse_twist
 from twistss.models import bundled_model
 from twistss.report import run_analysis
 
@@ -31,10 +31,13 @@ def test_tracer_counts_indeterminacy_and_operator_layers():
     tracer.install()
     try:
         m = bundled_model("torus3")
-        assert run_analysis(m, parse_twist(m, "e1^e2^e3")).all_pass
+        H = parse_twist(m, "e1^e2^e3")
+        assert run_analysis(m, H).all_pass
+        # an analysis reads its table off B_r, so ask for a subgroup directly
+        assert indet.indeterminacy_subgroup(m, H, 3, 0, 4).dim == 1
     finally:
         tracer.uninstall()
-    assert tracer.calls["indet.subgroup"] > 0
+    assert tracer.calls["indet.subgroup"] == 1
     assert tracer.calls["indet.relcomplex"] > 0
     assert tracer.calls["twist.doperator"] > 0
     assert tracer.calls["twist.matrix"] > 0

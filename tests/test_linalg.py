@@ -568,12 +568,13 @@ def test_kernel_eliminates_once(eliminations):
     assert eliminations == [4]
 
 
-def test_torus6_analysis_eliminates_106_times(eliminations):
+def test_torus6_analysis_eliminates_96_times(eliminations):
     # one elimination per subspace: every kernel, image, span and rank of one
     # analysis of torus6 twisted by e1^e2^e3, and one growing elimination per
     # column for its cycle kernels; B_r spans D of the stored zig-zag lifts,
-    # so the pages run no kernel besides the column eliminations, and the
-    # twisted cohomology and the Z_r oracle share the sequence's K_0/K_7
+    # so the pages run no kernel besides the column eliminations, the
+    # twisted cohomology and the Z_r oracle share the sequence's K_0/K_7,
+    # and the indeterminacy table reads dims off B_r without projecting it
     from twistss.cdga import model_from_dict
     from twistss.report import run_analysis
     from twistss.twist import parse_twist
@@ -583,7 +584,7 @@ def test_torus6_analysis_eliminates_106_times(eliminations):
     H = parse_twist(model, "e1^e2^e3")
     assert eliminations == []
     assert run_analysis(model, H).all_pass
-    assert len(eliminations) == 106
+    assert len(eliminations) == 96
 
 
 # -- canonicality --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -100,18 +101,18 @@ def test_one_whole_twisted_complex_per_sequence(monkeypatch):
     assert wholes and len(set(wholes)) == len(wholes)  # each op is one sequence's
 
 
-def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
-    # every subgroup is built once per distinct (p, a), and the B_r oracle
-    # spans the connecting map's columns once per distinct (p, a) of the
-    # pages r >= 3
-    requested, built, spans = set(), [], []
+def test_an_analysis_builds_no_indeterminacy_subgroup(monkeypatch):
+    # the table reads dim B_r - dim im d off the page, so no subgroup is
+    # requested and no B_r is projected into H^p; the B_r oracle spans the
+    # connecting map's columns once per distinct (p, a) of the pages r >= 3
+    requested, built, spans = [], [], []
     subgroup, span, images_from = (
         indet.indeterminacy_subgroup, indet.span_in_quotient, indet._connecting_images
     )
 
-    def counting_subgroup(model, H, p, q, r, ss=None):
-        requested.add((p, max(0, p - r + 1)))
-        return subgroup(model, H, p, q, r, ss)
+    def counting_subgroup(*args, **kwargs):
+        requested.append(1)
+        return subgroup(*args, **kwargs)
 
     def counting_span(h, rows):
         built.append(1)
@@ -122,13 +123,12 @@ def test_each_indeterminacy_subgroup_once_per_analysis(monkeypatch):
         return images_from(whole, images, parity, a)
 
     monkeypatch.setattr(indet, "indeterminacy_subgroup", counting_subgroup)
-    monkeypatch.setattr(report, "indeterminacy_subgroup", counting_subgroup)
     monkeypatch.setattr(indet, "span_in_quotient", counting_span)
     monkeypatch.setattr(indet, "_connecting_images", counting_images)
     m = bundled_model("cascade5")
     assert run_analysis(m, parse_twist(m, "a")).all_pass
     n = m.top_degree
-    assert requested and len(built) == len(requested)
+    assert requested == [] and built == []
     assert len(spans) == len(set(spans))
     assert set(spans) == {(p, max(0, p - r + 1)) for r in range(3, n + 3) for p in range(n + 1)}
 
@@ -175,6 +175,26 @@ def test_connecting_oracle_catches_a_corrupted_stored_lift():
     assert ss.boundaries(10, 14) != _cascade5().boundaries(10, 14)
     oracle, _ = report.check_indeterminacy(ss)
     assert oracle[1] == "connecting image differs from B_10 on cascade5 at p=14"
+
+
+def test_containment_catches_a_boundary_line_moved_in_its_column(monkeypatch):
+    # d_5 maps B_5 at column 3 of mixed5 a + b onto the line B_5 at column
+    # 8; another line of Omega^8, of the same dim, must make the samples
+    # half fail on its own message
+    m = bundled_model("mixed5")
+    H = parse_twist(m, "a + b")
+    target = (5, 8)
+    line = SpectralSequence(m, H).boundaries(*target)
+    other = SubspaceBasis.span(m.dim(8), [((0, Fraction(1)),)])
+    assert line.dim == other.dim == 1 and line != other
+    boundaries = SpectralSequence.boundaries
+
+    def moved(self, r, p):
+        return other if (r, p) == target else boundaries(self, r, p)
+
+    monkeypatch.setattr(SpectralSequence, "boundaries", moved)
+    _, samples = report.check_indeterminacy(SpectralSequence(m, H))
+    assert samples == (3, "d_5 values escape on mixed5 (p=3)")
 
 
 def test_connecting_oracle_catches_a_shifted_start(monkeypatch):
